@@ -26,7 +26,7 @@ from .errors import (
     InvalidParametersError,
     NotPrimeError,
 )
-from .field import Field, FieldElem, is_prime
+from .field import Field, FieldElem, canonical_sort, is_prime
 from .poly import Poly
 
 INF = math.inf
@@ -171,6 +171,15 @@ class ExpanderInstance:
         return theorem_bound(self.a, self.b, self.d, self.field.p)
 
 
+def check_degrees(g: Poly, h: Poly) -> None:
+    """Raise :class:`InvalidParametersError` unless deg g > deg h with g
+    non-constant and h nonzero, the hypotheses on the polynomials alone."""
+    if h.is_zero() or g.degree() < 1 or not g.degree() > h.degree():
+        raise InvalidParametersError(
+            f"need deg g > deg h with g non-constant and h nonzero; "
+            f"got deg g = {g.degree()}, deg h = {h.degree()}")
+
+
 def check_instance(field: Field, g: Poly, h: Poly, A, B):
     """Validate the hypotheses for an (A, B) pair.
 
@@ -204,14 +213,13 @@ def check_instance(field: Field, g: Poly, h: Poly, A, B):
     if not dg > dh:
         violations.append(f"deg g ≤ deg h ({dg} ≤ {dh})")
     if not h.is_zero():
-        for x in sorted(set(A), key=lambda e: e.index()):
+        for x in canonical_sort(set(A)):
             if h(x).is_zero():
                 violations.append(f"A contains root {x} of h")
     if violations:
         return None, violations
-    A = tuple(sorted(set(A), key=lambda e: e.index()))
-    B = tuple(sorted(set(B), key=lambda e: e.index()))
-    return ExpanderInstance(field, g, h, A, B), []
+    return ExpanderInstance(field, g, h, canonical_sort(set(A)),
+                            canonical_sort(set(B))), []
 
 
 def image(instance: ExpanderInstance) -> tuple[FieldElem, ...]:
@@ -223,4 +231,4 @@ def image(instance: ExpanderInstance) -> tuple[FieldElem, ...]:
         gx, hx = g(x), h(x)
         for y in instance.B:
             out.add(gx + y * hx)
-    return tuple(sorted(out, key=lambda e: e.index()))
+    return canonical_sort(out)

@@ -15,7 +15,11 @@ and weights alpha on A with
 
     sum_x alpha(x) h(x)^(b-1) x^i = delta_{i, D}   (i = 0 .. D),
 
-where D = d*(k - b + 1) and d = deg g.  Then the weighted sum
+where D = d*(k - b + 1) and d = deg g.  Both are inverse-Vandermonde
+problems with a closed form, the Lagrange dual basis
+w(y) = 1 / prod_{z != y} (y - z) over distinct points: beta = w on B, and
+alpha(x) h(x)^(b-1) = w on the first D + 1 points of A, with zero weight
+on the rest.  Then the weighted sum
 sum_{x,y} alpha(x) beta(y) P(x, y) collapses: every term except
 (i, j) = (k-b+1, b-1) dies against a moment condition or a degree drop,
 leaving binom(k, b-1) * M^(k-b+1) with M the leading coefficient of g.
@@ -66,6 +70,15 @@ def elementary_symmetric(field: Field, values) -> tuple[FieldElem, ...]:
     return tuple(e)
 
 
+def _distinct_points(points, name: str) -> tuple[FieldElem, ...]:
+    points = canonical_sort(points)
+    if not points:
+        raise EmptySetError(f"{name} is empty")
+    if len(set(points)) != len(points):
+        raise InvalidParametersError(f"{name} has repeated elements")
+    return points
+
+
 def lambda_coefficients(C, g: Poly, h: Poly) -> dict:
     """{(i, j): lambda_{i,j}} for all i, j >= 0 with i + j <= k = |C|.
 
@@ -75,11 +88,7 @@ def lambda_coefficients(C, g: Poly, h: Poly) -> dict:
     if g.field != h.field:
         raise FieldMismatchError("g and h live over different fields")
     field = g.field
-    C = canonical_sort(field.element(c) for c in C)
-    if not C:
-        raise EmptySetError("C is empty")
-    if len(set(C)) != len(C):
-        raise InvalidParametersError("C has repeated elements")
+    C = _distinct_points((field.element(c) for c in C), "C")
     k = len(C)
     e = elementary_symmetric(field, C)
     out = {}
@@ -90,39 +99,28 @@ def lambda_coefficients(C, g: Poly, h: Poly) -> dict:
     return out
 
 
-def _solve_linear(rows, rhs):
-    """Solve a square system by Gauss-Jordan elimination with the first
-    nonzero pivot in column order.  Exact; raises if singular."""
-    n = len(rows)
-    field = rhs[0].field
-    m = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            raise InternalInvariantError("singular system in certificate solver")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+def _dual_weights(points) -> list[FieldElem]:
+    """w(y) = 1 / prod_{z != y} (y - z) for distinct points: the Lagrange
+    dual basis, i.e. the unique weights with sum_y w(y) y^j = delta_{j, n-1}
+    for j = 0 .. n-1, where n = |points|.  O(n^2) multiplications."""
+    one = points[0].field.one()
+    out = []
+    for y in points:
+        prod = one
+        for z in points:
+            if z != y:
+                prod = prod * (y - z)
+        out.append(prod.inverse())
+    return out
 
 
 def solve_beta(B) -> dict:
     """Weights {y: beta(y)} on B with sum_y beta(y) y^j = delta_{j, b-1}
-    for j = 0 .. b-1.  The Vandermonde determinant over distinct points is
-    nonzero, so the solution exists and is unique."""
-    B = canonical_sort(B)
-    if not B:
-        raise EmptySetError("B is empty")
-    field = B[0].field
-    b = len(B)
-    rows = [[y ** j for y in B] for j in range(b)]
-    rhs = [field.one() if j == b - 1 else field.zero() for j in range(b)]
-    sol = _solve_linear(rows, rhs)
-    return dict(zip(B, sol))
+    for j = 0 .. b-1: the Lagrange dual weights of B.  The Vandermonde
+    determinant over distinct points is nonzero, so they are the unique
+    solution.  Repeated points are rejected."""
+    B = _distinct_points(B, "B")
+    return dict(zip(B, _dual_weights(B)))
 
 
 def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
@@ -130,14 +128,14 @@ def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
     sum_x alpha(x) h(x)^(b-1) x^i = delta_{i, D} for i = 0 .. D.
 
     The system is underdetermined when |A| > D + 1; the convention is to
-    support alpha on the first D + 1 elements of A in canonical order,
-    solve the square Vandermonde system for u(x) = alpha(x) h(x)^(b-1),
-    and set the remaining weights to zero (still present in the result).
-    Requires D <= |A| - 1 and h nonvanishing on A.
+    support alpha on the first D + 1 elements of A in canonical order and
+    set the remaining weights to zero (still present in the result).  On
+    the support, u(x) = alpha(x) h(x)^(b-1) are the Lagrange dual weights,
+    the unique solution there, so alpha = u / h^(b-1).  Requires distinct
+    points, D <= |A| - 1 and h nonvanishing on A.
     """
-    A = canonical_sort(A)
-    if not A:
-        raise EmptySetError("A is empty")
+    A = _distinct_points(A, "A")
+    field = A[0].field
     if b < 1:
         raise InvalidParametersError(f"need b >= 1, got {b}")
     D = target_degree
@@ -146,7 +144,6 @@ def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
     if D > len(A) - 1:
         raise TargetDegreeTooLargeError(
             f"target degree {D} needs {D + 1} points but |A| = {len(A)}")
-    field = A[0].field
     support = A[:D + 1]
     scale = []
     for x in support:
@@ -154,9 +151,7 @@ def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
         if hx.is_zero():
             raise InvalidParametersError(f"h vanishes at {x}, alpha system is singular")
         scale.append(hx ** (b - 1))
-    rows = [[x ** i for x in support] for i in range(D + 1)]
-    rhs = [field.one() if i == D else field.zero() for i in range(D + 1)]
-    u = _solve_linear(rows, rhs)
+    u = _dual_weights(support)
     out = {x: ui * s.inverse() for x, ui, s in zip(support, u, scale)}
     for x in A[D + 1:]:
         out[x] = field.zero()
@@ -327,14 +322,11 @@ def refute_cover(instance: ExpanderInstance, C) -> RefutationReport:
     cert = build_certificate(instance, C)
     c_set = set(cert.C)
     g, h = instance.g, instance.h
-    witness = None
     for x in instance.A:
         gx, hx = g(x), h(x)
         for y in instance.B:
             w = gx + y * hx
-            if w not in c_set and witness is None:
-                witness = (x, y, w)
-    if witness is None:
-        raise InternalInvariantError(
-            "C covers the image yet the collapsing sum is nonzero")
-    return RefutationReport(cert, False, *witness)
+            if w not in c_set:
+                return RefutationReport(cert, False, x, y, w)
+    raise InternalInvariantError(
+        "C covers the image yet the collapsing sum is nonzero")

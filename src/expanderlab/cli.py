@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .bound import (
     INF,
+    check_degrees,
     check_instance,
     image,
     parse_characteristic,
@@ -33,6 +34,7 @@ from .errors import InternalInvariantError, InvalidParametersError, ValidationEr
 from .explore import (
     DEFAULT_BUDGET,
     SearchConfig,
+    negative_slack_error,
     records_to_csv,
     records_to_json,
     search_extremal,
@@ -182,10 +184,7 @@ def cmd_bound(args) -> int:
         field = parse_field(field_text)
         g = parse_poly(args.g, field)
         h = parse_poly(args.h, field)
-        if h.is_zero() or g.degree() < 1 or not g.degree() > h.degree():
-            raise InvalidParametersError(
-                f"need deg g > deg h with g non-constant and h nonzero; "
-                f"got deg g = {g.degree()}, deg h = {h.degree()}")
+        check_degrees(g, h)
         characteristic = field.p
         d = g.degree()
     report = theorem_bound(args.a, args.b, d, characteristic)
@@ -229,11 +228,9 @@ def cmd_image(args) -> int:
         "slack": len(values) - report.bound,
     }
     if payload["slack"] < 0:
-        raise InternalInvariantError(
-            f"negative slack {payload['slack']}: image_size {len(values)} below "
-            f"bound {report.bound} for field={payload['field']} g={payload['g']} "
-            f"h={payload['h']} A={{{','.join(payload['A'])}}} "
-            f"B={{{','.join(payload['B'])}}}")
+        raise negative_slack_error(payload["field"], payload["g"], payload["h"],
+                                   payload["A"], payload["B"], len(values),
+                                   report.bound)
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
@@ -395,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=argparse.SUPPRESS)
     p.add_argument("--sample-count", dest="sample_count", default=argparse.SUPPRESS)
     p.add_argument("--seed", default=argparse.SUPPRESS)
-    p.add_argument("--parallelism", default=argparse.SUPPRESS)
+    p.add_argument("--parallelism", default=argparse.SUPPRESS,
+                   help="must be >= 1; evaluation is single-threaded")
     p.add_argument("--budget", default=argparse.SUPPRESS,
                    help=f"pair budget (or ${_ENV_BUDGET})")
     p.add_argument("--format", choices=("csv", "json", "plain"),
@@ -420,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=argparse.SUPPRESS,
                    help="draw A at random from the subfield instead of "
                         "taking the first elements")
-    p.add_argument("--parallelism", default=argparse.SUPPRESS)
+    p.add_argument("--parallelism", default=argparse.SUPPRESS,
+                   help="must be >= 1; evaluation is single-threaded")
     p.add_argument("--format", choices=("csv", "json", "plain"),
                    default=argparse.SUPPRESS)
     p.add_argument("--out", default=argparse.SUPPRESS)

@@ -5,8 +5,6 @@ Two drivers share one record format.
 :func:`search_extremal` enumerates or samples pairs (A, B), measures the
 exact image size against the proved bound, and returns the records sorted
 by slack ascending so near-extremal configurations surface first.
-Evaluation is pure and the merge is a canonical sort, so output is
-byte-identical for any worker count.
 
 :func:`subfield_experiment` probes how far the bound is from sharp when B
 is a subfield K plus one external point.  With coefficients of g and h in
@@ -15,6 +13,11 @@ K (no growth); appending one point theta forces growth.  Each record
 carries the proved growth threshold floor((1 + c/2) p^m - 1), the
 conjectured one floor((1 + c) p^m - 1) which is reported but never
 asserted, and the distance from B to the nearest subfield.
+
+Both drivers evaluate in a single thread.  Their ``parallelism`` argument
+is validated (it must be >= 1) and otherwise unused: the work is pure
+Python, so a thread pool gained nothing under the interpreter lock.
+Output is therefore byte-identical for any ``parallelism``.
 
 A record with negative slack would disprove the bound; the harness treats
 it as a fatal internal error and dumps the witness configuration.
@@ -27,7 +30,6 @@ import io
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,8 +49,6 @@ CSV_COLUMNS = ("field", "g", "h", "a", "b", "image_size", "theorem_bound",
                "subfield_distance", "subfield_order")
 
 DEFAULT_BUDGET = 10_000_000
-
-_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,8 @@ class SearchConfig:
     ``sample_count`` pairs per (a, b) cell from the seeded generator.
     ``budget`` caps the number of pairs the run may touch; exhaustive mode
     estimates its cost as sum of binom(q, a) * binom(q, b) over cells.
+    ``parallelism`` must be >= 1 but is otherwise unused: evaluation is
+    single-threaded.
     """
 
     field: str
@@ -164,7 +166,9 @@ def nearest_subfield_distance(B, field: Field) -> tuple[int, int]:
     return _nearest_distance(indices, _subfield_index_sets(field))
 
 
-def _negative_slack_dump(field_s, g_s, h_s, A, B, size, tb):
+def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
+    """The fatal error for an image smaller than the proved bound, naming
+    the witness configuration; A and B are sequences of element strings."""
     return InternalInvariantError(
         f"negative slack {size - tb}: image_size {size} below bound {tb} "
         f"for field={field_s} g={g_s} h={h_s} "
@@ -175,10 +179,7 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
     field = parse_field(config.field)
     g = parse_poly(config.g, field)
     h = parse_poly(config.h, field)
-    if h.is_zero() or not g.degree() > h.degree() or g.degree() < 1:
-        raise InvalidParametersError(
-            f"need deg g > deg h with g non-constant and h nonzero; "
-            f"got deg g = {g.degree()}, deg h = {h.degree()}")
+    bound_mod.check_degrees(g, h)
     if config.mode not in ("exhaustive", "random"):
         raise InvalidParametersError(f"unknown mode {config.mode!r}")
     if config.parallelism < 1:
@@ -241,35 +242,16 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
         A_s = tuple(str(elements[i]) for i in A_idx)
         B_s = tuple(str(elements[j]) for j in B_idx)
         if size < tb:
-            raise _negative_slack_dump(field_s, g_s, h_s, A_s, B_s, size, tb)
+            raise negative_slack_error(field_s, g_s, h_s, A_s, B_s, size, tb)
         dist, order = _nearest_distance(B_idx, subfield_sets)
         rec = ExperimentRecord(field_s, g_s, h_s, len(A_idx), len(B_idx),
                                size, tb, size - tb, None, None, dist, order,
                                A_s, B_s)
         return (size - tb, len(A_idx), len(B_idx), A_idx, B_idx), rec
 
-    def eval_chunk(chunk):
-        return [evaluate(t) for t in chunk]
-
-    keyed = []
-    if config.parallelism == 1:
-        for task in tasks():
-            keyed.append(evaluate(task))
-    else:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            for part in pool.map(eval_chunk, _chunked(tasks(), _CHUNK)):
-                keyed.extend(part)
+    keyed = [evaluate(task) for task in tasks()]
     keyed.sort(key=lambda kr: kr[0])
     return [rec for _, rec in keyed]
-
-
-def _chunked(iterable, size):
-    it = iter(iterable)
-    while True:
-        chunk = list(itertools.islice(it, size))
-        if not chunk:
-            return
-        yield chunk
 
 
 def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
@@ -284,7 +266,8 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
     baseline B = K; the rest sweep theta over the complement of K in
     canonical order, or over a seeded sample of ``theta_count`` of them.
     Thresholds appear only on the theta records; the baseline has nothing
-    to exceed.
+    to exceed.  ``parallelism`` must be >= 1 but is otherwise unused:
+    evaluation is single-threaded.
     """
     if isinstance(field, str):
         field = parse_field(field)
@@ -298,10 +281,7 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
         raise InvalidParametersError(f"parallelism must be >= 1, got {parallelism}")
     g_poly = parse_poly(g, field)
     h_poly = parse_poly(h, field)
-    if h_poly.is_zero() or not g_poly.degree() > h_poly.degree() or g_poly.degree() < 1:
-        raise InvalidParametersError(
-            f"need deg g > deg h with g non-constant and h nonzero; "
-            f"got deg g = {g_poly.degree()}, deg h = {h_poly.degree()}")
+    bound_mod.check_degrees(g_poly, h_poly)
 
     rng = Xoshiro256StarStar(seed)
     K = field.subfield(m)
@@ -328,7 +308,7 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
         A_s = tuple(str(x) for x in A)
         B_s = tuple(str(y) for y in B)
         if size < tb:
-            raise _negative_slack_dump(field_s, g_s, h_s, A_s, B_s, size, tb)
+            raise negative_slack_error(field_s, g_s, h_s, A_s, B_s, size, tb)
         dist, order = _nearest_distance((y.index() for y in B), subfield_sets)
         return ExperimentRecord(
             field_s, g_s, h_s, a, len(B), size, tb, size - tb,
@@ -345,13 +325,5 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
         picks = rng.sample_indices(len(thetas), theta_count)
         thetas = [thetas[i] for i in picks]
 
-    def theta_record(theta):
-        return record(canonical_sort(K + (theta,)), True)
-
-    records = [record(K, False)]
-    if parallelism == 1 or len(thetas) <= 1:
-        records.extend(theta_record(theta) for theta in thetas)
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool_ex:
-            records.extend(pool_ex.map(theta_record, thetas))
-    return records
+    return [record(K, False)] + [record(canonical_sort(K + (theta,)), True)
+                                 for theta in thetas]

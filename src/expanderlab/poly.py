@@ -174,12 +174,6 @@ class Poly:
         return f"Poly({self.field}, {self})"
 
 
-def from_ints(field: Field, ints) -> Poly:
-    """Polynomial with integer coefficients reduced into the field
-    (index = degree)."""
-    return Poly(field, ints)
-
-
 def _split_terms(s: str) -> list[str]:
     """Split on '+'/'-' outside parentheses, keeping each term's sign."""
     terms, cur, depth = [], "", 0

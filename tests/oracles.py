@@ -2,8 +2,8 @@
 
 Each oracle recomputes a quantity by a different route than the library
 (Pascal's triangle instead of Lucas digits, direct bivariate expansion
-instead of closed-form coefficients, Lagrange dual bases instead of
-Gaussian elimination) so that agreement is evidence, not tautology.
+instead of closed-form coefficients, Gauss-Jordan elimination instead of
+Lagrange dual bases) so that agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -47,21 +47,36 @@ def expand_shifted_product(C, field):
     return acc
 
 
-def lagrange_dual_weights(B, field):
-    """{y: 1 / prod_{y' != y} (y - y')} for distinct points B.
+def solve_gauss_jordan(rows, rhs):
+    """Solve the square system rows * sol = rhs over a field by Gauss-Jordan
+    elimination, taking the first nonzero pivot in column order.  Exact;
+    raises ValueError if the system is singular."""
+    n = len(rows)
+    m = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+        if pivot is None:
+            raise ValueError("singular system")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = m[col][col].inverse()
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and not m[r][col].is_zero():
+                factor = m[r][col]
+                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
 
-    These weights w satisfy sum_y w(y) y^j = delta_{j, |B|-1} for
-    0 <= j <= |B|-1 (dual basis of the Vandermonde system on B).
-    """
-    points = [field.element(y) for y in B]
-    out = {}
-    for y in points:
-        prod = field.one()
-        for z in points:
-            if z != y:
-                prod = prod * (y - z)
-        out[y] = prod.inverse()
-    return out
+
+def top_moment_weights(points, field, scale=None):
+    """{x: w(x)} solving sum_x w(x) * scale(x) * x^i = delta_{i, n-1} for
+    i = 0 .. n-1 by Gauss-Jordan on the explicit n x n system, n = |points|;
+    ``scale`` defaults to the constant 1."""
+    points = [field.element(x) for x in points]
+    n = len(points)
+    col_scale = [scale(x) if scale is not None else field.one() for x in points]
+    rows = [[s * x ** i for x, s in zip(points, col_scale)] for i in range(n)]
+    rhs = [field.one() if i == n - 1 else field.zero() for i in range(n)]
+    return dict(zip(points, solve_gauss_jordan(rows, rhs)))
 
 
 def moment(weights: dict, power: int, field, transform=None):

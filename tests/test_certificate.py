@@ -23,7 +23,7 @@ from expanderlab.errors import (
 from expanderlab.field import extension_field, prime_field
 from expanderlab.poly import Poly, parse_poly
 
-from oracles import expand_shifted_product, lagrange_dual_weights
+from oracles import expand_shifted_product, top_moment_weights
 
 F5 = prime_field(5)
 F13 = prime_field(13)
@@ -129,14 +129,14 @@ def test_beta_single_point():
     assert verify_beta(beta, elems(F13, 7), 1)
 
 
-def test_beta_matches_lagrange_oracle():
+def test_beta_matches_gauss_jordan_oracle():
     rng = random.Random(29)
     for _ in range(40):
         F = prime_field(rng.choice([5, 7, 11, 13]))
         b = rng.randrange(1, min(6, F.p + 1))
         B = elems(F, *rng.sample(range(F.p), b))
         beta = solve_beta(B)
-        oracle = lagrange_dual_weights(B, F)
+        oracle = top_moment_weights(B, F)
         assert beta == oracle
 
 
@@ -154,6 +154,17 @@ def test_beta_perturbation_breaks_verification():
     y0 = next(iter(beta))
     beta[y0] = beta[y0] + F5.one()
     assert not verify_beta(beta, B, 3)
+
+
+def test_solvers_reject_repeated_points():
+    h = parse_poly("x", F5)
+    with pytest.raises(InvalidParametersError):
+        solve_beta(elems(F5, 1, 1, 2))
+    with pytest.raises(InvalidParametersError):
+        solve_alpha(elems(F5, 1, 1, 2), h, b=2, target_degree=2)
+    # A repeat outside the alpha support is rejected too.
+    with pytest.raises(InvalidParametersError):
+        solve_alpha(elems(F5, 1, 2, 2), h, b=2, target_degree=0)
 
 
 def test_verify_beta_rejects_wrong_shape():
@@ -215,6 +226,25 @@ def test_alpha_random_verification_sweep():
         D = rng.randrange(0, a)
         alpha = solve_alpha(A, h, b, D)
         assert verify_alpha(alpha, A, h, b, D)
+
+
+def test_alpha_matches_gauss_jordan_oracle():
+    # Gauss-Jordan on the support (the first D + 1 points of A by index),
+    # explicit zeros on the rest.
+    rng = random.Random(37)
+    fields = [prime_field(p) for p in (5, 7, 11, 13)] + [extension_field(3, 2)]
+    for _ in range(40):
+        F = rng.choice(fields)
+        h = parse_poly(rng.choice(["x", "x+1", "2*x+1", "1"]), F)
+        pool = [x for x in F.elements() if not h(x).is_zero()]
+        A = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+        b = rng.randrange(1, 5)
+        D = rng.randrange(0, len(A))
+        by_index = sorted(A, key=lambda x: x.index())
+        oracle = top_moment_weights(by_index[:D + 1], F,
+                                    scale=lambda x: h(x) ** (b - 1))
+        oracle.update((x, F.zero()) for x in by_index[D + 1:])
+        assert solve_alpha(A, h, b, D) == oracle, (str(F), str(h), b, D)
 
 
 # -- certificates ---------------------------------------------------------------
