@@ -222,13 +222,18 @@ def check_instance(field: Field, g: Poly, h: Poly, A, B):
                             canonical_sort(set(B))), []
 
 
-def image(instance: ExpanderInstance) -> tuple[FieldElem, ...]:
-    """The exact set {g(x) + y*h(x) : x in A, y in B} by double loop,
-    in canonical order."""
-    g, h = instance.g, instance.h
-    out = set()
-    for x in instance.A:
+def value_rows(g: Poly, h: Poly, xs, ys) -> list[tuple[int, ...]]:
+    """For each x in ``xs``, the canonical indices of g(x) + y*h(x) over
+    ``ys``.  The one evaluation kernel: :func:`image` and the experiment
+    drivers build these rows once and then measure image sizes as int sets."""
+    rows = []
+    for x in xs:
         gx, hx = g(x), h(x)
-        for y in instance.B:
-            out.add(gx + y * hx)
-    return canonical_sort(out)
+        rows.append(tuple((gx + y * hx).index() for y in ys))
+    return rows
+
+
+def image(instance: ExpanderInstance) -> tuple[FieldElem, ...]:
+    """The exact set {g(x) + y*h(x) : x in A, y in B}, in canonical order."""
+    rows = value_rows(instance.g, instance.h, instance.A, instance.B)
+    return tuple(map(instance.field.from_index, sorted(set().union(*rows))))

@@ -14,10 +14,12 @@ carries the proved growth threshold floor((1 + c/2) p^m - 1), the
 conjectured one floor((1 + c) p^m - 1) which is reported but never
 asserted, and the distance from B to the nearest subfield.
 
-Both drivers evaluate in a single thread.  Their ``parallelism`` argument
-is validated (it must be >= 1) and otherwise unused: the work is pure
-Python, so a thread pool gained nothing under the interpreter lock.
-Output is therefore byte-identical for any ``parallelism``.
+Neither driver evaluates f = g(x) + y*h(x) per pair: each builds value
+rows once per run with :func:`bound.value_rows` (the element indices of f)
+over only the (x, y) it uses, so an image size is the size of an int set.
+Both drivers run in one thread, since a thread pool gained nothing under
+the interpreter lock; ``parallelism`` is validated (>= 1) and otherwise
+unused, so output is byte-identical for any value.
 
 A record with negative slack would disprove the bound; the harness treats
 it as a fatal internal error and dumps the witness configuration.
@@ -25,7 +27,9 @@ it as a fatal internal error and dumps the witness configuration.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import io
 import itertools
 import json
@@ -40,7 +44,7 @@ from .errors import (
     InvalidParametersError,
     NotProperDivisorError,
 )
-from .field import Field, canonical_sort, parse_field
+from .field import Field, parse_field
 from .poly import parse_poly
 from .rng import Xoshiro256StarStar
 
@@ -108,7 +112,9 @@ class SearchConfig:
     ``mode`` is "exhaustive" or "random"; random mode draws
     ``sample_count`` pairs per (a, b) cell from the seeded generator.
     ``budget`` caps the number of pairs the run may touch; exhaustive mode
-    estimates its cost as sum of binom(q, a) * binom(q, b) over cells.
+    counts its cost as sum of binom(|pool|, a) * binom(q, b) over cells,
+    where the pool is the field minus the roots of h, exactly the pairs
+    it enumerates.
     ``parallelism`` must be >= 1 but is otherwise unused: evaluation is
     single-threaded.
     """
@@ -190,8 +196,7 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
             f"sample_count must be >= 1, got {config.sample_count}")
 
     elements = field.elements()
-    g_table = tuple(g(x) for x in elements)
-    h_table = tuple(h(x) for x in elements)
+    names = [str(x) for x in elements]
     pool_a = tuple(x.index() for x in elements if not h(x).is_zero())
     q = field.order
 
@@ -202,7 +207,7 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
         return []
 
     if config.mode == "exhaustive":
-        cost = sum(math.comb(q, a) * math.comb(q, b) for a, b in cells)
+        cost = sum(math.comb(len(pool_a), a) * math.comb(q, b) for a, b in cells)
     else:
         cost = len(cells) * config.sample_count
     if cost > config.budget:
@@ -214,6 +219,8 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
     bounds = {(a, b): bound_mod.theorem_bound(a, b, g.degree(), field.p).bound
               for a, b in cells}
     subfield_sets = _subfield_index_sets(field)
+    strings = functools.cache(lambda idx: tuple(names[i] for i in idx))
+    nearest = functools.cache(lambda B: _nearest_distance(B, subfield_sets))
 
     def tasks():
         if config.mode == "exhaustive":
@@ -230,26 +237,33 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
                     B_idx = rng.sample_indices(q, b)
                     yield A_idx, B_idx
 
-    def evaluate(task):
-        A_idx, B_idx = task
-        img = set()
+    # Value rows cover only the (x, y) pairs some task touches: pool_a x
+    # field in exhaustive mode, at most a*b per sample in random mode.  So
+    # each value is computed once, and never more values than the pairs hold.
+    task_list = list(tasks())
+    rows = {}
+    for A_idx, B_idx in task_list:
         for i in A_idx:
-            gx, hx = g_table[i], h_table[i]
-            for j in B_idx:
-                img.add(gx + elements[j] * hx)
-        size = len(img)
-        tb = bounds[(len(A_idx), len(B_idx))]
-        A_s = tuple(str(elements[i]) for i in A_idx)
-        B_s = tuple(str(elements[j]) for j in B_idx)
-        if size < tb:
-            raise negative_slack_error(field_s, g_s, h_s, A_s, B_s, size, tb)
-        dist, order = _nearest_distance(B_idx, subfield_sets)
-        rec = ExperimentRecord(field_s, g_s, h_s, len(A_idx), len(B_idx),
-                               size, tb, size - tb, None, None, dist, order,
-                               A_s, B_s)
-        return (size - tb, len(A_idx), len(B_idx), A_idx, B_idx), rec
+            rows.setdefault(i, {}).update(dict.fromkeys(B_idx))
+    for i, row in rows.items():
+        cols = list(row)
+        row.update(zip(cols, bound_mod.value_rows(
+            g, h, [elements[i]], [elements[j] for j in cols])[0]))
+    sizes = [len({rows[i][j] for i in A_idx for j in B_idx})
+             for A_idx, B_idx in task_list]
+    del rows  # freed before the records are built, so the two never coexist
 
-    keyed = [evaluate(task) for task in tasks()]
+    keyed = []
+    for (A_idx, B_idx), size in zip(task_list, sizes):
+        a, b = len(A_idx), len(B_idx)
+        tb = bounds[(a, b)]
+        if size < tb:
+            raise negative_slack_error(field_s, g_s, h_s, strings(A_idx),
+                                       strings(B_idx), size, tb)
+        dist, order = nearest(B_idx)
+        keyed.append(((size - tb, a, b, A_idx, B_idx), ExperimentRecord(
+            field_s, g_s, h_s, a, b, size, tb, size - tb, None, None,
+            dist, order, strings(A_idx), strings(B_idx))))
     keyed.sort(key=lambda kr: kr[0])
     return [rec for _, rec in keyed]
 
@@ -301,21 +315,6 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
     field_s, g_s, h_s = str(field), str(g_poly), str(h_poly)
     subfield_sets = _subfield_index_sets(field)
 
-    def record(B, with_thresholds: bool) -> ExperimentRecord:
-        inst = bound_mod.ExpanderInstance(field, g_poly, h_poly, A, B)
-        size = len(bound_mod.image(inst))
-        tb = inst.bound_report().bound
-        A_s = tuple(str(x) for x in A)
-        B_s = tuple(str(y) for y in B)
-        if size < tb:
-            raise negative_slack_error(field_s, g_s, h_s, A_s, B_s, size, tb)
-        dist, order = _nearest_distance((y.index() for y in B), subfield_sets)
-        return ExperimentRecord(
-            field_s, g_s, h_s, a, len(B), size, tb, size - tb,
-            proved if with_thresholds else None,
-            conjectured if with_thresholds else None,
-            dist, order, A_s, B_s)
-
     K_set = set(K)
     thetas = [x for x in field.elements() if x not in K_set]
     if theta_count is not None:
@@ -325,5 +324,27 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
         picks = rng.sample_indices(len(thetas), theta_count)
         thetas = [thetas[i] for i in picks]
 
-    return [record(K, False)] + [record(canonical_sort(K + (theta,)), True)
-                                 for theta in thetas]
+    # Value rows over K and the sampled thetas only; thetas[t] is column q_m + t.
+    rows = bound_mod.value_rows(g_poly, h_poly, A, K + tuple(thetas))
+    base = {v for row in rows for v in row[:q_m]}
+    A_s, K_s = tuple(map(str, A)), tuple(map(str, K))
+    K_idx = [y.index() for y in K]
+    bounds = {b: bound_mod.theorem_bound(a, b, g_poly.degree(), field.p).bound
+              for b in (q_m, q_m + 1)}
+
+    def record(size, B_s, B_idx, thresholds):
+        tb = bounds[len(B_s)]
+        if size < tb:
+            raise negative_slack_error(field_s, g_s, h_s, A_s, B_s, size, tb)
+        return ExperimentRecord(
+            field_s, g_s, h_s, a, len(B_s), size, tb, size - tb, *thresholds,
+            *_nearest_distance(B_idx, subfield_sets), A_s, B_s)
+
+    records = [record(len(base), K_s, K_idx, (None, None))]
+    for col, theta in enumerate(thetas, q_m):
+        i = theta.index()
+        pos = bisect.bisect(K_idx, i)
+        records.append(record(len(base.union([row[col] for row in rows])),
+                              K_s[:pos] + (str(theta),) + K_s[pos:],
+                              K_idx + [i], (proved, conjectured)))
+    return records

@@ -89,8 +89,9 @@ def moment(weights: dict, power: int, field, transform=None):
     return total
 
 
-def image_by_table(field, g, h, A, B):
-    """{g(x) + y*h(x)} by a double loop over explicit evaluations."""
+def image_double_loop(field, g, h, A, B):
+    """{g(x) + y*h(x)} as a set of field elements, by a double loop of
+    field arithmetic; the library measures images on element indices."""
     out = set()
     for x in A:
         gx, hx = g(x), h(x)

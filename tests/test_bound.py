@@ -21,7 +21,7 @@ from expanderlab.errors import (
 from expanderlab.field import extension_field, prime_field
 from expanderlab.poly import parse_poly
 
-from oracles import binom_mod_pascal, image_by_table
+from oracles import binom_mod_pascal, image_double_loop
 
 
 def make_instance(field, g_text, h_text, A, B):
@@ -269,7 +269,7 @@ def test_image_matches_table_oracle():
         B = [F.element(y) for y in rng.sample(range(11), rng.randrange(1, 6))]
         inst, violations = check_instance(F, g, h, A, B)
         assert violations == []
-        assert set(image(inst)) == image_by_table(F, g, h, A, B)
+        assert set(image(inst)) == image_double_loop(F, g, h, A, B)
 
 
 def test_image_respects_theorem_bound_small_sweep():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -196,6 +197,21 @@ def test_search_parallelism_does_not_change_bytes():
         if base is None:
             base = out[1]
         assert out[1] == base
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    ("search --field 7 --g x^2 --h x --a 2 --b 2",
+     "9cc3430f172a4659b8c9a27574956657f80ffc71b091d16e872f6240785ac765"),
+    ("subfield --field 5^2 --m 1 --c-fraction 1/2 --theta-count 5 --seed 0",
+     "c0c6f56db5b40305f2b6b056899e0c5bffb541bf7d6361b9c2f598ab2ac9e337"),
+    ("search --field 3^2 --g x^2 --h x --a 1-3 --b 1-2 --format json",
+     "179fdb7bd878fd58e75b1db8f981e5654eedcaf4cd9883fd0b7ce85108eb9c4f"),
+])
+def test_stdout_bytes_are_pinned(argv, sha256):
+    # Digests of the stdout these runs have always produced.
+    code, out, _ = run_cli(*argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_search_budget_flag_and_env(monkeypatch):

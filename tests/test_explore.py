@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from expanderlab import explore
+from expanderlab.bound import check_instance, image
 from expanderlab.errors import (
     BudgetExceededError,
     InternalInvariantError,
@@ -20,8 +21,11 @@ from expanderlab.explore import (
     search_extremal,
     subfield_experiment,
 )
-from expanderlab.field import extension_field, prime_field
+from expanderlab.field import extension_field, parse_field, prime_field
+from expanderlab.poly import parse_poly
 from expanderlab.rng import Xoshiro256StarStar, splitmix64
+
+from oracles import image_double_loop
 
 
 # -- rng ------------------------------------------------------------------------
@@ -208,6 +212,15 @@ def test_search_budget_gate():
                                      mode="random", sample_count=50, budget=10))
 
 
+def test_search_budget_prices_the_usable_pool():
+    # h = x removes 0 from A's pool: a = 12 leaves one A and 13 choices of
+    # B, so 13 pairs run; binom(q, a) * binom(q, b) would price 169.
+    recs = search_extremal(SearchConfig("13", "x^2", "x", 12, 1, budget=13))
+    assert len(recs) == 13
+    with pytest.raises(BudgetExceededError, match="needs 13 pairs"):
+        search_extremal(SearchConfig("13", "x^2", "x", 12, 1, budget=12))
+
+
 def test_search_oversized_sizes_clamp_to_empty():
     assert search_extremal(SearchConfig("5", "x^2", "x", 9, 2)) == []
     recs = search_extremal(SearchConfig("5", "x^2", "x", (3, 9), 1))
@@ -234,6 +247,83 @@ def test_search_negative_slack_dump(monkeypatch):
     msg = str(e.value)
     assert "negative slack" in msg
     assert "field=5" in msg and "g=x^2" in msg and "A={" in msg and "B={" in msg
+
+
+def test_subfield_negative_slack_dump(monkeypatch):
+    monkeypatch.setattr(explore.bound_mod, "theorem_bound",
+                        lambda a, b, d, p: SimpleNamespace(bound=10**6))
+    with pytest.raises(InternalInvariantError) as e:
+        subfield_experiment("3^2", 1, Fraction(1, 2))
+    msg = str(e.value)
+    assert "negative slack" in msg
+    assert "field=3^2/t^2+1" in msg and "g=x^2" in msg and "h=x" in msg
+    assert "A={1,2}" in msg and "B={0,1,2}" in msg
+
+
+# -- evaluation kernel against the field-arithmetic oracle ----------------------
+
+# Cubic g; every h has a root in the field, so A's pool loses elements.
+KERNEL_CASES = [("5", "x^3+2*x", "x^2+1"), ("7", "x^3+3", "x^2+6"),
+                ("3^2", "x^3+x", "x+1"), ("2^3", "x^3+x+1", "x")]
+
+
+def _oracle_size(field, g, h, rec):
+    A = [field.parse_element(x) for x in rec.A]
+    B = [field.parse_element(y) for y in rec.B]
+    return len(image_double_loop(field, g, h, A, B))
+
+
+@pytest.mark.parametrize("field_s, g_s, h_s", KERNEL_CASES)
+def test_value_rows_match_double_loop_oracle(field_s, g_s, h_s):
+    field = parse_field(field_s)
+    g, h = parse_poly(g_s, field), parse_poly(h_s, field)
+    pool = [x for x in field.elements() if not h(x).is_zero()]
+    assert len(pool) < field.order
+    rng = Xoshiro256StarStar(field.order)
+    for _ in range(30):
+        A = [pool[i] for i in rng.sample_indices(len(pool), 1 + rng.bounded(len(pool)))]
+        B = [field.from_index(i) for i in
+             rng.sample_indices(field.order, 1 + rng.bounded(field.order))]
+        inst, violations = check_instance(field, g, h, A, B)
+        assert violations == []
+        assert set(image(inst)) == image_double_loop(field, g, h, A, B)
+
+    recs = search_extremal(SearchConfig(field_s, g_s, h_s, (1, 2), (1, 2)))
+    recs += search_extremal(SearchConfig(field_s, g_s, h_s, (1, 4), (1, 4),
+                                         mode="random", sample_count=20, seed=3))
+    if field.n > 1:
+        recs += subfield_experiment(field, 1, Fraction(1, 2), g=g_s, h=h_s)
+        recs += subfield_experiment(field, 1, Fraction(1, 2), g=g_s, h=h_s,
+                                    theta_count=3, seed=4, random_a=True)
+    for rec in recs:
+        assert rec.image_size == _oracle_size(field, g, h, rec), rec
+
+
+def test_search_evaluates_only_the_pairs_it_samples(monkeypatch):
+    evaluated = []
+    kernel = explore.bound_mod.value_rows
+
+    def counting(g, h, xs, ys):
+        evaluated.append(len(xs) * len(ys))
+        assert sum(evaluated) <= limit  # before an oversized table is built
+        return kernel(g, h, xs, ys)
+
+    monkeypatch.setattr(explore.bound_mod, "value_rows", counting)
+    # Exhaustive: one row per x of the pool (h = x drops 0) over F_13.
+    limit = 12 * 13
+    search_extremal(SearchConfig("13", "x^2", "x", (2, 3), 2))
+    assert sum(evaluated) == limit
+    # Random over a large field: at most a*b values per sample, never the
+    # pool x field table (about 10^8 values on F_10007).
+    evaluated.clear()
+    limit = 5 * 5 * 5
+    recs = search_extremal(SearchConfig("10007", "x^2", "x", 5, 5,
+                                        mode="random", sample_count=5, seed=1))
+    assert len(recs) == 5 and sum(evaluated) > 0
+    field = parse_field("10007")
+    g, h = parse_poly("x^2", field), parse_poly("x", field)
+    for rec in recs:
+        assert rec.image_size == _oracle_size(field, g, h, rec), rec
 
 
 # -- subfield distance ------------------------------------------------------------
