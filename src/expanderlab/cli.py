@@ -124,8 +124,11 @@ def _require(opts: dict, *keys: str) -> None:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParametersError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -314,7 +317,7 @@ def cmd_subfield(args) -> int:
         theta_count = None if opts["theta_count"] is None else int(opts["theta_count"])
         seed = int(opts["seed"])
         parallelism = int(opts["parallelism"])
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParametersError(f"bad numeric option: {exc}") from None
     records = subfield_experiment(
         str(opts["field"]), m, c, g=str(opts["g"]), h=str(opts["h"]),

@@ -36,6 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import bound as bound_mod
 from .errors import (
@@ -48,21 +49,17 @@ from .field import Field, parse_field
 from .poly import parse_poly
 from .rng import Xoshiro256StarStar
 
-CSV_COLUMNS = ("field", "g", "h", "a", "b", "image_size", "theorem_bound",
-               "slack", "proved_threshold", "conjectured_threshold",
-               "subfield_distance", "subfield_order")
-
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
+class ExperimentRecord(NamedTuple):
     """One measured (A, B) configuration.
 
-    ``slack`` is image_size minus the proved bound and is nonnegative for
-    every valid instance.  The threshold columns are populated only by
-    subfield experiments; ``subfield_distance``/``subfield_order`` locate
-    the subfield nearest to B by symmetric difference.
+    The first twelve fields are the CSV columns, in order.  ``slack`` is
+    image_size minus the proved bound and is nonnegative for every valid
+    instance.  The threshold columns are populated only by subfield
+    experiments; ``subfield_distance``/``subfield_order`` locate the
+    subfield nearest to B by symmetric difference.
     """
 
     field: str
@@ -81,14 +78,16 @@ class ExperimentRecord:
     B: tuple[str, ...]
 
     def to_row(self) -> list:
-        return ["" if (v := getattr(self, name)) is None else v
-                for name in CSV_COLUMNS]
+        return ["" if v is None else v for v in self[:12]]
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in CSV_COLUMNS}
+        out = self._asdict()
         out["A"] = list(self.A)
         out["B"] = list(self.B)
         return out
+
+
+CSV_COLUMNS = ExperimentRecord._fields[:12]
 
 
 def records_to_csv(records) -> str:
@@ -147,12 +146,9 @@ def _size_list(v, limit: int, name: str) -> list[int]:
 
 
 def _subfield_index_sets(field: Field) -> list[tuple[int, frozenset]]:
-    out = []
-    for m in range(1, field.n + 1):
-        if field.n % m == 0:
-            out.append((field.p ** m,
-                        frozenset(x.index() for x in field.subfield(m))))
-    return out
+    """(order, element indices) of every subfield, from the field's cache."""
+    return [(field.p ** m, frozenset(x.index() for x in field.subfield(m)))
+            for m in range(1, field.n + 1) if field.n % m == 0]
 
 
 def _nearest_distance(b_indices, subfield_sets) -> tuple[int, int]:

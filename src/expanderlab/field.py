@@ -185,7 +185,7 @@ class Field:
     safe to call directly.  Immutable after construction.
     """
 
-    __slots__ = ("p", "n", "modulus", "_elements")
+    __slots__ = ("p", "n", "modulus", "_subfields")
 
     def __init__(self, p: int, n: int = 1, modulus: tuple[int, ...] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -207,7 +207,7 @@ class Field:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_elements", None)
+        object.__setattr__(self, "_subfields", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -279,19 +279,24 @@ class Field:
     # -- enumeration and subfields -------------------------------------------
 
     def elements(self) -> tuple[FieldElem, ...]:
-        """All p^n elements in canonical order; cached, deterministic."""
-        if self._elements is None:
-            elems = tuple(self.from_index(i) for i in range(self.order))
-            object.__setattr__(self, "_elements", elems)
-        return self._elements
+        """All p^n elements in canonical order: ``subfield(n)``, cached."""
+        return self.subfield(self.n)
 
     def subfield(self, m: int) -> tuple[FieldElem, ...]:
-        """The unique subfield of order p^m: fixed points of the m-fold
-        Frobenius a -> a^(p^m).  Canonical order."""
+        """The unique subfield of order p^m in canonical order, cached per m:
+        the fixed points of the m-fold Frobenius a -> a^(p^m), tested once per
+        field.  m = n is the whole field and runs no test."""
         if not isinstance(m, int) or m < 1 or self.n % m != 0:
             raise NotDivisorError(f"{m} does not divide extension degree {self.n}")
-        q_m = self.p ** m
-        return tuple(a for a in self.elements() if a ** q_m == a)
+        sub = self._subfields.get(m)
+        if sub is None:
+            if m == self.n:
+                sub = tuple(self.from_index(i) for i in range(self.order))
+            else:
+                q_m = self.p ** m
+                sub = tuple(a for a in self.elements() if a ** q_m == a)
+            self._subfields[m] = sub
+        return sub
 
     # -- arithmetic backends (called by FieldElem dunders) -------------------
 

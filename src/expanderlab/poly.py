@@ -34,10 +34,6 @@ class Poly:
     def constant(cls, field: Field, value) -> Poly:
         return cls(field, (value,))
 
-    @classmethod
-    def x(cls, field: Field) -> Poly:
-        return cls(field, (0, 1))
-
     # -- structure -----------------------------------------------------------
 
     def degree(self):

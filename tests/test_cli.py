@@ -206,6 +206,12 @@ def test_search_parallelism_does_not_change_bytes():
      "c0c6f56db5b40305f2b6b056899e0c5bffb541bf7d6361b9c2f598ab2ac9e337"),
     ("search --field 3^2 --g x^2 --h x --a 1-3 --b 1-2 --format json",
      "179fdb7bd878fd58e75b1db8f981e5654eedcaf4cd9883fd0b7ce85108eb9c4f"),
+    ("subfield --field 2^4 --m 2 --c-fraction 1/2 --format json",
+     "fdcbde590acebe712765ed743b41a203092857eed1e35cc67b2d1a053c96ed64"),
+    ("search --field 2^4 --g x^2 --h x --a 1 --b 1-2 --format plain",
+     "525bd8d269154163fd3250be9f8c00be5806530c8ea1e8572d2e0a10be90de34"),
+    ("subfield --field 3^2 --m 1 --c-fraction 1/2 --format plain",
+     "f935c7672442af2c8a0459777af300faa1f35a68cdcc43306b2c88450f69d13f"),
 ])
 def test_stdout_bytes_are_pinned(argv, sha256):
     # Digests of the stdout these runs have always produced.
@@ -287,13 +293,29 @@ def test_subfield_improper_divisor_exit_2():
     assert "properly divide" in err
 
 
-def test_subfield_bad_fraction_exit_2():
+def test_subfield_bad_fraction_exit_2(tmp_path):
     code, _, err = run_cli("subfield", "--field", "3^2", "--m", "1",
                            "--c-fraction", "0")
     assert code == 2
     code, _, err = run_cli("subfield", "--field", "3^2", "--m", "1",
                            "--c-fraction", "5/4")
     assert code == 2
+    code, _, err = run_cli("subfield", "--field", "5^2", "--m", "1",
+                           "--c-fraction", "1/0")
+    assert code == 2 and err.startswith("error: bad numeric option")
+    cfg = tmp_path / "sub.cfg"
+    cfg.write_text("field=5^2\nm=1\nc_fraction=1/0\n")
+    code, _, err = run_cli("subfield", "--config", str(cfg))
+    assert code == 2 and err.startswith("error: bad numeric option")
+
+
+def test_out_under_missing_directory_exit_2(tmp_path):
+    out = str(tmp_path / "missing" / "x.csv")
+    code, stdout, err = run_cli("search", "--field", "5", "--g", "x^2", "--h", "x",
+                                "--a", "2", "--b", "2", "--out", out)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
 
 
 def test_subfield_config_with_flags(tmp_path):

@@ -14,6 +14,7 @@ from expanderlab.errors import (
 )
 from expanderlab.explore import (
     CSV_COLUMNS,
+    ExperimentRecord,
     SearchConfig,
     nearest_subfield_distance,
     records_to_csv,
@@ -21,7 +22,7 @@ from expanderlab.explore import (
     search_extremal,
     subfield_experiment,
 )
-from expanderlab.field import extension_field, parse_field, prime_field
+from expanderlab.field import FieldElem, extension_field, parse_field, prime_field
 from expanderlab.poly import parse_poly
 from expanderlab.rng import Xoshiro256StarStar, splitmix64
 
@@ -116,6 +117,7 @@ def test_csv_schema_and_none_rendering():
     recs = search_extremal(SearchConfig("5", "x^2", "x", 2, 2))
     text = records_to_csv(recs)
     lines = text.split("\n")
+    assert CSV_COLUMNS == ExperimentRecord._fields[:12]
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[0] == ("field,g,h,a,b,image_size,theorem_bound,slack,"
                         "proved_threshold,conjectured_threshold,"
@@ -359,6 +361,9 @@ def test_subfield_f9_half_frozen():
     # With coefficients in K the image stays inside K: no growth at all.
     assert base.image_size == 3 and base.slack == 0
     assert base.proved_threshold is None and base.conjectured_threshold is None
+    assert base.to_row()[8:10] == ["", ""]
+    assert base.to_dict()["proved_threshold"] is None
+    assert base.to_dict()["conjectured_threshold"] is None
     assert base.subfield_distance == 0 and base.subfield_order == 3
     for r in recs[1:]:
         assert r.b == 4
@@ -367,6 +372,30 @@ def test_subfield_f9_half_frozen():
         assert r.subfield_distance == 1 and r.subfield_order == 3
         assert r.image_size >= r.proved_threshold
         assert r.slack >= 0
+
+
+def _count_frobenius_powers(monkeypatch):
+    calls = []
+    pow_ = FieldElem.__pow__
+
+    def counted(self, e):
+        calls.append(e)
+        return pow_(self, e)
+
+    monkeypatch.setattr(FieldElem, "__pow__", counted)
+    return calls
+
+
+def test_subfield_experiment_tests_each_proper_subfield_once(monkeypatch):
+    calls = _count_frobenius_powers(monkeypatch)
+    subfield_experiment("5^2", 1, Fraction(1, 2))
+    assert len(calls) == 25             # one pass over F_25 for m = 1
+
+
+def test_search_tests_proper_subfields_only(monkeypatch):
+    calls = _count_frobenius_powers(monkeypatch)
+    search_extremal(SearchConfig("2^4", "x^2", "x", 1, 1))
+    assert len(calls) == 2 * 16         # m = 1 and m = 2; m = 4 runs no test
 
 
 def test_subfield_a_clips_to_available_pool():

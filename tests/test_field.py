@@ -126,6 +126,9 @@ def test_subfield_f9():
 
 def test_subfield_f16_tower():
     F = extension_field(2, 4)
+    # Cached per m; the whole field is subfield(n).
+    assert F.elements() is F.subfield(F.n)
+    assert F.subfield(1) is F.subfield(1)
     assert len(F.subfield(1)) == 2
     sub4 = F.subfield(2)
     assert len(sub4) == 4
