@@ -62,6 +62,11 @@ def lucas_nonvanishing(k: int, r: int, characteristic) -> bool:
     if k < 0 or r < 0:
         raise InvalidParametersError(f"k and r must be non-negative, got k={k}, r={r}")
     _check_characteristic(characteristic)
+    return _digits_dominate(k, r, characteristic)
+
+
+def _digits_dominate(k: int, r: int, characteristic) -> bool:
+    """:func:`lucas_nonvanishing` for arguments already validated."""
     if r > k:
         return False
     if characteristic == INF:
@@ -115,14 +120,15 @@ def theorem_bound(a: int, b: int, d: int, characteristic) -> BoundReport:
     binom(k, b-1) survives in the given characteristic, and returns
     best_k + 1.  The scan covers the whole range because binomial
     nonvanishing mod p is not monotone in k.  k = b-1 always passes
-    (binom(k, k) = 1), so the fallback branch is defensive only.
+    (binom(k, k) = 1), so the fallback branch is defensive only.  The
+    characteristic is validated once, not per scanned k.
     """
     if a < 1 or b < 1 or d < 1:
         raise InvalidParametersError(f"need a, b, d >= 1, got a={a}, b={b}, d={d}")
     _check_characteristic(characteristic)
     k_max_range = (a - 1) // d + b - 1
     admissible = tuple(k for k in range(b - 1, k_max_range + 1)
-                       if lucas_nonvanishing(k, b - 1, characteristic))
+                       if _digits_dominate(k, b - 1, characteristic))
     if admissible:
         best_k = admissible[-1]
         return BoundReport(a, b, d, characteristic, k_max_range,

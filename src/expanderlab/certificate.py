@@ -28,9 +28,12 @@ covered the whole image, P would vanish on all of A x B and the sum would
 be zero instead; so no admissible-size C covers the image.
 
 :func:`build_certificate` materializes alpha, beta, the lambda table, and
-both sides of the identity so a third party can replay every equation
-with field arithmetic alone.  :func:`refute_cover` turns the identity
-into an explicit counterexample to a proposed cover.
+both sides of the identity.  Its JSON form (:meth:`Certificate.to_dict`)
+carries the instance, C, alpha, beta and both sides, enough to replay the
+moment conditions and the pointwise sum with field arithmetic alone; the
+lambda table, e, k, D and M are not serialised (ROADMAP.md, item 4).
+:func:`refute_cover` turns the identity into an explicit counterexample
+to a proposed cover.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bound import ExpanderInstance, lucas_nonvanishing
+from .bound import ExpanderInstance, lucas_nonvanishing, value_rows
 from .errors import (
     EmptySetError,
     FieldMismatchError,
@@ -191,18 +194,21 @@ def verify_alpha(alpha: dict, A, h: Poly, b: int, target_degree: int) -> bool:
 
 
 def _pointwise_sum(field, g, h, A, B, C, alpha, beta):
-    total = field.zero()
-    for x in A:
+    """sum_{x,y} alpha(x) beta(y) prod_{c in C} (f(x, y) - c).  f is read
+    off :func:`value_rows` over the support of alpha; the weights are summed
+    per value of f, so each product is formed once per distinct value."""
+    support = [x for x in A if not alpha[x].is_zero()]
+    weights = {}
+    for x, row in zip(support, value_rows(g, h, support, B)):
         ax = alpha[x]
-        if ax.is_zero():
-            continue
-        gx, hx = g(x), h(x)
-        for y in B:
-            w = gx + y * hx
-            prod = field.one()
-            for c in C:
-                prod = prod * (w - c)
-            total = total + ax * beta[y] * prod
+        for y, v in zip(B, row):
+            weights[v] = weights.get(v, field.zero()) + ax * beta[y]
+    total = field.zero()
+    for v, prod in weights.items():
+        w = field.from_index(v)
+        for c in C:
+            prod = prod * (w - c)
+        total = total + prod
     return total
 
 
@@ -320,13 +326,12 @@ def refute_cover(instance: ExpanderInstance, C) -> RefutationReport:
     reported as an internal error.
     """
     cert = build_certificate(instance, C)
-    c_set = set(cert.C)
-    g, h = instance.g, instance.h
-    for x in instance.A:
-        gx, hx = g(x), h(x)
-        for y in instance.B:
-            w = gx + y * hx
-            if w not in c_set:
-                return RefutationReport(cert, False, x, y, w)
+    c_idx = {c.index() for c in cert.C}
+    B = instance.B
+    for x in instance.A:   # one row at a time, so the scan stops at the witness
+        for y, v in zip(B, value_rows(instance.g, instance.h, [x], B)[0]):
+            if v not in c_idx:
+                return RefutationReport(cert, False, x, y,
+                                        instance.field.from_index(v))
     raise InternalInvariantError(
         "C covers the image yet the collapsing sum is nonzero")

@@ -250,8 +250,6 @@ def cmd_certify(args) -> int:
         C = _parse_elements(field, args.C)
     else:
         k = args.k if args.k is not None else inst.bound_report().best_k
-        if k is None:
-            k = inst.b - 1
         if not 0 <= k <= field.order:
             raise InvalidParametersError(
                 f"cannot draw {k} distinct elements from a field of order {field.order}")

@@ -14,10 +14,11 @@ carries the proved growth threshold floor((1 + c/2) p^m - 1), the
 conjectured one floor((1 + c) p^m - 1) which is reported but never
 asserted, and the distance from B to the nearest subfield.
 
-Neither driver evaluates f = g(x) + y*h(x) per pair: each builds value
-rows once per run with :func:`bound.value_rows` (the element indices of f)
-over only the (x, y) it uses, so an image size is the size of an int set.
-Both drivers run in one thread, since a thread pool gained nothing under
+Both drivers list a run as (A, B) tasks of element indices for one
+measuring path: value rows from :func:`bound.value_rows` (the indices of
+f = g(x) + y*h(x)) over only the (x, y) the tasks touch, image sizes as
+int-set sizes, one negative-slack check, records in task order.  Both
+drivers run in one thread, since a thread pool gained nothing under
 the interpreter lock; ``parallelism`` is validated (>= 1) and otherwise
 unused, so output is byte-identical for any value.
 
@@ -27,7 +28,6 @@ it as a fatal internal error and dumps the witness configuration.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
 import io
@@ -177,6 +177,49 @@ def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
         f"A={{{','.join(A)}}} B={{{','.join(B)}}}")
 
 
+def _measure(field: Field, g, h, tasks) -> list[ExperimentRecord]:
+    """One record per (A_idx, B_idx) task of element indices, in task order.
+
+    Value rows cover only the (x, y) pairs some task touches, so each value
+    is computed once and never more values than the tasks hold; they are
+    freed before the records are built, so the two never coexist.  A record
+    with negative slack raises :func:`negative_slack_error`.
+    """
+    elements = field.elements()
+    names = [str(x) for x in elements]
+    field_s, g_s, h_s = str(field), str(g), str(h)
+    subfield_sets = _subfield_index_sets(field)
+    strings = functools.cache(lambda idx: tuple(names[i] for i in idx))
+    nearest = functools.cache(lambda B: _nearest_distance(B, subfield_sets))
+    bound = functools.cache(lambda a, b: bound_mod.theorem_bound(
+        a, b, g.degree(), field.p).bound)
+
+    rows = {}
+    for A_idx, B_idx in tasks:
+        cols = dict.fromkeys(B_idx)
+        for i in A_idx:
+            rows.setdefault(i, {}).update(cols)
+    for i, row in rows.items():
+        cols = list(row)
+        row.update(zip(cols, bound_mod.value_rows(
+            g, h, [elements[i]], [elements[j] for j in cols])[0]))
+    sizes = [len({rows[i][j] for i in A_idx for j in B_idx})
+             for A_idx, B_idx in tasks]
+    del rows
+
+    records = []
+    for (A_idx, B_idx), size in zip(tasks, sizes):
+        a, b = len(A_idx), len(B_idx)
+        tb = bound(a, b)
+        if size < tb:
+            raise negative_slack_error(field_s, g_s, h_s, strings(A_idx),
+                                       strings(B_idx), size, tb)
+        records.append(ExperimentRecord(
+            field_s, g_s, h_s, a, b, size, tb, size - tb, None, None,
+            *nearest(B_idx), strings(A_idx), strings(B_idx)))
+    return records
+
+
 def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
     field = parse_field(config.field)
     g = parse_poly(config.g, field)
@@ -191,9 +234,7 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
         raise InvalidParametersError(
             f"sample_count must be >= 1, got {config.sample_count}")
 
-    elements = field.elements()
-    names = [str(x) for x in elements]
-    pool_a = tuple(x.index() for x in elements if not h(x).is_zero())
+    pool_a = tuple(x.index() for x in field.elements() if not h(x).is_zero())
     q = field.order
 
     a_sizes = _size_list(config.a, len(pool_a), "a")
@@ -211,57 +252,25 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
             f"run needs {cost} pairs but the budget is {config.budget}; "
             f"narrow the ranges or switch to random mode")
 
-    field_s, g_s, h_s = str(field), str(g), str(h)
-    bounds = {(a, b): bound_mod.theorem_bound(a, b, g.degree(), field.p).bound
-              for a, b in cells}
-    subfield_sets = _subfield_index_sets(field)
-    strings = functools.cache(lambda idx: tuple(names[i] for i in idx))
-    nearest = functools.cache(lambda B: _nearest_distance(B, subfield_sets))
-
-    def tasks():
+    # Tasks come in tie-break order (a, b, A_idx, B_idx): exhaustive
+    # enumeration is lexicographic, and random mode sorts each cell's draws.
+    # So one stable sort on slack ranks the records.
+    tasks = []
+    rng = Xoshiro256StarStar(config.seed)
+    for a, b in cells:
         if config.mode == "exhaustive":
-            for a, b in cells:
-                for A_idx in itertools.combinations(pool_a, a):
-                    for B_idx in itertools.combinations(range(q), b):
-                        yield A_idx, B_idx
+            tasks.extend(itertools.product(itertools.combinations(pool_a, a),
+                                           itertools.combinations(range(q), b)))
         else:
-            rng = Xoshiro256StarStar(config.seed)
-            for a, b in cells:
-                for _ in range(config.sample_count):
-                    A_pos = rng.sample_indices(len(pool_a), a)
-                    A_idx = tuple(pool_a[i] for i in A_pos)
-                    B_idx = rng.sample_indices(q, b)
-                    yield A_idx, B_idx
-
-    # Value rows cover only the (x, y) pairs some task touches: pool_a x
-    # field in exhaustive mode, at most a*b per sample in random mode.  So
-    # each value is computed once, and never more values than the pairs hold.
-    task_list = list(tasks())
-    rows = {}
-    for A_idx, B_idx in task_list:
-        for i in A_idx:
-            rows.setdefault(i, {}).update(dict.fromkeys(B_idx))
-    for i, row in rows.items():
-        cols = list(row)
-        row.update(zip(cols, bound_mod.value_rows(
-            g, h, [elements[i]], [elements[j] for j in cols])[0]))
-    sizes = [len({rows[i][j] for i in A_idx for j in B_idx})
-             for A_idx, B_idx in task_list]
-    del rows  # freed before the records are built, so the two never coexist
-
-    keyed = []
-    for (A_idx, B_idx), size in zip(task_list, sizes):
-        a, b = len(A_idx), len(B_idx)
-        tb = bounds[(a, b)]
-        if size < tb:
-            raise negative_slack_error(field_s, g_s, h_s, strings(A_idx),
-                                       strings(B_idx), size, tb)
-        dist, order = nearest(B_idx)
-        keyed.append(((size - tb, a, b, A_idx, B_idx), ExperimentRecord(
-            field_s, g_s, h_s, a, b, size, tb, size - tb, None, None,
-            dist, order, strings(A_idx), strings(B_idx))))
-    keyed.sort(key=lambda kr: kr[0])
-    return [rec for _, rec in keyed]
+            cell = []
+            for _ in range(config.sample_count):
+                A_pos = rng.sample_indices(len(pool_a), a)
+                cell.append((tuple(pool_a[i] for i in A_pos),
+                             rng.sample_indices(q, b)))
+            tasks.extend(sorted(cell))
+    records = _measure(field, g, h, tasks)
+    records.sort(key=lambda r: r.slack)
+    return records
 
 
 def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
@@ -296,23 +305,18 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
     rng = Xoshiro256StarStar(seed)
     K = field.subfield(m)
     q_m = field.p ** m
-    pool = [x for x in K if not x.is_zero() and not h_poly(x).is_zero()]
+    pool = [x.index() for x in K if not x.is_zero() and not h_poly(x).is_zero()]
     if not pool:
         raise InvalidParametersError("no usable subfield elements for A")
     a = min(math.ceil(c * q_m), len(pool))
     if random_a:
-        picks = rng.sample_indices(len(pool), a)
-        A = tuple(pool[i] for i in picks)
+        A = tuple(pool[i] for i in rng.sample_indices(len(pool), a))
     else:
         A = tuple(pool[:a])
 
-    proved = math.floor((1 + c / 2) * q_m - 1)
-    conjectured = math.floor((1 + c) * q_m - 1)
-    field_s, g_s, h_s = str(field), str(g_poly), str(h_poly)
-    subfield_sets = _subfield_index_sets(field)
-
-    K_set = set(K)
-    thetas = [x for x in field.elements() if x not in K_set]
+    K_idx = tuple(y.index() for y in K)
+    K_set = set(K_idx)
+    thetas = [i for i in range(field.order) if i not in K_set]
     if theta_count is not None:
         if not 1 <= theta_count <= len(thetas):
             raise InvalidParametersError(
@@ -320,27 +324,10 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
         picks = rng.sample_indices(len(thetas), theta_count)
         thetas = [thetas[i] for i in picks]
 
-    # Value rows over K and the sampled thetas only; thetas[t] is column q_m + t.
-    rows = bound_mod.value_rows(g_poly, h_poly, A, K + tuple(thetas))
-    base = {v for row in rows for v in row[:q_m]}
-    A_s, K_s = tuple(map(str, A)), tuple(map(str, K))
-    K_idx = [y.index() for y in K]
-    bounds = {b: bound_mod.theorem_bound(a, b, g_poly.degree(), field.p).bound
-              for b in (q_m, q_m + 1)}
-
-    def record(size, B_s, B_idx, thresholds):
-        tb = bounds[len(B_s)]
-        if size < tb:
-            raise negative_slack_error(field_s, g_s, h_s, A_s, B_s, size, tb)
-        return ExperimentRecord(
-            field_s, g_s, h_s, a, len(B_s), size, tb, size - tb, *thresholds,
-            *_nearest_distance(B_idx, subfield_sets), A_s, B_s)
-
-    records = [record(len(base), K_s, K_idx, (None, None))]
-    for col, theta in enumerate(thetas, q_m):
-        i = theta.index()
-        pos = bisect.bisect(K_idx, i)
-        records.append(record(len(base.union([row[col] for row in rows])),
-                              K_s[:pos] + (str(theta),) + K_s[pos:],
-                              K_idx + [i], (proved, conjectured)))
-    return records
+    base, *swept = _measure(field, g_poly, h_poly, [(A, K_idx)] + [
+        (A, tuple(sorted(K_idx + (theta,)))) for theta in thetas])
+    proved = math.floor((1 + c / 2) * q_m - 1)
+    conjectured = math.floor((1 + c) * q_m - 1)
+    return [base] + [r._replace(proved_threshold=proved,
+                                conjectured_threshold=conjectured)
+                     for r in swept]

@@ -285,13 +285,16 @@ class Field:
     def subfield(self, m: int) -> tuple[FieldElem, ...]:
         """The unique subfield of order p^m in canonical order, cached per m:
         the fixed points of the m-fold Frobenius a -> a^(p^m), tested once per
-        field.  m = n is the whole field and runs no test."""
+        field.  Neither m = n (the whole field) nor m = 1 (the constants,
+        the first p elements) runs the test."""
         if not isinstance(m, int) or m < 1 or self.n % m != 0:
             raise NotDivisorError(f"{m} does not divide extension degree {self.n}")
         sub = self._subfields.get(m)
         if sub is None:
             if m == self.n:
                 sub = tuple(self.from_index(i) for i in range(self.order))
+            elif m == 1:
+                sub = self.elements()[:self.p]
             else:
                 q_m = self.p ** m
                 sub = tuple(a for a in self.elements() if a ** q_m == a)

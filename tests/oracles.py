@@ -98,3 +98,18 @@ def image_double_loop(field, g, h, A, B):
         for y in B:
             out.add(gx + field.element(y) * hx)
     return out
+
+
+def pointwise_double_loop(field, g, h, A, B, C, alpha, beta):
+    """sum_{x,y} alpha(x) beta(y) prod_{c in C} (g(x) + y*h(x) - c) by a
+    double loop of field arithmetic, one product per pair; the library
+    groups the weights by the value index of f."""
+    total = field.zero()
+    for x in A:
+        gx, hx = g(x), h(x)
+        for y in B:
+            prod = alpha[x] * beta[y]
+            for c in C:
+                prod = prod * (gx + y * hx - c)
+            total = total + prod
+    return total

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from expanderlab import bound as bound_mod
 from expanderlab.bound import (
     INF,
     ExpanderInstance,
@@ -107,6 +108,19 @@ def test_theorem_bound_never_falls_back():
         assert r.fallback is False
         assert r.best_k is not None
         assert r.bound >= b
+
+
+def test_theorem_bound_validates_the_characteristic_once(monkeypatch):
+    calls = []
+    prime = bound_mod.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return prime(n)
+
+    monkeypatch.setattr(bound_mod, "is_prime", counted)
+    assert theorem_bound(1000, 10, 1, 2).bound == 1008
+    assert calls == [2]
 
 
 def test_theorem_bound_rejects_bad_inputs():

@@ -4,6 +4,7 @@ import pytest
 
 from expanderlab.bound import check_instance, theorem_bound
 from expanderlab.certificate import (
+    _pointwise_sum,
     binomial_in_field,
     build_certificate,
     elementary_symmetric,
@@ -23,7 +24,7 @@ from expanderlab.errors import (
 from expanderlab.field import extension_field, prime_field
 from expanderlab.poly import Poly, parse_poly
 
-from oracles import expand_shifted_product, top_moment_weights
+from oracles import expand_shifted_product, pointwise_double_loop, top_moment_weights
 
 F5 = prime_field(5)
 F13 = prime_field(13)
@@ -393,6 +394,23 @@ def test_master_identity_random_sweep():
             assert cert.identity_holds, (p, str(g), str(h))
             if prev is not None:
                 assert cert.predicted == prev.predicted
+
+
+@pytest.mark.parametrize("field", [prime_field(7), F13, extension_field(3, 2)])
+def test_pointwise_sum_matches_double_loop_oracle(field):
+    # Random weights, about a third of them zero, so the sum is not the
+    # collapsed constant the solver weights always give.
+    rng = random.Random(field.order)
+    g, h = parse_poly("x^3+2*x", field), parse_poly("x+1", field)
+    els = field.elements()
+    for _ in range(20):
+        A, B, C = (rng.sample(els, rng.randint(1, 5)) for _ in range(3))
+        alpha = {x: els[rng.randrange(field.order)] if rng.random() > 1 / 3
+                 else field.zero() for x in A}
+        beta = {y: els[rng.randrange(field.order)] if rng.random() > 1 / 3
+                else field.zero() for y in B}
+        assert (_pointwise_sum(field, g, h, A, B, C, alpha, beta)
+                == pointwise_double_loop(field, g, h, A, B, C, alpha, beta))
 
 
 # -- refutation ---------------------------------------------------------------

@@ -212,6 +212,15 @@ def test_search_parallelism_does_not_change_bytes():
      "525bd8d269154163fd3250be9f8c00be5806530c8ea1e8572d2e0a10be90de34"),
     ("subfield --field 3^2 --m 1 --c-fraction 1/2 --format plain",
      "f935c7672442af2c8a0459777af300faa1f35a68cdcc43306b2c88450f69d13f"),
+    ("search --field 7 --g x^3 --h x+1 --a 1-3 --b 2 --mode random "
+     "--sample-count 500 --seed 11 --format json",
+     "39da8d9849a2c22c9fed389a3e9351f16eac18cf588ba7ca628738cab9adfd7c"),
+    ("certify --field 13 --g x^2 --h x --A 1,2,3,4,5,6 --B 0,1,2,3 --seed 7",
+     "41ac5a701fd927d21982e5d751e88c690dd1a403b1ceebe7c547577ea0d9dad7"),
+    ("bound --field 2 --a 100000 --b 100 --d 1",
+     "00981d659709333daf9df3d6cf69f74376d1ed2a231a65c9bbf54de6d8a2b975"),
+    ("subfield --field 2^6 --m 3 --c-fraction 1/2 --random-a --seed 5",
+     "b3c9b451a4605566ceb67abc768760bca30a9954341e219410f7c6e53452fa9c"),
 ])
 def test_stdout_bytes_are_pinned(argv, sha256):
     # Digests of the stdout these runs have always produced.
@@ -379,12 +388,19 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_console_script_matches_module_entry():
+    import os
     import subprocess
     import sys
+
+    import expanderlab
+    # The child imports the package under test, installed or not.
+    src = os.path.dirname(os.path.dirname(expanderlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "expanderlab", "bound", "--field", "7",
          "--a", "3", "--b", "2", "--d", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     code, out, _ = run_cli("bound", "--field", "7", "--a", "3", "--b", "2",
                            "--d", "2")

@@ -328,6 +328,25 @@ def test_search_evaluates_only_the_pairs_it_samples(monkeypatch):
         assert rec.image_size == _oracle_size(field, g, h, rec), rec
 
 
+def test_subfield_evaluates_each_value_once(monkeypatch):
+    evaluated = []
+    kernel = explore.bound_mod.value_rows
+
+    def counting(g, h, xs, ys):
+        evaluated.append(len(xs) * len(ys))
+        return kernel(g, h, xs, ys)
+
+    monkeypatch.setattr(explore.bound_mod, "value_rows", counting)
+    # |A| x (|K| + number of thetas): one value per (x, y), base and sweep.
+    for field_s, m, theta_count, thetas in (("5^2", 1, None, 20),
+                                            ("2^4", 2, 5, 5), ("3^4", 2, 7, 7)):
+        evaluated.clear()
+        recs = subfield_experiment(field_s, m, Fraction(1, 2), theta_count=theta_count)
+        a, q_m = recs[0].a, len(recs[0].B)
+        assert len(recs) == 1 + thetas
+        assert sum(evaluated) == a * (q_m + thetas)
+
+
 # -- subfield distance ------------------------------------------------------------
 
 
@@ -389,13 +408,19 @@ def _count_frobenius_powers(monkeypatch):
 def test_subfield_experiment_tests_each_proper_subfield_once(monkeypatch):
     calls = _count_frobenius_powers(monkeypatch)
     subfield_experiment("5^2", 1, Fraction(1, 2))
-    assert len(calls) == 25             # one pass over F_25 for m = 1
+    assert len(calls) == 0              # m = 1 is the constants, no test
 
 
 def test_search_tests_proper_subfields_only(monkeypatch):
     calls = _count_frobenius_powers(monkeypatch)
     search_extremal(SearchConfig("2^4", "x^2", "x", 1, 1))
-    assert len(calls) == 2 * 16         # m = 1 and m = 2; m = 4 runs no test
+    assert len(calls) == 16             # m = 2 only; m = 1 and m = 4 run no test
+
+
+@pytest.mark.parametrize("field_s", ["3^2", "2^4", "5^2", "7^4"])
+def test_prime_subfield_is_the_frobenius_fixed_points(field_s):
+    field = parse_field(field_s)
+    assert field.subfield(1) == tuple(x for x in field.elements() if x ** field.p == x)
 
 
 def test_subfield_a_clips_to_available_pool():
