@@ -84,8 +84,8 @@ def _digits_dominate(k: int, r: int, characteristic) -> bool:
 class BoundReport:
     """Outcome of the admissible-k scan for one (a, b, d, characteristic).
 
-    ``best_k`` is None exactly when no k was admissible; then the bound
-    falls back to the trivial b (fix any x, vary y) and ``fallback`` is set.
+    ``best_k`` is the largest admissible k; k = b - 1 always is one.
+    ``fallback`` is always False and kept so the JSON keys stay as they are.
     """
 
     a: int
@@ -94,7 +94,7 @@ class BoundReport:
     characteristic: object
     k_max_range: int
     admissible_k: tuple[int, ...]
-    best_k: int | None
+    best_k: int
     bound: int
     fallback: bool
 
@@ -120,8 +120,8 @@ def theorem_bound(a: int, b: int, d: int, characteristic) -> BoundReport:
     binom(k, b-1) survives in the given characteristic, and returns
     best_k + 1.  The scan covers the whole range because binomial
     nonvanishing mod p is not monotone in k.  k = b-1 always passes
-    (binom(k, k) = 1), so the fallback branch is defensive only.  The
-    characteristic is validated once, not per scanned k.
+    (binom(k, k) = 1), so the scan is never empty.  The characteristic is
+    validated once, not per scanned k.
     """
     if a < 1 or b < 1 or d < 1:
         raise InvalidParametersError(f"need a, b, d >= 1, got a={a}, b={b}, d={d}")
@@ -129,12 +129,9 @@ def theorem_bound(a: int, b: int, d: int, characteristic) -> BoundReport:
     k_max_range = (a - 1) // d + b - 1
     admissible = tuple(k for k in range(b - 1, k_max_range + 1)
                        if _digits_dominate(k, b - 1, characteristic))
-    if admissible:
-        best_k = admissible[-1]
-        return BoundReport(a, b, d, characteristic, k_max_range,
-                           admissible, best_k, best_k + 1, False)
+    best_k = admissible[-1]
     return BoundReport(a, b, d, characteristic, k_max_range,
-                       (), None, b, True)
+                       admissible, best_k, best_k + 1, False)
 
 
 def corollary_bound(a: int, b: int, d: int, characteristic) -> int:

@@ -27,11 +27,11 @@ That value is independent of C and nonzero for admissible k.  If C
 covered the whole image, P would vanish on all of A x B and the sum would
 be zero instead; so no admissible-size C covers the image.
 
-:func:`build_certificate` materializes alpha, beta, the lambda table, and
-both sides of the identity.  Its JSON form (:meth:`Certificate.to_dict`)
-carries the instance, C, alpha, beta and both sides, enough to replay the
-moment conditions and the pointwise sum with field arithmetic alone; the
-lambda table, e, k, D and M are not serialised (ROADMAP.md, item 4).
+:func:`build_certificate` materializes alpha, beta and both sides, and a
+:class:`Certificate` holds what its JSON form (:meth:`Certificate.to_dict`)
+carries: the instance, C, alpha, beta and both sides, enough to replay the
+moment conditions and the pointwise sum with field arithmetic alone.  The
+lambda table and e depend on C only; a checker recomputes them from C.
 :func:`refute_cover` turns the identity into an explicit counterexample
 to a proposed cover.
 """
@@ -214,21 +214,20 @@ def _pointwise_sum(field, g, h, A, B, C, alpha, beta):
 
 @dataclass(frozen=True)
 class Certificate:
-    """A fully materialized instance of the collapsing identity.
-
-    ``lambda_table`` keeps nonzero entries only; ``elementary_symmetric``
-    is the full vector e_0 .. e_k over C.
-    """
+    """A fully materialized instance of the collapsing identity, storing
+    what :meth:`to_dict` serialises; :func:`lambda_coefficients` recomputes
+    the lambda table from C."""
 
     instance: ExpanderInstance
     C: tuple
-    k: int
-    elementary_symmetric: tuple
-    lambda_table: dict
     beta: dict
     alpha: dict
     predicted: FieldElem
     pointwise: FieldElem
+
+    @property
+    def k(self) -> int:
+        return len(self.C)
 
     @property
     def identity_holds(self) -> bool:
@@ -265,9 +264,9 @@ def _check_admissible(instance: ExpanderInstance, k: int) -> None:
 
 
 def build_certificate(instance: ExpanderInstance, C) -> Certificate:
-    """Construct alpha, beta, the lambda table, and both sides of the
-    identity for the given candidate set C (any size-k set works and
-    yields the same predicted value; k = |C| must be admissible)."""
+    """Construct alpha, beta and both sides of the identity for the given
+    candidate set C (any size-k set works and yields the same predicted
+    value; k = |C| must be admissible)."""
     field = instance.field
     C = canonical_sort(field.element(c) for c in C)
     if len(set(C)) != len(C):
@@ -279,12 +278,6 @@ def build_certificate(instance: ExpanderInstance, C) -> Certificate:
         raise InternalInvariantError(f"admissible k = {k} exceeds |F| - 1")
     g, h, b, d = instance.g, instance.h, instance.b, instance.d
     D = d * (k - b + 1)
-    e = elementary_symmetric(field, C)
-    if k >= 1:
-        lam = {key: v for key, v in lambda_coefficients(C, g, h).items()
-               if not v.is_zero()}
-    else:
-        lam = {(0, 0): field.one()}
     beta = solve_beta(instance.B)
     alpha = solve_alpha(instance.A, h, b, D)
     M = g.leading_coefficient()
@@ -293,7 +286,7 @@ def build_certificate(instance: ExpanderInstance, C) -> Certificate:
         raise InternalInvariantError(
             "predicted value vanished despite the Lucas check")
     pointwise = _pointwise_sum(field, g, h, instance.A, instance.B, C, alpha, beta)
-    return Certificate(instance, C, k, e, lam, beta, alpha, predicted, pointwise)
+    return Certificate(instance, C, beta, alpha, predicted, pointwise)
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def _read_config(path: str) -> dict:
                         f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = line.split("=", 1)
                 out[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParametersError(f"cannot read config {path}: {exc}") from None
     return out
 

@@ -132,17 +132,17 @@ class SearchConfig:
 
 def _size_list(v, limit: int, name: str) -> list[int]:
     """Sizes clipped to [1, limit]; an unreachable request yields an empty
-    list (no valid sets of that size), not an error."""
+    list (no valid sets of that size), not an error.  A range is clipped
+    before it is built, so its upper end may be arbitrarily large."""
     if isinstance(v, int):
-        sizes = [v]
+        if v < 1:
+            raise InvalidParametersError(f"{name} sizes must be >= 1")
+        lo = hi = v
     else:
         lo, hi = v
         if lo < 1 or hi < lo:
             raise InvalidParametersError(f"bad {name} range ({lo}, {hi})")
-        sizes = list(range(lo, hi + 1))
-    if any(s < 1 for s in sizes):
-        raise InvalidParametersError(f"{name} sizes must be >= 1")
-    return [s for s in sizes if s <= limit]
+    return list(range(lo, min(hi, limit) + 1))
 
 
 def _subfield_index_sets(field: Field) -> list[tuple[int, frozenset]]:

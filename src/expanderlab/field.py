@@ -8,8 +8,12 @@ irreducibility and root checks are deliberately brute force.
 Text formats:
   field    "5", "3^2" (default modulus), "3^2/t^2+1" (explicit modulus)
   element  prime field: a decimal integer; extension: a polynomial in t,
-           e.g. "2*t+1" (spaces optional, terms in any order, coefficients
-           reduced mod p on parse)
+           e.g. "2*t+1" (coefficients reduced mod p on parse)
+
+Elements, moduli and :mod:`expanderlab.poly` polynomials share one grammar,
+read by :func:`_parse_terms`: ``c*VAR^e`` terms joined by ``+``/``-``, ``*``
+and spaces optional, ``−`` read as ``-``, repeated exponents summed, no
+empty term, exponents at most ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -139,38 +143,64 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Text parsing helper shared with the polynomial module.
+# The one term grammar, shared by elements, moduli and polynomials.
+
+# Moduli and polynomials are stored densely, so larger exponents are refused
+# rather than let a typo such as x^999999999 exhaust memory.
+MAX_EXPONENT = 10**6
 
 
-def _parse_int_terms(text: str, var: str) -> dict[int, int]:
-    """Parse terms like 'c*VAR^e' joined by '+'/'-' into {exponent: coefficient}."""
+def _split_terms(s: str) -> list[str]:
+    """Split on '+'/'-' outside parentheses, keeping each term's sign."""
+    terms, cur, depth = [], "", 0
+    for ch in s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(f"unbalanced parentheses in {s!r}")
+        if ch in "+-" and depth == 0 and cur:
+            terms.append(cur)
+            cur = ""
+        cur += ch
+    if depth != 0:
+        raise ParseError(f"unbalanced parentheses in {s!r}")
+    if cur:
+        terms.append(cur)
+    return terms
+
+
+def _parse_terms(text: str, var: str, coeff) -> dict:
+    """Parse terms 'c*VAR^e' joined by '+'/'-' into {exponent: summed
+    coefficient}; ``coeff`` reads the text of c, "1" when it is omitted.
+    A ValueError from ``coeff`` is reported as a bad term, while a
+    ParseError passes through."""
     s = text.replace("−", "-").replace(" ", "")
     if not s:
         raise ParseError("empty expression")
-    out: dict[int, int] = {}
-    for term in s.replace("-", "+-").split("+"):
-        if not term:
-            continue
+    out: dict = {}
+    for term in _split_terms(s):
+        body = term[1:] if term[0] in "+-" else term
+        if not body:
+            raise ParseError(f"dangling sign in {text!r}")
+        head, has_var, tail = body.partition(var)
         try:
-            if var in term:
-                head, _, tail = term.partition(var)
-                if head in ("", "-"):
-                    coeff = -1 if head == "-" else 1
-                else:
-                    coeff = int(head[:-1] if head.endswith("*") else head)
-                if tail == "":
-                    exp = 1
-                elif tail.startswith("^"):
-                    exp = int(tail[1:])
-                else:
-                    raise ValueError
-            else:
-                coeff, exp = int(term), 0
+            if head == "*" or (tail and not tail.startswith("^")):
+                raise ValueError
+            exp = int(tail[1:]) if tail else (1 if has_var else 0)
+            if has_var:
+                head = head.removesuffix("*")
+            c = coeff(head or "1")
+        except ParseError:
+            raise
         except ValueError:
             raise ParseError(f"bad term {term!r} in {text!r}") from None
-        if exp < 0:
-            raise ParseError(f"negative exponent in {term!r}")
-        out[exp] = out.get(exp, 0) + coeff
+        if exp > MAX_EXPONENT:
+            raise ParseError(f"exponent {exp} in {text!r} exceeds {MAX_EXPONENT}")
+        if term[0] == "-":
+            c = -c
+        out[exp] = out[exp] + c if exp in out else c
     return out
 
 
@@ -267,7 +297,7 @@ class Field:
         return FieldElem(self, tuple(coeffs))
 
     def parse_element(self, text: str) -> FieldElem:
-        terms = _parse_int_terms(text, "t")
+        terms = _parse_terms(text, "t", int)
         coeffs = [0] * self.n
         for exp, c in terms.items():
             if exp >= self.n:
@@ -474,7 +504,7 @@ def extension_field(p: int, n: int, modulus=None) -> Field:
 
 def _modulus_coeffs(modulus, p: int) -> tuple[int, ...]:
     if isinstance(modulus, str):
-        terms = _parse_int_terms(modulus, "t")
+        terms = _parse_terms(modulus, "t", int)
         deg = max(terms)
         vec = [0] * (deg + 1)
         for e, c in terms.items():

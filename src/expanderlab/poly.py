@@ -4,15 +4,15 @@ A :class:`Poly` is an immutable coefficient tuple (index = degree, trailing
 zeros stripped) over a :class:`~expanderlab.field.Field`.  The zero
 polynomial has degree ``NEG_INF`` so degree comparisons stay numeric.
 
-Text format: terms in ``x`` joined by ``+``/``-``, e.g. ``x^2+x`` or
-``3*x^3+1``.  Extension-field coefficients are written in ``t`` and wrapped
+Text format: terms in ``x`` in the term grammar of :mod:`expanderlab.field`,
+e.g. ``x^2+x`` or ``3*x^3+1``.  Coefficients are field elements in ``t``,
 in parentheses when they have several terms: ``(2*t+1)*x^2+t*x+1``.
 """
 
 from __future__ import annotations
 
-from .errors import FieldMismatchError, ParseError, ZeroPolynomialError
-from .field import Field, FieldElem
+from .errors import FieldMismatchError, ZeroPolynomialError
+from .field import Field, FieldElem, _parse_terms
 
 NEG_INF = float("-inf")
 
@@ -170,65 +170,14 @@ class Poly:
         return f"Poly({self.field}, {self})"
 
 
-def _split_terms(s: str) -> list[str]:
-    """Split on '+'/'-' outside parentheses, keeping each term's sign."""
-    terms, cur, depth = [], "", 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parentheses in {s!r}")
-        if ch in "+-" and depth == 0 and cur:
-            terms.append(cur)
-            cur = ""
-        cur += ch
-    if depth != 0:
-        raise ParseError(f"unbalanced parentheses in {s!r}")
-    if cur:
-        terms.append(cur)
-    return terms
-
-
 def parse_poly(text: str, field: Field) -> Poly:
     """Parse a polynomial in ``x`` over ``field``; see the module docstring
     for the grammar."""
-    s = text.replace("−", "-").replace(" ", "")
-    if not s:
-        raise ParseError("empty polynomial")
-    terms: dict[int, FieldElem] = {}
-    for term in _split_terms(s):
-        negate = False
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                negate = not negate
-            term = term[1:]
-        if not term:
-            raise ParseError(f"dangling sign in {text!r}")
-        if "x" in term:
-            head, _, tail = term.partition("x")
-            if head.endswith("*"):
-                head = head[:-1]
-            if tail == "":
-                exp = 1
-            elif tail.startswith("^"):
-                try:
-                    exp = int(tail[1:])
-                except ValueError:
-                    raise ParseError(f"bad exponent in {term!r}") from None
-                if exp < 0:
-                    raise ParseError(f"negative exponent in {term!r}")
-            else:
-                raise ParseError(f"bad term {term!r} in {text!r}")
-            coeff_text = head or "1"
-        else:
-            exp, coeff_text = 0, term
-        if coeff_text.startswith("(") and coeff_text.endswith(")"):
-            coeff_text = coeff_text[1:-1]
-        coeff = field.parse_element(coeff_text)
-        if negate:
-            coeff = -coeff
-        terms[exp] = terms.get(exp, field.zero()) + coeff
-    size = max(terms) + 1
-    return Poly(field, [terms.get(i, field.zero()) for i in range(size)])
+    def coeff(c_text: str) -> FieldElem:
+        if c_text.startswith("(") and c_text.endswith(")"):
+            c_text = c_text[1:-1]
+        return field.parse_element(c_text)
+
+    terms = _parse_terms(text, "x", coeff)
+    zero = field.zero()
+    return Poly(field, [terms.get(i, zero) for i in range(max(terms) + 1)])

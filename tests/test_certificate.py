@@ -296,7 +296,6 @@ def test_certificate_b_equals_one():
     cert0 = build_certificate(inst, ())
     assert cert0.identity_holds and cert0.C == ()
     assert cert0.k == 0
-    assert cert0.lambda_table == {(0, 0): F13.one()}
     assert str(cert0.predicted) == "1"
 
 

@@ -102,6 +102,18 @@ def test_image_parse_error_exit_2():
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "bound --field 3^2/+ --a 2 --b 2 --d 1",
+    "image --field 13 --g x^2 --h x --A 1 --B +",
+    "image --field 13 --g x^2 --h x --A 1+,2 --B 0",
+    "image --field 13 --g *x^2 --h x --A 1 --B 0",
+    "image --field 13 --g x^2 --h (+) --A 1 --B 0",
+])
+def test_empty_terms_exit_2(argv):
+    code, out, err = run_cli(*argv.split())
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 # -- certify ---------------------------------------------------------------------
 
 
@@ -221,6 +233,18 @@ def test_search_parallelism_does_not_change_bytes():
      "00981d659709333daf9df3d6cf69f74376d1ed2a231a65c9bbf54de6d8a2b975"),
     ("subfield --field 2^6 --m 3 --c-fraction 1/2 --random-a --seed 5",
      "b3c9b451a4605566ceb67abc768760bca30a9954341e219410f7c6e53452fa9c"),
+    ("search --field 3^2/t^2+t+2 --g x^3−(t+1)*x --h 2*t*x+1 --a 1-2 --b 1 "
+     "--format plain",
+     "15a1af485891d5bc2cc97dc81824f376e1a2839982db12af6bca8238903453d6"),
+    ("image --field 5 --g x^2 --h x --A 1,2,3,4 --B 0,1,2,3,4",
+     "1977fe4a5be4e70955a80fd42de259bcda52c31d53f42fbf945087f11c821164"),
+    ("certify --field 3^2 --g x^2 --h x --A 1,2,t,t+1,t+2,2*t,2*t+1,2*t+2 "
+     "--B 0,1,2 --seed 1",
+     "177e81e99014cf49f55b39e05542f5021e147fa4ca9f7478dfa5567ce8293d20"),
+    ("certify --field 13 --g x^2 --h x --A 1,2,3,4,5,6 --B 5 --k 0",
+     "9b1bea0fe4e9ae2f8bba64af83b5b2f88ad9f953692d991202c16836bc438c9c"),
+    ("certify --field 13 --g 2*x^3+x --h x^2+1 --A 1,2,3,4,6,7,9 --B 0,1 --seed 3",
+     "2e935e2c2936d67e117f40e1dd893a79563bfd82a6c4f9ec3be8ed5c33b15b36"),
 ])
 def test_stdout_bytes_are_pinned(argv, sha256):
     # Digests of the stdout these runs have always produced.
@@ -253,6 +277,13 @@ def test_search_config_file_and_flag_precedence(tmp_path):
     code, out2, _ = run_cli("search", "--config", str(cfg), "--format", "csv")
     assert code == 0
     assert out2.startswith("field,g,h,")
+
+
+def test_search_config_that_is_not_utf8_exit_2(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"field=5\xff\n")
+    code, _, err = run_cli("search", "--config", str(cfg))
+    assert code == 2 and err.startswith(f"error: cannot read config {cfg}")
 
 
 def test_search_unknown_config_key(tmp_path):
