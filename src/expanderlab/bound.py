@@ -10,9 +10,9 @@ then the image has more than k elements.  :func:`theorem_bound` scans all
 such admissible k and reports the best one; :func:`corollary_bound` is the
 closed-form consequence min(a/d + b - 1, p), floored to an integer.
 
-``characteristic`` arguments accept a prime or ``math.inf``; the infinite
-sentinel models characteristic zero, where no binomial with 0 <= r <= k
-vanishes and the p-cap never binds.
+``characteristic`` arguments accept a prime up to ``MAX_CHARACTERISTIC``
+or ``math.inf``, the sentinel for characteristic zero, where no binomial
+with 0 <= r <= k vanishes and the p-cap never binds.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     InvalidParametersError,
     NotPrimeError,
 )
-from .field import Field, FieldElem, canonical_sort, is_prime
+from .field import Field, FieldElem, _check_field_size, canonical_sort, is_prime
 from .poly import Poly
 
 INF = math.inf
@@ -35,6 +35,7 @@ INF = math.inf
 def _check_characteristic(characteristic) -> None:
     if characteristic == INF:
         return
+    _check_field_size(characteristic)
     if not isinstance(characteristic, int) or not is_prime(characteristic):
         raise NotPrimeError(f"characteristic must be prime or inf, got {characteristic!r}")
 
@@ -172,6 +173,10 @@ class ExpanderInstance:
 
     def bound_report(self) -> BoundReport:
         return theorem_bound(self.a, self.b, self.d, self.field.p)
+
+    def to_dict(self) -> dict:
+        return {"field": str(self.field), "g": str(self.g), "h": str(self.h),
+                "A": [str(x) for x in self.A], "B": [str(y) for y in self.B]}
 
 
 def check_degrees(g: Poly, h: Poly) -> None:

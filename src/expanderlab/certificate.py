@@ -161,20 +161,20 @@ def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
     return out
 
 
+def _moments_match(weights: dict, points, scale, top: int) -> bool:
+    """Whether sum_z weights[z] * scale(z) * z^i = delta_{i, top} for
+    i = 0 .. top, replayed by direct summation over ``points``."""
+    zero, scaled = points[0].field.zero(), [(weights[z] * scale(z), z) for z in points]
+    return all(sum((w * z ** i for w, z in scaled), zero) == int(i == top)
+               for i in range(top + 1))
+
+
 def verify_beta(beta: dict, B, b: int) -> bool:
     """Replay the beta moment conditions over B by direct summation."""
     B = canonical_sort(B)
     if not B or b < 1 or len(B) != b or any(y not in beta for y in B):
         return False
-    field = B[0].field
-    for j in range(b):
-        total = field.zero()
-        for y in B:
-            total = total + beta[y] * y ** j
-        want = field.one() if j == b - 1 else field.zero()
-        if total != want:
-            return False
-    return True
+    return _moments_match(beta, B, lambda y: 1, b - 1)
 
 
 def verify_alpha(alpha: dict, A, h: Poly, b: int, target_degree: int) -> bool:
@@ -182,15 +182,7 @@ def verify_alpha(alpha: dict, A, h: Poly, b: int, target_degree: int) -> bool:
     A = canonical_sort(A)
     if not A or b < 1 or target_degree < 0 or any(x not in alpha for x in A):
         return False
-    field = A[0].field
-    for i in range(target_degree + 1):
-        total = field.zero()
-        for x in A:
-            total = total + alpha[x] * h(x) ** (b - 1) * x ** i
-        want = field.one() if i == target_degree else field.zero()
-        if total != want:
-            return False
-    return True
+    return _moments_match(alpha, A, lambda x: h(x) ** (b - 1), target_degree)
 
 
 def _pointwise_sum(field, g, h, A, B, C, alpha, beta):
@@ -236,11 +228,7 @@ class Certificate:
     def to_dict(self) -> dict:
         inst = self.instance
         return {
-            "field": str(inst.field),
-            "g": str(inst.g),
-            "h": str(inst.h),
-            "A": [str(x) for x in inst.A],
-            "B": [str(y) for y in inst.B],
+            **inst.to_dict(),
             "C": [str(c) for c in self.C],
             "alpha": {str(x): str(self.alpha[x]) for x in inst.A},
             "beta": {str(y): str(self.beta[y]) for y in inst.B},

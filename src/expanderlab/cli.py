@@ -34,6 +34,7 @@ from .errors import InternalInvariantError, InvalidParametersError, ValidationEr
 from .explore import (
     DEFAULT_BUDGET,
     SearchConfig,
+    _sets_text,
     negative_slack_error,
     records_to_csv,
     records_to_json,
@@ -52,8 +53,8 @@ _ENV_BUDGET = "EXPANDER_LAB_BUDGET"
 
 
 def _parse_elements(field, text: str):
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    return [field.parse_element(part) for part in items]
+    """Comma-separated elements; a blank argument is the empty set."""
+    return [field.parse_element(part) for part in text.split(",")] if text.strip() else []
 
 
 def _parse_sizes(text: str):
@@ -143,7 +144,7 @@ def _record_lines(records) -> str:
         lines.append(
             f"slack={r.slack} field={r.field} g={r.g} h={r.h} a={r.a} b={r.b}"
             f" image={r.image_size} bound={r.theorem_bound}"
-            f" A={{{','.join(r.A)}}} B={{{','.join(r.B)}}}{extra}")
+            f" {_sets_text(r.A, r.B)}{extra}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -162,7 +163,7 @@ def _summarize(records) -> str:
         return "0 records"
     best = min(records, key=lambda r: (r.slack, r.a, r.b, r.A, r.B))
     return (f"{len(records)} records; min slack {best.slack} at a={best.a}"
-            f" b={best.b} A={{{','.join(best.A)}}} B={{{','.join(best.B)}}}")
+            f" b={best.b} {_sets_text(best.A, best.B)}")
 
 
 # -- bound ----------------------------------------------------------------------
@@ -220,11 +221,7 @@ def cmd_image(args) -> int:
     values = image(inst)
     report = inst.bound_report()
     payload = {
-        "field": str(inst.field),
-        "g": str(inst.g),
-        "h": str(inst.h),
-        "A": [str(x) for x in inst.A],
-        "B": [str(y) for y in inst.B],
+        **inst.to_dict(),
         "image": [str(v) for v in values],
         "image_size": len(values),
         "theorem_bound": report.bound,

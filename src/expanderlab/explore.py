@@ -168,13 +168,17 @@ def nearest_subfield_distance(B, field: Field) -> tuple[int, int]:
     return _nearest_distance(indices, _subfield_index_sets(field))
 
 
+def _sets_text(A, B) -> str:
+    """'A={..} B={..}' for sequences of element strings."""
+    return f"A={{{','.join(A)}}} B={{{','.join(B)}}}"
+
+
 def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
     """The fatal error for an image smaller than the proved bound, naming
     the witness configuration; A and B are sequences of element strings."""
     return InternalInvariantError(
         f"negative slack {size - tb}: image_size {size} below bound {tb} "
-        f"for field={field_s} g={g_s} h={h_s} "
-        f"A={{{','.join(A)}}} B={{{','.join(B)}}}")
+        f"for field={field_s} g={g_s} h={h_s} {_sets_text(A, B)}")
 
 
 def _measure(field: Field, g, h, tasks) -> list[ExperimentRecord]:

@@ -2,8 +2,8 @@
 
 Elements are coefficient vectors in the power basis of the modulus root
 ``t``; all arithmetic is exact integer arithmetic mod p.  Fields in scope
-are desk-sized (enumeration assumes roughly p^n <= 10^4), so the
-irreducibility and root checks are deliberately brute force.
+are desk-sized (``MAX_CHARACTERISTIC``, ``MAX_EXTENSION_ORDER``), so the
+primality, irreducibility and root checks are deliberately brute force.
 
 Text formats:
   field    "5", "3^2" (default modulus), "3^2/t^2+1" (explicit modulus)
@@ -11,9 +11,9 @@ Text formats:
            e.g. "2*t+1" (coefficients reduced mod p on parse)
 
 Elements, moduli and :mod:`expanderlab.poly` polynomials share one grammar,
-read by :func:`_parse_terms`: ``c*VAR^e`` terms joined by ``+``/``-``, ``*``
-and spaces optional, ``−`` read as ``-``, repeated exponents summed, no
-empty term, exponents at most ``MAX_EXPONENT``.
+read by :func:`_parse_terms`, printed by :func:`_render_terms`: ``c*VAR^e``
+terms joined by ``+``/``-``, ``*`` and spaces optional, ``−`` read as ``-``,
+repeated exponents summed, no empty term, exponents <= ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,25 @@ import itertools
 
 from .errors import (
     FieldMismatchError,
+    InvalidParametersError,
     NotDivisorError,
     NotIrreducibleError,
     NotPrimeError,
     ParseError,
 )
+
+MAX_CHARACTERISTIC = 10**12    # the brute-force tests below stay fast under these
+MAX_EXTENSION_ORDER = 10**5
+
+
+def _check_field_size(p, n=1) -> None:
+    """Refuse p, or p^n for n > 1, above its limit; as 2^64 exceeds it, n is capped."""
+    if not (isinstance(p, int) and isinstance(n, int)):
+        return
+    if p > MAX_CHARACTERISTIC:
+        raise InvalidParametersError(f"characteristic {p} over the limit {MAX_CHARACTERISTIC}")
+    if n > 1 and p > 1 and p ** min(n, 64) > MAX_EXTENSION_ORDER:
+        raise InvalidParametersError(f"{p}^{n} elements over the limit {MAX_EXTENSION_ORDER}")
 
 
 def is_prime(p: int) -> bool:
@@ -217,17 +231,17 @@ class Field:
 
     __slots__ = ("p", "n", "modulus", "_subfields")
 
-    def __init__(self, p: int, n: int = 1, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, n: int = 1, modulus=None):
+        _check_field_size(p, n)
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrimeError(f"characteristic {p!r} is not prime")
         if not isinstance(n, int) or n < 1:
             raise ParseError(f"extension degree must be a positive integer, got {n!r}")
         if n == 1:
             modulus = None
-        else:
-            if modulus is None:
-                modulus = _smallest_irreducible(p, n)
-            modulus = tuple(c % p for c in modulus)
+        else:   # the modulus is read only once p is known to be a valid prime
+            modulus = (_smallest_irreducible(p, n) if modulus is None
+                       else _modulus_coeffs(modulus, p))
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise NotIrreducibleError(
                     f"modulus must be monic of degree {n}, got degree {len(modulus) - 1}")
@@ -413,16 +427,7 @@ class FieldElem:
         return FieldElem(self.field, tuple((-a) % p for a in self.coeffs))
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer; use inverse()")
-        acc = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return _power(self, e, self.field.one())
 
     def inverse(self) -> FieldElem:
         return FieldElem(self.field, self.field._inv(self.coeffs))
@@ -456,28 +461,39 @@ class FieldElem:
         return acc
 
     def __str__(self) -> str:
-        if self.field.n == 1:
-            return str(self.coeffs[0])
         return _render_terms(self.coeffs, "t")
 
     def __repr__(self) -> str:
         return f"FieldElem({self.field}, {self})"
 
 
-def _render_terms(coeffs, var: str) -> str:
-    """Render a coefficient tuple (index = exponent) as 'c*VAR^e' terms,
-    highest exponent first."""
+def _render_terms(coeffs, var: str, text=str) -> str:
+    """Render coefficients (index = exponent) as 'c*VAR^e' terms, highest first;
+    ``text`` renders c, and the term is dropped if that reads "0", bare if "1"."""
     parts = []
     for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c == 0:
+        c = text(coeffs[e])
+        if c == "0":
             continue
         if e == 0:
-            parts.append(str(c))
+            parts.append(c)
         else:
-            head = "" if c == 1 else f"{c}*"
+            head = "" if c == "1" else f"{c}*"
             parts.append(f"{head}{var}" if e == 1 else f"{head}{var}^{e}")
     return "+".join(parts) if parts else "0"
+
+
+def _power(base, e: int, one):
+    """base**e for an integer e >= 0, by square-and-multiply from ``one``."""
+    if not isinstance(e, int) or e < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    acc = one
+    while e:
+        if e & 1:
+            acc = acc * base
+        base = base * base
+        e >>= 1
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +513,6 @@ def extension_field(p: int, n: int, modulus=None) -> Field:
     ``modulus`` may be a coefficient sequence (index = degree), a text form
     like "t^2+1", or a polynomial over F_p.
     """
-    if modulus is not None:
-        modulus = _modulus_coeffs(modulus, p)
     return Field(p, n, modulus)
 
 

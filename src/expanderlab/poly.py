@@ -7,12 +7,13 @@ polynomial has degree ``NEG_INF`` so degree comparisons stay numeric.
 Text format: terms in ``x`` in the term grammar of :mod:`expanderlab.field`,
 e.g. ``x^2+x`` or ``3*x^3+1``.  Coefficients are field elements in ``t``,
 in parentheses when they have several terms: ``(2*t+1)*x^2+t*x+1``.
+Parsing, printing and powers use the one routine for each in :mod:`expanderlab.field`.
 """
 
 from __future__ import annotations
 
 from .errors import FieldMismatchError, ZeroPolynomialError
-from .field import Field, FieldElem, _parse_terms
+from .field import Field, FieldElem, _parse_terms, _power, _render_terms
 
 NEG_INF = float("-inf")
 
@@ -112,16 +113,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> Poly:
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        acc = Poly(self.field, (1,))
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return _power(self, e, Poly(self.field, (1,)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.field == other.field
@@ -146,25 +138,8 @@ class Poly:
     # -- text ---------------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c.is_zero():
-                continue
-            c_text = str(c)
-            if e == 0:
-                parts.append(f"({c_text})" if "+" in c_text else c_text)
-                continue
-            x_text = "x" if e == 1 else f"x^{e}"
-            if c == self.field.one():
-                parts.append(x_text)
-            elif "+" in c_text:
-                parts.append(f"({c_text})*{x_text}")
-            else:
-                parts.append(f"{c_text}*{x_text}")
-        return "+".join(parts)
+        return _render_terms(self.coeffs, "x",
+                             lambda c: f"({c})" if "+" in str(c) else str(c))
 
     def __repr__(self) -> str:
         return f"Poly({self.field}, {self})"

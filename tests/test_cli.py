@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -108,10 +109,32 @@ def test_image_parse_error_exit_2():
     "image --field 13 --g x^2 --h x --A 1+,2 --B 0",
     "image --field 13 --g *x^2 --h x --A 1 --B 0",
     "image --field 13 --g x^2 --h (+) --A 1 --B 0",
+    "image --field 13 --g x^2 --h x --A 1,,2 --B 0",
+    "image --field 13 --g x^2 --h x --A 1,2, --B 0",
 ])
 def test_empty_terms_exit_2(argv):
     code, out, err = run_cli(*argv.split())
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_blank_element_list_is_the_empty_set():
+    code, out, err = run_cli("image", "--field", "13", "--g", "x^2", "--h", "x",
+                             "--A", "", "--B", "0")
+    assert code == 2 and out == "" and "A is empty" in err
+    code, out, _ = run_cli("certify", "--field", "13", "--g", "x^2", "--h", "x",
+                           "--A", "1,2,3,4,5,6", "--B", "5", "--C", "")
+    assert code == 0 and json.loads(out)["C"] == []
+
+
+@pytest.mark.parametrize("field_text", [
+    "2^40", "1000000000000000003", "2^99999999999", "101^4",
+])
+def test_oversized_field_heads_exit_2_quickly(field_text):
+    start = time.perf_counter()
+    code, out, err = run_cli("bound", "--field", field_text, "--a", "2", "--b", "2",
+                             "--d", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.startswith("error:") and "limit" in err
 
 
 # -- certify ---------------------------------------------------------------------
@@ -245,6 +268,15 @@ def test_search_parallelism_does_not_change_bytes():
      "9b1bea0fe4e9ae2f8bba64af83b5b2f88ad9f953692d991202c16836bc438c9c"),
     ("certify --field 13 --g 2*x^3+x --h x^2+1 --A 1,2,3,4,6,7,9 --B 0,1 --seed 3",
      "2e935e2c2936d67e117f40e1dd893a79563bfd82a6c4f9ec3be8ed5c33b15b36"),
+    # Multi-term coefficients, parenthesised in g and h, constant terms included.
+    ("image --field 3^2 --g x^2+(t+1) --h t*x+(2*t+1) --A 1,2,t --B 0,1,t+1",
+     "58dfa5a1e602da5562a1ef96cf350afb127dda6e76d143ee64bebd6a389a1709"),
+    ("certify --field 3^2 --g (2*t+1)*x^2+(t+2) --h x+t --A 1,2,t,t+1,2*t+1 "
+     "--B 0,t --seed 4",
+     "47858a9b9e27f3b34007026cdac8a990b864ddac97978ef2829957c5b25f82e5"),
+    ("search --field 2^3 --g x^3+(t^2+1)*x --h (t+1)*x+(t^2+t) --a 1 --b 1-2 "
+     "--format plain",
+     "cffe22d9d38f51ee358e56b9de6986408b473001f3a0232be945cfe14409cd6d"),
 ])
 def test_stdout_bytes_are_pinned(argv, sha256):
     # Digests of the stdout these runs have always produced.

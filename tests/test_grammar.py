@@ -1,5 +1,7 @@
-"""The one term grammar behind field elements, moduli and polynomials."""
+"""The one term grammar behind field elements, moduli and polynomials, and
+the routines they share: the term renderer and the power."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +11,51 @@ from expanderlab.poly import Poly, parse_poly
 
 FIELDS = [parse_field(text) for text in ("5", "3^2", "2^4")]
 ALPHABET = "0123456789tx^*+-() −/"
+F9, F13 = FIELDS[1], parse_field("13")
+T, T21 = F9.element([0, 1]), F9.element([1, 2])     # t and 2*t+1
+
+
+@pytest.mark.parametrize("value, text", [
+    (Poly(F9), "0"),
+    (Poly(F9, [0, 1]), "x"),
+    (Poly(F9, [0, 2]), "2*x"),
+    (Poly(F9, [F9.element([1, 1]), 0, 1]), "x^2+(t+1)"),
+    (Poly(F9, [1, T, T21]), "(2*t+1)*x^2+t*x+1"),
+    (F9.element(0), "0"),
+    (F9.element(1), "1"),
+    (T, "t"),
+    (T21, "2*t+1"),
+    (F13.element(0), "0"),
+    (F13.element(12), "12"),
+    (F9, "3^2/t^2+1"),
+    (parse_field("2^4"), "2^4/t^4+t^3+1"),
+    (parse_field("3^2/t^2+4*t+5"), "3^2/t^2+t+2"),
+])
+def test_rendered_text_is_exact(value, text):
+    assert str(value) == text
+
+
+def test_powers_share_one_square_and_multiply():
+    x1 = Poly(F9, [1, 1])
+    assert x1 ** 5 == x1 * x1 * x1 * x1 * x1 and x1 ** 0 == Poly(F9, [1])
+    assert T21 ** 5 == T21 * T21 * T21 * T21 * T21 and T21 ** 0 == F9.one()
+    for value in (T21, x1):
+        with pytest.raises(ValueError):
+            value ** -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789^/t+", max_size=12))
+@example("2^40")
+@example("101^4")
+@example("2^99999999999")
+@example("1000000000000000003")
+@example("0^0/0")
+def test_field_heads_raise_only_validation_errors(text):
+    try:
+        parse_field(text)
+    except ValidationError:
+        pass
 
 
 @settings(max_examples=300, deadline=None)
