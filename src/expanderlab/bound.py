@@ -100,18 +100,9 @@ class BoundReport:
     fallback: bool
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "d": self.d,
-            "characteristic": ("inf" if self.characteristic == INF
-                               else self.characteristic),
-            "k_max_range": self.k_max_range,
-            "admissible_k": list(self.admissible_k),
-            "best_k": self.best_k,
-            "bound": self.bound,
-            "fallback": self.fallback,
-        }
+        return {**vars(self), "admissible_k": list(self.admissible_k),
+                "characteristic": ("inf" if self.characteristic == INF
+                                   else self.characteristic)}
 
 
 def theorem_bound(a: int, b: int, d: int, characteristic) -> BoundReport:

@@ -73,9 +73,9 @@ def elementary_symmetric(field: Field, values) -> tuple[FieldElem, ...]:
     return tuple(e)
 
 
-def _distinct_points(points, name: str) -> tuple[FieldElem, ...]:
+def _distinct_points(points, name: str, nonempty=True) -> tuple[FieldElem, ...]:
     points = canonical_sort(points)
-    if not points:
+    if nonempty and not points:
         raise EmptySetError(f"{name} is empty")
     if len(set(points)) != len(points):
         raise InvalidParametersError(f"{name} has repeated elements")
@@ -86,12 +86,13 @@ def lambda_coefficients(C, g: Poly, h: Poly) -> dict:
     """{(i, j): lambda_{i,j}} for all i, j >= 0 with i + j <= k = |C|.
 
     g and h fix the field and are checked for consistency with C; the
-    values themselves depend only on C.  Requires a nonempty C.
+    values themselves depend only on C.  C must be distinct and may be
+    empty: k = 0 gives {(0, 0): 1}, the empty product.
     """
     if g.field != h.field:
         raise FieldMismatchError("g and h live over different fields")
     field = g.field
-    C = _distinct_points((field.element(c) for c in C), "C")
+    C = _distinct_points((field.element(c) for c in C), "C", nonempty=False)
     k = len(C)
     e = elementary_symmetric(field, C)
     out = {}
@@ -256,9 +257,7 @@ def build_certificate(instance: ExpanderInstance, C) -> Certificate:
     candidate set C (any size-k set works and yields the same predicted
     value; k = |C| must be admissible)."""
     field = instance.field
-    C = canonical_sort(field.element(c) for c in C)
-    if len(set(C)) != len(C):
-        raise InvalidParametersError("C has repeated elements")
+    C = _distinct_points((field.element(c) for c in C), "C", nonempty=False)
     k = len(C)
     _check_admissible(instance, k)
     if k > field.order - 1:

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 from .bound import (
-    INF,
     check_degrees,
     check_instance,
     image,
@@ -30,16 +28,16 @@ from .bound import (
     theorem_bound,
 )
 from .certificate import build_certificate
-from .errors import InternalInvariantError, InvalidParametersError, ValidationError
+from .errors import InternalInvariantError, InvalidParametersError, ParseError, ValidationError
 from .explore import (
     DEFAULT_BUDGET,
+    FORMATS,
     SearchConfig,
-    _sets_text,
     negative_slack_error,
-    records_to_csv,
-    records_to_json,
     search_extremal,
     subfield_experiment,
+    summarize,
+    write_records,
 )
 from .field import parse_field
 from .poly import parse_poly
@@ -52,9 +50,12 @@ _ENV_BUDGET = "EXPANDER_LAB_BUDGET"
 # -- shared helpers -------------------------------------------------------------
 
 
-def _parse_elements(field, text: str):
+def _parse_elements(field, text: str, option: str):
     """Comma-separated elements; a blank argument is the empty set."""
-    return [field.parse_element(part) for part in text.split(",")] if text.strip() else []
+    items = text.split(",") if text.strip() else []
+    if not all(item.strip() for item in items):
+        raise ParseError(f"{option}: empty item in {text!r}")
+    return [field.parse_element(item) for item in items]
 
 
 def _parse_sizes(text: str):
@@ -123,47 +124,26 @@ def _require(opts: dict, *keys: str) -> None:
                                                        for k in missing))
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InvalidParametersError(f"cannot write {out_path}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+def _emit(write, out_path: str | None) -> None:
+    """Run ``write`` on the --out file, or on stdout without one."""
+    if not out_path:
+        write(sys.stdout)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise InvalidParametersError(f"cannot write {out_path}: {exc}") from None
 
 
-def _record_lines(records) -> str:
-    lines = []
-    for r in records:
-        extra = ""
-        if r.proved_threshold is not None:
-            extra = (f" proved>={r.proved_threshold}"
-                     f" conjectured>={r.conjectured_threshold}")
-        lines.append(
-            f"slack={r.slack} field={r.field} g={r.g} h={r.h} a={r.a} b={r.b}"
-            f" image={r.image_size} bound={r.theorem_bound}"
-            f" {_sets_text(r.A, r.B)}{extra}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _render_records(records, fmt: str) -> str:
-    if fmt == "csv":
-        return records_to_csv(records)
-    if fmt == "json":
-        return records_to_json(records)
-    if fmt == "plain":
-        return _record_lines(records)
-    raise InvalidParametersError(f"unknown format {fmt!r}")
-
-
-def _summarize(records) -> str:
-    if not records:
-        return "0 records"
-    best = min(records, key=lambda r: (r.slack, r.a, r.b, r.A, r.B))
-    return (f"{len(records)} records; min slack {best.slack} at a={best.a}"
-            f" b={best.b} {_sets_text(best.A, best.B)}")
+def _emit_records(records, opts: dict) -> None:
+    """Records to stdout or --out, then the summary to stderr.  A format
+    from a config file is checked here, after the run, before --out opens."""
+    fmt = str(opts["format"])
+    if fmt not in FORMATS:
+        raise InvalidParametersError(f"unknown format {fmt!r}")
+    _emit(lambda out: write_records(records, fmt, out), opts["out"])
+    print(summarize(records), file=sys.stderr)
 
 
 # -- bound ----------------------------------------------------------------------
@@ -203,8 +183,8 @@ def _build_instance_or_exit(field_text, g_text, h_text, a_text, b_text):
     field = parse_field(field_text)
     g = parse_poly(g_text, field)
     h = parse_poly(h_text, field)
-    A = _parse_elements(field, a_text)
-    B = _parse_elements(field, b_text)
+    A = _parse_elements(field, a_text, "--A")
+    B = _parse_elements(field, b_text, "--B")
     inst, violations = check_instance(field, g, h, A, B)
     if violations:
         print("invalid instance:", file=sys.stderr)
@@ -244,7 +224,7 @@ def cmd_certify(args) -> int:
         return 2
     field = inst.field
     if args.C is not None:
-        C = _parse_elements(field, args.C)
+        C = _parse_elements(field, args.C, "--C")
     else:
         k = args.k if args.k is not None else inst.bound_report().best_k
         if not 0 <= k <= field.order:
@@ -253,7 +233,8 @@ def cmd_certify(args) -> int:
         rng = Xoshiro256StarStar(args.seed)
         C = [field.from_index(i) for i in rng.sample_indices(field.order, k)]
     cert = build_certificate(inst, C)
-    _emit(json.dumps(cert.to_dict(), indent=2) + "\n", args.out)
+    _emit(lambda out: out.write(json.dumps(cert.to_dict(), indent=2) + "\n"),
+          args.out)
     if cert.identity_holds:
         print(f"PASS: predicted matches pointwise sum ({cert.predicted})",
               file=sys.stderr)
@@ -277,10 +258,10 @@ def cmd_search(args) -> int:
     budget = opts["budget"]
     if budget is None:
         budget = os.environ.get(_ENV_BUDGET, DEFAULT_BUDGET)
+    a, b = _parse_sizes(opts["a"]), _parse_sizes(opts["b"])
     try:
         config = SearchConfig(
-            field=opts["field"], g=opts["g"], h=opts["h"],
-            a=_parse_sizes(opts["a"]), b=_parse_sizes(opts["b"]),
+            field=opts["field"], g=opts["g"], h=opts["h"], a=a, b=b,
             mode=str(opts["mode"]),
             sample_count=int(opts["sample_count"]),
             seed=int(opts["seed"]),
@@ -289,9 +270,7 @@ def cmd_search(args) -> int:
         )
     except ValueError as exc:
         raise InvalidParametersError(f"bad numeric option: {exc}") from None
-    records = search_extremal(config)
-    _emit(_render_records(records, str(opts["format"])), opts["out"])
-    print(_summarize(records), file=sys.stderr)
+    _emit_records(search_extremal(config), opts)
     return 0
 
 
@@ -314,12 +293,10 @@ def cmd_subfield(args) -> int:
         parallelism = int(opts["parallelism"])
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParametersError(f"bad numeric option: {exc}") from None
-    records = subfield_experiment(
+    _emit_records(subfield_experiment(
         str(opts["field"]), m, c, g=str(opts["g"]), h=str(opts["h"]),
         theta_count=theta_count, seed=seed,
-        random_a=_parse_bool(opts["random_a"]), parallelism=parallelism)
-    _emit(_render_records(records, str(opts["format"])), opts["out"])
-    print(_summarize(records), file=sys.stderr)
+        random_a=_parse_bool(opts["random_a"]), parallelism=parallelism), opts)
     return 0
 
 
@@ -394,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="must be >= 1; evaluation is single-threaded")
     p.add_argument("--budget", default=argparse.SUPPRESS,
                    help=f"pair budget (or ${_ENV_BUDGET})")
-    p.add_argument("--format", choices=("csv", "json", "plain"),
+    p.add_argument("--format", choices=FORMATS,
                    default=argparse.SUPPRESS)
     p.add_argument("--out", default=argparse.SUPPRESS)
     p.add_argument("--config", help="key=value file; flags override it")
@@ -418,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "taking the first elements")
     p.add_argument("--parallelism", default=argparse.SUPPRESS,
                    help="must be >= 1; evaluation is single-threaded")
-    p.add_argument("--format", choices=("csv", "json", "plain"),
+    p.add_argument("--format", choices=FORMATS,
                    default=argparse.SUPPRESS)
     p.add_argument("--out", default=argparse.SUPPRESS)
     p.add_argument("--config", help="key=value file; flags override it")

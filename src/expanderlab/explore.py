@@ -1,6 +1,6 @@
 """Brute-force experiments: extremal searches and subfield sharpness runs.
 
-Two drivers share one record format.
+Two drivers share one record format, which :func:`write_records` renders.
 
 :func:`search_extremal` enumerates or samples pairs (A, B), measures the
 exact image size against the proved bound, and returns the records sorted
@@ -50,6 +50,7 @@ from .poly import parse_poly
 from .rng import Xoshiro256StarStar
 
 DEFAULT_BUDGET = 10_000_000
+MAX_SEARCH_ORDER = 10**6    # search lists every element before the budget gate
 
 
 class ExperimentRecord(NamedTuple):
@@ -88,19 +89,52 @@ class ExperimentRecord(NamedTuple):
 
 
 CSV_COLUMNS = ExperimentRecord._fields[:12]
+FORMATS = ("csv", "json", "plain")
+
+
+def write_records(records, fmt: str, out) -> None:
+    """Write records to the text stream ``out`` as csv, json or plain, one
+    record at a time for csv and plain (json is one document).  csv writes
+    None as an empty cell."""
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(r[:12] for r in records)
+    elif fmt == "json":
+        out.write(json.dumps([r.to_dict() for r in records], indent=2) + "\n")
+    elif fmt == "plain":
+        for r in records:
+            extra = ("" if r.proved_threshold is None else
+                     f" proved>={r.proved_threshold}"
+                     f" conjectured>={r.conjectured_threshold}")
+            out.write(f"slack={r.slack} field={r.field} g={r.g} h={r.h} a={r.a}"
+                      f" b={r.b} image={r.image_size} bound={r.theorem_bound}"
+                      f" {_sets_text(r.A, r.B)}{extra}\n")
+    else:
+        raise InvalidParametersError(f"unknown format {fmt!r}")
 
 
 def records_to_csv(records) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(r.to_row())
+    write_records(records, "csv", buf)
     return buf.getvalue()
 
 
 def records_to_json(records) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2) + "\n"
+    buf = io.StringIO()
+    write_records(records, "json", buf)
+    return buf.getvalue()
+
+
+def summarize(records) -> str:
+    """The stderr summary: the record count and the best record, the least
+    by (slack, a, b, A, B) with A and B compared as tuples of element
+    strings, so ties need not fall on the first record in output order."""
+    if not records:
+        return "0 records"
+    best = min(records, key=lambda r: (r.slack, r.a, r.b, r.A, r.B))
+    return (f"{len(records)} records; min slack {best.slack} at a={best.a}"
+            f" b={best.b} {_sets_text(best.A, best.B)}")
 
 
 @dataclass(frozen=True)
@@ -238,8 +272,11 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
         raise InvalidParametersError(
             f"sample_count must be >= 1, got {config.sample_count}")
 
-    pool_a = tuple(x.index() for x in field.elements() if not h(x).is_zero())
     q = field.order
+    if q > MAX_SEARCH_ORDER:
+        raise InvalidParametersError(
+            f"search needs a field of at most {MAX_SEARCH_ORDER} elements, got {q}")
+    pool_a = tuple(x.index() for x in field.elements() if not h(x).is_zero())
 
     a_sizes = _size_list(config.a, len(pool_a), "a")
     b_sizes = _size_list(config.b, q, "b")

@@ -88,10 +88,14 @@ def test_lambda_single_point():
     assert lam == {(1, 0): F5.one(), (0, 1): F5.one(), (0, 0): F5.element(-3)}
 
 
-def test_lambda_empty_c_raises():
+def test_lambda_empty_c_is_the_empty_product():
+    # A k = 0 certificate has C = [], and a checker recomputes lambda from C.
     g, h = parse_poly("x^2", F5), parse_poly("x", F5)
+    assert lambda_coefficients([], g, h) == {(0, 0): F5.one()}
+    with pytest.raises(EmptySetError):          # the solvers still need points
+        solve_beta([])
     with pytest.raises(EmptySetError):
-        lambda_coefficients([], g, h)
+        solve_alpha([], h, b=1, target_degree=0)
 
 
 def test_lambda_matches_bivariate_oracle():

@@ -5,7 +5,10 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from expanderlab import cli
 from expanderlab.cli import main
 
 
@@ -124,6 +127,16 @@ def test_blank_element_list_is_the_empty_set():
     code, out, _ = run_cli("certify", "--field", "13", "--g", "x^2", "--h", "x",
                            "--A", "1,2,3,4,5,6", "--B", "5", "--C", "")
     assert code == 0 and json.loads(out)["C"] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("image --field 13 --g x^2 --h x --A 1,,2 --B 0", "--A: empty item in '1,,2'"),
+    ("image --field 13 --g x^2 --h x --A 1 --B 0,1,", "--B: empty item in '0,1,'"),
+    ("certify --field 13 --g x^2 --h x --A 1,2,3 --B 0 --C 1,,2",
+     "--C: empty item in '1,,2'"),
+])
+def test_empty_list_items_name_their_option(argv, message):
+    assert run_cli(*argv.split()) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("field_text", [
@@ -338,10 +351,74 @@ def test_search_out_file(tmp_path):
     assert path.read_text().startswith("field,g,h,")
 
 
+def test_search_refuses_a_field_too_large_to_list_quickly():
+    start = time.perf_counter()
+    code, out, err = run_cli("search", "--field", "999999999989", "--g", "x^2",
+                             "--h", "x", "--a", "1", "--b", "1", "--mode", "random",
+                             "--sample-count", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "at most 1000000 elements" in err
+
+
+def test_search_summary_breaks_ties_on_element_strings():
+    # The first record in output order is A={1,2} B={14}; the summary compares
+    # A and B as element strings, where '10' < '2'.
+    code, out, err = run_cli("search", "--field", "17", "--g", "x^2", "--h", "x",
+                             "--a", "2", "--b", "1", "--format", "plain")
+    assert code == 0 and out.split("\n")[0].endswith(" A={1,2} B={14}")
+    assert err == "2040 records; min slack 0 at a=2 b=1 A={1,10} B={6}\n"
+    code, out, err = run_cli("search", "--field", "17", "--g", "x^2", "--h", "x",
+                             "--a", "20", "--b", "1")
+    assert (code, err) == (0, "0 records\n") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, body", [
+    ("search", "field=5\ng=x^2\nh=x\na=2\nb=2\n"),
+    ("subfield", "field=3^2\nm=1\nc_fraction=1/2\n"),
+])
+def test_unknown_config_format_leaves_out_alone(tmp_path, command, body):
+    out, cfg = tmp_path / "records.txt", tmp_path / "run.cfg"
+    cfg.write_text(f"{body}format=xml\nout={out}\n")
+    assert run_cli(command, "--config", str(cfg)) == (
+        2, "", "error: unknown format 'xml'\n")
+    assert not out.exists()
+    out.write_text("keep")
+    assert run_cli(command, "--config", str(cfg))[0] == 2
+    assert out.read_text() == "keep"
+
+
+def test_unknown_config_format_is_reported_after_the_run(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("field=5\ng=x^2\nh=x\na=3\nb=3\nformat=xml\n")
+    code, _, err = run_cli("search", "--config", str(cfg), "--budget", "1")
+    assert code == 2 and "budget is 1" in err
+
+
 def test_search_bad_size_exit_2():
     code, _, err = run_cli("search", "--field", "5", "--g", "x^2", "--h", "x",
                            "--a", "two", "--b", "2")
     assert code == 2 and "size" in err
+    # Reported once, not wrapped again as a bad numeric option.
+    code, _, err = run_cli("search", "--field", "5", "--g", "x^2", "--h", "x",
+                           "--a", "1-x", "--b", "2")
+    assert err == "error: size must be an integer or LO-HI range, got '1-x'\n"
+
+
+# Sizes as typed: digits, dashes, spaces and junk, with --a=TEXT so that a
+# leading dash stays a value.
+SIZE_TEXT = st.text("0123456789- x", max_size=6)
+
+
+def _ends_cleanly(code, err):
+    return code == 0 or (code == 2 and err.startswith("error:"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIZE_TEXT, SIZE_TEXT, st.sampled_from(["exhaustive", "random"]))
+def test_size_text_exits_0_or_2(a, b, mode):
+    code, _, err = run_cli("search", "--field", "5", "--g", "x^2", "--h", "x",
+                           f"--a={a}", f"--b={b}", "--mode", mode, "--budget", "500")
+    assert _ends_cleanly(code, err), err
 
 
 # -- subfield --------------------------------------------------------------------
@@ -416,6 +493,56 @@ def test_subfield_json_format():
     assert data[0]["subfield_distance"] == 0
     assert data[1]["proved_threshold"] == 2
     assert data[1]["A"] == ["1", "2"]
+
+
+# Config files: a runnable base with a few entries replaced or added (known
+# and unknown keys, plausible and junk values) and sometimes a junk line.
+# Fields are kept small (the field head has its own fuzz in test_grammar), and
+# --budget and --out on the command line bound the work and keep files in
+# tmp; flags override the file, so those two keys are merged but not used.
+CONFIG_BASES = {"search": {"field": "5", "g": "x^2", "h": "x", "a": "1-2", "b": "1-2"},
+                "subfield": {"field": "3^2", "m": "1", "c_fraction": "1/2"}}
+CONFIG_KEYS = sorted(set(cli._SEARCH_DEFAULTS) | set(cli._SUBFIELD_DEFAULTS))
+CONFIG_FIELDS = st.one_of(
+    st.sampled_from(["5", "7", "3^2", "2^4", "5^2", "2^4/t^4+t+1", "4", "", "x"]),
+    st.text("0123456789^/t", max_size=1))
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["1", "2", "3", "1-2", "2-3", "x^2", "x", "x^3+1", "t*x",
+                     "1/2", "3/4", "random", "exhaustive", "csv", "json", "plain",
+                     "true", "no", "-1", "0"]),
+    st.text("0123456789-/x^t+,.= #", max_size=4))
+
+
+@st.composite
+def config_text(draw, command):
+    entries = dict(CONFIG_BASES[command])
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(st.one_of(*[st.sampled_from(CONFIG_KEYS)] * 3,
+                             st.text("abcdefghijklmnopqrstuvwxyz_-", max_size=8)))
+        field = key.strip().replace("-", "_") == "field"
+        entries[key] = draw(CONFIG_FIELDS if field else CONFIG_VALUES)
+    lines = [f"{key}={value}" for key, value in entries.items()]
+    junk = draw(st.one_of(st.none(), st.none(), st.text(" #=abc1", max_size=6)))
+    if junk is not None:
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("command", ["search", "subfield"])
+def test_config_files_exit_0_or_2(tmp_path_factory, command):
+    tmp = tmp_path_factory.mktemp(command)
+    cfg, out = tmp / "run.cfg", tmp / "out"
+    extra = ["--budget", "500"] if command == "search" else []
+
+    @settings(max_examples=100, deadline=None)
+    @given(config_text(command))
+    def run(text):
+        cfg.write_text(text, encoding="utf-8")
+        code, stdout, err = run_cli(command, "--config", str(cfg), "--out", str(out),
+                                    *extra)
+        assert _ends_cleanly(code, err) and stdout == "", err
+
+    run()
 
 
 # -- selftest --------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ from expanderlab.explore import (
     records_to_json,
     search_extremal,
     subfield_experiment,
+    write_records,
 )
 from expanderlab.field import FieldElem, extension_field, parse_field, prime_field
 from expanderlab.poly import parse_poly
@@ -126,6 +128,35 @@ def test_csv_schema_and_none_rendering():
     first = lines[1].split(",")
     assert first[8] == "" and first[9] == ""
     assert text.endswith("\n")
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plain"])
+def test_records_are_written_as_they_render(fmt):
+    recs = search_extremal(SearchConfig("5", "x^2", "x", 2, 2))
+    stream = _CountingStream()
+    write_records(recs, fmt, stream)
+    assert stream.writes >= len(recs)          # one write per record at least
+    assert stream.getvalue().count("\n") == len(recs) + (fmt == "csv")
+    if fmt == "csv":
+        assert stream.getvalue() == records_to_csv(recs)
+
+
+def test_unknown_format_writes_nothing():
+    stream = io.StringIO()
+    with pytest.raises(InvalidParametersError, match="unknown format 'xml'"):
+        write_records(search_extremal(SearchConfig("5", "x^2", "x", 2, 2)), "xml",
+                      stream)
+    assert stream.getvalue() == ""
 
 
 def test_json_mirror_includes_sets():
