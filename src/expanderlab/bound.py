@@ -6,9 +6,13 @@ a = |A|, b = |B|.  If k satisfies
 
     b - 1 <= k <= (a - 1)/d + b - 1   and   binom(k, b-1) != 0 in the field,
 
-then the image has more than k elements.  :func:`theorem_bound` scans all
-such admissible k and reports the best one; :func:`corollary_bound` is the
-closed-form consequence min(a/d + b - 1, p), floored to an integer.
+then the image has more than k elements.  :func:`theorem_bound` enumerates
+the k whose base-p digits dominate those of b-1 (Lucas' theorem read
+constructively: N. J. Fine, "Binomial coefficients modulo a prime", Amer.
+Math. Monthly 54, 1947) and reports them all with the best one; every one
+is reported because nonvanishing mod p is not monotone in k.
+:func:`corollary_bound` is the closed-form consequence min(a/d + b - 1, p),
+floored to an integer.
 
 ``characteristic`` arguments accept a prime up to ``MAX_CHARACTERISTIC``
 or ``math.inf``, the sentinel for characteristic zero, where no binomial
@@ -30,6 +34,8 @@ from .field import Field, FieldElem, _check_field_size, canonical_sort, is_prime
 from .poly import Poly
 
 INF = math.inf
+
+MAX_ADMISSIBLE_K = 10**7    # theorem_bound reports every admissible k
 
 
 def _check_characteristic(characteristic) -> None:
@@ -81,9 +87,47 @@ def _digits_dominate(k: int, r: int, characteristic) -> bool:
     return True
 
 
+def _dominating(r: int, hi: int, characteristic):
+    """The k <= hi whose base-p digits dominate those of r, in ascending
+    order, as ``range`` chunks of step 1; every such k is at least r.
+    Needs r <= hi and a validated characteristic.
+
+    Digits are fixed from the top down, each from r's digit to p - 1, and
+    a prefix past ``hi`` ends its level.  Once every digit of r below the
+    current position is 0, every completion dominates, so the whole
+    stretch is one chunk.
+    """
+    if characteristic == INF or r == 0:
+        yield range(r, hi + 1)
+        return
+    p = characteristic
+    digits, powers = [], [1]
+    while powers[-1] <= hi:          # r's digits, padded to those of hi
+        digits.append(r // powers[-1] % p)
+        powers.append(powers[-1] * p)
+    free = 0                         # positions below this are 0 in r
+    while not digits[free]:
+        free += 1
+
+    def walk(i, prefix):
+        i -= 1
+        step = powers[i]
+        for digit in range(digits[i], p):
+            base = prefix + digit * step
+            if base > hi:
+                break
+            if i > free:
+                yield from walk(i, base)
+            else:
+                yield range(base, min(base + step - 1, hi) + 1)
+
+    yield from walk(len(digits), 0)
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of the admissible-k scan for one (a, b, d, characteristic).
+    """The admissible k for one (a, b, d, characteristic): the k in the
+    range whose base-p digits dominate those of b - 1, all of them.
 
     ``best_k`` is the largest admissible k; k = b - 1 always is one.
     ``fallback`` is always False and kept so the JSON keys stay as they are.
@@ -106,21 +150,29 @@ class BoundReport:
 
 
 def theorem_bound(a: int, b: int, d: int, characteristic) -> BoundReport:
-    """Best lower bound from the admissible-k scan.
+    """Best lower bound from the admissible k.
 
-    Scans k = b-1 .. floor((a-1)/d) + b - 1, keeps those whose binomial
-    binom(k, b-1) survives in the given characteristic, and returns
-    best_k + 1.  The scan covers the whole range because binomial
+    Enumerates the k in b-1 .. floor((a-1)/d) + b - 1 whose base-p digits
+    dominate those of b-1, which are exactly those where binom(k, b-1)
+    survives in the given characteristic (Lucas; Fine 1947), and returns
+    best_k + 1.  The whole range is enumerated, not just its top, because
     nonvanishing mod p is not monotone in k.  k = b-1 always passes
-    (binom(k, k) = 1), so the scan is never empty.  The characteristic is
-    validated once, not per scanned k.
+    (binom(k, k) = 1), so the set is never empty.  The characteristic is
+    validated once.  More than ``MAX_ADMISSIBLE_K`` admissible k raise
+    :class:`InvalidParametersError` before they are held.
     """
     if a < 1 or b < 1 or d < 1:
         raise InvalidParametersError(f"need a, b, d >= 1, got a={a}, b={b}, d={d}")
     _check_characteristic(characteristic)
     k_max_range = (a - 1) // d + b - 1
-    admissible = tuple(k for k in range(b - 1, k_max_range + 1)
-                       if _digits_dominate(k, b - 1, characteristic))
+    admissible = []
+    for chunk in _dominating(b - 1, k_max_range, characteristic):
+        if len(admissible) + chunk.stop - chunk.start > MAX_ADMISSIBLE_K:
+            raise InvalidParametersError(
+                f"more than {MAX_ADMISSIBLE_K} admissible k for "
+                f"a={a}, b={b}, d={d}; the report lists every one")
+        admissible.extend(chunk)
+    admissible = tuple(admissible)
     best_k = admissible[-1]
     return BoundReport(a, b, d, characteristic, k_max_range,
                        admissible, best_k, best_k + 1, False)

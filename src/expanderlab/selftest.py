@@ -82,7 +82,7 @@ def _check_bound_examples():
         d = 1 + rng.bounded(5)
         p = (2, 3, 5, 7, 11, 13, INF)[rng.bounded(7)]
         if theorem_bound(a, b, d, p).bound < corollary_bound(a, b, d, p):
-            return False, f"closed form exceeds scan at {(a, b, d, p)}"
+            return False, f"closed form exceeds theorem_bound at {(a, b, d, p)}"
     return True, "frozen examples and 500 random dominations"
 
 

@@ -3,10 +3,14 @@
 Each oracle recomputes a quantity by a different route than the library
 (Pascal's triangle instead of Lucas digits, direct bivariate expansion
 instead of closed-form coefficients, Gauss-Jordan elimination instead of
-Lagrange dual bases) so that agreement is evidence, not tautology.
+Lagrange dual bases, a digit test of every k in range instead of
+enumerating the digit-dominating k) so that agreement is evidence, not
+tautology.
 """
 
 from __future__ import annotations
+
+from expanderlab.bound import lucas_nonvanishing
 
 
 def binom_mod_pascal(k: int, r: int, p: int) -> int:
@@ -113,3 +117,11 @@ def pointwise_double_loop(field, g, h, A, B, C, alpha, beta):
                 prod = prod * (gx + y * hx - c)
             total = total + prod
     return total
+
+
+def admissible_k_scan(a: int, b: int, d: int, p) -> tuple[int, ...]:
+    """The admissible k of ``theorem_bound`` by a scan of the whole range
+    b-1 .. floor((a-1)/d) + b - 1, one Lucas digit test per k; the library
+    enumerates the digit-dominating k directly."""
+    return tuple(k for k in range(b - 1, (a - 1) // d + b)
+                 if lucas_nonvanishing(k, b - 1, p))

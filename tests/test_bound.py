@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expanderlab import bound as bound_mod
 from expanderlab.bound import (
@@ -22,7 +24,7 @@ from expanderlab.errors import (
 from expanderlab.field import extension_field, prime_field
 from expanderlab.poly import parse_poly
 
-from oracles import binom_mod_pascal, image_double_loop
+from oracles import admissible_k_scan, binom_mod_pascal, image_double_loop
 
 
 def make_instance(field, g_text, h_text, A, B):
@@ -101,7 +103,7 @@ def test_theorem_bound_infinite_characteristic():
 
 
 def test_theorem_bound_never_falls_back():
-    # k = b-1 is admissible in every characteristic, so the scan always
+    # k = b-1 is admissible in every characteristic, so the enumeration always
     # produces a witness.
     for a, b, d, p in itertools.product((1, 2, 5, 9), (1, 2, 4), (1, 2, 3), (2, 5, INF)):
         r = theorem_bound(a, b, d, p)
@@ -121,6 +123,41 @@ def test_theorem_bound_validates_the_characteristic_once(monkeypatch):
     monkeypatch.setattr(bound_mod, "is_prime", counted)
     assert theorem_bound(1000, 10, 1, 2).bound == 1008
     assert calls == [2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(1, 5000), b=st.integers(1, 400), d=st.integers(1, 6),
+       p=st.sampled_from((2, 3, 5, 7, INF)))
+@example(a=3, b=1, d=5, p=2)            # a <= d, b = 1: the range is [0, 0]
+@example(a=1, b=1, d=1, p=INF)
+@example(a=5000, b=1, d=1, p=3)         # b = 1: every k is admissible
+@example(a=4000, b=8, d=1, p=2)         # b - 1 = 2^3 - 1
+@example(a=5000, b=243, d=2, p=3)       # b - 1 = 3^5 - 1
+@example(a=5000, b=49, d=3, p=7)        # b - 1 = 7^2 - 1
+def test_theorem_bound_matches_the_scan(a, b, d, p):
+    assert theorem_bound(a, b, d, p).admissible_k == admissible_k_scan(a, b, d, p)
+
+
+def test_theorem_bound_enumerates_instead_of_scanning():
+    # b - 1 = 2^20 - 1 has twenty 1-digits, so the admissible k are exactly
+    # the m * 2^20 + 2^20 - 1 in range; a scan would test 10^9 k.
+    r = theorem_bound(10**9, 2**20, 1, 2)
+    assert r.k_max_range == 10**9 + 2**20 - 2
+    expected = tuple(range(2**20 - 1, r.k_max_range + 1, 2**20))
+    assert len(expected) == 954
+    assert r.admissible_k == expected
+    assert r.best_k == expected[-1] and r.bound == expected[-1] + 1
+
+
+def test_theorem_bound_limits_the_report(monkeypatch):
+    monkeypatch.setattr(bound_mod, "MAX_ADMISSIBLE_K", 10)
+    assert len(theorem_bound(10, 1, 1, 2).admissible_k) == 10      # k = 0..9
+    assert len(theorem_bound(20, 2, 1, 2).admissible_k) == 10      # odd k <= 19
+    for a, b in ((11, 1), (22, 2)):
+        with pytest.raises(InvalidParametersError, match=rf"more than 10 .*a={a}, b={b}, d=1"):
+            theorem_bound(a, b, 1, 2)
+    with pytest.raises(InvalidParametersError, match="more than 10"):
+        theorem_bound(10**40, 1, 1, INF)
 
 
 def test_theorem_bound_rejects_bad_inputs():

@@ -57,6 +57,16 @@ def test_bound_composite_field_exits_2():
     assert "prime" in err
 
 
+def test_bound_with_too_many_admissible_k_exits_2_quickly():
+    start = time.perf_counter()
+    code, out, err = run_cli("bound", "--field", "2", "--a", "1000000000000000",
+                             "--b", "1", "--d", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "10000000" in err and "a=1000000000000000, b=1, d=1" in err
+
+
 def test_bound_requires_d_xor_polynomials():
     code, _, err = run_cli("bound", "--field", "13", "--a", "6", "--b", "4")
     assert code == 2 and "--d" in err
