@@ -21,6 +21,7 @@ with 0 <= r <= k vanishes and the p-cap never binds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,6 +125,24 @@ def _dominating(r: int, hi: int, characteristic):
     yield from walk(len(digits), 0)
 
 
+def _count_dominating(r: int, hi: int, characteristic) -> int:
+    """How many k <= hi dominate r digit by digit, in O(log_p hi) steps.
+
+    Digit by digit from the bottom: ``full`` counts the dominating
+    completions of the low positions, the product of p - r_i (Fine 1947),
+    and ``count`` those that stay at most hi's low digits.
+    """
+    if characteristic == INF:
+        return max(0, hi - r + 1)
+    p = characteristic
+    count = full = 1
+    while hi or r:
+        (hi, top), (r, digit) = divmod(hi, p), divmod(r, p)
+        count = max(0, top - digit) * full + (count if top >= digit else 0)
+        full *= p - digit
+    return count
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """The admissible k for one (a, b, d, characteristic): the k in the
@@ -158,21 +177,20 @@ def theorem_bound(a: int, b: int, d: int, characteristic) -> BoundReport:
     best_k + 1.  The whole range is enumerated, not just its top, because
     nonvanishing mod p is not monotone in k.  k = b-1 always passes
     (binom(k, k) = 1), so the set is never empty.  The characteristic is
-    validated once.  More than ``MAX_ADMISSIBLE_K`` admissible k raise
-    :class:`InvalidParametersError` before they are held.
+    validated once.  More than ``MAX_ADMISSIBLE_K`` admissible k, counted
+    in closed form, raise :class:`InvalidParametersError` before any is
+    enumerated.
     """
     if a < 1 or b < 1 or d < 1:
         raise InvalidParametersError(f"need a, b, d >= 1, got a={a}, b={b}, d={d}")
     _check_characteristic(characteristic)
     k_max_range = (a - 1) // d + b - 1
-    admissible = []
-    for chunk in _dominating(b - 1, k_max_range, characteristic):
-        if len(admissible) + chunk.stop - chunk.start > MAX_ADMISSIBLE_K:
-            raise InvalidParametersError(
-                f"more than {MAX_ADMISSIBLE_K} admissible k for "
-                f"a={a}, b={b}, d={d}; the report lists every one")
-        admissible.extend(chunk)
-    admissible = tuple(admissible)
+    if _count_dominating(b - 1, k_max_range, characteristic) > MAX_ADMISSIBLE_K:
+        raise InvalidParametersError(
+            f"more than {MAX_ADMISSIBLE_K} admissible k for "
+            f"a={a}, b={b}, d={d}; the report lists every one")
+    admissible = tuple(itertools.chain.from_iterable(
+        _dominating(b - 1, k_max_range, characteristic)))
     best_k = admissible[-1]
     return BoundReport(a, b, d, characteristic, k_max_range,
                        admissible, best_k, best_k + 1, False)
@@ -276,7 +294,7 @@ def check_instance(field: Field, g: Poly, h: Poly, A, B):
 def value_rows(g: Poly, h: Poly, xs, ys) -> list[tuple[int, ...]]:
     """For each x in ``xs``, the canonical indices of g(x) + y*h(x) over
     ``ys``.  The one evaluation kernel: :func:`image` and the experiment
-    drivers build these rows once and then measure image sizes as int sets."""
+    drivers build these rows once and then measure image sizes from them."""
     rows = []
     for x in xs:
         gx, hx = g(x), h(x)

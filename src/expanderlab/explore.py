@@ -17,10 +17,10 @@ asserted, and the distance from B to the nearest subfield.
 Both drivers list a run as (A, B) tasks of element indices for one
 measuring path: value rows from :func:`bound.value_rows` (the indices of
 f = g(x) + y*h(x)) over only the (x, y) the tasks touch, image sizes as
-int-set sizes, one negative-slack check, records in task order.  Both
-drivers run in one thread, since a thread pool gained nothing under
-the interpreter lock; ``parallelism`` is validated (>= 1) and otherwise
-unused, so output is byte-identical for any value.
+popcounts of OR-ed per-column bit masks, one negative-slack check, records
+in task order.  Both drivers run in one thread, since a thread pool
+gained nothing under the interpreter lock; ``parallelism`` is validated
+(>= 1) and otherwise unused, so output is byte-identical for any value.
 
 A record with negative slack would disprove the bound; the harness treats
 it as a fatal internal error and dumps the witness configuration.
@@ -29,13 +29,14 @@ it as a fatal internal error and dumps the witness configuration.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import bound as bound_mod
@@ -97,9 +98,19 @@ def write_records(records, fmt: str, out) -> None:
     record at a time for csv and plain (json is one document).  csv writes
     None as an empty cell."""
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(r[:12] for r in records)
+        # writerow returns what write returns, here the rendered line; rows
+        # repeat (search varies only in a few integer cells), so each
+        # distinct row is rendered once.
+        echo = SimpleNamespace(write=lambda line: line)
+        render = csv.writer(echo, lineterminator="\n").writerow
+        lines = {}
+        out.write(render(CSV_COLUMNS))
+        for r in records:
+            cells = r[:12]
+            line = lines.get(cells)
+            if line is None:
+                line = lines[cells] = render(cells)
+            out.write(line)
     elif fmt == "json":
         out.write(json.dumps([r.to_dict() for r in records], indent=2) + "\n")
     elif fmt == "plain":
@@ -218,43 +229,58 @@ def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
 def _measure(field: Field, g, h, tasks) -> list[ExperimentRecord]:
     """One record per (A_idx, B_idx) task of element indices, in task order.
 
-    Value rows cover only the (x, y) pairs some task touches, so each value
-    is computed once and never more values than the tasks hold; they are
-    freed before the records are built, so the two never coexist.  A record
-    with negative slack raises :func:`negative_slack_error`.
+    Value rows cover only the (x, y) pairs some task touches: each run of
+    tasks sharing one A touches A times the union of its B's, so each
+    value is computed once and never more values than the tasks hold.
+    Per run, ``col[y]`` ORs ``1 << f(x, y)`` over x in A, and a task's
+    image size is the popcount of the OR of its columns; an A that recurs
+    after another starts a new run, which rebuilds only its masks.  A
+    record with negative slack raises :func:`negative_slack_error`.
     """
     elements = field.elements()
     names = [str(x) for x in elements]
     field_s, g_s, h_s = str(field), str(g), str(h)
     subfield_sets = _subfield_index_sets(field)
-    strings = functools.cache(lambda idx: tuple(names[i] for i in idx))
-    nearest = functools.cache(lambda B: _nearest_distance(B, subfield_sets))
-    bound = functools.cache(lambda a, b: bound_mod.theorem_bound(
-        a, b, g.degree(), field.p).bound)
-
-    rows = {}
-    for A_idx, B_idx in tasks:
-        cols = dict.fromkeys(B_idx)
+    runs = [(A_idx, [B_idx for _, B_idx in run])
+            for A_idx, run in itertools.groupby(tasks, key=operator.itemgetter(0))]
+    touched = {}
+    for A_idx, Bs in runs:
+        cols = set().union(*Bs)
         for i in A_idx:
-            rows.setdefault(i, {}).update(cols)
-    for i, row in rows.items():
-        cols = list(row)
-        row.update(zip(cols, bound_mod.value_rows(
-            g, h, [elements[i]], [elements[j] for j in cols])[0]))
-    sizes = [len({rows[i][j] for i in A_idx for j in B_idx})
-             for A_idx, B_idx in tasks]
-    del rows
+            touched.setdefault(i, set()).update(cols)
+    values = {i: dict(zip(cols, bound_mod.value_rows(
+        g, h, [elements[i]], [elements[j] for j in cols])[0]))
+        for i, cols in touched.items()}
 
-    records = []
-    for (A_idx, B_idx), size in zip(tasks, sizes):
-        a, b = len(A_idx), len(B_idx)
-        tb = bound(a, b)
-        if size < tb:
-            raise negative_slack_error(field_s, g_s, h_s, strings(A_idx),
-                                       strings(B_idx), size, tb)
-        records.append(ExperimentRecord(
-            field_s, g_s, h_s, a, b, size, tb, size - tb, None, None,
-            *nearest(B_idx), strings(A_idx), strings(B_idx)))
+    bounds, b_sides, records = {}, {}, []
+    for A_idx, Bs in runs:
+        a, A_s = len(A_idx), tuple(names[i] for i in A_idx)
+        rows = [values[i] for i in A_idx]
+        col = {}
+        for y in set().union(*Bs):
+            mask = 0
+            for row in rows:
+                mask |= 1 << row[y]
+            col[y] = mask
+        for B_idx in Bs:
+            side = b_sides.get(B_idx)
+            if side is None:
+                side = b_sides[B_idx] = (len(B_idx), *_nearest_distance(
+                    B_idx, subfield_sets), tuple(names[j] for j in B_idx))
+            b, dist, order, B_s = side
+            tb = bounds.get((a, b))
+            if tb is None:
+                tb = bounds[a, b] = bound_mod.theorem_bound(
+                    a, b, g.degree(), field.p).bound
+            mask = 0
+            for y in B_idx:
+                mask |= col[y]
+            size = mask.bit_count()
+            if size < tb:
+                raise negative_slack_error(field_s, g_s, h_s, A_s, B_s, size, tb)
+            records.append(ExperimentRecord(
+                field_s, g_s, h_s, a, b, size, tb, size - tb, None, None,
+                dist, order, A_s, B_s))
     return records
 
 

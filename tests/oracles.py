@@ -4,13 +4,22 @@ Each oracle recomputes a quantity by a different route than the library
 (Pascal's triangle instead of Lucas digits, direct bivariate expansion
 instead of closed-form coefficients, Gauss-Jordan elimination instead of
 Lagrange dual bases, a digit test of every k in range instead of
-enumerating the digit-dominating k) so that agreement is evidence, not
-tautology.
+enumerating the digit-dominating k, int sets of value indices instead of
+OR-ed bit masks) so that agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
 
+import functools
+
+from expanderlab import bound as bound_mod
 from expanderlab.bound import lucas_nonvanishing
+from expanderlab.explore import (
+    ExperimentRecord,
+    _nearest_distance,
+    _subfield_index_sets,
+    negative_slack_error,
+)
 
 
 def binom_mod_pascal(k: int, r: int, p: int) -> int:
@@ -125,3 +134,42 @@ def admissible_k_scan(a: int, b: int, d: int, p) -> tuple[int, ...]:
     enumerates the digit-dominating k directly."""
     return tuple(k for k in range(b - 1, (a - 1) // d + b)
                  if lucas_nonvanishing(k, b - 1, p))
+
+
+def measure_int_sets(field, g, h, tasks):
+    """``explore._measure`` by int sets: a touched-pairs table filled per
+    (task, x), one value-row call per touched x, then each image size as
+    the size of a set of value indices built from scratch for every task;
+    the library ORs per-A column masks and counts bits."""
+    elements = field.elements()
+    names = [str(x) for x in elements]
+    field_s, g_s, h_s = str(field), str(g), str(h)
+    subfield_sets = _subfield_index_sets(field)
+    strings = functools.cache(lambda idx: tuple(names[i] for i in idx))
+    nearest = functools.cache(lambda B: _nearest_distance(B, subfield_sets))
+    bound = functools.cache(lambda a, b: bound_mod.theorem_bound(
+        a, b, g.degree(), field.p).bound)
+
+    rows = {}
+    for A_idx, B_idx in tasks:
+        cols = dict.fromkeys(B_idx)
+        for i in A_idx:
+            rows.setdefault(i, {}).update(cols)
+    for i, row in rows.items():
+        cols = list(row)
+        row.update(zip(cols, bound_mod.value_rows(
+            g, h, [elements[i]], [elements[j] for j in cols])[0]))
+    sizes = [len({rows[i][j] for i in A_idx for j in B_idx})
+             for A_idx, B_idx in tasks]
+
+    records = []
+    for (A_idx, B_idx), size in zip(tasks, sizes):
+        a, b = len(A_idx), len(B_idx)
+        tb = bound(a, b)
+        if size < tb:
+            raise negative_slack_error(field_s, g_s, h_s, strings(A_idx),
+                                       strings(B_idx), size, tb)
+        records.append(ExperimentRecord(
+            field_s, g_s, h_s, a, b, size, tb, size - tb, None, None,
+            *nearest(B_idx), strings(A_idx), strings(B_idx)))
+    return records

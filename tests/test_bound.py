@@ -160,6 +160,34 @@ def test_theorem_bound_limits_the_report(monkeypatch):
         theorem_bound(10**40, 1, 1, INF)
 
 
+def test_theorem_bound_refuses_a_huge_sparse_set_at_once(monkeypatch):
+    # b = 2, p = 2: every odd k <= 10^15 is admissible, 5 * 10^14 of them.
+    def enumerate_(*args):
+        raise AssertionError("enumerated before refusing")
+
+    monkeypatch.setattr(bound_mod, "_dominating", enumerate_)
+    with pytest.raises(InvalidParametersError, match="more than 10000000 .*a=10+, b=2"):
+        theorem_bound(10**15, 2, 1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(1, 10**5), b=st.integers(1, 2000), d=st.integers(1, 6),
+       p=st.sampled_from((2, 3, 5, 7, 13, INF)))
+def test_admissible_count_is_closed_form(a, b, d, p):
+    # The enumeration (checked against the scan above) gives the true count;
+    # under a limit of 500 the larger sets must be refused.
+    k_max_range = (a - 1) // d + b - 1
+    count = sum(map(len, bound_mod._dominating(b - 1, k_max_range, p)))
+    assert bound_mod._count_dominating(b - 1, k_max_range, p) == count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bound_mod, "MAX_ADMISSIBLE_K", 500)
+        if count > 500:
+            with pytest.raises(InvalidParametersError, match="more than 500"):
+                theorem_bound(a, b, d, p)
+        else:
+            assert len(theorem_bound(a, b, d, p).admissible_k) == count
+
+
 def test_theorem_bound_rejects_bad_inputs():
     with pytest.raises(InvalidParametersError):
         theorem_bound(0, 1, 1, 5)

@@ -1,9 +1,13 @@
+import csv
+import functools
 import io
 import math
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expanderlab import explore
 from expanderlab.bound import check_instance, image
@@ -28,7 +32,7 @@ from expanderlab.field import FieldElem, extension_field, parse_field, prime_fie
 from expanderlab.poly import parse_poly
 from expanderlab.rng import Xoshiro256StarStar, splitmix64
 
-from oracles import image_double_loop
+from oracles import image_double_loop, measure_int_sets
 
 
 # -- rng ------------------------------------------------------------------------
@@ -149,6 +153,24 @@ def test_records_are_written_as_they_render(fmt):
     assert stream.getvalue().count("\n") == len(recs) + (fmt == "csv")
     if fmt == "csv":
         assert stream.getvalue() == records_to_csv(recs)
+
+
+def test_csv_line_cache_matches_a_plain_writer():
+    # Text cells that need quoting, None cells, and rows that repeat (also
+    # with other A and B, which csv leaves out) or differ in one cell.
+    base = ExperimentRecord('GF(3, "t")\nx', "x^2, q", 'x\r\n"+1', 2, 3, 5, 4, 1,
+                            None, None, 0, 13, ("1", "2"), ("0",))
+    recs = [base, base._replace(slack=2), base, base._replace(A=("5",)),
+            base._replace(proved_threshold=7), base._replace(g=""),
+            base._replace(subfield_order=9),
+            base._replace(subfield_distance=None, subfield_order=None), base]
+    out = io.StringIO()
+    write_records(recs, "csv", out)
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(r[:12] for r in recs)
+    assert out.getvalue() == ref.getvalue()
 
 
 def test_unknown_format_writes_nothing():
@@ -376,6 +398,69 @@ def test_subfield_evaluates_each_value_once(monkeypatch):
         a, q_m = recs[0].a, len(recs[0].B)
         assert len(recs) == 1 + thetas
         assert sum(evaluated) == a * (q_m + thetas)
+
+
+# -- bit-mask measuring against the int-set oracle ------------------------------
+
+MEASURE_CASES = {"13": ("x^3+2*x", "x+1"), "3^2": ("x^2", "x"),
+                 "2^4": ("x^3+x", "x^2+1")}
+
+
+@functools.cache
+def _measure_case(field_s):
+    field = parse_field(field_s)
+    return (field,) + tuple(parse_poly(t, field) for t in MEASURE_CASES[field_s])
+
+
+def _measured(measure, field, g, h, tasks):
+    try:
+        return measure(field, g, h, tasks)
+    except InternalInvariantError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), field_s=st.sampled_from(sorted(MEASURE_CASES)),
+       forced=st.booleans())
+def test_measure_matches_the_int_set_oracle(data, field_s, forced):
+    # A few A's drawn into many tasks, so equal A's fall both next to and
+    # apart from each other.  ``forced`` demands a*b distinct values, so
+    # tasks with a collision fail and the first one in task order is named.
+    field, g, h = _measure_case(field_s)
+    pool = [x.index() for x in field.elements() if not h(x).is_zero()]
+    def subsets(universe):
+        return st.lists(st.sampled_from(universe), min_size=1, max_size=5,
+                        unique=True).map(tuple)
+    As = data.draw(st.lists(subsets(pool), min_size=1, max_size=4))
+    tasks = data.draw(st.lists(st.tuples(st.sampled_from(As),
+                                         subsets(range(field.order))),
+                               min_size=1, max_size=12))
+    with pytest.MonkeyPatch.context() as mp:
+        if forced:
+            mp.setattr(explore.bound_mod, "theorem_bound",
+                       lambda a, b, d, p: SimpleNamespace(bound=a * b))
+        assert (_measured(explore._measure, field, g, h, tasks)
+                == _measured(measure_int_sets, field, g, h, tasks))
+
+
+def test_measure_names_the_first_negative_slack_witness(monkeypatch):
+    # On F_13 with f = x^2 + y*x, x = 1 and x = 12 = -1 both give 1 at y = 0,
+    # so the fourth task is the first with fewer than a*b values, after
+    # A = {1,2} has recurred apart from its first run.
+    monkeypatch.setattr(explore.bound_mod, "theorem_bound",
+                        lambda a, b, d, p: SimpleNamespace(bound=a * b))
+    field = parse_field("13")
+    g, h = parse_poly("x^2", field), parse_poly("x", field)
+    tasks = [((1, 2), (0, 1)), ((3, 4), (0, 1)), ((1, 2), (5, 7)),
+             ((1, 12), (0, 1)), ((1, 12), (2, 3))]
+    messages = []
+    for measure in (explore._measure, measure_int_sets):
+        with pytest.raises(InternalInvariantError) as e:
+            measure(field, g, h, tasks)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1] == (
+        "negative slack -1: image_size 3 below bound 4 for field=13 g=x^2 h=x "
+        "A={1,12} B={0,1}")
 
 
 # -- subfield distance ------------------------------------------------------------
