@@ -17,10 +17,10 @@ asserted, and the distance from B to the nearest subfield.
 Both drivers list a run as (A, B) tasks of element indices for one
 measuring path: value rows from :func:`bound.value_rows` (the indices of
 f = g(x) + y*h(x)) over only the (x, y) the tasks touch, image sizes as
-popcounts of OR-ed per-column bit masks, one negative-slack check, records
-in task order.  Both drivers run in one thread, since a thread pool
-gained nothing under the interpreter lock; ``parallelism`` is validated
-(>= 1) and otherwise unused, so output is byte-identical for any value.
+popcounts of OR-ed bit masks of ranked values, one negative-slack check,
+records in task order.  Both drivers run in one thread, since a thread
+pool gained nothing under the interpreter lock; ``parallelism`` is
+validated (>= 1) and otherwise unused: output is the same for any value.
 
 A record with negative slack would disprove the bound; the harness treats
 it as a fatal internal error and dumps the witness configuration.
@@ -107,10 +107,7 @@ def write_records(records, fmt: str, out) -> None:
         out.write(render(CSV_COLUMNS))
         for r in records:
             cells = r[:12]
-            line = lines.get(cells)
-            if line is None:
-                line = lines[cells] = render(cells)
-            out.write(line)
+            out.write(lines.get(cells) or lines.setdefault(cells, render(cells)))
     elif fmt == "json":
         out.write(json.dumps([r.to_dict() for r in records], indent=2) + "\n")
     elif fmt == "plain":
@@ -197,10 +194,11 @@ def _subfield_index_sets(field: Field) -> list[tuple[int, frozenset]]:
 
 
 def _nearest_distance(b_indices, subfield_sets) -> tuple[int, int]:
+    # |B ^ K| = |B| + |K| - 2|B & K|; & walks the smaller set, not the field.
     b_set = frozenset(b_indices)
     best = None
     for order, k_set in subfield_sets:
-        dist = len(b_set ^ k_set)
+        dist = len(b_set) + order - 2 * len(b_set & k_set)
         if best is None or dist < best[0] or (dist == best[0] and order > best[1]):
             best = (dist, order)
     return best
@@ -229,53 +227,56 @@ def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
 def _measure(field: Field, g, h, tasks) -> list[ExperimentRecord]:
     """One record per (A_idx, B_idx) task of element indices, in task order.
 
-    Value rows cover only the (x, y) pairs some task touches: each run of
-    tasks sharing one A touches A times the union of its B's, so each
-    value is computed once and never more values than the tasks hold.
-    Per run, ``col[y]`` ORs ``1 << f(x, y)`` over x in A, and a task's
-    image size is the popcount of the OR of its columns; an A that recurs
-    after another starts a new run, which rebuilds only its masks.  A
-    record with negative slack raises :func:`negative_slack_error`.
+    A run of tasks sharing one A touches A times the union of its B's, each
+    value once.  Per run, values get dense ranks, ``col[y]`` ORs
+    ``1 << rank(f(x, y))`` over x in A, and an image size is the popcount
+    of the OR of B's columns: at most min(q, |A| * |union of B's|) bits.
+    Sizes are taken, and values freed, before records are built.  A record
+    with negative slack raises :func:`negative_slack_error`.
     """
     elements = field.elements()
     names = [str(x) for x in elements]
     field_s, g_s, h_s = str(field), str(g), str(h)
     subfield_sets = _subfield_index_sets(field)
-    runs = [(A_idx, [B_idx for _, B_idx in run])
-            for A_idx, run in itertools.groupby(tasks, key=operator.itemgetter(0))]
-    touched = {}
-    for A_idx, Bs in runs:
-        cols = set().union(*Bs)
+    runs = []
+    for A_idx, run in itertools.groupby(tasks, key=operator.itemgetter(0)):
+        Bs = [B_idx for _, B_idx in run]
+        runs.append((A_idx, Bs, tuple(set().union(*Bs))))
+    values = {}
+    for A_idx, _, cols in runs:
+        blank = dict.fromkeys(cols)
         for i in A_idx:
-            touched.setdefault(i, set()).update(cols)
-    values = {i: dict(zip(cols, bound_mod.value_rows(
-        g, h, [elements[i]], [elements[j] for j in cols])[0]))
-        for i, cols in touched.items()}
+            values.setdefault(i, {}).update(blank)
+    for i, row in values.items():
+        cols = tuple(row)
+        row.update(zip(cols, bound_mod.value_rows(
+            g, h, [elements[i]], [elements[j] for j in cols])[0]))
 
-    bounds, b_sides, records = {}, {}, []
-    for A_idx, Bs in runs:
-        a, A_s = len(A_idx), tuple(names[i] for i in A_idx)
+    sizes = []
+    for A_idx, Bs, cols in runs:
         rows = [values[i] for i in A_idx]
-        col = {}
-        for y in set().union(*Bs):
+        rank, col = {}, {}
+        for y in cols:
             mask = 0
             for row in rows:
-                mask |= 1 << row[y]
+                mask |= 1 << rank.setdefault(row[y], len(rank))
             col[y] = mask
         for B_idx in Bs:
-            side = b_sides.get(B_idx)
-            if side is None:
-                side = b_sides[B_idx] = (len(B_idx), *_nearest_distance(
-                    B_idx, subfield_sets), tuple(names[j] for j in B_idx))
-            b, dist, order, B_s = side
-            tb = bounds.get((a, b))
-            if tb is None:
-                tb = bounds[a, b] = bound_mod.theorem_bound(
-                    a, b, g.degree(), field.p).bound
             mask = 0
             for y in B_idx:
                 mask |= col[y]
-            size = mask.bit_count()
+            sizes.append(mask.bit_count())
+    del values
+
+    bounds, b_sides, records, sizes = {}, {}, [], iter(sizes)
+    for A_idx, Bs, _ in runs:
+        a, A_s = len(A_idx), tuple(names[i] for i in A_idx)
+        for B_idx, size in zip(Bs, sizes):
+            b, dist, order, B_s = b_sides.get(B_idx) or b_sides.setdefault(
+                B_idx, (len(B_idx), *_nearest_distance(B_idx, subfield_sets),
+                        tuple(names[j] for j in B_idx)))
+            tb = bounds.get((a, b)) or bounds.setdefault(
+                (a, b), bound_mod.theorem_bound(a, b, g.degree(), field.p).bound)
             if size < tb:
                 raise negative_slack_error(field_s, g_s, h_s, A_s, B_s, size, tb)
             records.append(ExperimentRecord(

@@ -5,7 +5,8 @@ Each oracle recomputes a quantity by a different route than the library
 instead of closed-form coefficients, Gauss-Jordan elimination instead of
 Lagrange dual bases, a digit test of every k in range instead of
 enumerating the digit-dominating k, int sets of value indices instead of
-OR-ed bit masks) so that agreement is evidence, not tautology.
+OR-ed bit masks, built symmetric differences instead of intersection
+counts) so that agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from expanderlab import bound as bound_mod
 from expanderlab.bound import lucas_nonvanishing
 from expanderlab.explore import (
     ExperimentRecord,
-    _nearest_distance,
     _subfield_index_sets,
     negative_slack_error,
 )
@@ -136,6 +136,14 @@ def admissible_k_scan(a: int, b: int, d: int, p) -> tuple[int, ...]:
                  if lucas_nonvanishing(k, b - 1, p))
 
 
+def nearest_by_symmetric_difference(b_indices, subfield_sets):
+    """(|B ^ K|, |K|) for the subfield K nearest to B, ties to the larger,
+    by building each symmetric difference; the library counts |B & K|."""
+    dist, neg_order = min((len(frozenset(b_indices) ^ k_set), -order)
+                          for order, k_set in subfield_sets)
+    return dist, -neg_order
+
+
 def measure_int_sets(field, g, h, tasks):
     """``explore._measure`` by int sets: a touched-pairs table filled per
     (task, x), one value-row call per touched x, then each image size as
@@ -146,7 +154,8 @@ def measure_int_sets(field, g, h, tasks):
     field_s, g_s, h_s = str(field), str(g), str(h)
     subfield_sets = _subfield_index_sets(field)
     strings = functools.cache(lambda idx: tuple(names[i] for i in idx))
-    nearest = functools.cache(lambda B: _nearest_distance(B, subfield_sets))
+    nearest = functools.cache(
+        lambda B: nearest_by_symmetric_difference(B, subfield_sets))
     bound = functools.cache(lambda a, b: bound_mod.theorem_bound(
         a, b, g.degree(), field.p).bound)
 
