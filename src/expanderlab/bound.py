@@ -16,7 +16,8 @@ floored to an integer.
 
 ``characteristic`` arguments accept a prime up to ``MAX_CHARACTERISTIC``
 or ``math.inf``, the sentinel for characteristic zero, where no binomial
-with 0 <= r <= k vanishes and the p-cap never binds.
+with 0 <= r <= k vanishes and the p-cap never binds; the digit code runs
+it as an integer base above every k in question.
 """
 
 from __future__ import annotations
@@ -64,22 +65,16 @@ def lucas_nonvanishing(k: int, r: int, characteristic) -> bool:
     """Whether binom(k, r) is nonzero in characteristic p.
 
     For prime p this is the digit test: every base-p digit of r must be at
-    most the corresponding digit of k.  For the infinite sentinel the
-    binomial is an ordinary positive integer whenever 0 <= r <= k.
+    most the corresponding digit of k.  The infinite sentinel runs as base
+    k + 1, where k and r are single digits, so the test is r <= k: the
+    binomial is an ordinary positive integer.
     """
     if k < 0 or r < 0:
         raise InvalidParametersError(f"k and r must be non-negative, got k={k}, r={r}")
     _check_characteristic(characteristic)
-    return _digits_dominate(k, r, characteristic)
-
-
-def _digits_dominate(k: int, r: int, characteristic) -> bool:
-    """:func:`lucas_nonvanishing` for arguments already validated."""
     if r > k:
         return False
-    if characteristic == INF:
-        return True
-    p = characteristic
+    p = k + 1 if characteristic == INF else characteristic
     while r:
         if r % p > k % p:
             return False
@@ -88,53 +83,39 @@ def _digits_dominate(k: int, r: int, characteristic) -> bool:
     return True
 
 
-def _dominating(r: int, hi: int, characteristic):
+def _dominating(r: int, hi: int, p: int) -> list[range]:
     """The k <= hi whose base-p digits dominate those of r, in ascending
     order, as ``range`` chunks of step 1; every such k is at least r.
-    Needs r <= hi and a validated characteristic.
+    Needs r <= hi and an integer base p >= 2, or p = 1 with hi = 0.
 
-    Digits are fixed from the top down, each from r's digit to p - 1, and
-    a prefix past ``hi`` ends its level.  Once every digit of r below the
-    current position is 0, every completion dominates, so the whole
-    stretch is one chunk.
+    Digits are fixed from the top down, level by level, each from r's
+    digit to p - 1, and a prefix past ``hi`` is dropped.  At r's lowest
+    nonzero digit (the top level when r = 0) every lower digit is free and
+    the blocks for the digits allowed there sit next to each other, so
+    each prefix above it is one chunk.
     """
-    if characteristic == INF or r == 0:
-        yield range(r, hi + 1)
-        return
-    p = characteristic
-    digits, powers = [], [1]
-    while powers[-1] <= hi:          # r's digits, padded to those of hi
-        digits.append(r // powers[-1] % p)
+    digits, powers = [r % p], [1]
+    while powers[-1] <= hi:          # r's digits, one past those of hi
         powers.append(powers[-1] * p)
-    free = 0                         # positions below this are 0 in r
-    while not digits[free]:
-        free += 1
-
-    def walk(i, prefix):
-        i -= 1
-        step = powers[i]
-        for digit in range(digits[i], p):
-            base = prefix + digit * step
-            if base > hi:
-                break
-            if i > free:
-                yield from walk(i, base)
-            else:
-                yield range(base, min(base + step - 1, hi) + 1)
-
-    yield from walk(len(digits), 0)
+        digits.append(r // powers[-1] % p)
+    free = next((i for i, digit in enumerate(digits) if digit), len(digits) - 1)
+    prefixes = [0]
+    for i in range(len(digits) - 1, free, -1):
+        step, low = powers[i], digits[i] * powers[i]
+        prefixes = [base for prefix in prefixes
+                    for base in range(prefix + low, min(prefix + p * step, hi + 1), step)]
+    step, low = powers[free], digits[free] * powers[free]
+    chunks = (range(prefix + low, min(prefix + p * step, hi + 1)) for prefix in prefixes)
+    return [chunk for chunk in chunks if chunk]
 
 
-def _count_dominating(r: int, hi: int, characteristic) -> int:
+def _count_dominating(r: int, hi: int, p: int) -> int:
     """How many k <= hi dominate r digit by digit, in O(log_p hi) steps.
 
     Digit by digit from the bottom: ``full`` counts the dominating
     completions of the low positions, the product of p - r_i (Fine 1947),
     and ``count`` those that stay at most hi's low digits.
     """
-    if characteristic == INF:
-        return max(0, hi - r + 1)
-    p = characteristic
     count = full = 1
     while hi or r:
         (hi, top), (r, digit) = divmod(hi, p), divmod(r, p)
@@ -185,12 +166,13 @@ def theorem_bound(a: int, b: int, d: int, characteristic) -> BoundReport:
         raise InvalidParametersError(f"need a, b, d >= 1, got a={a}, b={b}, d={d}")
     _check_characteristic(characteristic)
     k_max_range = (a - 1) // d + b - 1
-    if _count_dominating(b - 1, k_max_range, characteristic) > MAX_ADMISSIBLE_K:
+    p = k_max_range + 1 if characteristic == INF else characteristic
+    if _count_dominating(b - 1, k_max_range, p) > MAX_ADMISSIBLE_K:
         raise InvalidParametersError(
             f"more than {MAX_ADMISSIBLE_K} admissible k for "
             f"a={a}, b={b}, d={d}; the report lists every one")
     admissible = tuple(itertools.chain.from_iterable(
-        _dominating(b - 1, k_max_range, characteristic)))
+        _dominating(b - 1, k_max_range, p)))
     best_k = admissible[-1]
     return BoundReport(a, b, d, characteristic, k_max_range,
                        admissible, best_k, best_k + 1, False)

@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallelism", default=argparse.SUPPRESS,
                    help="must be >= 1; evaluation is single-threaded")
     p.add_argument("--budget", default=argparse.SUPPRESS,
-                   help=f"pair budget (or ${_ENV_BUDGET})")
+                   help="work budget: pairs in exhaustive mode, value "
+                        f"evaluations in random mode (or ${_ENV_BUDGET})")
     p.add_argument("--format", choices=FORMATS,
                    default=argparse.SUPPRESS)
     p.add_argument("--out", default=argparse.SUPPRESS)

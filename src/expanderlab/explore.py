@@ -12,7 +12,8 @@ K and A inside K minus the roots of h, the image over B = K stays inside
 K (no growth); appending one point theta forces growth.  Each record
 carries the proved growth threshold floor((1 + c/2) p^m - 1), the
 conjectured one floor((1 + c) p^m - 1) which is reported but never
-asserted, and the distance from B to the nearest subfield.
+asserted, and the distance from B to the nearest subfield, where only
+the subfields strictly between F_p and the field need index sets.
 
 Both drivers list a run as (A, B) tasks of element indices for one
 measuring path: value rows from :func:`bound.value_rows` (the indices of
@@ -78,9 +79,6 @@ class ExperimentRecord(NamedTuple):
     subfield_order: int | None
     A: tuple[str, ...]
     B: tuple[str, ...]
-
-    def to_row(self) -> list:
-        return ["" if v is None else v for v in self[:12]]
 
     def to_dict(self) -> dict:
         out = self._asdict()
@@ -152,10 +150,11 @@ class SearchConfig:
     ``a`` and ``b`` are a single size or an inclusive (lo, hi) range.
     ``mode`` is "exhaustive" or "random"; random mode draws
     ``sample_count`` pairs per (a, b) cell from the seeded generator.
-    ``budget`` caps the number of pairs the run may touch; exhaustive mode
-    counts its cost as sum of binom(|pool|, a) * binom(q, b) over cells,
-    where the pool is the field minus the roots of h, exactly the pairs
-    it enumerates.
+    ``budget`` caps the work of the run.  Exhaustive mode counts pairs, the
+    sum of binom(|pool|, a) * binom(q, b) over cells, where the pool is the
+    field minus the roots of h, exactly the pairs it enumerates.  Random
+    mode counts value evaluations, sample_count * a * b per cell, since
+    each sampled pair evaluates up to a * b values.
     ``parallelism`` must be >= 1 but is otherwise unused: evaluation is
     single-threaded.
     """
@@ -188,27 +187,29 @@ def _size_list(v, limit: int, name: str) -> list[int]:
 
 
 def _subfield_index_sets(field: Field) -> list[tuple[int, frozenset]]:
-    """(order, element indices) of every subfield, from the field's cache."""
+    """(order, element indices) of every subfield strictly between F_p and
+    the field, from the field's cache; none for a prime field or a
+    prime-degree extension."""
     return [(field.p ** m, frozenset(x.index() for x in field.subfield(m)))
-            for m in range(1, field.n + 1) if field.n % m == 0]
+            for m in range(2, field.n) if field.n % m == 0]
 
 
-def _nearest_distance(b_indices, subfield_sets) -> tuple[int, int]:
+def _nearest_distance(b_indices, field: Field, subfield_sets) -> tuple[int, int]:
     # |B ^ K| = |B| + |K| - 2|B & K|; & walks the smaller set, not the field.
-    b_set = frozenset(b_indices)
-    best = None
-    for order, k_set in subfield_sets:
-        dist = len(b_set) + order - 2 * len(b_set & k_set)
-        if best is None or dist < best[0] or (dist == best[0] and order > best[1]):
-            best = (dist, order)
-    return best
+    # The whole field contains B, and F_p is its first p indices.
+    b_set, p = frozenset(b_indices), field.p
+    shared = [(field.order, len(b_set)), (p, sum(i < p for i in b_set))]
+    shared += [(order, len(b_set & k_set)) for order, k_set in subfield_sets]
+    dist, neg_order = min((len(b_set) + order - 2 * common, -order)
+                          for order, common in shared)
+    return dist, -neg_order
 
 
 def nearest_subfield_distance(B, field: Field) -> tuple[int, int]:
     """(distance, order) of the subfield minimizing the symmetric
     difference with B; ties go to the larger subfield."""
     indices = [field.element(y).index() for y in B]
-    return _nearest_distance(indices, _subfield_index_sets(field))
+    return _nearest_distance(indices, field, _subfield_index_sets(field))
 
 
 def _sets_text(A, B) -> str:
@@ -273,7 +274,7 @@ def _measure(field: Field, g, h, tasks) -> list[ExperimentRecord]:
         a, A_s = len(A_idx), tuple(names[i] for i in A_idx)
         for B_idx, size in zip(Bs, sizes):
             b, dist, order, B_s = b_sides.get(B_idx) or b_sides.setdefault(
-                B_idx, (len(B_idx), *_nearest_distance(B_idx, subfield_sets),
+                B_idx, (len(B_idx), *_nearest_distance(B_idx, field, subfield_sets),
                         tuple(names[j] for j in B_idx)))
             tb = bounds.get((a, b)) or bounds.setdefault(
                 (a, b), bound_mod.theorem_bound(a, b, g.degree(), field.p).bound)
@@ -313,12 +314,13 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
 
     if config.mode == "exhaustive":
         cost = sum(math.comb(len(pool_a), a) * math.comb(q, b) for a, b in cells)
+        unit, advice = "pairs", "narrow the ranges or switch to random mode"
     else:
-        cost = len(cells) * config.sample_count
+        cost = sum(config.sample_count * a * b for a, b in cells)
+        unit, advice = "value evaluations", "narrow the ranges or draw fewer samples"
     if cost > config.budget:
         raise BudgetExceededError(
-            f"run needs {cost} pairs but the budget is {config.budget}; "
-            f"narrow the ranges or switch to random mode")
+            f"run needs {cost} {unit} but the budget is {config.budget}; {advice}")
 
     # Tasks come in tie-break order (a, b, A_idx, B_idx): exhaustive
     # enumeration is lexicographic, and random mode sorts each cell's draws.

@@ -15,11 +15,7 @@ import functools
 
 from expanderlab import bound as bound_mod
 from expanderlab.bound import lucas_nonvanishing
-from expanderlab.explore import (
-    ExperimentRecord,
-    _subfield_index_sets,
-    negative_slack_error,
-)
+from expanderlab.explore import ExperimentRecord, negative_slack_error
 
 
 def binom_mod_pascal(k: int, r: int, p: int) -> int:
@@ -138,7 +134,8 @@ def admissible_k_scan(a: int, b: int, d: int, p) -> tuple[int, ...]:
 
 def nearest_by_symmetric_difference(b_indices, subfield_sets):
     """(|B ^ K|, |K|) for the subfield K nearest to B, ties to the larger,
-    by building each symmetric difference; the library counts |B & K|."""
+    by building each symmetric difference, the whole field's too; the
+    library counts |B & K| and takes q - |B| for the whole field."""
     dist, neg_order = min((len(frozenset(b_indices) ^ k_set), -order)
                           for order, k_set in subfield_sets)
     return dist, -neg_order
@@ -152,7 +149,8 @@ def measure_int_sets(field, g, h, tasks):
     elements = field.elements()
     names = [str(x) for x in elements]
     field_s, g_s, h_s = str(field), str(g), str(h)
-    subfield_sets = _subfield_index_sets(field)
+    subfield_sets = [(field.p ** m, frozenset(x.index() for x in field.subfield(m)))
+                     for m in range(1, field.n + 1) if field.n % m == 0]
     strings = functools.cache(lambda idx: tuple(names[i] for i in idx))
     nearest = functools.cache(
         lambda B: nearest_by_symmetric_difference(B, subfield_sets))

@@ -21,7 +21,7 @@ from expanderlab.errors import (
     InvalidParametersError,
     NotPrimeError,
 )
-from expanderlab.field import extension_field, prime_field
+from expanderlab.field import extension_field, is_prime, prime_field
 from expanderlab.poly import parse_poly
 
 from oracles import admissible_k_scan, binom_mod_pascal, image_double_loop
@@ -175,10 +175,13 @@ def test_theorem_bound_refuses_a_huge_sparse_set_at_once(monkeypatch):
        p=st.sampled_from((2, 3, 5, 7, 13, INF)))
 def test_admissible_count_is_closed_form(a, b, d, p):
     # The enumeration (checked against the scan above) gives the true count;
-    # under a limit of 500 the larger sets must be refused.
+    # under a limit of 500 the larger sets must be refused.  The digit
+    # routines take characteristic zero as theorem_bound passes it, as the
+    # base k_max_range + 1.
     k_max_range = (a - 1) // d + b - 1
-    count = sum(map(len, bound_mod._dominating(b - 1, k_max_range, p)))
-    assert bound_mod._count_dominating(b - 1, k_max_range, p) == count
+    base = k_max_range + 1 if p == INF else p
+    count = sum(map(len, bound_mod._dominating(b - 1, k_max_range, base)))
+    assert bound_mod._count_dominating(b - 1, k_max_range, base) == count
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bound_mod, "MAX_ADMISSIBLE_K", 500)
         if count > 500:
@@ -186,6 +189,34 @@ def test_admissible_count_is_closed_form(a, b, d, p):
                 theorem_bound(a, b, d, p)
         else:
             assert len(theorem_bound(a, b, d, p).admissible_k) == count
+
+
+def test_dominating_yields_one_chunk_per_prefix_above_the_free_digit():
+    # At r's lowest nonzero digit every lower digit is free, so each prefix
+    # above it is one chunk: a base above hi or r = 0 leaves a single one.
+    assert list(bound_mod._dominating(5, 100, 101)) == [range(5, 101)]
+    assert list(bound_mod._dominating(0, 100, 2)) == [range(0, 101)]
+    assert list(bound_mod._dominating(0, 10**6, 3)) == [range(0, 10**6 + 1)]
+    assert list(bound_mod._dominating(0, 0, 1)) == [range(0, 1)]
+    # The digits allowed at the free position form one chunk, not one each:
+    # r = 1 in base 3 takes digits 1 and 2 together.
+    assert list(bound_mod._dominating(1, 8, 3)) == [
+        range(1, 3), range(4, 6), range(7, 9)]
+    # The bound-scan parameters: a = 10^6, b = 1000, d = 1 over F_2.
+    assert sum(1 for _ in bound_mod._dominating(999, 10**6 + 998, 2)) == 3908
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(1, 10**4), b=st.integers(1, 300), d=st.integers(1, 6),
+       gap=st.integers(0, 200))
+def test_theorem_bound_in_a_prime_above_the_range_matches_inf(a, b, d, gap):
+    # Above k_max_range every k is one base-P digit, as in characteristic
+    # zero, so only the reported characteristic differs.
+    k_max_range = (a - 1) // d + b - 1
+    P = next(n for n in itertools.count(k_max_range + 1 + gap) if is_prime(n))
+    prime, zero = theorem_bound(a, b, d, P), theorem_bound(a, b, d, INF)
+    assert (prime.k_max_range, prime.admissible_k, prime.best_k, prime.bound) == (
+        zero.k_max_range, zero.admissible_k, zero.best_k, zero.bound)
 
 
 def test_theorem_bound_rejects_bad_inputs():

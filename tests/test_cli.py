@@ -1,13 +1,16 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expanderlab import bound as bound_mod
 from expanderlab import cli
 from expanderlab.cli import main
 
@@ -322,6 +325,17 @@ def test_search_budget_flag_and_env(monkeypatch):
     assert code == 0 and out
 
 
+def test_search_random_budget_is_refused_quickly():
+    # 1000 samples of |A| = |B| = 400 evaluate up to 1.6 * 10^8 values.
+    start = time.perf_counter()
+    code, out, err = run_cli("search", "--field", "997", "--g", "x^2", "--h", "x",
+                             "--a", "400", "--b", "400", "--mode", "random",
+                             "--sample-count", "1000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "needs 160000000 value evaluations but the budget is 10000000" in err
+
+
 def test_search_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nfield=5\ng=x^2\nh=x\na=2\nb=2\n"
@@ -580,6 +594,29 @@ def test_selftest_reports_failures(monkeypatch):
 
 
 # -- top-level behavior ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    "search --field 13 --g x^2 --h x --a 2 --b 2",
+    "image --field 13 --g x^2 --h x --A 1,2,3 --B 0,1",
+])
+def test_negative_slack_exits_1_with_nothing_on_stdout(monkeypatch, argv):
+    # A bound above every image is a broken proof: an internal error.
+    monkeypatch.setattr(bound_mod, "theorem_bound",
+                        lambda a, b, d, p: SimpleNamespace(bound=10**6))
+    code, out, err = run_cli(*argv.split())
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: negative slack")
+
+
+def test_certify_exits_1_when_the_identity_fails(monkeypatch):
+    build = cli.build_certificate
+    monkeypatch.setattr(cli, "build_certificate", lambda inst, C: dataclasses.replace(
+        build(inst, C), pointwise=inst.field.element(0)))
+    code, _, err = run_cli("certify", "--field", "13", "--g", "x^2", "--h", "x",
+                           "--A", "1,2,3,4,5,6", "--B", "0,1,2,3", "--seed", "7")
+    assert code == 1
+    assert err.startswith("FAIL: predicted")
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import io
 import math
@@ -267,6 +268,15 @@ def test_search_budget_gate():
                                      mode="random", sample_count=50, budget=10))
 
 
+def test_search_random_budget_counts_value_evaluations():
+    # Each sample evaluates up to a*b values: 5 * 2*2 + 5 * 2*3 = 50.
+    config = SearchConfig("5", "x^2", "x", 2, (2, 3), mode="random",
+                          sample_count=5, budget=49)
+    with pytest.raises(BudgetExceededError, match="needs 50 value evaluations"):
+        search_extremal(config)
+    assert len(search_extremal(dataclasses.replace(config, budget=50))) == 10
+
+
 def test_search_budget_prices_the_usable_pool():
     # h = x removes 0 from A's pool: a = 12 leaves one A and 13 choices of
     # B, so 13 pairs run; binom(q, a) * binom(q, b) would price 169.
@@ -403,7 +413,7 @@ def test_subfield_evaluates_each_value_once(monkeypatch):
 # -- bit-mask measuring against the int-set oracle ------------------------------
 
 MEASURE_CASES = {"13": ("x^3+2*x", "x+1"), "3^2": ("x^2", "x"),
-                 "2^4": ("x^3+x", "x^2+1")}
+                 "2^4": ("x^3+x", "x^2+1"), "2^6": ("x^2+t*x", "x+t")}
 
 
 @functools.cache
@@ -482,6 +492,19 @@ def test_nearest_subfield_distance_prime_field():
     assert nearest_subfield_distance([F7.element(2)], F7) == (6, 7)
 
 
+def test_only_intermediate_subfields_get_index_sets():
+    # F_p is the first p indices and the whole field's distance is q - |B|,
+    # so a prime field or a prime-degree extension builds no index set.
+    for field_s in ("13", "251", "2", "31^2"):
+        assert explore._subfield_index_sets(parse_field(field_s)) == []
+    F64 = parse_field("2^6")
+    assert [(order, len(s)) for order, s in explore._subfield_index_sets(F64)] == [
+        (4, 4), (8, 8)]
+    assert nearest_subfield_distance(F64.subfield(2), F64) == (0, 4)
+    assert nearest_subfield_distance(F64.subfield(1), F64) == (0, 2)
+    assert nearest_subfield_distance(F64.elements()[:40], F64) == (24, 64)
+
+
 # -- subfield experiments ---------------------------------------------------------
 
 
@@ -496,7 +519,6 @@ def test_subfield_f9_half_frozen():
     # With coefficients in K the image stays inside K: no growth at all.
     assert base.image_size == 3 and base.slack == 0
     assert base.proved_threshold is None and base.conjectured_threshold is None
-    assert base.to_row()[8:10] == ["", ""]
     assert base.to_dict()["proved_threshold"] is None
     assert base.to_dict()["conjectured_threshold"] is None
     assert base.subfield_distance == 0 and base.subfield_order == 3

@@ -18,6 +18,7 @@ from expanderlab.field import (
     parse_field,
     prime_field,
 )
+from expanderlab.poly import Poly
 
 
 def test_is_prime_small():
@@ -65,6 +66,18 @@ def test_explicit_modulus_validation():
         extension_field(3, 2, "t^3+1")    # wrong degree
     F = extension_field(3, 2, "t^2+t+2")
     assert F.modulus == (2, 1, 1)
+
+
+def test_modulus_forms_agree():
+    # A coefficient sequence, a polynomial over F_p and the text form.
+    F3 = prime_field(3)
+    forms = [(1, 0, 1), Poly(F3, (1, 0, 1)), "t^2+1"]
+    fields = [extension_field(3, 2, m) for m in forms]
+    assert fields[0] == fields[1] == fields[2]
+    assert fields[1].modulus == (1, 0, 1)
+    for other in (prime_field(5), extension_field(3, 2)):
+        with pytest.raises(FieldMismatchError, match="prime field"):
+            extension_field(3, 2, Poly(other, (1, 0, 1)))
 
 
 def test_extension_arithmetic_f9():
