@@ -276,11 +276,14 @@ def check_instance(field: Field, g: Poly, h: Poly, A, B):
 def value_rows(g: Poly, h: Poly, xs, ys) -> list[tuple[int, ...]]:
     """For each x in ``xs``, the canonical indices of g(x) + y*h(x) over
     ``ys``.  The one evaluation kernel: :func:`image` and the experiment
-    drivers build these rows once and then measure image sizes from them."""
+    drivers build these rows once and then measure image sizes from them.
+    Per x, g(x) and h(x) are elements; each value is two index ops."""
+    ys = [y.index() for y in ys]
     rows = []
     for x in xs:
-        gx, hx = g(x), h(x)
-        rows.append(tuple((gx + y * hx).index() for y in ys))
+        add, _, mul, _ = g.field.index_ops(2 * len(ys))
+        gx, hx = g(x).index(), h(x).index()
+        rows.append(tuple(add(gx, mul(y, hx)) for y in ys))
     return rows
 
 

@@ -106,15 +106,16 @@ def lambda_coefficients(C, g: Poly, h: Poly) -> dict:
 def _dual_weights(points) -> list[FieldElem]:
     """w(y) = 1 / prod_{z != y} (y - z) for distinct points: the Lagrange
     dual basis, i.e. the unique weights with sum_y w(y) y^j = delta_{j, n-1}
-    for j = 0 .. n-1, where n = |points|.  O(n^2) multiplications."""
-    one = points[0].field.one()
+    for j = 0 .. n-1, where n = |points|.  O(n^2) index multiplications."""
+    field, idx = points[0].field, [y.index() for y in points]
+    _, sub, mul, inv = field.index_ops(2 * len(idx) ** 2)
     out = []
-    for y in points:
-        prod = one
-        for z in points:
+    for y in idx:
+        prod = 1
+        for z in idx:
             if z != y:
-                prod = prod * (y - z)
-        out.append(prod.inverse())
+                prod = mul(prod, sub(y, z))
+        out.append(field.from_index(inv(prod)))
     return out
 
 
@@ -149,16 +150,11 @@ def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
         raise TargetDegreeTooLargeError(
             f"target degree {D} needs {D + 1} points but |A| = {len(A)}")
     support = A[:D + 1]
-    scale = []
     for x in support:
-        hx = h(x)
-        if hx.is_zero():
+        if h(x).is_zero():
             raise InvalidParametersError(f"h vanishes at {x}, alpha system is singular")
-        scale.append(hx ** (b - 1))
-    u = _dual_weights(support)
-    out = {x: ui * s.inverse() for x, ui, s in zip(support, u, scale)}
-    for x in A[D + 1:]:
-        out[x] = field.zero()
+    out = dict.fromkeys(A, field.zero())
+    out.update((x, u / h(x) ** (b - 1)) for x, u in zip(support, _dual_weights(support)))
     return out
 
 
@@ -189,20 +185,24 @@ def verify_alpha(alpha: dict, A, h: Poly, b: int, target_degree: int) -> bool:
 def _pointwise_sum(field, g, h, A, B, C, alpha, beta):
     """sum_{x,y} alpha(x) beta(y) prod_{c in C} (f(x, y) - c).  f is read
     off :func:`value_rows` over the support of alpha; the weights are summed
-    per value of f, so each product is formed once per distinct value."""
+    per value of f, so each product is formed once per distinct value; all
+    on element indices."""
     support = [x for x in A if not alpha[x].is_zero()]
+    betas = [beta[y].index() for y in B]
+    add, _, mul, _ = field.index_ops(2 * len(support) * len(B))
     weights = {}
     for x, row in zip(support, value_rows(g, h, support, B)):
-        ax = alpha[x]
-        for y, v in zip(B, row):
-            weights[v] = weights.get(v, field.zero()) + ax * beta[y]
-    total = field.zero()
+        ax = alpha[x].index()
+        for by, v in zip(betas, row):
+            weights[v] = add(weights.get(v, 0), mul(ax, by))
+    C = [c.index() for c in C]
+    add, sub, mul, _ = field.index_ops(2 * len(weights) * (len(C) + 1))
+    total = 0
     for v, prod in weights.items():
-        w = field.from_index(v)
         for c in C:
-            prod = prod * (w - c)
-        total = total + prod
-    return total
+            prod = mul(prod, sub(v, c))
+        total = add(total, prod)
+    return field.from_index(total)
 
 
 @dataclass(frozen=True)

@@ -135,10 +135,13 @@ def records_to_json(records) -> str:
 def summarize(records) -> str:
     """The stderr summary: the record count and the best record, the least
     by (slack, a, b, A, B) with A and B compared as tuples of element
-    strings, so ties need not fall on the first record in output order."""
+    strings, so ties need not fall on the first record in output order;
+    only the records of least slack are keyed."""
     if not records:
         return "0 records"
-    best = min(records, key=lambda r: (r.slack, r.a, r.b, r.A, r.B))
+    least = min(r.slack for r in records)
+    best = min((r for r in records if r.slack == least),
+               key=lambda r: (r.a, r.b, r.A, r.B))
     return (f"{len(records)} records; min slack {best.slack} at a={best.a}"
             f" b={best.b} {_sets_text(best.A, best.B)}")
 
@@ -232,11 +235,11 @@ def _measure(field: Field, g, h, tasks) -> list[ExperimentRecord]:
     value once.  Per run, values get dense ranks, ``col[y]`` ORs
     ``1 << rank(f(x, y))`` over x in A, and an image size is the popcount
     of the OR of B's columns: at most min(q, |A| * |union of B's|) bits.
-    Sizes are taken, and values freed, before records are built.  A record
-    with negative slack raises :func:`negative_slack_error`.
+    Sizes are taken, and values freed, before records are built; only
+    the elements in some A or B are rendered.  A record with negative
+    slack raises :func:`negative_slack_error`.
     """
     elements = field.elements()
-    names = [str(x) for x in elements]
     field_s, g_s, h_s = str(field), str(g), str(h)
     subfield_sets = _subfield_index_sets(field)
     runs = []
@@ -269,7 +272,9 @@ def _measure(field: Field, g, h, tasks) -> list[ExperimentRecord]:
             sizes.append(mask.bit_count())
     del values
 
+    names = {i: str(elements[i]) for i in set().union(*(A + B for A, _, B in runs))}
     bounds, b_sides, records, sizes = {}, {}, [], iter(sizes)
+    record = ExperimentRecord._make
     for A_idx, Bs, _ in runs:
         a, A_s = len(A_idx), tuple(names[i] for i in A_idx)
         for B_idx, size in zip(Bs, sizes):
@@ -280,9 +285,8 @@ def _measure(field: Field, g, h, tasks) -> list[ExperimentRecord]:
                 (a, b), bound_mod.theorem_bound(a, b, g.degree(), field.p).bound)
             if size < tb:
                 raise negative_slack_error(field_s, g_s, h_s, A_s, B_s, size, tb)
-            records.append(ExperimentRecord(
-                field_s, g_s, h_s, a, b, size, tb, size - tb, None, None,
-                dist, order, A_s, B_s))
+            records.append(record((field_s, g_s, h_s, a, b, size, tb, size - tb,
+                                   None, None, dist, order, A_s, B_s)))
     return records
 
 

@@ -1,9 +1,14 @@
 """Exact arithmetic in prime fields F_p and extensions F_{p^n}.
 
 Elements are coefficient vectors in the power basis of the modulus root
-``t``; all arithmetic is exact integer arithmetic mod p.  Fields in scope
-are desk-sized (``MAX_CHARACTERISTIC``, ``MAX_EXTENSION_ORDER``), so the
-primality, irreducibility and root checks are deliberately brute force.
+``t``; :class:`FieldElem` arithmetic is exact integer arithmetic mod p on
+them, the reference.  The hot loops run on element indices with
+:meth:`Field.index_ops`: arithmetic mod p, or in an extension exp/log and
+Zech tables (alpha^e + 1 = alpha^Z[e]; Huber, IEEE Trans. Inf. Theory
+36(4), 1990), built once the kernels have asked for q coefficient
+operations.  Fields in scope are desk-sized (``MAX_CHARACTERISTIC``,
+``MAX_EXTENSION_ORDER``), so the primality, irreducibility, root and
+primitive-element searches are deliberately brute force.
 
 Text formats:
   field    "5", "3^2" (default modulus), "3^2/t^2+1" (explicit modulus)
@@ -229,7 +234,7 @@ class Field:
     safe to call directly.  Immutable after construction.
     """
 
-    __slots__ = ("p", "n", "modulus", "_subfields")
+    __slots__ = ("p", "n", "modulus", "_subfields", "_index_state")
 
     def __init__(self, p: int, n: int = 1, modulus=None):
         _check_field_size(p, n)
@@ -252,6 +257,7 @@ class Field:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_subfields", {})
+        object.__setattr__(self, "_index_state", [0, None])   # work asked, table ops
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -361,6 +367,73 @@ class Field:
             return (pow(a[0], self.p - 2, self.p),)
         inv = _vec_inverse_mod(list(a), list(self.modulus), self.p)
         return tuple(inv) + (0,) * (self.n - len(inv))
+
+    # -- arithmetic on canonical indices (the kernels' hot loops) ------------
+
+    def index_ops(self, work: int):
+        """``(add, sub, mul, inv)`` on canonical element indices, for a kernel
+        about to do about ``work`` of them.  In a prime field they are
+        arithmetic mod p.  An extension counts n coefficient operations per
+        index operation and, once its kernels have asked for q in all, builds
+        the tables of :meth:`_zech_ops` in O(q) steps, so a small run builds
+        none; until then they are :class:`FieldElem` arithmetic."""
+        p, state = self.p, self._index_state
+        if self.n == 1:
+            return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+                    lambda a, b: a * b % p, lambda a: self._inv((a,))[0])
+        state[0] += work * self.n
+        if state[1] is None and state[0] >= self.order:
+            state[1] = self._zech_ops()
+        el = self.from_index
+        return state[1] or (lambda a, b: (el(a) + el(b)).index(),
+                            lambda a, b: (el(a) - el(b)).index(),
+                            lambda a, b: (el(a) * el(b)).index(),
+                            lambda a: el(a).inverse().index())
+
+    def _zech_ops(self):
+        """``(add, sub, mul, inv)`` on indices from three tables over alpha,
+        the first element in canonical order of multiplicative order q - 1
+        (alpha^((q-1)/r) != 1 for each prime r | q - 1): exp[e] is the index
+        of alpha^e, log inverts it (log[0] is None), and alpha^e + 1 =
+        alpha^zech[e], read off exp[e] + 1 in digit 0.  Multiply and invert
+        are one lookup; add is three, alpha^a + alpha^b = alpha^(a + zech[b-a]),
+        and subtract adds -1 = alpha^((q-1)/2), or 1 when p = 2."""
+        p, n, q, Q = self.p, self.n, self.order, self.order - 1
+        primes = [r for r in range(2, q) if Q % r == 0 and is_prime(r)]
+        alpha = next(a.coeffs for a in map(self.from_index, range(p, q))
+                     if all(_power(a, Q // r, self.one()) != 1 for r in primes))
+        # times[x], the index of x * alpha, is linear in x: with d p^j the
+        # lowest nonzero digit of x, it is times[x - d p^j] plus the digits
+        # of d t^j alpha, which are few unless t^j alpha wraps past t^n.
+        times = [0] * q
+        for j in reversed(range(n)):
+            for d in range(1, p):
+                step = d * p ** j
+                digits = [(p ** k, c) for k, c in
+                          enumerate(self._mul(self.from_index(step).coeffs, alpha)) if c]
+                for y in range(0, q, p ** (j + 1)):
+                    v = times[y]
+                    for w, c in digits:
+                        u = v // w % p
+                        v += ((u + c) % p - u) * w
+                    times[y + step] = v
+        exp, log, x = [], [None] * q, 1
+        for e in range(Q):
+            exp.append(x)
+            log[x] = e
+            x = times[x]
+        zech = [log[i - i % p + (i + 1) % p] for i in exp]
+        half = Q // 2 if p > 2 else 0
+
+        def add(a, b):
+            if not a or not b:
+                return a or b
+            z = zech[(log[b] - log[a]) % Q]
+            return 0 if z is None else exp[(log[a] + z) % Q]
+
+        return (add, lambda a, b: add(a, exp[(log[b] + half) % Q]) if b else a,
+                lambda a, b: exp[(log[a] + log[b]) % Q] if a and b else 0,
+                lambda a: exp[-log[a] % Q] if a else self._inv((0,) * n))
 
 
 class FieldElem:

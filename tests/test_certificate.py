@@ -21,8 +21,9 @@ from expanderlab.errors import (
     InvalidParametersError,
     TargetDegreeTooLargeError,
 )
-from expanderlab.field import extension_field, prime_field
+from expanderlab.field import Field, extension_field, parse_field, prime_field
 from expanderlab.poly import Poly, parse_poly
+from expanderlab.rng import Xoshiro256StarStar
 
 from oracles import expand_shifted_product, pointwise_double_loop, top_moment_weights
 
@@ -151,6 +152,25 @@ def test_beta_extension_field():
     beta = solve_beta(B)
     assert verify_beta(beta, B, len(B))
     assert set(beta) == set(B)
+
+
+@pytest.mark.parametrize("text", ["2^4", "5^2", "3^3", "31^2"])
+def test_verify_replays_the_solvers_on_extension_fields(text):
+    # Small weight systems on a fresh field run before the index tables
+    # exist; the same systems are solved again once they do.
+    F = parse_field(text)
+    rng = random.Random(F.order)
+    h = parse_poly("t*x+1", F)
+    pool = [x for x in F.elements() if not h(x).is_zero()]
+    cases = [(rng.sample(F.elements(), rng.randint(1, 6)),
+              rng.sample(pool, rng.randint(1, 8)), rng.randint(1, 4)) for _ in range(8)]
+    for tables in (False, True):
+        assert (F._index_state[1] is not None) == tables
+        for B, A, b in cases:
+            assert verify_beta(solve_beta(B), B, len(B))
+            D = len(A) - 1 - rng.randrange(len(A))
+            assert verify_alpha(solve_alpha(A, h, b, D), A, h, b, D)
+        F.index_ops(F.order)
 
 
 def test_beta_perturbation_breaks_verification():
@@ -399,7 +419,9 @@ def test_master_identity_random_sweep():
                 assert cert.predicted == prev.predicted
 
 
-@pytest.mark.parametrize("field", [prime_field(7), F13, extension_field(3, 2)])
+@pytest.mark.parametrize("field", [prime_field(7), F13, extension_field(3, 2),
+                                   extension_field(2, 4), extension_field(5, 2),
+                                   extension_field(31, 2)])
 def test_pointwise_sum_matches_double_loop_oracle(field):
     # Random weights, about a third of them zero, so the sum is not the
     # collapsed constant the solver weights always give.
@@ -441,3 +463,22 @@ def test_refute_cover_rejects_oversized_c():
     inst = make_instance(F13, "x^2", "x", elems(F13, 1, 2, 3, 4), elems(F13, 0, 1))
     with pytest.raises(InadmissibleKError):
         refute_cover(inst, elems(F13, *range(10)))
+
+
+@pytest.mark.parametrize("a, b, builds", [(8, 3, 0), (64, 12, 1)])
+def test_certificate_builds_index_tables_only_past_q_operations(monkeypatch, a, b, builds):
+    # On 2^16 a small certificate runs on coefficient vectors; a large one
+    # builds the tables once, and a second certificate reuses them.
+    calls = []
+    zech_ops = Field._zech_ops
+    monkeypatch.setattr(Field, "_zech_ops", lambda self: calls.append(self) or zech_ops(self))
+    F = parse_field("2^16")
+    rng = Xoshiro256StarStar(1)
+    inst = make_instance(F, "x^2", "x",
+                         [F.from_index(i + 1) for i in rng.sample_indices(F.order - 1, a)],
+                         [F.from_index(i) for i in rng.sample_indices(F.order, b)])
+    k = inst.bound_report().best_k
+    for _ in range(2):
+        C = [F.from_index(i) for i in rng.sample_indices(F.order, k)]
+        assert build_certificate(inst, C).identity_holds
+    assert len(calls) == builds

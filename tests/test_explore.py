@@ -473,6 +473,19 @@ def test_measure_names_the_first_negative_slack_witness(monkeypatch):
         "A={1,12} B={0,1}")
 
 
+def test_measure_renders_only_the_elements_in_some_set(monkeypatch):
+    field, g, h = _measure_case("2^6")
+    tasks = [((1, 2), (0, 5)), ((1, 2), (7,)), ((9,), (5, 63))]
+    rendered = []
+    to_str = FieldElem.__str__
+    monkeypatch.setattr(FieldElem, "__str__",
+                        lambda x: rendered.append(x.index()) or to_str(x))
+    str(g), str(h)
+    polys = len(rendered)               # the coefficients of g and h
+    explore._measure(field, g, h, tasks)
+    assert sorted(rendered[2 * polys:]) == [0, 1, 2, 5, 7, 9, 63]
+
+
 # -- subfield distance ------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -207,3 +208,62 @@ def test_elements_cache_is_stable():
     F = extension_field(3, 2)
     assert F.elements() is F.elements()
     assert len(F.elements()) == 9
+
+
+# -- arithmetic on canonical indices ---------------------------------------------
+
+
+def _index_ops_agree(field, pairs):
+    """The index ops on these element pairs, and inv on every first element
+    that is nonzero, equal FieldElem arithmetic."""
+    add, sub, mul, inv = field.index_ops(0)
+    for x, y in pairs:
+        i, j = x.index(), y.index()
+        assert (add(i, j), sub(i, j), mul(i, j)) == (
+            (x + y).index(), (x - y).index(), (x * y).index()), (str(x), str(y))
+        if i:
+            assert inv(i) == x.inverse().index()
+    with pytest.raises(ZeroDivisionError):
+        inv(0)
+
+
+@pytest.mark.parametrize("text", ["3^2", "2^4", "5^2", "2^6", "3^3", "7^2"])
+def test_index_ops_match_elements_on_all_pairs(text):
+    field = parse_field(text)
+    pairs = list(itertools.product(field.elements(), repeat=2))
+    _index_ops_agree(field, pairs)          # coefficient vectors
+    assert field._index_state[1] is None
+    field.index_ops(field.order)            # n * q coefficient operations asked
+    assert field._index_state[1] is not None
+    _index_ops_agree(field, pairs)          # exp, log and Zech tables
+
+
+@pytest.mark.parametrize("text", ["31^2", "2^8", "3^5"])
+def test_index_ops_match_elements_on_random_pairs(text):
+    field = parse_field(text)
+    rng = random.Random(field.order)
+    pairs = [(field.from_index(rng.randrange(field.order)),
+              field.from_index(rng.randrange(field.order))) for _ in range(300)]
+    pairs += [(field.zero(), y) for _, y in pairs[:5]] + [(x, x) for x, _ in pairs[:5]]
+    _index_ops_agree(field, pairs)
+    field.index_ops(field.order)
+    _index_ops_agree(field, pairs)
+
+
+@pytest.mark.parametrize("p", [2, 13, 251])
+def test_prime_field_index_ops_are_arithmetic_mod_p(p):
+    field = prime_field(p)
+    _index_ops_agree(field, list(itertools.product(field.elements()[:20], repeat=2)))
+    field.index_ops(10 * field.order)
+    assert field._index_state == [0, None]  # a prime field never builds tables
+
+
+def test_index_tables_are_built_once(monkeypatch):
+    builds = []
+    zech_ops = Field._zech_ops
+    monkeypatch.setattr(Field, "_zech_ops", lambda self: builds.append(self) or zech_ops(self))
+    field = parse_field("3^3")
+    field.index_ops(8)                      # 24 of 27 coefficient operations
+    assert builds == []
+    first = field.index_ops(1)
+    assert builds == [field] and field.index_ops(10**6) is first
