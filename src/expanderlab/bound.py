@@ -279,9 +279,9 @@ def value_rows(g: Poly, h: Poly, xs, ys) -> list[tuple[int, ...]]:
     drivers build these rows once and then measure image sizes from them.
     Per x, g(x) and h(x) are elements; each value is two index ops."""
     ys = [y.index() for y in ys]
+    add, _, mul, _ = g.field.index_ops()
     rows = []
     for x in xs:
-        add, _, mul, _ = g.field.index_ops(2 * len(ys))
         gx, hx = g(x).index(), h(x).index()
         rows.append(tuple(add(gx, mul(y, hx)) for y in ys))
     return rows

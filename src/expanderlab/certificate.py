@@ -108,7 +108,7 @@ def _dual_weights(points) -> list[FieldElem]:
     dual basis, i.e. the unique weights with sum_y w(y) y^j = delta_{j, n-1}
     for j = 0 .. n-1, where n = |points|.  O(n^2) index multiplications."""
     field, idx = points[0].field, [y.index() for y in points]
-    _, sub, mul, inv = field.index_ops(2 * len(idx) ** 2)
+    _, sub, mul, inv = field.index_ops()
     out = []
     for y in idx:
         prod = 1
@@ -189,14 +189,13 @@ def _pointwise_sum(field, g, h, A, B, C, alpha, beta):
     on element indices."""
     support = [x for x in A if not alpha[x].is_zero()]
     betas = [beta[y].index() for y in B]
-    add, _, mul, _ = field.index_ops(2 * len(support) * len(B))
+    add, sub, mul, _ = field.index_ops()
     weights = {}
     for x, row in zip(support, value_rows(g, h, support, B)):
         ax = alpha[x].index()
         for by, v in zip(betas, row):
             weights[v] = add(weights.get(v, 0), mul(ax, by))
     C = [c.index() for c in C]
-    add, sub, mul, _ = field.index_ops(2 * len(weights) * (len(C) + 1))
     total = 0
     for v, prod in weights.items():
         for c in C:

@@ -2,11 +2,12 @@
 
 Elements are coefficient vectors in the power basis of the modulus root
 ``t``; :class:`FieldElem` arithmetic is exact integer arithmetic mod p on
-them, the reference.  The hot loops run on element indices with
-:meth:`Field.index_ops`: arithmetic mod p, or in an extension exp/log and
-Zech tables (alpha^e + 1 = alpha^Z[e]; Huber, IEEE Trans. Inf. Theory
-36(4), 1990), built once the kernels have asked for q coefficient
-operations.  Fields in scope are desk-sized (``MAX_CHARACTERISTIC``,
+them, the reference for add, subtract and multiply.  The hot loops run on
+element indices with :meth:`Field.index_ops`: arithmetic mod p, or in an
+extension exp/log and Zech tables (alpha^e + 1 = alpha^Z[e]; Huber, IEEE
+Trans. Inf. Theory 36(4), 1990), built on the field's first call.  The
+same tables invert extension elements and list the proper subfields in
+closed form.  Fields in scope are desk-sized (``MAX_CHARACTERISTIC``,
 ``MAX_EXTENSION_ORDER``), so the primality, irreducibility, root and
 primitive-element searches are deliberately brute force.
 
@@ -104,34 +105,6 @@ def _vec_eval(u: list[int], x: int, p: int) -> int:
     return acc
 
 
-def _vec_inverse_mod(u: list[int], m: list[int], p: int) -> list[int]:
-    """Inverse of u modulo monic irreducible m, by the extended Euclidean algorithm."""
-    # Invariants: r0 = s0*u mod m, r1 = s1*u mod m.
-    r0, r1 = [c % p for c in m], _vec_mod(u, m, p)
-    s0, s1 = [], [1]
-    if not r1:
-        raise ZeroDivisionError("inverse of zero")
-    while r1:
-        # Divide r0 by r1 (r1 need not be monic).
-        lead_inv = pow(r1[-1], p - 2, p)
-        q = [0] * (max(len(r0) - len(r1), -1) + 1)
-        r = r0[:]
-        while len(r) >= len(r1):
-            shift = len(r) - len(r1)
-            factor = (r[-1] * lead_inv) % p
-            q[shift] = factor
-            for i, c in enumerate(r1):
-                r[shift + i] = (r[shift + i] - factor * c) % p
-            _vec_trim(r)
-        r0, r1 = r1, r
-        s0, s1 = s1, _vec_trim([(a - b) % p for a, b in
-                                itertools.zip_longest(s0, _vec_mul(q, s1, p), fillvalue=0)])
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible (modulus not irreducible?)")
-    scale = pow(r0[0], p - 2, p)
-    return _vec_trim([(c * scale) % p for c in _vec_mod(s0, m, p)])
-
-
 def _is_irreducible(m: list[int], p: int) -> bool:
     """Brute-force irreducibility of monic m: root check, then trial division."""
     n = len(m) - 1
@@ -151,10 +124,11 @@ def _is_irreducible(m: list[int], p: int) -> bool:
 
 def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """First irreducible monic degree-n polynomial, coefficient tuples ordered
-    low-degree-first."""
+    low-degree-first.  The scan starts at constant term 1: for n >= 2, x
+    divides every candidate with constant term 0."""
     if n == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=n):
+    for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
         cand = list(tail) + [1]
         if _is_irreducible(cand, p):
             return tuple(cand)
@@ -234,7 +208,7 @@ class Field:
     safe to call directly.  Immutable after construction.
     """
 
-    __slots__ = ("p", "n", "modulus", "_subfields", "_index_state")
+    __slots__ = ("p", "n", "modulus", "_subfields", "_tables")
 
     def __init__(self, p: int, n: int = 1, modulus=None):
         _check_field_size(p, n)
@@ -257,7 +231,7 @@ class Field:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_subfields", {})
-        object.__setattr__(self, "_index_state", [0, None])   # work asked, table ops
+        object.__setattr__(self, "_tables", None)   # (exp, index ops), built on first use
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -333,21 +307,20 @@ class Field:
         return self.subfield(self.n)
 
     def subfield(self, m: int) -> tuple[FieldElem, ...]:
-        """The unique subfield of order p^m in canonical order, cached per m:
-        the fixed points of the m-fold Frobenius a -> a^(p^m), tested once per
-        field.  Neither m = n (the whole field) nor m = 1 (the constants,
-        the first p elements) runs the test."""
+        """The unique subfield of order p^m in canonical order, cached per m.
+        For m < n it is 0 and the powers of alpha^((q-1)/(p^m-1)), read off
+        the exp table (Lidl & Niederreiter, *Finite Fields*, 2.1); m = n, the
+        whole field, builds no table."""
         if not isinstance(m, int) or m < 1 or self.n % m != 0:
             raise NotDivisorError(f"{m} does not divide extension degree {self.n}")
         sub = self._subfields.get(m)
         if sub is None:
             if m == self.n:
                 sub = tuple(self.from_index(i) for i in range(self.order))
-            elif m == 1:
-                sub = self.elements()[:self.p]
             else:
-                q_m = self.p ** m
-                sub = tuple(a for a in self.elements() if a ** q_m == a)
+                exp = self._log_tables()[0]
+                step = (self.order - 1) // (self.p ** m - 1)
+                sub = tuple(map(self.from_index, sorted([0, *exp[::step]])))
             self._subfields[m] = sub
         return sub
 
@@ -365,36 +338,33 @@ class Field:
             raise ZeroDivisionError(f"inverse of zero in {self}")
         if self.n == 1:
             return (pow(a[0], self.p - 2, self.p),)
-        inv = _vec_inverse_mod(list(a), list(self.modulus), self.p)
-        return tuple(inv) + (0,) * (self.n - len(inv))
+        inv = self.index_ops()[3]
+        return self.from_index(inv(FieldElem(self, a).index())).coeffs
 
     # -- arithmetic on canonical indices (the kernels' hot loops) ------------
 
-    def index_ops(self, work: int):
-        """``(add, sub, mul, inv)`` on canonical element indices, for a kernel
-        about to do about ``work`` of them.  In a prime field they are
-        arithmetic mod p.  An extension counts n coefficient operations per
-        index operation and, once its kernels have asked for q in all, builds
-        the tables of :meth:`_zech_ops` in O(q) steps, so a small run builds
-        none; until then they are :class:`FieldElem` arithmetic."""
-        p, state = self.p, self._index_state
+    def index_ops(self):
+        """``(add, sub, mul, inv)`` on canonical element indices.  In a prime
+        field they are arithmetic mod p; in an extension they read the
+        tables of :meth:`_build_tables`, built in O(q) steps on the first
+        call and then reused."""
         if self.n == 1:
+            p = self.p
             return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
                     lambda a, b: a * b % p, lambda a: self._inv((a,))[0])
-        state[0] += work * self.n
-        if state[1] is None and state[0] >= self.order:
-            state[1] = self._zech_ops()
-        el = self.from_index
-        return state[1] or (lambda a, b: (el(a) + el(b)).index(),
-                            lambda a, b: (el(a) - el(b)).index(),
-                            lambda a, b: (el(a) * el(b)).index(),
-                            lambda a: el(a).inverse().index())
+        return self._log_tables()[1]
 
-    def _zech_ops(self):
-        """``(add, sub, mul, inv)`` on indices from three tables over alpha,
-        the first element in canonical order of multiplicative order q - 1
-        (alpha^((q-1)/r) != 1 for each prime r | q - 1): exp[e] is the index
-        of alpha^e, log inverts it (log[0] is None), and alpha^e + 1 =
+    def _log_tables(self):
+        """``(exp, index ops)`` of an extension, built once."""
+        if self._tables is None:
+            object.__setattr__(self, "_tables", self._build_tables())
+        return self._tables
+
+    def _build_tables(self):
+        """``(exp, (add, sub, mul, inv))``: index ops from three tables over
+        alpha, the first element in canonical order of multiplicative order
+        q - 1 (alpha^((q-1)/r) != 1 for each prime r | q - 1): exp[e] is the
+        index of alpha^e, log inverts it (log[0] is None), and alpha^e + 1 =
         alpha^zech[e], read off exp[e] + 1 in digit 0.  Multiply and invert
         are one lookup; add is three, alpha^a + alpha^b = alpha^(a + zech[b-a]),
         and subtract adds -1 = alpha^((q-1)/2), or 1 when p = 2."""
@@ -431,9 +401,9 @@ class Field:
             z = zech[(log[b] - log[a]) % Q]
             return 0 if z is None else exp[(log[a] + z) % Q]
 
-        return (add, lambda a, b: add(a, exp[(log[b] + half) % Q]) if b else a,
-                lambda a, b: exp[(log[a] + log[b]) % Q] if a and b else 0,
-                lambda a: exp[-log[a] % Q] if a else self._inv((0,) * n))
+        return exp, (add, lambda a, b: add(a, exp[(log[b] + half) % Q]) if b else a,
+                     lambda a, b: exp[(log[a] + log[b]) % Q] if a and b else 0,
+                     lambda a: exp[-log[a] % Q] if a else self._inv((0,) * n))
 
 
 class FieldElem:

@@ -6,16 +6,65 @@ instead of closed-form coefficients, Gauss-Jordan elimination instead of
 Lagrange dual bases, a digit test of every k in range instead of
 enumerating the digit-dominating k, int sets of value indices instead of
 OR-ed bit masks, built symmetric differences instead of intersection
-counts) so that agreement is evidence, not tautology.
+counts, extended Euclid and Frobenius fixed points instead of log tables)
+so that agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from expanderlab import bound as bound_mod
 from expanderlab.bound import lucas_nonvanishing
 from expanderlab.explore import ExperimentRecord, negative_slack_error
+from expanderlab.field import _is_irreducible, _vec_mod, _vec_mul, _vec_trim
+
+
+def vector_inverse(u: list[int], m: list[int], p: int) -> list[int]:
+    """Inverse of the coefficient vector u modulo the monic irreducible m
+    over F_p, by the extended Euclidean algorithm; the library reads
+    exp[-log x] off its tables."""
+    # Invariants: r0 = s0*u mod m, r1 = s1*u mod m.
+    r0, r1 = [c % p for c in m], _vec_mod(u, m, p)
+    s0, s1 = [], [1]
+    if not r1:
+        raise ZeroDivisionError("inverse of zero")
+    while r1:
+        lead_inv = pow(r1[-1], p - 2, p)       # r1 need not be monic
+        q = [0] * (max(len(r0) - len(r1), -1) + 1)
+        r = r0[:]
+        while len(r) >= len(r1):
+            shift = len(r) - len(r1)
+            factor = (r[-1] * lead_inv) % p
+            q[shift] = factor
+            for i, c in enumerate(r1):
+                r[shift + i] = (r[shift + i] - factor * c) % p
+            _vec_trim(r)
+        r0, r1 = r1, r
+        s0, s1 = s1, _vec_trim([(a - b) % p for a, b in
+                                itertools.zip_longest(s0, _vec_mul(q, s1, p), fillvalue=0)])
+    if len(r0) != 1:
+        raise ZeroDivisionError("element is not invertible (modulus not irreducible?)")
+    scale = pow(r0[0], p - 2, p)
+    return _vec_trim([(c * scale) % p for c in _vec_mod(s0, m, p)])
+
+
+def frobenius_subfield(field, m: int) -> tuple:
+    """The subfield of order p^m as the fixed points of a -> a^(p^m), tested
+    on every element by coefficient-vector powers; the library reads every
+    (q-1)/(p^m-1)-th power of a primitive element off its exp table."""
+    q_m = field.p ** m
+    return tuple(a for a in field.elements() if a ** q_m == a)
+
+
+def smallest_irreducible_scan(p: int, n: int) -> tuple[int, ...]:
+    """The first monic irreducible of degree n, low-degree-first tuples, by
+    a scan of every candidate; the library skips constant term 0."""
+    for tail in itertools.product(range(p), repeat=n):
+        if _is_irreducible([*tail, 1], p):
+            return (*tail, 1)
+    raise AssertionError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
 def binom_mod_pascal(k: int, r: int, p: int) -> int:

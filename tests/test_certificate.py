@@ -156,21 +156,16 @@ def test_beta_extension_field():
 
 @pytest.mark.parametrize("text", ["2^4", "5^2", "3^3", "31^2"])
 def test_verify_replays_the_solvers_on_extension_fields(text):
-    # Small weight systems on a fresh field run before the index tables
-    # exist; the same systems are solved again once they do.
     F = parse_field(text)
     rng = random.Random(F.order)
     h = parse_poly("t*x+1", F)
     pool = [x for x in F.elements() if not h(x).is_zero()]
-    cases = [(rng.sample(F.elements(), rng.randint(1, 6)),
-              rng.sample(pool, rng.randint(1, 8)), rng.randint(1, 4)) for _ in range(8)]
-    for tables in (False, True):
-        assert (F._index_state[1] is not None) == tables
-        for B, A, b in cases:
-            assert verify_beta(solve_beta(B), B, len(B))
-            D = len(A) - 1 - rng.randrange(len(A))
-            assert verify_alpha(solve_alpha(A, h, b, D), A, h, b, D)
-        F.index_ops(F.order)
+    for _ in range(8):
+        B = rng.sample(F.elements(), rng.randint(1, 6))
+        A, b = rng.sample(pool, rng.randint(1, 8)), rng.randint(1, 4)
+        assert verify_beta(solve_beta(B), B, len(B))
+        D = len(A) - 1 - rng.randrange(len(A))
+        assert verify_alpha(solve_alpha(A, h, b, D), A, h, b, D)
 
 
 def test_beta_perturbation_breaks_verification():
@@ -465,13 +460,13 @@ def test_refute_cover_rejects_oversized_c():
         refute_cover(inst, elems(F13, *range(10)))
 
 
-@pytest.mark.parametrize("a, b, builds", [(8, 3, 0), (64, 12, 1)])
-def test_certificate_builds_index_tables_only_past_q_operations(monkeypatch, a, b, builds):
-    # On 2^16 a small certificate runs on coefficient vectors; a large one
-    # builds the tables once, and a second certificate reuses them.
+@pytest.mark.parametrize("a, b", [(8, 3), (64, 12)])
+def test_certificate_builds_index_tables_once(monkeypatch, a, b):
+    # On 2^16 a certificate of any size builds the tables once, on its
+    # first index op, and a second certificate reuses them.
     calls = []
-    zech_ops = Field._zech_ops
-    monkeypatch.setattr(Field, "_zech_ops", lambda self: calls.append(self) or zech_ops(self))
+    build = Field._build_tables
+    monkeypatch.setattr(Field, "_build_tables", lambda self: calls.append(self) or build(self))
     F = parse_field("2^16")
     rng = Xoshiro256StarStar(1)
     inst = make_instance(F, "x^2", "x",
@@ -481,4 +476,4 @@ def test_certificate_builds_index_tables_only_past_q_operations(monkeypatch, a, 
     for _ in range(2):
         C = [F.from_index(i) for i in rng.sample_indices(F.order, k)]
         assert build_certificate(inst, C).identity_holds
-    assert len(calls) == builds
+    assert calls == [F]

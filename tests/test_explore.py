@@ -29,7 +29,7 @@ from expanderlab.explore import (
     subfield_experiment,
     write_records,
 )
-from expanderlab.field import FieldElem, extension_field, parse_field, prime_field
+from expanderlab.field import Field, FieldElem, extension_field, parse_field, prime_field
 from expanderlab.poly import parse_poly
 from expanderlab.rng import Xoshiro256StarStar, splitmix64
 
@@ -559,13 +559,17 @@ def _count_frobenius_powers(monkeypatch):
 def test_subfield_experiment_tests_each_proper_subfield_once(monkeypatch):
     calls = _count_frobenius_powers(monkeypatch)
     subfield_experiment("5^2", 1, Fraction(1, 2))
-    assert len(calls) == 0              # m = 1 is the constants, no test
+    assert len(calls) == 0              # m = 1 reads the exp table, no element is tested
 
 
 def test_search_tests_proper_subfields_only(monkeypatch):
+    builds = []
+    build = Field._build_tables
+    monkeypatch.setattr(Field, "_build_tables", lambda self: builds.append(self) or build(self))
     calls = _count_frobenius_powers(monkeypatch)
     search_extremal(SearchConfig("2^4", "x^2", "x", 1, 1))
-    assert len(calls) == 16             # m = 2 only; m = 1 and m = 4 run no test
+    # m = 2 reads the tables that the value rows use; no element is tested
+    assert len(builds) == 1 and calls == []
 
 
 @pytest.mark.parametrize("field_s", ["3^2", "2^4", "5^2", "7^4"])

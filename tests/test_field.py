@@ -20,6 +20,7 @@ from expanderlab.field import (
     prime_field,
 )
 from expanderlab.poly import Poly
+from oracles import frobenius_subfield, smallest_irreducible_scan, vector_inverse
 
 
 def test_is_prime_small():
@@ -171,14 +172,22 @@ def test_int_interop():
     assert a ** 0 == F.one()
 
 
+def _oracle_inverse(x):
+    """x^-1 by the extended-Euclid oracle on coefficient vectors."""
+    F = x.field
+    inv = vector_inverse(list(x.coeffs), list(F.modulus or (0, 1)), F.p)
+    return F.element(inv + [0] * (F.n - len(inv)))
+
+
 def test_fermat_inverse_matches_euclid_route():
-    # Prime fields invert by Fermat; extensions by extended Euclid.  The two
-    # must agree on the prime subfield of an extension.
+    # Prime fields invert by Fermat; extensions by their log tables.  The two
+    # agree on the prime subfield of an extension, and with extended Euclid.
     P = prime_field(13)
     E = extension_field(13, 2)
     for v in range(1, 13):
         lifted = E.element(v).inverse()
         assert lifted == E.element(P.element(v).inverse().coeffs[0])
+        assert lifted == _oracle_inverse(E.element(v))
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,15 +223,16 @@ def test_elements_cache_is_stable():
 
 
 def _index_ops_agree(field, pairs):
-    """The index ops on these element pairs, and inv on every first element
-    that is nonzero, equal FieldElem arithmetic."""
-    add, sub, mul, inv = field.index_ops(0)
+    """The index ops on these element pairs equal FieldElem arithmetic, and
+    inv on every first element that is nonzero equals the extended-Euclid
+    oracle (FieldElem.inverse reads the same tables as inv)."""
+    add, sub, mul, inv = field.index_ops()
     for x, y in pairs:
         i, j = x.index(), y.index()
         assert (add(i, j), sub(i, j), mul(i, j)) == (
             (x + y).index(), (x - y).index(), (x * y).index()), (str(x), str(y))
         if i:
-            assert inv(i) == x.inverse().index()
+            assert inv(i) == _oracle_inverse(x).index()
     with pytest.raises(ZeroDivisionError):
         inv(0)
 
@@ -230,12 +240,7 @@ def _index_ops_agree(field, pairs):
 @pytest.mark.parametrize("text", ["3^2", "2^4", "5^2", "2^6", "3^3", "7^2"])
 def test_index_ops_match_elements_on_all_pairs(text):
     field = parse_field(text)
-    pairs = list(itertools.product(field.elements(), repeat=2))
-    _index_ops_agree(field, pairs)          # coefficient vectors
-    assert field._index_state[1] is None
-    field.index_ops(field.order)            # n * q coefficient operations asked
-    assert field._index_state[1] is not None
-    _index_ops_agree(field, pairs)          # exp, log and Zech tables
+    _index_ops_agree(field, list(itertools.product(field.elements(), repeat=2)))
 
 
 @pytest.mark.parametrize("text", ["31^2", "2^8", "3^5"])
@@ -246,24 +251,73 @@ def test_index_ops_match_elements_on_random_pairs(text):
               field.from_index(rng.randrange(field.order))) for _ in range(300)]
     pairs += [(field.zero(), y) for _, y in pairs[:5]] + [(x, x) for x, _ in pairs[:5]]
     _index_ops_agree(field, pairs)
-    field.index_ops(field.order)
-    _index_ops_agree(field, pairs)
+
+
+def _count_table_builds(monkeypatch):
+    builds = []
+    build = Field._build_tables
+    monkeypatch.setattr(Field, "_build_tables", lambda self: builds.append(self) or build(self))
+    return builds
 
 
 @pytest.mark.parametrize("p", [2, 13, 251])
-def test_prime_field_index_ops_are_arithmetic_mod_p(p):
+def test_prime_field_index_ops_are_arithmetic_mod_p(monkeypatch, p):
+    builds = _count_table_builds(monkeypatch)
     field = prime_field(p)
     _index_ops_agree(field, list(itertools.product(field.elements()[:20], repeat=2)))
-    field.index_ops(10 * field.order)
-    assert field._index_state == [0, None]  # a prime field never builds tables
+    assert field.subfield(1) == field.elements()
+    assert builds == [] and field._tables is None   # a prime field never builds
 
 
 def test_index_tables_are_built_once(monkeypatch):
-    builds = []
-    zech_ops = Field._zech_ops
-    monkeypatch.setattr(Field, "_zech_ops", lambda self: builds.append(self) or zech_ops(self))
+    builds = _count_table_builds(monkeypatch)
     field = parse_field("3^3")
-    field.index_ops(8)                      # 24 of 27 coefficient operations
+    field.elements()
     assert builds == []
-    first = field.index_ops(1)
-    assert builds == [field] and field.index_ops(10**6) is first
+    first = field.index_ops()               # the first call builds
+    assert builds == [field]
+    field.subfield(1)
+    field.from_index(5).inverse()
+    assert field.index_ops() is first and builds == [field]
+
+
+@pytest.mark.parametrize("text", ["2^4", "2^6", "3^4", "5^4", "2^8"])
+def test_subfield_matches_the_frobenius_fixed_points(text):
+    field = parse_field(text)
+    for m in range(1, field.n + 1):
+        if field.n % m == 0:
+            assert field.subfield(m) == frobenius_subfield(field, m), m
+
+
+def test_default_modulus_matches_the_plain_scan():
+    for p, n in [(p, n) for p in (2, 3, 5, 7, 11, 31) for n in range(2, 9)
+                 if p ** n <= 3000] + [(2, 16), (3, 10)]:
+        assert parse_field(f"{p}^{n}").modulus == smallest_irreducible_scan(p, n), (p, n)
+
+
+def test_setup_steps_build_no_tables():
+    # What a run does before its first pair: import, parse the field, list
+    # its elements, parse the polynomials.  None of it builds the tables.
+    import os
+    import subprocess
+    import sys
+
+    import expanderlab
+    src = os.path.dirname(os.path.dirname(expanderlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "from expanderlab.field import Field\n"
+        "def refuse(self):\n"
+        "    raise AssertionError(f'tables built for {self}')\n"
+        "Field._build_tables = refuse\n"
+        "import expanderlab.cli\n"
+        "from expanderlab import parse_field, parse_poly\n"
+        "for text in ('31^2', '2^8', '3^2/t^2+1'):\n"
+        "    field = parse_field(text)\n"
+        "    field.elements()\n"
+        "    parse_poly('x^2', field), parse_poly('t*x+1', field)\n"
+        "    assert field._tables is None\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
