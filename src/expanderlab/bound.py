@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     FieldMismatchError,
@@ -124,8 +123,7 @@ def _count_dominating(r: int, hi: int, p: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """The admissible k for one (a, b, d, characteristic): the k in the
     range whose base-p digits dominate those of b - 1, all of them.
 
@@ -144,7 +142,7 @@ class BoundReport:
     fallback: bool
 
     def to_dict(self) -> dict:
-        return {**vars(self), "admissible_k": list(self.admissible_k),
+        return {**self._asdict(), "admissible_k": list(self.admissible_k),
                 "characteristic": ("inf" if self.characteristic == INF
                                    else self.characteristic)}
 
@@ -180,19 +178,19 @@ def theorem_bound(a: int, b: int, d: int, characteristic) -> BoundReport:
 
 def corollary_bound(a: int, b: int, d: int, characteristic) -> int:
     """Closed form min(a/d + b - 1, p) as an integer: the rational is
-    floored (the largest integer the strict inequality certifies) and the
-    result never drops below 1, since a nonempty image has size >= 1."""
+    floored to a // d + b - 1 (the largest integer the strict inequality
+    certifies) and the result never drops below 1, since a nonempty image
+    has size >= 1."""
     if a < 1 or b < 1 or d < 1:
         raise InvalidParametersError(f"need a, b, d >= 1, got a={a}, b={b}, d={d}")
     _check_characteristic(characteristic)
-    value = math.floor(Fraction(a, d) + b - 1)
+    value = a // d + b - 1
     if characteristic != INF and characteristic < value:
         value = characteristic
     return max(1, value)
 
 
-@dataclass(frozen=True)
-class ExpanderInstance:
+class ExpanderInstance(NamedTuple):
     """A validated (field, g, h, A, B) tuple; A and B are stored distinct
     and in canonical element order."""
 

@@ -39,7 +39,7 @@ to a proposed cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bound import ExpanderInstance, lucas_nonvanishing, value_rows
 from .errors import (
@@ -204,8 +204,7 @@ def _pointwise_sum(field, g, h, A, B, C, alpha, beta):
     return field.from_index(total)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A fully materialized instance of the collapsing identity, storing
     what :meth:`to_dict` serialises; :func:`lambda_coefficients` recomputes
     the lambda table from C."""
@@ -275,8 +274,7 @@ def build_certificate(instance: ExpanderInstance, C) -> Certificate:
     return Certificate(instance, C, beta, alpha, predicted, pointwise)
 
 
-@dataclass(frozen=True)
-class RefutationReport:
+class RefutationReport(NamedTuple):
     """Evidence that a proposed size-k cover C cannot contain the image."""
 
     certificate: Certificate
@@ -286,12 +284,9 @@ class RefutationReport:
     witness_value: FieldElem
 
     def to_dict(self) -> dict:
-        out = self.certificate.to_dict()
-        out["covers"] = self.covers
-        out["witness_x"] = str(self.witness_x)
-        out["witness_y"] = str(self.witness_y)
-        out["witness_value"] = str(self.witness_value)
-        return out
+        return {**self.certificate.to_dict(), "covers": self.covers,
+                "witness_x": str(self.witness_x), "witness_y": str(self.witness_y),
+                "witness_value": str(self.witness_value)}
 
 
 def refute_cover(instance: ExpanderInstance, C) -> RefutationReport:

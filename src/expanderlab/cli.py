@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .bound import (
     check_degrees,
@@ -34,6 +33,7 @@ from .explore import (
     FORMATS,
     SearchConfig,
     negative_slack_error,
+    parse_c,
     search_extremal,
     subfield_experiment,
     summarize,
@@ -151,7 +151,8 @@ def _emit_records(records, opts: dict) -> None:
 
 def cmd_bound(args) -> int:
     field_text = args.field.strip()
-    if (args.d is None) == (args.g is None and args.h is None):
+    given = (args.d is not None, args.g is not None, args.h is not None)
+    if given not in ((True, False, False), (False, True, True)):
         raise InvalidParametersError("provide either --d or both --g and --h")
     if args.d is not None:
         if "^" in field_text or "/" in field_text:
@@ -160,8 +161,6 @@ def cmd_bound(args) -> int:
             characteristic = parse_characteristic(field_text)
         d = args.d
     else:
-        if args.g is None or args.h is None:
-            raise InvalidParametersError("provide either --d or both --g and --h")
         if field_text.lower() == "inf":
             raise InvalidParametersError(
                 "--g/--h need a finite field; use --d with --field inf")
@@ -286,7 +285,8 @@ def cmd_subfield(args) -> int:
     opts = _merge_options(args, _SUBFIELD_DEFAULTS)
     _require(opts, "field", "m", "c_fraction")
     try:
-        c = Fraction(str(opts["c_fraction"]))
+        c_text = str(opts["c_fraction"])
+        parse_c(c_text)     # bad text is a bad numeric option
         m = int(opts["m"])
         theta_count = None if opts["theta_count"] is None else int(opts["theta_count"])
         seed = int(opts["seed"])
@@ -294,7 +294,7 @@ def cmd_subfield(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParametersError(f"bad numeric option: {exc}") from None
     _emit_records(subfield_experiment(
-        str(opts["field"]), m, c, g=str(opts["g"]), h=str(opts["h"]),
+        str(opts["field"]), m, c_text, g=str(opts["g"]), h=str(opts["h"]),
         theta_count=theta_count, seed=seed,
         random_a=_parse_bool(opts["random_a"]), parallelism=parallelism), opts)
     return 0

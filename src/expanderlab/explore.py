@@ -35,7 +35,6 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -53,6 +52,7 @@ from .rng import Xoshiro256StarStar
 
 DEFAULT_BUDGET = 10_000_000
 MAX_SEARCH_ORDER = 10**6    # search lists every element before the budget gate
+MAX_C_EXPONENT = 4300       # Fraction builds 10**|e| before any range check
 
 
 class ExperimentRecord(NamedTuple):
@@ -146,8 +146,7 @@ def summarize(records) -> str:
             f" b={best.b} {_sets_text(best.A, best.B)}")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """Parameters for :func:`search_extremal`.
 
     ``a`` and ``b`` are a single size or an inclusive (lo, hi) range.
@@ -347,6 +346,21 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
     return records
 
 
+def parse_c(value) -> Fraction:
+    """``c`` as an exact Fraction of a number or of text such as "1/2" or
+    "5e-1"; text whose decimal exponent exceeds ``MAX_C_EXPONENT`` in
+    magnitude is refused before ``Fraction`` expands it."""
+    _, e, exponent = (value.lower() if isinstance(value, str) else "").rpartition("e")
+    try:
+        huge = bool(e) and abs(int(exponent)) > MAX_C_EXPONENT
+    except ValueError:
+        huge = False    # not an exponent; Fraction judges the text
+    if huge:
+        raise InvalidParametersError(
+            f"c = {value!r} has a decimal exponent beyond ±{MAX_C_EXPONENT}")
+    return Fraction(value)
+
+
 def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
                         h: str = "x", theta_count: int | None = None,
                         seed: int = 0, random_a: bool = False,
@@ -367,9 +381,10 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
     if not isinstance(m, int) or m < 1 or m >= field.n or field.n % m != 0:
         raise NotProperDivisorError(
             f"m = {m} must properly divide the extension degree {field.n}")
-    c = Fraction(c_fraction)
+    c = parse_c(c_fraction)
     if not 0 < c < 1:
-        raise InvalidParametersError(f"c must satisfy 0 < c < 1, got {c}")
+        # c_fraction as given: a huge c may have too many digits to print
+        raise InvalidParametersError(f"c must satisfy 0 < c < 1, got {c_fraction}")
     if parallelism < 1:
         raise InvalidParametersError(f"parallelism must be >= 1, got {parallelism}")
     g_poly = parse_poly(g, field)

@@ -70,11 +70,8 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        zero = self.field.zero()
         size = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field,
-                    [self.coefficient(i) + o.coefficient(i) for i in range(size)]
-                    or [zero])
+        return Poly(self.field, [self.coefficient(i) + o.coefficient(i) for i in range(size)])
 
     __radd__ = __add__
 
@@ -82,9 +79,7 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        size = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field,
-                    [self.coefficient(i) - o.coefficient(i) for i in range(size)])
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)

@@ -9,8 +9,6 @@ reads, so one failing line always reproduces.
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 
 from . import bound as bound_mod
 from .bound import INF, check_instance, corollary_bound, theorem_bound
@@ -86,15 +84,17 @@ def _check_bound_examples():
     return True, "frozen examples and 500 random dominations"
 
 
-def _check_certificates():
+def _f13_instance():
     F13 = prime_field(13)
-    inst, violations = check_instance(
-        F13, parse_poly("x^2", F13), parse_poly("x", F13),
-        [F13.element(v) for v in (1, 2, 3, 4, 5, 6)],
-        [F13.element(v) for v in (0, 1, 2, 3)])
+    return check_instance(F13, parse_poly("x^2", F13), parse_poly("x", F13),
+                          range(1, 7), range(4))
+
+
+def _check_certificates():
+    inst, violations = _f13_instance()
     if violations:
         return False, f"unexpected violations: {violations}"
-    cert = build_certificate(inst, [F13.element(v) for v in (0, 1, 2, 3, 4)])
+    cert = build_certificate(inst, range(5))
     if not cert.identity_holds or str(cert.predicted) != "10":
         return False, "F_13 certificate identity failed"
     if not verify_beta(cert.beta, inst.B, 4):
@@ -114,12 +114,8 @@ def _check_certificates():
 
 
 def _check_refutation():
-    F13 = prime_field(13)
-    inst, _ = check_instance(
-        F13, parse_poly("x^2", F13), parse_poly("x", F13),
-        [F13.element(v) for v in (1, 2, 3, 4, 5, 6)],
-        [F13.element(v) for v in (0, 1, 2, 3)])
-    rep = refute_cover(inst, [F13.element(v) for v in (0, 1, 2, 3, 4)])
+    inst, _ = _f13_instance()
+    rep = refute_cover(inst, range(5))
     value = inst.g(rep.witness_x) + rep.witness_y * inst.h(rep.witness_x)
     if rep.covers or value != rep.witness_value or rep.witness_value in set(rep.certificate.C):
         return False, "witness does not escape C"
@@ -155,11 +151,11 @@ def _check_search_determinism():
 
 
 def _check_subfield_baseline():
-    recs = subfield_experiment("3^2", 1, Fraction(1, 2))
+    recs = subfield_experiment("3^2", 1, "1/2")
     base = recs[0]
     if base.image_size != 3 or base.slack != 0 or base.subfield_distance != 0:
         return False, "baseline B = K should reproduce K exactly"
-    floor_proved = math.floor((1 + Fraction(1, 2) / 2) * 3 - 1)
+    floor_proved = (4 + 1) * 3 // 4 - 1    # floor((1 + c/2) * 3 - 1) at c = 1/2
     for r in recs[1:]:
         if r.proved_threshold != floor_proved:
             return False, f"proved threshold {r.proved_threshold} != {floor_proved}"

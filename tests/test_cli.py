@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -482,6 +481,39 @@ def test_subfield_bad_fraction_exit_2(tmp_path):
     assert code == 2 and err.startswith("error: bad numeric option")
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_subfield_huge_c_exponent_exits_2_at_once(tmp_path, source):
+    # Fraction would build 10^99999999999 first; a child process makes a
+    # regression fail on the timeout instead of hanging the suite.
+    import os
+    import subprocess
+    import sys
+
+    import expanderlab
+    src = os.path.dirname(os.path.dirname(expanderlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["subfield", "--field", "3^2", "--m", "1", "--c-fraction", "1e-99999999999"]
+    if source == "config":
+        cfg = tmp_path / "sub.cfg"
+        cfg.write_text("field=3^2\nm=1\nc_fraction=1e-99999999999\n")
+        argv = ["subfield", "--config", str(cfg)]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "expanderlab", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "exponent" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_subfield_reports_huge_c_as_given():
+    # 10^4300 has more digits than int-to-text conversion allows.
+    code, _, err = run_cli("subfield", "--field", "3^2", "--m", "1",
+                           "--c-fraction", "1e4300")
+    assert code == 2 and err == "error: c must satisfy 0 < c < 1, got 1e4300\n"
+
+
 def test_out_under_missing_directory_exit_2(tmp_path):
     out = str(tmp_path / "missing" / "x.csv")
     code, stdout, err = run_cli("search", "--field", "5", "--g", "x^2", "--h", "x",
@@ -611,8 +643,8 @@ def test_negative_slack_exits_1_with_nothing_on_stdout(monkeypatch, argv):
 
 def test_certify_exits_1_when_the_identity_fails(monkeypatch):
     build = cli.build_certificate
-    monkeypatch.setattr(cli, "build_certificate", lambda inst, C: dataclasses.replace(
-        build(inst, C), pointwise=inst.field.element(0)))
+    monkeypatch.setattr(cli, "build_certificate", lambda inst, C: build(inst, C)._replace(
+        pointwise=inst.field.element(0)))
     code, _, err = run_cli("certify", "--field", "13", "--g", "x^2", "--h", "x",
                            "--A", "1,2,3,4,5,6", "--B", "0,1,2,3", "--seed", "7")
     assert code == 1

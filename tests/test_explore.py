@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import functools
 import io
 import math
@@ -20,6 +19,7 @@ from expanderlab.errors import (
 )
 from expanderlab.explore import (
     CSV_COLUMNS,
+    MAX_C_EXPONENT,
     ExperimentRecord,
     SearchConfig,
     nearest_subfield_distance,
@@ -274,7 +274,7 @@ def test_search_random_budget_counts_value_evaluations():
                           sample_count=5, budget=49)
     with pytest.raises(BudgetExceededError, match="needs 50 value evaluations"):
         search_extremal(config)
-    assert len(search_extremal(dataclasses.replace(config, budget=50))) == 10
+    assert len(search_extremal(config._replace(budget=50))) == 10
 
 
 def test_search_budget_prices_the_usable_pool():
@@ -625,6 +625,19 @@ def test_subfield_rejects_bad_divisors_and_fractions():
     for bad_c in (0, 1, Fraction(3, 2), -1):
         with pytest.raises(InvalidParametersError):
             subfield_experiment("3^2", 1, bad_c)
+
+
+def test_subfield_refuses_a_c_exponent_past_the_bound():
+    # 4301 is just past the bound, and Fraction expands it quickly, so a
+    # missing guard fails here instead of hanging.
+    assert MAX_C_EXPONENT == 4300
+    with pytest.raises(InvalidParametersError, match="exponent"):
+        subfield_experiment("3^2", 1, "1e-4301")
+    with pytest.raises(InvalidParametersError, match="exponent"):
+        subfield_experiment("3^2", 1, "5E+4301")
+    recs = subfield_experiment("3^2", 1, "1e-4300")     # A is one element
+    assert recs[0].a == 1
+    assert (recs[1].proved_threshold, recs[1].conjectured_threshold) == (2, 2)
 
 
 def test_subfield_custom_polynomials():
