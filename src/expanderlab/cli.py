@@ -3,10 +3,12 @@
 Subcommands: bound, image, certify, search, subfield, selftest.  Data goes
 to stdout (or --out); diagnostics, violations, and summary lines go to
 stderr.  Exit codes: 0 success, 1 a proved identity failed to replay
-(a bug, not bad input), 2 invalid input or parameters.
+(a bug, not bad input), 2 invalid input or parameters, 141 the reader
+closed the output pipe.
 
 search and subfield accept --config FILE with flat key=value lines;
-explicit flags override the file.  The environment variable
+explicit flags override the file, and what neither gives takes its default
+from SearchConfig or subfield_experiment.  The environment variable
 EXPANDER_LAB_BUDGET overrides the built-in search budget and is itself
 overridden by a config file or flag.  No output contains timestamps or
 machine identifiers: the same invocation produces the same bytes.
@@ -29,7 +31,6 @@ from .bound import (
 from .certificate import build_certificate
 from .errors import InternalInvariantError, InvalidParametersError, ParseError, ValidationError
 from .explore import (
-    DEFAULT_BUDGET,
     FORMATS,
     SearchConfig,
     negative_slack_error,
@@ -72,8 +73,6 @@ def _parse_sizes(text: str):
 
 
 def _parse_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
     s = str(value).strip().lower()
     if s in ("1", "true", "yes", "on"):
         return True
@@ -101,27 +100,34 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _merge_options(args, defaults: dict) -> dict:
-    """defaults, then config file entries, then explicit flags."""
-    opts = dict(defaults)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        for key, value in _read_config(cfg_path).items():
-            if key not in defaults:
+def _given(args, keys: tuple, *required: str) -> dict:
+    """The options given among ``keys``: config file entries, then explicit
+    flags on top.  Missing ``required`` ones are named in one error."""
+    opts = {}
+    if getattr(args, "config", None):
+        for key, value in _read_config(args.config).items():
+            if key not in keys:
                 raise InvalidParametersError(f"unknown config key {key!r}")
             opts[key] = value
-    for key in defaults:
-        if hasattr(args, key):
-            opts[key] = getattr(args, key)
+    opts.update((key, value) for key, value in vars(args).items() if key in keys)
+    missing = [key for key in required if key not in opts]
+    if missing:
+        raise InvalidParametersError("missing required option(s): " + ", ".join(
+            "--" + key.replace("_", "-") for key in missing))
     return opts
 
 
-def _require(opts: dict, *keys: str) -> None:
-    missing = [k for k in keys if opts[k] is None]
-    if missing:
-        raise InvalidParametersError(
-            "missing required option(s): " + ", ".join("--" + k.replace("_", "-")
-                                                       for k in missing))
+def _numbers(opts: dict, *keys: str) -> None:
+    """int() the given ``keys`` in order; c_fraction is only checked, since
+    the library reads its text.  A bad value is a bad numeric option."""
+    try:
+        for key in keys:
+            if key == "c_fraction":
+                parse_c(opts[key])
+            elif key in opts:
+                opts[key] = int(opts[key])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParametersError(f"bad numeric option: {exc}") from None
 
 
 def _emit(write, out_path: str | None) -> None:
@@ -136,13 +142,13 @@ def _emit(write, out_path: str | None) -> None:
         raise InvalidParametersError(f"cannot write {out_path}: {exc}") from None
 
 
-def _emit_records(records, opts: dict) -> None:
+def _emit_records(records, output: dict) -> None:
     """Records to stdout or --out, then the summary to stderr.  A format
     from a config file is checked here, after the run, before --out opens."""
-    fmt = str(opts["format"])
+    fmt = output.get("format", "csv")
     if fmt not in FORMATS:
         raise InvalidParametersError(f"unknown format {fmt!r}")
-    _emit(lambda out: write_records(records, fmt, out), opts["out"])
+    _emit(lambda out: write_records(records, fmt, out), output.get("out"))
     print(summarize(records), file=sys.stderr)
 
 
@@ -246,57 +252,35 @@ def cmd_certify(args) -> int:
 # -- search ----------------------------------------------------------------------
 
 
-_SEARCH_DEFAULTS = dict(field=None, g=None, h=None, a=None, b=None,
-                        mode="exhaustive", sample_count="100", seed="0",
-                        parallelism="1", budget=None, format="csv", out=None)
+_OUTPUT_KEYS = ("format", "out")
+_SEARCH_KEYS = SearchConfig._fields + _OUTPUT_KEYS
 
 
 def cmd_search(args) -> int:
-    opts = _merge_options(args, _SEARCH_DEFAULTS)
-    _require(opts, "field", "g", "h", "a", "b")
-    budget = opts["budget"]
-    if budget is None:
-        budget = os.environ.get(_ENV_BUDGET, DEFAULT_BUDGET)
-    a, b = _parse_sizes(opts["a"]), _parse_sizes(opts["b"])
-    try:
-        config = SearchConfig(
-            field=opts["field"], g=opts["g"], h=opts["h"], a=a, b=b,
-            mode=str(opts["mode"]),
-            sample_count=int(opts["sample_count"]),
-            seed=int(opts["seed"]),
-            parallelism=int(opts["parallelism"]),
-            budget=int(budget),
-        )
-    except ValueError as exc:
-        raise InvalidParametersError(f"bad numeric option: {exc}") from None
-    _emit_records(search_extremal(config), opts)
+    opts = _given(args, _SEARCH_KEYS, "field", "g", "h", "a", "b")
+    output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
+    if "budget" not in opts and _ENV_BUDGET in os.environ:
+        opts["budget"] = os.environ[_ENV_BUDGET]
+    opts["a"], opts["b"] = _parse_sizes(opts["a"]), _parse_sizes(opts["b"])
+    _numbers(opts, "sample_count", "seed", "parallelism", "budget")
+    _emit_records(search_extremal(SearchConfig(**opts)), output)
     return 0
 
 
 # -- subfield ----------------------------------------------------------------------
 
 
-_SUBFIELD_DEFAULTS = dict(field=None, m=None, c_fraction=None, g="x^2", h="x",
-                          theta_count=None, seed="0", random_a=False,
-                          parallelism="1", format="csv", out=None)
+_SUBFIELD_KEYS = ("field", "m", "c_fraction", "g", "h", "theta_count", "seed",
+                  "random_a", "parallelism") + _OUTPUT_KEYS
 
 
 def cmd_subfield(args) -> int:
-    opts = _merge_options(args, _SUBFIELD_DEFAULTS)
-    _require(opts, "field", "m", "c_fraction")
-    try:
-        c_text = str(opts["c_fraction"])
-        parse_c(c_text)     # bad text is a bad numeric option
-        m = int(opts["m"])
-        theta_count = None if opts["theta_count"] is None else int(opts["theta_count"])
-        seed = int(opts["seed"])
-        parallelism = int(opts["parallelism"])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParametersError(f"bad numeric option: {exc}") from None
-    _emit_records(subfield_experiment(
-        str(opts["field"]), m, c_text, g=str(opts["g"]), h=str(opts["h"]),
-        theta_count=theta_count, seed=seed,
-        random_a=_parse_bool(opts["random_a"]), parallelism=parallelism), opts)
+    opts = _given(args, _SUBFIELD_KEYS, "field", "m", "c_fraction")
+    output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
+    _numbers(opts, "c_fraction", "m", "theta_count", "seed", "parallelism")
+    if "random_a" in opts:
+        opts["random_a"] = _parse_bool(opts["random_a"])
+    _emit_records(subfield_experiment(**opts), output)
     return 0
 
 
@@ -322,6 +306,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "image sets {g(x) + y*h(x)} over finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # image and certify: one explicit instance
+    instance = argparse.ArgumentParser(add_help=False)
+    for flag in ("--field", "--g", "--h"):
+        instance.add_argument(flag, required=True)
+    for flag in ("--A", "--B"):
+        instance.add_argument(flag, required=True, help="comma-separated elements")
+
+    # search and subfield: only the options given reach the namespace, so
+    # config entries and the library's defaults fill in the rest
+    sweep = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for flag in ("--field", "--g", "--h", "--seed", "--out"):
+        sweep.add_argument(flag)
+    sweep.add_argument("--parallelism",
+                        help="must be >= 1; evaluation is single-threaded")
+    sweep.add_argument("--format", choices=FORMATS)
+    sweep.add_argument("--config", help="key=value file; flags override it")
+
     p = sub.add_parser("bound", help="compute the lower bound for sizes (a, b)")
     p.add_argument("--field", required=True,
                    help="prime, p^n, p^n/modulus, or inf")
@@ -332,21 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", help="polynomial h in x")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("image", help="evaluate the exact image of one instance")
-    p.add_argument("--field", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--A", required=True, help="comma-separated elements")
-    p.add_argument("--B", required=True, help="comma-separated elements")
+    p = sub.add_parser("image", parents=[instance],
+                       help="evaluate the exact image of one instance")
     p.set_defaults(func=cmd_image)
 
-    p = sub.add_parser("certify",
+    p = sub.add_parser("certify", parents=[instance],
                        help="build and replay a certificate for one instance")
-    p.add_argument("--field", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--C", help="explicit candidate set, comma-separated")
     group.add_argument("--k", type=int,
@@ -356,50 +348,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the certificate JSON here instead of stdout")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("search",
+    p = sub.add_parser("search", parents=[sweep], argument_default=argparse.SUPPRESS,
                        help="sweep (A, B) pairs and rank them by slack")
-    p.add_argument("--field", default=argparse.SUPPRESS)
-    p.add_argument("--g", default=argparse.SUPPRESS)
-    p.add_argument("--h", default=argparse.SUPPRESS)
-    p.add_argument("--a", default=argparse.SUPPRESS, help="|A| as N or LO-HI")
-    p.add_argument("--b", default=argparse.SUPPRESS, help="|B| as N or LO-HI")
-    p.add_argument("--mode", choices=("exhaustive", "random"),
-                   default=argparse.SUPPRESS)
-    p.add_argument("--sample-count", dest="sample_count", default=argparse.SUPPRESS)
-    p.add_argument("--seed", default=argparse.SUPPRESS)
-    p.add_argument("--parallelism", default=argparse.SUPPRESS,
-                   help="must be >= 1; evaluation is single-threaded")
-    p.add_argument("--budget", default=argparse.SUPPRESS,
+    p.add_argument("--a", help="|A| as N or LO-HI")
+    p.add_argument("--b", help="|B| as N or LO-HI")
+    p.add_argument("--mode", choices=("exhaustive", "random"))
+    p.add_argument("--sample-count")
+    p.add_argument("--budget",
                    help="work budget: pairs in exhaustive mode, value "
                         f"evaluations in random mode (or ${_ENV_BUDGET})")
-    p.add_argument("--format", choices=FORMATS,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--out", default=argparse.SUPPRESS)
-    p.add_argument("--config", help="key=value file; flags override it")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("subfield",
+    p = sub.add_parser("subfield", parents=[sweep], argument_default=argparse.SUPPRESS,
                        help="measure image growth over a subfield plus one point")
-    p.add_argument("--field", default=argparse.SUPPRESS)
-    p.add_argument("--m", default=argparse.SUPPRESS,
-                   help="subfield degree, a proper divisor of n")
-    p.add_argument("--c-fraction", dest="c_fraction", default=argparse.SUPPRESS,
-                   help="|A| = ceil(c * p^m), 0 < c < 1")
-    p.add_argument("--g", default=argparse.SUPPRESS)
-    p.add_argument("--h", default=argparse.SUPPRESS)
-    p.add_argument("--theta-count", dest="theta_count", default=argparse.SUPPRESS,
-                   help="sample this many external points instead of all")
-    p.add_argument("--seed", default=argparse.SUPPRESS)
-    p.add_argument("--random-a", dest="random_a", action="store_true",
-                   default=argparse.SUPPRESS,
+    p.add_argument("--m", help="subfield degree, a proper divisor of n")
+    p.add_argument("--c-fraction", help="|A| = ceil(c * p^m), 0 < c < 1")
+    p.add_argument("--theta-count", help="sample this many external points instead of all")
+    p.add_argument("--random-a", action="store_true",
                    help="draw A at random from the subfield instead of "
                         "taking the first elements")
-    p.add_argument("--parallelism", default=argparse.SUPPRESS,
-                   help="must be >= 1; evaluation is single-threaded")
-    p.add_argument("--format", choices=FORMATS,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--out", default=argparse.SUPPRESS)
-    p.add_argument("--config", help="key=value file; flags override it")
     p.set_defaults(func=cmd_subfield)
 
     p = sub.add_parser("selftest", help="run the embedded check suite")
@@ -409,10 +376,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: the final flush goes to /dev/null, and
+        # the exit code is a shell's for a writer stopped by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

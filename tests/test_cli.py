@@ -558,7 +558,7 @@ def test_subfield_json_format():
 # tmp; flags override the file, so those two keys are merged but not used.
 CONFIG_BASES = {"search": {"field": "5", "g": "x^2", "h": "x", "a": "1-2", "b": "1-2"},
                 "subfield": {"field": "3^2", "m": "1", "c_fraction": "1/2"}}
-CONFIG_KEYS = sorted(set(cli._SEARCH_DEFAULTS) | set(cli._SUBFIELD_DEFAULTS))
+CONFIG_KEYS = sorted(set(cli._SEARCH_KEYS) | set(cli._SUBFIELD_KEYS))
 CONFIG_FIELDS = st.one_of(
     st.sampled_from(["5", "7", "3^2", "2^4", "5^2", "2^4/t^4+t+1", "4", "", "x"]),
     st.text("0123456789^/t", max_size=1))
@@ -674,3 +674,117 @@ def test_console_script_matches_module_entry():
     code, out, _ = run_cli("bound", "--field", "7", "--a", "3", "--b", "2",
                            "--d", "2")
     assert proc.stdout == out
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # About 1 MB of CSV, more than a pipe buffer holds: the writer meets the
+    # closed pipe mid-run and stops as a shell's writer does, without a trace.
+    import os
+    import subprocess
+    import sys
+
+    import expanderlab
+    src = os.path.dirname(os.path.dirname(expanderlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "expanderlab", "search", "--field", "13", "--g", "x^2",
+         "--h", "x", "--a", "2-3", "--b", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"field,g,h,")
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+# -- validation paths --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the MAX_EXPONENT memory guard, for a polynomial and for a modulus
+    ("bound --field 5 --a 3 --b 2 --g x^1000001 --h x",
+     "error: exponent 1000001 in 'x^1000001' exceeds 1000000\n"),
+    ("bound --field 3^2/t^1000001+1 --a 3 --b 2 --d 1",
+     "error: exponent 1000001 in 't^1000001+1' exceeds 1000000\n"),
+    ("search --field 5 --g x^2 --h x --a 2 --b 2 --mode random --sample-count 0",
+     "error: sample_count must be >= 1, got 0\n"),
+    ("subfield --field 3^2 --m 1 --c-fraction 1/2 --parallelism 0",
+     "error: parallelism must be >= 1, got 0\n"),
+    # h = x^3 - x vanishes on all of F_3
+    ("subfield --field 3^2 --m 1 --c-fraction 1/2 --g x^4 --h x^3-x",
+     "error: no usable subfield elements for A\n"),
+    ("certify --field 13 --g x^2 --h x --A 0,1,2 --B 0,1",
+     "invalid instance:\n  A contains root 0 of h\n"),
+    ("certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1 --k 20",
+     "error: cannot draw 20 distinct elements from a field of order 13\n"),
+])
+def test_validation_paths_exit_2(argv, message):
+    assert run_cli(*argv.split()) == (2, "", message)
+
+
+SUBFIELD_RANDOM = ("subfield", "--field", "5^2", "--m", "1", "--c-fraction", "1/2",
+                   "--theta-count", "2", "--seed", "2", "--format", "plain")
+
+
+@pytest.mark.parametrize("value, flag", [
+    ("yes", True), ("1", True), ("off", False), ("no", False)])
+def test_random_a_from_a_config_file(tmp_path, value, flag):
+    # Plain output, since the CSV has no A column; seed 2 draws A={1,3,4},
+    # the first elements are A={1,2,3}.
+    cfg = tmp_path / "sub.cfg"
+    cfg.write_text(f"random_a={value}\n")
+    code, out, err = run_cli(*SUBFIELD_RANDOM, "--config", str(cfg))
+    assert (code, out, err) == run_cli(*SUBFIELD_RANDOM, *["--random-a"] * flag)
+    assert ("A={1,3,4}" if flag else "A={1,2,3}") in out
+
+
+def test_random_a_config_value_must_be_a_boolean(tmp_path):
+    cfg = tmp_path / "sub.cfg"
+    cfg.write_text("random_a=maybe\n")
+    assert run_cli(*SUBFIELD_RANDOM, "--config", str(cfg)) == (
+        2, "", "error: expected a boolean, got 'maybe'\n")
+
+
+# -- the CLI surface ---------------------------------------------------------------
+
+
+CLI_OPTIONS = {
+    "bound": "--field --a --b --d --g --h",
+    "image": "--field --g --h --A --B",
+    "certify": "--field --g --h --A --B --C --k --seed --out",
+    "search": "--field --g --h --a --b --mode --sample-count --seed --parallelism "
+              "--budget --format --out --config",
+    "subfield": "--field --m --c-fraction --g --h --theta-count --seed --random-a "
+                "--parallelism --format --out --config",
+    "selftest": "",
+}
+
+
+def _subparsers():
+    import argparse
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_cli_surface_is_pinned():
+    subparsers = _subparsers()
+    assert sorted(subparsers) == sorted(CLI_OPTIONS)
+    for command, options in CLI_OPTIONS.items():
+        given = sorted(s for a in subparsers[command]._actions for s in a.option_strings)
+        assert given == sorted(["-h", "--help", *options.split()]), command
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("search", cli._SEARCH_KEYS), ("subfield", cli._SUBFIELD_KEYS)])
+def test_config_keys_are_the_flag_destinations(command, keys):
+    dests = {a.dest for a in _subparsers()[command]._actions}
+    assert dests - {"help", "config"} == set(keys)
+
+
+@pytest.mark.parametrize("command", ["", *CLI_OPTIONS])
+def test_help_exits_0(command):
+    code, out, _ = run_cli(*command.split(), "--help")
+    assert code == 0 and out.startswith("usage: expander-lab")
