@@ -6,7 +6,8 @@ bound on its size, replays the underlying algebraic identity as a
 checkable certificate, and runs brute-force experiments probing how sharp
 the bound is, in particular when B is a subfield plus one point.
 
-Everything is exact: field elements are coefficient vectors over F_p, no
+Everything is exact: a field element is its index in one canonical order
+of the field (its base-p digits are its coefficients over F_p), no
 floats enter any computation, and all sampling flows through one seeded
 generator so every run is reproducible bit for bit.
 """

@@ -1,15 +1,17 @@
 """Exact arithmetic in prime fields F_p and extensions F_{p^n}.
 
-Elements are coefficient vectors in the power basis of the modulus root
-``t``; :class:`FieldElem` arithmetic is exact integer arithmetic mod p on
-them, the reference for add, subtract and multiply.  The hot loops run on
-element indices with :meth:`Field.index_ops`: arithmetic mod p, or in an
-extension exp/log and Zech tables (alpha^e + 1 = alpha^Z[e]; Huber, IEEE
-Trans. Inf. Theory 36(4), 1990), built on the field's first call.  The
-same tables invert extension elements and list the proper subfields in
-closed form.  Fields in scope are desk-sized (``MAX_CHARACTERISTIC``,
-``MAX_EXTENSION_ORDER``), so the primality, irreducibility, root and
-primitive-element searches are deliberately brute force.
+A :class:`FieldElem` is its index in the canonical enumeration: the
+base-p digits of the index are its coefficients in the power basis of the
+modulus root ``t``, lowest first.  All element arithmetic is
+:meth:`Field.index_ops` on indices: arithmetic mod p in a prime field, or
+in an extension exp/log and Zech tables (alpha^e + 1 = alpha^Z[e]; Huber,
+IEEE Trans. Inf. Theory 36(4), 1990), built on the field's first
+arithmetic and checked while they are filled.  The same tables list the
+proper subfields in closed form.  Coefficient vectors are multiplied and
+reduced only to fill the tables and to test irreducibility.  Fields in
+scope are desk-sized (``MAX_CHARACTERISTIC``, ``MAX_EXTENSION_ORDER``), so
+the primality, irreducibility, root and primitive-element searches are
+deliberately brute force.
 
 Text formats:
   field    "5", "3^2" (default modulus), "3^2/t^2+1" (explicit modulus)
@@ -25,9 +27,11 @@ repeated exponents summed, no empty term, exponents <= ``MAX_EXPONENT``.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import (
     FieldMismatchError,
+    InternalInvariantError,
     InvalidParametersError,
     NotDivisorError,
     NotIrreducibleError,
@@ -64,8 +68,8 @@ def is_prime(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Internal helpers on raw coefficient lists over F_p (index = degree).
-# Used for modulus arithmetic before any Field object exists.
+# Internal helpers on raw coefficient lists over F_p (index = degree), for
+# the modulus checks and for filling an extension's tables.
 
 
 def _vec_trim(u: list[int]) -> list[int]:
@@ -231,7 +235,11 @@ class Field:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_subfields", {})
-        object.__setattr__(self, "_tables", None)   # (exp, index ops), built on first use
+        # (exp, index ops): a prime field's now, an extension's on first use.
+        object.__setattr__(self, "_tables", None if n > 1 else (None, (
+            lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+            lambda a, b: a * b % p,
+            lambda a: pow(a, -1, p) if a else self._invert_zero())))
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -260,10 +268,10 @@ class Field:
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> FieldElem:
-        return FieldElem(self, (0,) * self.n)
+        return FieldElem(self, 0)
 
     def one(self) -> FieldElem:
-        return FieldElem(self, (1,) + (0,) * (self.n - 1))
+        return FieldElem(self, 1)
 
     def element(self, value) -> FieldElem:
         """Build an element from an integer (constant embed), coefficient
@@ -273,32 +281,27 @@ class Field:
                 raise FieldMismatchError(f"element of {value.field} used in {self}")
             return value
         if isinstance(value, int):
-            return FieldElem(self, (value % self.p,) + (0,) * (self.n - 1))
-        coeffs = tuple(int(c) % self.p for c in value)
+            return FieldElem(self, value % self.p)
+        coeffs = [int(c) % self.p for c in value]
         if len(coeffs) != self.n:
             raise ParseError(f"need {self.n} coefficients, got {len(coeffs)}")
-        return FieldElem(self, coeffs)
+        return FieldElem(self, sum(c * self.p ** k for k, c in enumerate(coeffs)))
 
     def from_index(self, i: int) -> FieldElem:
         """Element number i in the canonical enumeration (base-p digits,
         coeffs[0] least significant)."""
         if not 0 <= i < self.order:
             raise ParseError(f"index {i} out of range for {self}")
-        coeffs = []
-        for _ in range(self.n):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return FieldElem(self, tuple(coeffs))
+        return FieldElem(self, i)
 
     def parse_element(self, text: str) -> FieldElem:
-        terms = _parse_terms(text, "t", int)
-        coeffs = [0] * self.n
-        for exp, c in terms.items():
+        i = 0
+        for exp, c in _parse_terms(text, "t", int).items():
             if exp >= self.n:
                 raise ParseError(
                     f"{text!r}: exponent {exp} outside the power basis of {self}")
-            coeffs[exp] = (coeffs[exp] + c) % self.p
-        return FieldElem(self, tuple(coeffs))
+            i += c % self.p * self.p ** exp
+        return FieldElem(self, i)
 
     # -- enumeration and subfields -------------------------------------------
 
@@ -316,49 +319,29 @@ class Field:
         sub = self._subfields.get(m)
         if sub is None:
             if m == self.n:
-                sub = tuple(self.from_index(i) for i in range(self.order))
+                sub = tuple(FieldElem(self, i) for i in range(self.order))
             else:
-                exp = self._log_tables()[0]
+                self.index_ops()      # an extension's exp table, built on first use
+                exp = self._tables[0]
                 step = (self.order - 1) // (self.p ** m - 1)
-                sub = tuple(map(self.from_index, sorted([0, *exp[::step]])))
+                sub = tuple(FieldElem(self, i) for i in sorted([0, *exp[::step]]))
             self._subfields[m] = sub
         return sub
 
-    # -- arithmetic backends (called by FieldElem dunders) -------------------
-
-    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        if self.n == 1:
-            return ((a[0] * b[0]) % self.p,)
-        prod = _vec_mul(list(a), list(b), self.p)
-        red = _vec_mod(prod, list(self.modulus), self.p)
-        return tuple(red) + (0,) * (self.n - len(red))
-
-    def _inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError(f"inverse of zero in {self}")
-        if self.n == 1:
-            return (pow(a[0], self.p - 2, self.p),)
-        inv = self.index_ops()[3]
-        return self.from_index(inv(FieldElem(self, a).index())).coeffs
-
-    # -- arithmetic on canonical indices (the kernels' hot loops) ------------
+    # -- arithmetic on canonical indices -------------------------------------
 
     def index_ops(self):
-        """``(add, sub, mul, inv)`` on canonical element indices.  In a prime
-        field they are arithmetic mod p; in an extension they read the
-        tables of :meth:`_build_tables`, built in O(q) steps on the first
-        call and then reused."""
-        if self.n == 1:
-            p = self.p
-            return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
-                    lambda a, b: a * b % p, lambda a: self._inv((a,))[0])
-        return self._log_tables()[1]
-
-    def _log_tables(self):
-        """``(exp, index ops)`` of an extension, built once."""
+        """``(add, sub, mul, inv)`` on canonical element indices, behind
+        every :class:`FieldElem` operator and the kernels' hot loops.  In a
+        prime field they are arithmetic mod p, built with the field; in an
+        extension they read the tables of :meth:`_build_tables`, built in
+        O(q) steps on the first call and then reused."""
         if self._tables is None:
             object.__setattr__(self, "_tables", self._build_tables())
-        return self._tables
+        return self._tables[1]
+
+    def _invert_zero(self):
+        raise ZeroDivisionError(f"inverse of zero in {self}")
 
     def _build_tables(self):
         """``(exp, (add, sub, mul, inv))``: index ops from three tables over
@@ -367,11 +350,18 @@ class Field:
         index of alpha^e, log inverts it (log[0] is None), and alpha^e + 1 =
         alpha^zech[e], read off exp[e] + 1 in digit 0.  Multiply and invert
         are one lookup; add is three, alpha^a + alpha^b = alpha^(a + zech[b-a]),
-        and subtract adds -1 = alpha^((q-1)/2), or 1 when p = 2."""
+        and subtract adds -1 = alpha^((q-1)/2), or 1 when p = 2.  An index
+        met twice while exp is filled means alpha is not primitive or x ->
+        x * alpha is not a bijection; it raises InternalInvariantError."""
         p, n, q, Q = self.p, self.n, self.order, self.order - 1
+        modulus = list(self.modulus)
+
+        def vec_mul(u, v):
+            return _vec_mod(_vec_mul(u, v, p), modulus, p)
+
         primes = [r for r in range(2, q) if Q % r == 0 and is_prime(r)]
-        alpha = next(a.coeffs for a in map(self.from_index, range(p, q))
-                     if all(_power(a, Q // r, self.one()) != 1 for r in primes))
+        alpha = next(a for a in (FieldElem(self, i).coeffs for i in range(p, q))
+                     if all(_power(a, Q // r, [1], vec_mul) != [1] for r in primes))
         # times[x], the index of x * alpha, is linear in x: with d p^j the
         # lowest nonzero digit of x, it is times[x - d p^j] plus the digits
         # of d t^j alpha, which are few unless t^j alpha wraps past t^n.
@@ -380,7 +370,7 @@ class Field:
             for d in range(1, p):
                 step = d * p ** j
                 digits = [(p ** k, c) for k, c in
-                          enumerate(self._mul(self.from_index(step).coeffs, alpha)) if c]
+                          enumerate(vec_mul([0] * j + [d], alpha)) if c]
                 for y in range(0, q, p ** (j + 1)):
                     v = times[y]
                     for w, c in digits:
@@ -389,6 +379,9 @@ class Field:
                     times[y + step] = v
         exp, log, x = [], [None] * q, 1
         for e in range(Q):
+            if log[x] is not None:
+                raise InternalInvariantError(
+                    f"index {x} repeats at alpha^{e} in the exp table of {self}")
             exp.append(x)
             log[x] = e
             x = times[x]
@@ -403,107 +396,106 @@ class Field:
 
         return exp, (add, lambda a, b: add(a, exp[(log[b] + half) % Q]) if b else a,
                      lambda a, b: exp[(log[a] + log[b]) % Q] if a and b else 0,
-                     lambda a: exp[-log[a] % Q] if a else self._inv((0,) * n))
+                     lambda a: exp[-log[a] % Q] if a else self._invert_zero())
 
 
 class FieldElem:
-    """An element of a :class:`Field`, stored as a reduced coefficient tuple.
+    """An element of a :class:`Field`, stored as its canonical index.
 
-    Immutable and hashable; arithmetic via the usual operators.  Mixing
-    operands from different fields raises :class:`FieldMismatchError`;
-    plain ints are embedded as constants.
+    Immutable and hashable; arithmetic via the usual operators, all on the
+    field's index ops.  Mixing operands from different fields raises
+    :class:`FieldMismatchError`; plain ints are embedded as constants, and
+    an element hashes as its index, so a constant 0 <= c < p equals and
+    hashes as the int c.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_index")
 
-    def __init__(self, field: Field, coeffs: tuple[int, ...]):
+    def __init__(self, field: Field, index: int):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
 
-    def _coerce(self, other) -> FieldElem:
+    def _index_of(self, other):
+        """The index of an operand: an element of this field, or an int
+        embedded as a constant; NotImplemented for any other type."""
         if isinstance(other, FieldElem):
-            f = self.field
-            if other.field is f or other.field == f:
-                return other
+            if other.field is self.field or other.field == self.field:
+                return other._index
             raise FieldMismatchError(f"{other.field} element used in {self.field}")
         if isinstance(other, int):
-            return self.field.element(other)
+            return other % self.field.p
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        p = self.field.p
-        return FieldElem(self.field,
-                         tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        j, f = self._index_of(other), self.field
+        return j if j is NotImplemented else FieldElem(f, f.index_ops()[0](self._index, j))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        p = self.field.p
-        return FieldElem(self.field,
-                         tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        j, f = self._index_of(other), self.field
+        return j if j is NotImplemented else FieldElem(f, f.index_ops()[1](self._index, j))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        j, f = self._index_of(other), self.field
+        return j if j is NotImplemented else FieldElem(f, f.index_ops()[1](j, self._index))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElem(self.field, self.field._mul(self.coeffs, o.coeffs))
+        j, f = self._index_of(other), self.field
+        return j if j is NotImplemented else FieldElem(f, f.index_ops()[2](self._index, j))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElem(self.field, tuple((-a) % p for a in self.coeffs))
+        f = self.field
+        return FieldElem(f, f.index_ops()[1](0, self._index))
 
     def __pow__(self, e: int):
         return _power(self, e, self.field.one())
 
     def inverse(self) -> FieldElem:
-        return FieldElem(self.field, self.field._inv(self.coeffs))
+        f = self.field
+        return FieldElem(f, f.index_ops()[3](self._index))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        j = self._index_of(other)
+        return j if j is NotImplemented else self * FieldElem(self.field, j).inverse()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = self.field.element(other)
-        return (isinstance(other, FieldElem) and self.coeffs == other.coeffs
+        return (isinstance(other, FieldElem) and self._index == other._index
                 and self.field == other.field)
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.field.n, self.coeffs))
+        return hash(self._index)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self._index != 0
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self._index == 0
 
     def index(self) -> int:
         """Position in the canonical enumeration of the field."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * self.field.p + c
-        return acc
+        return self._index
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients in the power basis of t, lowest first: the base-p
+        digits of the index."""
+        p, i, out = self.field.p, self._index, []
+        for _ in range(self.field.n):
+            out.append(i % p)
+            i //= p
+        return tuple(out)
 
     def __str__(self) -> str:
+        if self.field.n == 1:
+            return str(self._index)
         return _render_terms(self.coeffs, "t")
 
     def __repr__(self) -> str:
@@ -526,15 +518,16 @@ def _render_terms(coeffs, var: str, text=str) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def _power(base, e: int, one):
-    """base**e for an integer e >= 0, by square-and-multiply from ``one``."""
+def _power(base, e: int, one, mul=operator.mul):
+    """base**e for an integer e >= 0, by square-and-multiply from ``one``
+    with the product ``mul``."""
     if not isinstance(e, int) or e < 0:
         raise ValueError("exponent must be a non-negative integer")
     acc = one
     while e:
         if e & 1:
-            acc = acc * base
-        base = base * base
+            acc = mul(acc, base)
+        base = mul(base, base)
         e >>= 1
     return acc
 
@@ -573,7 +566,7 @@ def _modulus_coeffs(modulus, p: int) -> tuple[int, ...]:
         if isinstance(c, FieldElem):
             if c.field.n != 1 or c.field.p != p:
                 raise FieldMismatchError("modulus coefficients must lie in the prime field")
-            out.append(c.coeffs[0])
+            out.append(c.index())
         else:
             out.append(int(c) % p)
     return tuple(out)

@@ -6,8 +6,8 @@ instead of closed-form coefficients, Gauss-Jordan elimination instead of
 Lagrange dual bases, a digit test of every k in range instead of
 enumerating the digit-dominating k, int sets of value indices instead of
 OR-ed bit masks, built symmetric differences instead of intersection
-counts, extended Euclid and Frobenius fixed points instead of log tables)
-so that agreement is evidence, not tautology.
+counts, coefficient vectors, extended Euclid and Frobenius fixed points
+instead of index tables) so that agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -19,6 +19,29 @@ from expanderlab import bound as bound_mod
 from expanderlab.bound import lucas_nonvanishing
 from expanderlab.explore import ExperimentRecord, negative_slack_error
 from expanderlab.field import _is_irreducible, _vec_mod, _vec_mul, _vec_trim
+
+
+def index_digits(i: int, p: int, n: int) -> list[int]:
+    """The coefficient vector of canonical index i, lowest first: its n
+    base-p digits."""
+    return [i // p ** k % p for k in range(n)]
+
+
+def digits_index(u, p: int) -> int:
+    """The canonical index of a coefficient vector, lowest first."""
+    return sum(c * p ** k for k, c in enumerate(u))
+
+
+def vector_add(u: list[int], v: list[int], p: int, sign: int = 1) -> list[int]:
+    """u + sign * v over F_p, coefficient by coefficient; the library adds
+    extension elements through its Zech table."""
+    return [(a + sign * b) % p for a, b in zip(u, v)]
+
+
+def vector_mul(u: list[int], v: list[int], m: list[int], p: int) -> list[int]:
+    """u * v modulo the monic m over F_p by schoolbook product and long
+    division; the library multiplies by exp/log tables."""
+    return _vec_mod(_vec_mul(u, v, p), m, p)
 
 
 def vector_inverse(u: list[int], m: list[int], p: int) -> list[int]:
@@ -52,10 +75,20 @@ def vector_inverse(u: list[int], m: list[int], p: int) -> list[int]:
 
 def frobenius_subfield(field, m: int) -> tuple:
     """The subfield of order p^m as the fixed points of a -> a^(p^m), tested
-    on every element by coefficient-vector powers; the library reads every
-    (q-1)/(p^m-1)-th power of a primitive element off its exp table."""
-    q_m = field.p ** m
-    return tuple(a for a in field.elements() if a ** q_m == a)
+    on every element by m rounds of p vector multiplies; the library reads
+    every (q-1)/(p^m-1)-th power of a primitive element off its exp table."""
+    p, modulus = field.p, list(field.modulus)
+
+    def fixed(u):
+        w = u
+        for _ in range(m):
+            base, w = w, [1]
+            for _ in range(p):
+                w = vector_mul(w, base, modulus, p)
+        return w == _vec_trim(list(u))
+
+    return tuple(a for a in field.elements()
+                 if fixed(index_digits(a.index(), p, field.n)))
 
 
 def smallest_irreducible_scan(p: int, n: int) -> tuple[int, ...]:

@@ -302,6 +302,9 @@ def test_search_parallelism_does_not_change_bytes():
     ("search --field 2^3 --g x^3+(t^2+1)*x --h (t+1)*x+(t^2+t) --a 1 --b 1-2 "
      "--format plain",
      "cffe22d9d38f51ee358e56b9de6986408b473001f3a0232be945cfe14409cd6d"),
+    # All theta on a 4,096-element field: element names of up to 12 terms.
+    ("subfield --field 2^12 --m 6 --c-fraction 1/2",
+     "b4102a018ee0aa9f72ea1955261b43f27f0cba0e5ec56788d0dc52c184064741"),
 ])
 def test_stdout_bytes_are_pinned(argv, sha256):
     # Digests of the stdout these runs have always produced.

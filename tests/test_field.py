@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expanderlab import field as field_module
 from expanderlab.errors import (
     FieldMismatchError,
+    InternalInvariantError,
     NotDivisorError,
     NotIrreducibleError,
     NotPrimeError,
@@ -20,7 +22,15 @@ from expanderlab.field import (
     prime_field,
 )
 from expanderlab.poly import Poly
-from oracles import frobenius_subfield, smallest_irreducible_scan, vector_inverse
+from oracles import (
+    digits_index,
+    frobenius_subfield,
+    index_digits,
+    smallest_irreducible_scan,
+    vector_add,
+    vector_inverse,
+    vector_mul,
+)
 
 
 def test_is_prime_small():
@@ -180,8 +190,9 @@ def _oracle_inverse(x):
 
 
 def test_fermat_inverse_matches_euclid_route():
-    # Prime fields invert by Fermat; extensions by their log tables.  The two
-    # agree on the prime subfield of an extension, and with extended Euclid.
+    # Prime fields invert by pow(a, -1, p); extensions by their log tables.
+    # The two agree on the prime subfield of an extension, and with the
+    # extended-Euclid oracle.
     P = prime_field(13)
     E = extension_field(13, 2)
     for v in range(1, 13):
@@ -223,33 +234,42 @@ def test_elements_cache_is_stable():
 
 
 def _index_ops_agree(field, pairs):
-    """The index ops on these element pairs equal FieldElem arithmetic, and
-    inv on every first element that is nonzero equals the extended-Euclid
-    oracle (FieldElem.inverse reads the same tables as inv)."""
+    """On these index pairs, the index ops and the FieldElem operators both
+    equal the coefficient-vector oracles: digit-wise add and subtract,
+    multiply reduced by the modulus, and the extended-Euclid inverse of every
+    nonzero first operand."""
+    p, n, modulus = field.p, field.n, list(field.modulus or (0, 1))
     add, sub, mul, inv = field.index_ops()
-    for x, y in pairs:
-        i, j = x.index(), y.index()
-        assert (add(i, j), sub(i, j), mul(i, j)) == (
-            (x + y).index(), (x - y).index(), (x * y).index()), (str(x), str(y))
+    for i, j in pairs:
+        u, v = index_digits(i, p, n), index_digits(j, p, n)
+        want = [digits_index(w, p) for w in (
+            vector_add(u, v, p), vector_add(u, v, p, -1), vector_mul(u, v, modulus, p))]
+        x, y = field.from_index(i), field.from_index(j)
+        assert [add(i, j), sub(i, j), mul(i, j)] == want, (str(x), str(y))
+        assert [(x + y).index(), (x - y).index(), (x * y).index()] == want, (str(x), str(y))
+        assert (-y).index() == digits_index(vector_add([0] * n, v, p, -1), p)
         if i:
-            assert inv(i) == _oracle_inverse(x).index()
+            u_inv = vector_inverse(u, modulus, p)
+            assert inv(i) == x.inverse().index() == digits_index(u_inv, p), str(x)
+            assert (y / x).index() == digits_index(vector_mul(v, u_inv, modulus, p), p)
     with pytest.raises(ZeroDivisionError):
         inv(0)
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inverse()
 
 
 @pytest.mark.parametrize("text", ["3^2", "2^4", "5^2", "2^6", "3^3", "7^2"])
 def test_index_ops_match_elements_on_all_pairs(text):
     field = parse_field(text)
-    _index_ops_agree(field, list(itertools.product(field.elements(), repeat=2)))
+    _index_ops_agree(field, itertools.product(range(field.order), repeat=2))
 
 
-@pytest.mark.parametrize("text", ["31^2", "2^8", "3^5"])
+@pytest.mark.parametrize("text", ["31^2", "2^8", "3^5", "2^16"])
 def test_index_ops_match_elements_on_random_pairs(text):
     field = parse_field(text)
     rng = random.Random(field.order)
-    pairs = [(field.from_index(rng.randrange(field.order)),
-              field.from_index(rng.randrange(field.order))) for _ in range(300)]
-    pairs += [(field.zero(), y) for _, y in pairs[:5]] + [(x, x) for x, _ in pairs[:5]]
+    pairs = [(rng.randrange(field.order), rng.randrange(field.order)) for _ in range(300)]
+    pairs += [(0, j) for _, j in pairs[:5]] + [(i, i) for i, _ in pairs[:5]]
     _index_ops_agree(field, pairs)
 
 
@@ -264,9 +284,28 @@ def _count_table_builds(monkeypatch):
 def test_prime_field_index_ops_are_arithmetic_mod_p(monkeypatch, p):
     builds = _count_table_builds(monkeypatch)
     field = prime_field(p)
-    _index_ops_agree(field, list(itertools.product(field.elements()[:20], repeat=2)))
+    _index_ops_agree(field, itertools.product(range(min(p, 20)), repeat=2))
     assert field.subfield(1) == field.elements()
-    assert builds == [] and field._tables is None   # a prime field never builds
+    assert builds == []   # a prime field never builds
+
+
+def test_table_build_refuses_a_repeated_exp_entry(monkeypatch):
+    # With no prime factor of q - 1 tested, the search for alpha stops at
+    # t, of order 4 in F_9 = F_3[t]/(t^2+1): the exp walk meets 1 again.
+    field = parse_field("3^2")
+    assert field.modulus == (1, 0, 1)
+    monkeypatch.setattr(field_module, "is_prime", lambda r: False)
+    with pytest.raises(InternalInvariantError, match="repeats at alpha"):
+        field.index_ops()
+
+
+@pytest.mark.parametrize("text", ["13", "3^2"])
+def test_hash_agrees_with_equality(text):
+    field = parse_field(text)
+    for c in range(field.p):
+        x = field.element(c)
+        assert x == c and hash(x) == hash(c) and c in {x}
+    assert set(field.elements()) == set(map(parse_field(text).from_index, range(field.order)))
 
 
 def test_index_tables_are_built_once(monkeypatch):
@@ -317,6 +356,9 @@ def test_setup_steps_build_no_tables():
         "    field = parse_field(text)\n"
         "    field.elements()\n"
         "    parse_poly('x^2', field), parse_poly('t*x+1', field)\n"
+        "    x = field.parse_element('t+1')\n"
+        "    y = field.from_index(x.index())\n"
+        "    assert str(y) == 't+1' and x == y and hash(x) == hash(y) and x != 1\n"
         "    assert field._tables is None\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
