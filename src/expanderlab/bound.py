@@ -272,20 +272,20 @@ def check_instance(field: Field, g: Poly, h: Poly, A, B):
 
 
 def value_rows(g: Poly, h: Poly, xs, ys) -> list[tuple[int, ...]]:
-    """For each x in ``xs``, the canonical indices of g(x) + y*h(x) over
-    ``ys``.  The one evaluation kernel: :func:`image` and the experiment
-    drivers build these rows once and then measure image sizes from them.
-    Per x, g(x) and h(x) are elements; each value is two index ops."""
-    ys = [y.index() for y in ys]
+    """For each index x in ``xs``, the indices of g(x) + y*h(x) over the index
+    sequence ``ys``.  The one evaluation kernel: :func:`image` and the drivers
+    build these rows once and measure image sizes from them.  Per x, g(x) and
+    h(x) are :meth:`Poly.at_index`; each value is two index ops."""
     add, _, mul, _ = g.field.index_ops()
     rows = []
     for x in xs:
-        gx, hx = g(x).index(), h(x).index()
+        gx, hx = g.at_index(x), h.at_index(x)
         rows.append(tuple(add(gx, mul(y, hx)) for y in ys))
     return rows
 
 
 def image(instance: ExpanderInstance) -> tuple[FieldElem, ...]:
     """The exact set {g(x) + y*h(x) : x in A, y in B}, in canonical order."""
-    rows = value_rows(instance.g, instance.h, instance.A, instance.B)
+    rows = value_rows(instance.g, instance.h, [x.index() for x in instance.A],
+                      [y.index() for y in instance.B])
     return tuple(map(instance.field.from_index, sorted(set().union(*rows))))

@@ -191,7 +191,8 @@ def _pointwise_sum(field, g, h, A, B, C, alpha, beta):
     betas = [beta[y].index() for y in B]
     add, sub, mul, _ = field.index_ops()
     weights = {}
-    for x, row in zip(support, value_rows(g, h, support, B)):
+    rows = value_rows(g, h, [x.index() for x in support], [y.index() for y in B])
+    for x, row in zip(support, rows):
         ax = alpha[x].index()
         for by, v in zip(betas, row):
             weights[v] = add(weights.get(v, 0), mul(ax, by))
@@ -301,9 +302,9 @@ def refute_cover(instance: ExpanderInstance, C) -> RefutationReport:
     """
     cert = build_certificate(instance, C)
     c_idx = {c.index() for c in cert.C}
-    B = instance.B
+    B, B_idx = instance.B, [y.index() for y in instance.B]
     for x in instance.A:   # one row at a time, so the scan stops at the witness
-        for y, v in zip(B, value_rows(instance.g, instance.h, [x], B)[0]):
+        for y, v in zip(B, value_rows(instance.g, instance.h, [x.index()], B_idx)[0]):
             if v not in c_idx:
                 return RefutationReport(cert, False, x, y,
                                         instance.field.from_index(v))

@@ -15,11 +15,11 @@ conjectured one floor((1 + c) p^m - 1) which is reported but never
 asserted, and the distance from B to the nearest subfield, where only
 the subfields strictly between F_p and the field need index sets.
 
-Both drivers list a run as (A, B) tasks of element indices for one
-measuring path: value rows from :func:`bound.value_rows` (the indices of
-f = g(x) + y*h(x)) over only the (x, y) the tasks touch, image sizes as
-popcounts of OR-ed bit masks of ranked values, one negative-slack check,
-records in task order.  Both drivers run in one thread, since a thread
+Both drivers hand one measuring path runs (A, [B, ...]) of element
+indices, and no step lists the field: value rows from :func:`bound.value_rows`
+(the indices of f = g(x) + y*h(x)) over only the (x, y) the runs touch, image
+sizes as popcounts of OR-ed bit masks of ranked values, one negative-slack
+check, records in run order.  Both drivers run in one thread, since a thread
 pool gained nothing under the interpreter lock; ``parallelism`` is
 validated (>= 1) and otherwise unused: output is the same for any value.
 
@@ -34,7 +34,6 @@ import io
 import itertools
 import json
 import math
-import operator
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -51,7 +50,7 @@ from .poly import parse_poly
 from .rng import Xoshiro256StarStar
 
 DEFAULT_BUDGET = 10_000_000
-MAX_SEARCH_ORDER = 10**6    # search lists every element before the budget gate
+MAX_SEARCH_ORDER = 10**6    # search scans every index for roots of h before its budget gate
 MAX_C_EXPONENT = 4300       # Fraction builds 10**|e| before any range check
 
 
@@ -227,24 +226,20 @@ def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
         f"for field={field_s} g={g_s} h={h_s} {_sets_text(A, B)}")
 
 
-def _measure(field: Field, g, h, tasks) -> list[ExperimentRecord]:
-    """One record per (A_idx, B_idx) task of element indices, in task order.
+def _measure(field: Field, g, h, runs) -> list[ExperimentRecord]:
+    """One record per pair of the index runs (A_idx, [B_idx, ...]), in order.
 
-    A run of tasks sharing one A touches A times the union of its B's, each
-    value once.  Per run, values get dense ranks, ``col[y]`` ORs
-    ``1 << rank(f(x, y))`` over x in A, and an image size is the popcount
-    of the OR of B's columns: at most min(q, |A| * |union of B's|) bits.
-    Sizes are taken, and values freed, before records are built; only
-    the elements in some A or B are rendered.  A record with negative
-    slack raises :func:`negative_slack_error`.
+    A run touches A times the union of its B's, each value once.  Per run,
+    values get dense ranks, ``col[y]`` ORs ``1 << rank(f(x, y))`` over x in
+    A, and an image size is the popcount of the OR of B's columns: at most
+    min(q, |A| * |union of B's|) bits.  Sizes are taken, and values freed,
+    before records are built; names are rendered with ``field.from_index``
+    only for the indices in some A or B.  A record with negative slack
+    raises :func:`negative_slack_error`.
     """
-    elements = field.elements()
     field_s, g_s, h_s = str(field), str(g), str(h)
     subfield_sets = _subfield_index_sets(field)
-    runs = []
-    for A_idx, run in itertools.groupby(tasks, key=operator.itemgetter(0)):
-        Bs = [B_idx for _, B_idx in run]
-        runs.append((A_idx, Bs, tuple(set().union(*Bs))))
+    runs = [(A_idx, Bs, tuple(set().union(*Bs))) for A_idx, Bs in runs]
     values = {}
     for A_idx, _, cols in runs:
         blank = dict.fromkeys(cols)
@@ -252,8 +247,7 @@ def _measure(field: Field, g, h, tasks) -> list[ExperimentRecord]:
             values.setdefault(i, {}).update(blank)
     for i, row in values.items():
         cols = tuple(row)
-        row.update(zip(cols, bound_mod.value_rows(
-            g, h, [elements[i]], [elements[j] for j in cols])[0]))
+        row.update(zip(cols, bound_mod.value_rows(g, h, [i], cols)[0]))
 
     sizes = []
     for A_idx, Bs, cols in runs:
@@ -271,7 +265,7 @@ def _measure(field: Field, g, h, tasks) -> list[ExperimentRecord]:
             sizes.append(mask.bit_count())
     del values
 
-    names = {i: str(elements[i]) for i in set().union(*(A + B for A, _, B in runs))}
+    names = {i: str(field.from_index(i)) for i in set().union(*(A + B for A, _, B in runs))}
     bounds, b_sides, records, sizes = {}, {}, [], iter(sizes)
     record = ExperimentRecord._make
     for A_idx, Bs, _ in runs:
@@ -307,7 +301,7 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
     if q > MAX_SEARCH_ORDER:
         raise InvalidParametersError(
             f"search needs a field of at most {MAX_SEARCH_ORDER} elements, got {q}")
-    pool_a = tuple(x.index() for x in field.elements() if not h(x).is_zero())
+    pool_a = tuple(i for i in range(q) if h.at_index(i))
 
     a_sizes = _size_list(config.a, len(pool_a), "a")
     b_sizes = _size_list(config.b, q, "b")
@@ -325,23 +319,23 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
         raise BudgetExceededError(
             f"run needs {cost} {unit} but the budget is {config.budget}; {advice}")
 
-    # Tasks come in tie-break order (a, b, A_idx, B_idx): exhaustive
-    # enumeration is lexicographic, and random mode sorts each cell's draws.
-    # So one stable sort on slack ranks the records.
-    tasks = []
+    # Runs come in tie-break order (a, b, A_idx, B_idx): exhaustive runs are
+    # lexicographic and share their cell's list of B's, and random mode sorts
+    # a cell's draws, one run each.  So one stable sort on slack ranks records.
+    runs = []
     rng = Xoshiro256StarStar(config.seed)
     for a, b in cells:
         if config.mode == "exhaustive":
-            tasks.extend(itertools.product(itertools.combinations(pool_a, a),
-                                           itertools.combinations(range(q), b)))
+            Bs = list(itertools.combinations(range(q), b))
+            runs.extend((A, Bs) for A in itertools.combinations(pool_a, a))
         else:
             cell = []
             for _ in range(config.sample_count):
                 A_pos = rng.sample_indices(len(pool_a), a)
                 cell.append((tuple(pool_a[i] for i in A_pos),
                              rng.sample_indices(q, b)))
-            tasks.extend(sorted(cell))
-    records = _measure(field, g, h, tasks)
+            runs.extend((A, [B]) for A, B in sorted(cell))
+    records = _measure(field, g, h, runs)
     records.sort(key=lambda r: r.slack)
     return records
 
@@ -392,9 +386,9 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
     bound_mod.check_degrees(g_poly, h_poly)
 
     rng = Xoshiro256StarStar(seed)
-    K = field.subfield(m)
     q_m = field.p ** m
-    pool = [x.index() for x in K if not x.is_zero() and not h_poly(x).is_zero()]
+    K_idx = tuple(y.index() for y in field.subfield(m))
+    pool = [i for i in K_idx if i and h_poly.at_index(i)]
     if not pool:
         raise InvalidParametersError("no usable subfield elements for A")
     a = min(math.ceil(c * q_m), len(pool))
@@ -403,7 +397,6 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
     else:
         A = tuple(pool[:a])
 
-    K_idx = tuple(y.index() for y in K)
     K_set = set(K_idx)
     thetas = [i for i in range(field.order) if i not in K_set]
     if theta_count is not None:
@@ -413,8 +406,8 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
         picks = rng.sample_indices(len(thetas), theta_count)
         thetas = [thetas[i] for i in picks]
 
-    base, *swept = _measure(field, g_poly, h_poly, [(A, K_idx)] + [
-        (A, tuple(sorted(K_idx + (theta,)))) for theta in thetas])
+    base, *swept = _measure(field, g_poly, h_poly, [(A, [K_idx] + [
+        tuple(sorted(K_idx + (theta,))) for theta in thetas])])
     proved = math.floor((1 + c / 2) * q_m - 1)
     conjectured = math.floor((1 + c) * q_m - 1)
     return [base] + [r._replace(proved_threshold=proved,

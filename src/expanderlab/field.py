@@ -222,9 +222,10 @@ class Field:
             raise ParseError(f"extension degree must be a positive integer, got {n!r}")
         if n == 1:
             modulus = None
-        else:   # the modulus is read only once p is known to be a valid prime
-            modulus = (_smallest_irreducible(p, n) if modulus is None
-                       else _modulus_coeffs(modulus, p))
+        elif modulus is None:
+            modulus = _smallest_irreducible(p, n)
+        else:   # a given modulus is read only once p is known to be a valid prime
+            modulus = _modulus_coeffs(modulus, p)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise NotIrreducibleError(
                     f"modulus must be monic of degree {n}, got degree {len(modulus) - 1}")
@@ -404,9 +405,9 @@ class FieldElem:
 
     Immutable and hashable; arithmetic via the usual operators, all on the
     field's index ops.  Mixing operands from different fields raises
-    :class:`FieldMismatchError`; plain ints are embedded as constants, and
-    an element hashes as its index, so a constant 0 <= c < p equals and
-    hashes as the int c.
+    :class:`FieldMismatchError`; plain ints are embedded as constants.  An
+    element hashes as its index and equals an int c only if 0 <= c < p and
+    it is the constant c: in F_13, element(3) != 16; in 3^2, element(1) != 4.
     """
 
     __slots__ = ("field", "_index")
@@ -466,7 +467,7 @@ class FieldElem:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = self.field.element(other)
+            return 0 <= other < self.field.p and self._index == other
         return (isinstance(other, FieldElem) and self._index == other._index
                 and self.field == other.field)
 

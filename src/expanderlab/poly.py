@@ -119,16 +119,21 @@ class Poly:
 
     # -- evaluation -------------------------------------------------------------
 
-    def __call__(self, x) -> FieldElem:
-        x = self.field.element(x)
-        acc = self.field.zero()
+    def at_index(self, i: int) -> int:
+        """The value's index at index ``i``, by Horner's rule on index ops."""
+        add, _, mul, _ = self.field.index_ops()
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
+            acc = add(mul(acc, i), c.index())
         return acc
 
+    def __call__(self, x) -> FieldElem:
+        return FieldElem(self.field, self.at_index(self.field.element(x).index()))
+
     def roots(self) -> tuple[FieldElem, ...]:
-        """All roots in the field, by exhaustive scan, in canonical order."""
-        return tuple(a for a in self.field.elements() if self(a).is_zero())
+        """All roots in the field, by a scan of every index, in canonical order."""
+        return tuple(self.field.from_index(i) for i in range(self.field.order)
+                     if not self.at_index(i))
 
     # -- text ---------------------------------------------------------------------
 

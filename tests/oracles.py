@@ -224,10 +224,11 @@ def nearest_by_symmetric_difference(b_indices, subfield_sets):
 
 
 def measure_int_sets(field, g, h, tasks):
-    """``explore._measure`` by int sets: a touched-pairs table filled per
-    (task, x), one value-row call per touched x, then each image size as
-    the size of a set of value indices built from scratch for every task;
-    the library ORs per-A column masks and counts bits."""
+    """``explore._measure`` over the (A, B) tasks of its runs, in run order,
+    by int sets: a touched-pairs table filled per (task, x), one value-row
+    call per touched x, then each image size as the size of a set of value
+    indices built from scratch for every task; the library ORs per-A column
+    masks and counts bits."""
     elements = field.elements()
     names = [str(x) for x in elements]
     field_s, g_s, h_s = str(field), str(g), str(h)
@@ -246,8 +247,7 @@ def measure_int_sets(field, g, h, tasks):
             rows.setdefault(i, {}).update(cols)
     for i, row in rows.items():
         cols = list(row)
-        row.update(zip(cols, bound_mod.value_rows(
-            g, h, [elements[i]], [elements[j] for j in cols])[0]))
+        row.update(zip(cols, bound_mod.value_rows(g, h, [i], cols)[0]))
     sizes = [len({rows[i][j] for i in A_idx for j in B_idx})
              for A_idx, B_idx in tasks]
 

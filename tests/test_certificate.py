@@ -17,6 +17,7 @@ from expanderlab.certificate import (
 )
 from expanderlab.errors import (
     EmptySetError,
+    FieldMismatchError,
     InadmissibleKError,
     InvalidParametersError,
     TargetDegreeTooLargeError,
@@ -452,6 +453,27 @@ def test_refute_cover_finds_witness():
     assert rep.witness_value not in set(C)
     d = rep.to_dict()
     assert d["covers"] is False and d["witness_value"] == "6"
+
+
+def test_solve_alpha_refuses_bad_parameters():
+    h = parse_poly("x", F13)
+    with pytest.raises(InvalidParametersError, match="need b >= 1, got 0"):
+        solve_alpha(elems(F13, 1, 2, 3), h, 0, 1)
+    with pytest.raises(InvalidParametersError, match="target degree must be >= 0, got -1"):
+        solve_alpha(elems(F13, 1, 2, 3), h, 2, -1)
+    with pytest.raises(InvalidParametersError, match="h vanishes at 0"):
+        solve_alpha(elems(F13, 2, 0, 1), h, 2, 1)
+
+
+def test_lambda_coefficients_refuse_mixed_fields():
+    with pytest.raises(FieldMismatchError, match="different fields"):
+        lambda_coefficients([], parse_poly("x^2", F13), parse_poly("x", F5))
+
+
+def test_binomial_outside_zero_to_k_is_zero():
+    assert binomial_in_field(F13, 2, 3) == 0
+    assert binomial_in_field(F13, 2, -1) == 0
+    assert binomial_in_field(F5, 7, 2) == 1     # 21 mod 5
 
 
 def test_refute_cover_rejects_oversized_c():

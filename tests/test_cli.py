@@ -305,6 +305,10 @@ def test_search_parallelism_does_not_change_bytes():
     # All theta on a 4,096-element field: element names of up to 12 terms.
     ("subfield --field 2^12 --m 6 --c-fraction 1/2",
      "b4102a018ee0aa9f72ea1955261b43f27f0cba0e5ec56788d0dc52c184064741"),
+    # A prime field near MAX_SEARCH_ORDER: the roots of h by an index scan.
+    ("search --field 999983 --g x^2 --h x --a 20 --b 20 --mode random "
+     "--sample-count 200",
+     "dd6f4b00a6d9be57e42a4c27ee569e7b9059b4918f2db6a857d8fbec4baba36e"),
 ])
 def test_stdout_bytes_are_pinned(argv, sha256):
     # Digests of the stdout these runs have always produced.
@@ -722,6 +726,10 @@ def test_closed_stdout_pipe_exits_141_quietly():
      "invalid instance:\n  A contains root 0 of h\n"),
     ("certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1 --k 20",
      "error: cannot draw 20 distinct elements from a field of order 13\n"),
+    ("bound --field 3^0 --a 3 --b 2 --d 1",
+     "error: extension degree must be a positive integer, got 0\n"),
+    ("search --field 3^0 --g x^2 --h x --a 2 --b 2",
+     "error: extension degree must be a positive integer, got 0\n"),
 ])
 def test_validation_paths_exit_2(argv, message):
     assert run_cli(*argv.split()) == (2, "", message)

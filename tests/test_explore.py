@@ -391,6 +391,23 @@ def test_search_evaluates_only_the_pairs_it_samples(monkeypatch):
         assert rec.image_size == _oracle_size(field, g, h, rec), rec
 
 
+def test_drivers_never_list_the_field(monkeypatch):
+    # The roots of h come from an index scan and names from from_index, so
+    # no driver needs all q elements; records are the same as before.
+    runs = [lambda: search_extremal(SearchConfig("13", "x^2", "x", (2, 3), 2)),
+            lambda: search_extremal(SearchConfig("10007", "x^2", "x", 5, 5, mode="random",
+                                                 sample_count=5, seed=1)),
+            lambda: subfield_experiment("2^6", 2, Fraction(1, 2))]
+    expected = [run() for run in runs]
+
+    def refuse(field):
+        raise AssertionError(f"{field}.elements() called")
+
+    monkeypatch.setattr(Field, "elements", refuse)
+    assert [run() for run in runs] == expected
+    assert [str(r) for r in parse_poly("x^2-1", prime_field(13)).roots()] == ["1", "12"]
+
+
 def test_subfield_evaluates_each_value_once(monkeypatch):
     evaluated = []
     kernel = explore.bound_mod.value_rows
@@ -422,35 +439,45 @@ def _measure_case(field_s):
     return (field,) + tuple(parse_poly(t, field) for t in MEASURE_CASES[field_s])
 
 
-def _measured(measure, field, g, h, tasks):
+def _measured(measure, field, g, h, runs_or_tasks):
     try:
-        return measure(field, g, h, tasks)
+        return measure(field, g, h, runs_or_tasks)
     except InternalInvariantError as e:
         return str(e)
+
+
+def _tasks(runs):
+    """The (A, B) tasks of runs (A, [B, ...]), in run order."""
+    return [(A, B) for A, Bs in runs for B in Bs]
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), field_s=st.sampled_from(sorted(MEASURE_CASES)),
        forced=st.booleans())
 def test_measure_matches_the_int_set_oracle(data, field_s, forced):
-    # A few A's drawn into many tasks, so equal A's fall both next to and
-    # apart from each other.  ``forced`` demands a*b distinct values, so
-    # tasks with a collision fail and the first one in task order is named.
+    # A few A's and lists of B's drawn into many runs, so an A recurs with
+    # several B's inside one run and in runs next to and apart from each
+    # other, and runs share one list of B's as exhaustive search's do.
+    # ``forced`` demands a*b distinct values, so pairs with a collision
+    # fail and the first one in run order is named.
     field, g, h = _measure_case(field_s)
     pool = [x.index() for x in field.elements() if not h(x).is_zero()]
     def subsets(universe):
         return st.lists(st.sampled_from(universe), min_size=1, max_size=5,
                         unique=True).map(tuple)
     As = data.draw(st.lists(subsets(pool), min_size=1, max_size=4))
-    tasks = data.draw(st.lists(st.tuples(st.sampled_from(As),
-                                         subsets(range(field.order))),
-                               min_size=1, max_size=12))
+    B_lists = data.draw(st.lists(st.lists(subsets(range(field.order)),
+                                          min_size=1, max_size=4),
+                                 min_size=1, max_size=3))
+    runs = data.draw(st.lists(st.tuples(st.sampled_from(As),
+                                        st.sampled_from(B_lists)),
+                              min_size=1, max_size=6))
     with pytest.MonkeyPatch.context() as mp:
         if forced:
             mp.setattr(explore.bound_mod, "theorem_bound",
                        lambda a, b, d, p: SimpleNamespace(bound=a * b))
-        assert (_measured(explore._measure, field, g, h, tasks)
-                == _measured(measure_int_sets, field, g, h, tasks))
+        assert (_measured(explore._measure, field, g, h, runs)
+                == _measured(measure_int_sets, field, g, h, _tasks(runs)))
 
 
 def test_measure_names_the_first_negative_slack_witness(monkeypatch):
@@ -461,12 +488,12 @@ def test_measure_names_the_first_negative_slack_witness(monkeypatch):
                         lambda a, b, d, p: SimpleNamespace(bound=a * b))
     field = parse_field("13")
     g, h = parse_poly("x^2", field), parse_poly("x", field)
-    tasks = [((1, 2), (0, 1)), ((3, 4), (0, 1)), ((1, 2), (5, 7)),
-             ((1, 12), (0, 1)), ((1, 12), (2, 3))]
+    runs = [((1, 2), [(0, 1)]), ((3, 4), [(0, 1)]), ((1, 2), [(5, 7)]),
+            ((1, 12), [(0, 1), (2, 3)])]
     messages = []
-    for measure in (explore._measure, measure_int_sets):
+    for measure, arg in ((explore._measure, runs), (measure_int_sets, _tasks(runs))):
         with pytest.raises(InternalInvariantError) as e:
-            measure(field, g, h, tasks)
+            measure(field, g, h, arg)
         messages.append(str(e.value))
     assert messages[0] == messages[1] == (
         "negative slack -1: image_size 3 below bound 4 for field=13 g=x^2 h=x "
@@ -475,14 +502,14 @@ def test_measure_names_the_first_negative_slack_witness(monkeypatch):
 
 def test_measure_renders_only_the_elements_in_some_set(monkeypatch):
     field, g, h = _measure_case("2^6")
-    tasks = [((1, 2), (0, 5)), ((1, 2), (7,)), ((9,), (5, 63))]
+    runs = [((1, 2), [(0, 5), (7,)]), ((9,), [(5, 63)])]
     rendered = []
     to_str = FieldElem.__str__
     monkeypatch.setattr(FieldElem, "__str__",
                         lambda x: rendered.append(x.index()) or to_str(x))
     str(g), str(h)
     polys = len(rendered)               # the coefficients of g and h
-    explore._measure(field, g, h, tasks)
+    explore._measure(field, g, h, runs)
     assert sorted(rendered[2 * polys:]) == [0, 1, 2, 5, 7, 9, 63]
 
 

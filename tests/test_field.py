@@ -132,6 +132,10 @@ def test_parse_field_forms():
         parse_field("abc")
     with pytest.raises(NotPrimeError):
         parse_field("4^2")
+    for text, n in (("3^0", 0), ("2^-1", -1)):
+        with pytest.raises(ParseError,
+                           match=f"^extension degree must be a positive integer, got {n}$"):
+            parse_field(text)
 
 
 def test_field_str_roundtrip():
@@ -180,6 +184,45 @@ def test_int_interop():
     assert 2 * a == F.element(8)
     assert 1 - a == F.element(8)
     assert a ** 0 == F.one()
+    with pytest.raises(TypeError):
+        a + "1"
+
+
+def test_an_element_equals_only_the_ints_0_to_p_minus_1():
+    # Equality agrees with the hash, the index: an int outside 0..p-1 is
+    # not reduced before comparing.
+    F13 = prime_field(13)
+    three = F13.element(3)
+    assert three == 3 and 3 in {three} and three in {3}
+    for c in (16, -10, 13):
+        assert three != c and c not in {three}
+    F9 = parse_field("3^2")
+    one, t_plus_1 = F9.element(1), F9.from_index(4)
+    assert str(t_plus_1) == "t+1"
+    assert one == 1 and 1 in {one}
+    assert one != 4 and t_plus_1 != 4 and 4 not in {one, t_plus_1}
+
+
+def test_out_of_range_index_and_coefficient_count_raise():
+    F = parse_field("3^2")
+    with pytest.raises(ParseError, match="index 9 out of range"):
+        F.from_index(F.order)
+    with pytest.raises(ParseError, match="need 2 coefficients, got 3"):
+        F.element([1, 0, 0])
+
+
+def test_a_default_modulus_is_tested_for_irreducibility_once(monkeypatch):
+    tested = []
+    is_irreducible = field_module._is_irreducible
+    monkeypatch.setattr(field_module, "_is_irreducible",
+                        lambda m, p: tested.append(list(m)) or is_irreducible(m, p))
+    for text in ("3^2", "2^4", "5^3", "2^16"):
+        tested.clear()
+        F = parse_field(text)
+        assert tested.count(list(F.modulus)) == 1, text
+    tested.clear()
+    parse_field("3^2/t^2+1")
+    assert tested == [[1, 0, 1]]
 
 
 def _oracle_inverse(x):

@@ -53,6 +53,22 @@ def test_degree_of_product():
     assert (f * Poly(F5)).degree() == NEG_INF
 
 
+def test_int_minus_poly():
+    f = parse_poly("x+2", F5)
+    assert 1 - f == parse_poly("4*x+4", F5)
+    assert 2 - f == parse_poly("-x", F5)
+
+
+def test_call_wraps_at_index():
+    t = F9.parse_element("t")
+    g = parse_poly("(t+1)*x^2+t", F9)
+    for i in range(F9.order):
+        x = F9.from_index(i)
+        assert g(x) == (t + 1) * x * x + t
+        assert g(x).index() == g.at_index(i)
+    assert g(2) == g(F9.element(2))
+
+
 def test_roots_exhaustive():
     f = Poly(F5, [0, 4, 1])            # x^2 + 4x = x(x-1)
     assert [str(r) for r in f.roots()] == ["0", "1"]
