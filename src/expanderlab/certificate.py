@@ -50,7 +50,7 @@ from .errors import (
     InvalidParametersError,
     TargetDegreeTooLargeError,
 )
-from .field import Field, FieldElem, canonical_sort
+from .field import Field, FieldElem, _power, canonical_sort
 from .poly import Poly
 
 
@@ -103,20 +103,41 @@ def lambda_coefficients(C, g: Poly, h: Poly) -> dict:
     return out
 
 
-def _dual_weights(points) -> list[FieldElem]:
-    """w(y) = 1 / prod_{z != y} (y - z) for distinct points: the Lagrange
-    dual basis, i.e. the unique weights with sum_y w(y) y^j = delta_{j, n-1}
-    for j = 0 .. n-1, where n = |points|.  O(n^2) index multiplications."""
-    field, idx = points[0].field, [y.index() for y in points]
+def _dual_weights(field: Field, points) -> list[int]:
+    """w(y) = 1 / prod_{z != y} (y - z) for the distinct point indices, as
+    indices: the Lagrange dual basis, i.e. the unique weights with
+    sum_y w(y) y^j = delta_{j, n-1} for j = 0 .. n-1, where n = |points|.
+    O(n^2) index multiplications."""
     _, sub, mul, inv = field.index_ops()
     out = []
-    for y in idx:
+    for y in points:
         prod = 1
-        for z in idx:
+        for z in points:
             if z != y:
                 prod = mul(prod, sub(y, z))
-        out.append(field.from_index(inv(prod)))
+        out.append(inv(prod))
     return out
+
+
+def _alpha_weights(h: Poly, A, b: int, D: int) -> list[int]:
+    """The alpha weight indices of :func:`solve_alpha` over the distinct
+    point indices A, in order: u / h(x)^(b-1) on the first D + 1, with u
+    the Lagrange dual weights there, and 0 on the rest."""
+    if b < 1:
+        raise InvalidParametersError(f"need b >= 1, got {b}")
+    if D < 0:
+        raise InvalidParametersError(f"target degree must be >= 0, got {D}")
+    if D > len(A) - 1:
+        raise TargetDegreeTooLargeError(
+            f"target degree {D} needs {D + 1} points but |A| = {len(A)}")
+    field, support = h.field, A[:D + 1]
+    _, _, mul, inv = field.index_ops()
+    hs = [h.at_index(x) for x in support]
+    if 0 in hs:
+        raise InvalidParametersError(f"h vanishes at {field.from_index(support[hs.index(0)])}, "
+                                     "alpha system is singular")
+    return [mul(u, _power(inv(hx), b - 1, 1, mul))
+            for u, hx in zip(_dual_weights(field, support), hs)] + [0] * (len(A) - D - 1)
 
 
 def solve_beta(B) -> dict:
@@ -125,7 +146,8 @@ def solve_beta(B) -> dict:
     determinant over distinct points is nonzero, so they are the unique
     solution.  Repeated points are rejected."""
     B = _distinct_points(B, "B")
-    return dict(zip(B, _dual_weights(B)))
+    field = B[0].field
+    return dict(zip(B, map(field.from_index, _dual_weights(field, [y.index() for y in B]))))
 
 
 def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
@@ -140,22 +162,8 @@ def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
     points, D <= |A| - 1 and h nonvanishing on A.
     """
     A = _distinct_points(A, "A")
-    field = A[0].field
-    if b < 1:
-        raise InvalidParametersError(f"need b >= 1, got {b}")
-    D = target_degree
-    if D < 0:
-        raise InvalidParametersError(f"target degree must be >= 0, got {D}")
-    if D > len(A) - 1:
-        raise TargetDegreeTooLargeError(
-            f"target degree {D} needs {D + 1} points but |A| = {len(A)}")
-    support = A[:D + 1]
-    for x in support:
-        if h(x).is_zero():
-            raise InvalidParametersError(f"h vanishes at {x}, alpha system is singular")
-    out = dict.fromkeys(A, field.zero())
-    out.update((x, u / h(x) ** (b - 1)) for x, u in zip(support, _dual_weights(support)))
-    return out
+    weights = _alpha_weights(h, [h.field.element(x).index() for x in A], b, target_degree)
+    return dict(zip(A, map(h.field.from_index, weights)))
 
 
 def _moments_match(weights: dict, points, scale, top: int) -> bool:
@@ -182,27 +190,25 @@ def verify_alpha(alpha: dict, A, h: Poly, b: int, target_degree: int) -> bool:
     return _moments_match(alpha, A, lambda x: h(x) ** (b - 1), target_degree)
 
 
-def _pointwise_sum(field, g, h, A, B, C, alpha, beta):
-    """sum_{x,y} alpha(x) beta(y) prod_{c in C} (f(x, y) - c).  f is read
-    off :func:`value_rows` over the support of alpha; the weights are summed
-    per value of f, so each product is formed once per distinct value; all
-    on element indices."""
-    support = [x for x in A if not alpha[x].is_zero()]
-    betas = [beta[y].index() for y in B]
+def _pointwise_sum(field, g, h, A, B, C, alpha, beta) -> int:
+    """The index of sum_{x,y} alpha(x) beta(y) prod_{c in C} (f(x, y) - c),
+    for index lists A, B and C and weight indices alpha and beta aligned
+    with A and B.  f is read off :func:`value_rows` over the support of
+    alpha; the weights are summed per value of f, so each product is formed
+    once per distinct value."""
+    support = [(x, ax) for x, ax in zip(A, alpha) if ax]
     add, sub, mul, _ = field.index_ops()
     weights = {}
-    rows = value_rows(g, h, [x.index() for x in support], [y.index() for y in B])
-    for x, row in zip(support, rows):
-        ax = alpha[x].index()
-        for by, v in zip(betas, row):
+    rows = value_rows(g, h, [x for x, _ in support], B)
+    for (_, ax), row in zip(support, rows):
+        for by, v in zip(beta, row):
             weights[v] = add(weights.get(v, 0), mul(ax, by))
-    C = [c.index() for c in C]
     total = 0
     for v, prod in weights.items():
         for c in C:
             prod = mul(prod, sub(v, c))
         total = add(total, prod)
-    return field.from_index(total)
+    return total
 
 
 class Certificate(NamedTuple):
@@ -239,22 +245,23 @@ class Certificate(NamedTuple):
 
 
 def _check_admissible(instance: ExpanderInstance, k: int) -> None:
-    report = instance.bound_report()
-    b = instance.b
-    if k < b - 1 or k > report.k_max_range:
+    a, b, d, p = instance.a, instance.b, instance.d, instance.field.p
+    k_max_range = (a - 1) // d + b - 1
+    if k < b - 1 or k > k_max_range:
         raise InadmissibleKError(
-            f"k = {k} fails the range condition [{b - 1}, {report.k_max_range}]",
+            f"k = {k} fails the range condition [{b - 1}, {k_max_range}]",
             reason="range")
-    if not lucas_nonvanishing(k, b - 1, instance.field.p):
+    if not lucas_nonvanishing(k, b - 1, p):
         raise InadmissibleKError(
             f"k = {k} fails the Lucas condition: binom({k}, {b - 1}) vanishes "
-            f"in characteristic {instance.field.p}", reason="lucas")
+            f"in characteristic {p}", reason="lucas")
 
 
 def build_certificate(instance: ExpanderInstance, C) -> Certificate:
     """Construct alpha, beta and both sides of the identity for the given
     candidate set C (any size-k set works and yields the same predicted
-    value; k = |C| must be admissible)."""
+    value; k = |C| must be admissible).  The weights and the pointwise sum
+    are computed on element indices; elements are built for the result."""
     field = instance.field
     C = _distinct_points((field.element(c) for c in C), "C", nonempty=False)
     k = len(C)
@@ -263,16 +270,19 @@ def build_certificate(instance: ExpanderInstance, C) -> Certificate:
         # Unreachable: admissible k <= q-1 whenever A, B are subsets of F_q.
         raise InternalInvariantError(f"admissible k = {k} exceeds |F| - 1")
     g, h, b, d = instance.g, instance.h, instance.b, instance.d
-    D = d * (k - b + 1)
-    beta = solve_beta(instance.B)
-    alpha = solve_alpha(instance.A, h, b, D)
+    A = [x.index() for x in instance.A]
+    B = [y.index() for y in instance.B]
+    beta = _dual_weights(field, B)
+    alpha = _alpha_weights(h, A, b, d * (k - b + 1))
     M = g.leading_coefficient()
     predicted = binomial_in_field(field, k, b - 1) * M ** (k - b + 1)
     if predicted.is_zero():
         raise InternalInvariantError(
             "predicted value vanished despite the Lucas check")
-    pointwise = _pointwise_sum(field, g, h, instance.A, instance.B, C, alpha, beta)
-    return Certificate(instance, C, beta, alpha, predicted, pointwise)
+    pointwise = _pointwise_sum(field, g, h, A, B, [c.index() for c in C], alpha, beta)
+    return Certificate(instance, C, dict(zip(instance.B, map(field.from_index, beta))),
+                       dict(zip(instance.A, map(field.from_index, alpha))),
+                       predicted, field.from_index(pointwise))
 
 
 class RefutationReport(NamedTuple):

@@ -126,7 +126,7 @@ def _numbers(opts: dict, *keys: str) -> None:
                 parse_c(opts[key])
             elif key in opts:
                 opts[key] = int(opts[key])
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InvalidParametersError(f"bad numeric option: {exc}") from None
 
 

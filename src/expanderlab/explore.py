@@ -189,8 +189,7 @@ def _size_list(v, limit: int, name: str) -> list[int]:
 
 def _subfield_index_sets(field: Field) -> list[tuple[int, frozenset]]:
     """(order, element indices) of every subfield strictly between F_p and
-    the field, from the field's cache; none for a prime field or a
-    prime-degree extension."""
+    the field; none for a prime field or a prime-degree extension."""
     return [(field.p ** m, frozenset(x.index() for x in field.subfield(m)))
             for m in range(2, field.n) if field.n % m == 0]
 
@@ -239,7 +238,11 @@ def _measure(field: Field, g, h, runs) -> list[ExperimentRecord]:
     """
     field_s, g_s, h_s = str(field), str(g), str(h)
     subfield_sets = _subfield_index_sets(field)
-    runs = [(A_idx, Bs, tuple(set().union(*Bs))) for A_idx, Bs in runs]
+    # Runs that share one list of B's (exhaustive search hands every run of
+    # a cell the same list) share its columns, built once per list.
+    unions = {id(Bs): Bs for _, Bs in runs}
+    unions = {key: tuple(set().union(*Bs)) for key, Bs in unions.items()}
+    runs = [(A_idx, Bs, unions[id(Bs)]) for A_idx, Bs in runs]
     values = {}
     for A_idx, _, cols in runs:
         blank = dict.fromkeys(cols)
@@ -343,7 +346,9 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
 def parse_c(value) -> Fraction:
     """``c`` as an exact Fraction of a number or of text such as "1/2" or
     "5e-1"; text whose decimal exponent exceeds ``MAX_C_EXPONENT`` in
-    magnitude is refused before ``Fraction`` expands it."""
+    magnitude is refused before ``Fraction`` expands it.  What ``Fraction``
+    cannot read (a zero denominator, an infinity, a NaN, text that is no
+    number) raises :class:`InvalidParametersError` naming c as given."""
     _, e, exponent = (value.lower() if isinstance(value, str) else "").rpartition("e")
     try:
         huge = bool(e) and abs(int(exponent)) > MAX_C_EXPONENT
@@ -352,7 +357,10 @@ def parse_c(value) -> Fraction:
     if huge:
         raise InvalidParametersError(
             f"c = {value!r} has a decimal exponent beyond ±{MAX_C_EXPONENT}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
+        raise InvalidParametersError(f"c = {value!r} is not a finite number") from None
 
 
 def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",

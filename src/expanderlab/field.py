@@ -212,7 +212,7 @@ class Field:
     safe to call directly.  Immutable after construction.
     """
 
-    __slots__ = ("p", "n", "modulus", "_subfields", "_tables")
+    __slots__ = ("p", "n", "modulus", "_tables")
 
     def __init__(self, p: int, n: int = 1, modulus=None):
         _check_field_size(p, n)
@@ -235,7 +235,6 @@ class Field:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_subfields", {})
         # (exp, index ops): a prime field's now, an extension's on first use.
         object.__setattr__(self, "_tables", None if n > 1 else (None, (
             lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
@@ -307,27 +306,21 @@ class Field:
     # -- enumeration and subfields -------------------------------------------
 
     def elements(self) -> tuple[FieldElem, ...]:
-        """All p^n elements in canonical order: ``subfield(n)``, cached."""
+        """All p^n elements in canonical order: ``subfield(n)``."""
         return self.subfield(self.n)
 
     def subfield(self, m: int) -> tuple[FieldElem, ...]:
-        """The unique subfield of order p^m in canonical order, cached per m.
-        For m < n it is 0 and the powers of alpha^((q-1)/(p^m-1)), read off
-        the exp table (Lidl & Niederreiter, *Finite Fields*, 2.1); m = n, the
-        whole field, builds no table."""
+        """The unique subfield of order p^m in canonical order, built on each
+        call.  For m < n it is 0 and the powers of alpha^((q-1)/(p^m-1)), read
+        off the exp table (Lidl & Niederreiter, *Finite Fields*, 2.1); m = n,
+        the whole field, builds no table."""
         if not isinstance(m, int) or m < 1 or self.n % m != 0:
             raise NotDivisorError(f"{m} does not divide extension degree {self.n}")
-        sub = self._subfields.get(m)
-        if sub is None:
-            if m == self.n:
-                sub = tuple(FieldElem(self, i) for i in range(self.order))
-            else:
-                self.index_ops()      # an extension's exp table, built on first use
-                exp = self._tables[0]
-                step = (self.order - 1) // (self.p ** m - 1)
-                sub = tuple(FieldElem(self, i) for i in sorted([0, *exp[::step]]))
-            self._subfields[m] = sub
-        return sub
+        if m == self.n:
+            return tuple(FieldElem(self, i) for i in range(self.order))
+        self.index_ops()      # an extension's exp table, built on first use
+        step = (self.order - 1) // (self.p ** m - 1)
+        return tuple(FieldElem(self, i) for i in sorted([0, *self._tables[0][::step]]))
 
     # -- arithmetic on canonical indices -------------------------------------
 

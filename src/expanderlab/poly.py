@@ -1,8 +1,11 @@
 """Univariate polynomials over a finite field.
 
-A :class:`Poly` is an immutable coefficient tuple (index = degree, trailing
-zeros stripped) over a :class:`~expanderlab.field.Field`.  The zero
-polynomial has degree ``NEG_INF`` so degree comparisons stay numeric.
+A :class:`Poly` over a :class:`~expanderlab.field.Field` is an immutable
+tuple of its coefficients' canonical indices (position = degree, trailing
+zeros stripped); arithmetic and evaluation run on the field's index ops, and
+``coeffs``, ``coefficient`` and ``leading_coefficient`` build elements on
+access.  The zero polynomial has degree ``NEG_INF`` so degree comparisons
+stay numeric.
 
 Text format: terms in ``x`` in the term grammar of :mod:`expanderlab.field`,
 e.g. ``x^2+x`` or ``3*x^3+1``.  Coefficients are field elements in ``t``,
@@ -12,6 +15,8 @@ Parsing, printing and powers use the one routine for each in :mod:`expanderlab.f
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import FieldMismatchError, ZeroPolynomialError
 from .field import Field, FieldElem, _parse_terms, _power, _render_terms
 
@@ -19,14 +24,22 @@ NEG_INF = float("-inf")
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_coeffs")
 
     def __init__(self, field: Field, coeffs=()):
-        elems = [field.element(c) for c in coeffs]
-        while elems and elems[-1].is_zero():
-            elems.pop()
+        self._store(field, [field.element(c).index() for c in coeffs])
+
+    def _store(self, field: Field, coeffs: list) -> Poly:
+        """Set the field and the coefficient indices, trailing zeros stripped."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(elems))
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
+        return self
+
+    def _new(self, coeffs: list) -> Poly:
+        """A polynomial over this field from coefficient indices."""
+        return Poly.__new__(Poly)._store(self.field, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -37,24 +50,27 @@ class Poly:
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[FieldElem, ...]:
+        """The coefficients as elements, lowest degree first."""
+        return tuple(FieldElem(self.field, c) for c in self._coeffs)
+
     def degree(self):
         """Degree as an int; NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._coeffs
 
     def coefficient(self, exp: int) -> FieldElem:
-        if 0 <= exp < len(self.coeffs):
-            return self.coeffs[exp]
-        return self.field.zero()
+        return FieldElem(self.field, self._coeffs[exp] if 0 <= exp < len(self._coeffs) else 0)
 
     def leading_coefficient(self) -> FieldElem:
-        if not self.coeffs:
+        if not self._coeffs:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElem(self.field, self._coeffs[-1])
 
-    # -- arithmetic ------------------------------------------------------------
+    # -- arithmetic on coefficient indices ---------------------------------------
 
     def _coerce(self, other) -> Poly:
         if isinstance(other, Poly):
@@ -70,8 +86,9 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        size = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field, [self.coefficient(i) + o.coefficient(i) for i in range(size)])
+        add = self.field.index_ops()[0]
+        return self._new([add(a, b) for a, b in
+                          itertools.zip_longest(self._coeffs, o._coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -88,22 +105,19 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        sub = self.field.index_ops()[1]
+        return self._new([sub(0, c) for c in self._coeffs])
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.is_zero() or o.is_zero():
-            return Poly(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        add, _, mul, _ = self.field.index_ops()
+        out = [0] * (len(self._coeffs) + len(o._coeffs) - 1)
+        for i, a in enumerate(self._coeffs):
+            for j, b in enumerate(o._coeffs):
+                out[i + j] = add(out[i + j], mul(a, b))
+        return self._new(out)
 
     __rmul__ = __mul__
 
@@ -112,10 +126,10 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.field == other.field
-                and self.coeffs == other.coeffs)
+                and self._coeffs == other._coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self._coeffs))
 
     # -- evaluation -------------------------------------------------------------
 
@@ -123,8 +137,8 @@ class Poly:
         """The value's index at index ``i``, by Horner's rule on index ops."""
         add, _, mul, _ = self.field.index_ops()
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, i), c.index())
+        for c in reversed(self._coeffs):
+            acc = add(mul(acc, i), c)
         return acc
 
     def __call__(self, x) -> FieldElem:
@@ -154,5 +168,4 @@ def parse_poly(text: str, field: Field) -> Poly:
         return field.parse_element(c_text)
 
     terms = _parse_terms(text, "x", coeff)
-    zero = field.zero()
-    return Poly(field, [terms.get(i, zero) for i in range(max(terms) + 1)])
+    return Poly(field, [terms.get(i, 0) for i in range(max(terms) + 1)])

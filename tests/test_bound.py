@@ -226,6 +226,8 @@ def test_theorem_bound_rejects_bad_inputs():
         theorem_bound(3, 1, 0, 5)
     with pytest.raises(NotPrimeError):
         theorem_bound(3, 1, 1, 4)
+    with pytest.raises(NotPrimeError):
+        theorem_bound(3, 2, 1, 2.5)
 
 
 def test_corollary_examples():
@@ -235,6 +237,9 @@ def test_corollary_examples():
     assert corollary_bound(5, 2, 2, INF) == 3       # floor(5/2 + 1) = 3
     assert corollary_bound(6, 2, 2, INF) == 4       # exact 6/2 + 1
     assert corollary_bound(1, 1, 3, 2) == 1         # p-cap never drops below 1
+    for a, b, d in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        with pytest.raises(InvalidParametersError):
+            corollary_bound(a, b, d, 13)
 
 
 def test_theorem_dominates_corollary():

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from expanderlab import bound as bound_mod
 from expanderlab.bound import check_instance, theorem_bound
 from expanderlab.certificate import (
+    _dual_weights,
     _pointwise_sum,
     binomial_in_field,
     build_certificate,
@@ -128,6 +130,9 @@ def test_beta_frozen_example():
     beta = solve_beta(B)
     assert {str(y): str(v) for y, v in beta.items()} == {"0": "3", "1": "4", "2": "3"}
     assert verify_beta(beta, B, 3)
+    # The solver underneath takes and returns indices.
+    weights = _dual_weights(F5, [0, 1, 2])
+    assert weights == [3, 4, 3] and all(type(w) is int for w in weights)
 
 
 def test_beta_single_point():
@@ -233,6 +238,12 @@ def test_alpha_perturbation_breaks_verification():
     x0 = next(iter(alpha))
     alpha[x0] = alpha[x0] + F5.one()
     assert not verify_alpha(alpha, A, h, 3, 2)
+    # Malformed replays are refused, not raised: b < 1, a point missing
+    # from alpha, a negative target degree.
+    alpha = solve_alpha(A, h, b=3, target_degree=2)
+    assert not verify_alpha(alpha, A, h, 0, 2)
+    assert not verify_alpha({x: alpha[x] for x in A[1:]}, A, h, 3, 2)
+    assert not verify_alpha(alpha, A, h, 3, -1)
 
 
 def test_alpha_random_verification_sweep():
@@ -357,6 +368,24 @@ def test_certificate_inadmissible_k():
     assert "Lucas" in str(e.value)
 
 
+def test_certificate_reads_the_range_in_closed_form(monkeypatch):
+    # The admissible range needs no bound report: no theorem_bound call,
+    # and so no repeated primality test of p.
+    def refuse(*args):
+        raise AssertionError("theorem_bound called")
+
+    monkeypatch.setattr(bound_mod, "theorem_bound", refuse)
+    inst = make_instance(F5, "x^2", "x", elems(F5, 1, 2, 3, 4), elems(F5, 0, 1))
+    assert build_certificate(inst, elems(F5, 0, 1)).identity_holds
+    with pytest.raises(InadmissibleKError, match=r"^k = 4 fails the range condition \[1, 2\]$"):
+        build_certificate(inst, elems(F5, 0, 1, 2, 3))
+    F3 = prime_field(3)
+    inst3 = make_instance(F3, "x", "1", elems(F3, 0, 1, 2), elems(F3, 0, 1))
+    with pytest.raises(InadmissibleKError, match=r"^k = 3 fails the Lucas condition: "
+                                                 r"binom\(3, 1\) vanishes in characteristic 3$"):
+        build_certificate(inst3, elems(F3, 0, 1, 2))
+
+
 def test_certificate_rejects_repeated_c():
     inst = make_instance(F13, "x^2", "x", elems(F13, 1, 2, 3, 4), elems(F13, 0, 1))
     with pytest.raises(InvalidParametersError):
@@ -430,8 +459,12 @@ def test_pointwise_sum_matches_double_loop_oracle(field):
                  else field.zero() for x in A}
         beta = {y: els[rng.randrange(field.order)] if rng.random() > 1 / 3
                 else field.zero() for y in B}
-        assert (_pointwise_sum(field, g, h, A, B, C, alpha, beta)
-                == pointwise_double_loop(field, g, h, A, B, C, alpha, beta))
+        want = pointwise_double_loop(field, g, h, A, B, C, alpha, beta)
+        # Indices in, an index out.
+        idx = [[z.index() for z in points] for points in (A, B, C)]
+        weights = [[w[z].index() for z in points] for w, points in ((alpha, A), (beta, B))]
+        total = _pointwise_sum(field, g, h, *idx, *weights)
+        assert type(total) is int and total == want.index()
 
 
 # -- refutation ---------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -299,6 +300,8 @@ def test_search_rejects_bad_parameters():
         search_extremal(SearchConfig("5", "x", "x^2", 2, 2))
     with pytest.raises(InvalidParametersError):
         search_extremal(SearchConfig("5", "x^2", "x", 0, 2))
+    with pytest.raises(InvalidParametersError, match=r"bad a range \(3, 2\)"):
+        search_extremal(SearchConfig("5", "x^2", "x", (3, 2), 2))
     with pytest.raises(InvalidParametersError):
         search_extremal(SearchConfig("5", "x^2", "x", 2, 2, parallelism=0))
 
@@ -651,6 +654,10 @@ def test_subfield_rejects_bad_divisors_and_fractions():
         subfield_experiment("3^2", 0, Fraction(1, 2))
     for bad_c in (0, 1, Fraction(3, 2), -1):
         with pytest.raises(InvalidParametersError):
+            subfield_experiment("3^2", 1, bad_c)
+    # What Fraction cannot read is bad input too, named as given.
+    for bad_c in ("1/0", "abc", "1ex", float("inf")):
+        with pytest.raises(InvalidParametersError, match=f"^c = {re.escape(repr(bad_c))} "):
             subfield_experiment("3^2", 1, bad_c)
 
 

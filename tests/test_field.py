@@ -155,9 +155,9 @@ def test_subfield_f9():
 
 def test_subfield_f16_tower():
     F = extension_field(2, 4)
-    # Cached per m; the whole field is subfield(n).
-    assert F.elements() is F.subfield(F.n)
-    assert F.subfield(1) is F.subfield(1)
+    # Built on each call; the whole field is subfield(n).
+    assert F.elements() == F.subfield(F.n)
+    assert F.subfield(1) == F.subfield(1)
     assert len(F.subfield(1)) == 2
     sub4 = F.subfield(2)
     assert len(sub4) == 4
@@ -184,8 +184,17 @@ def test_int_interop():
     assert 2 * a == F.element(8)
     assert 1 - a == F.element(8)
     assert a ** 0 == F.one()
+    assert bool(a) and not F.zero()
+    assert repr(a) == "FieldElem(11, 4)"
     with pytest.raises(TypeError):
         a + "1"
+
+
+def test_values_are_immutable():
+    F = extension_field(3, 2)
+    for value, name in ((F, "p"), (F.one(), "_index"), (Poly(F, [1, 1]), "field")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, None)
 
 
 def test_an_element_equals_only_the_ints_0_to_p_minus_1():
@@ -267,10 +276,11 @@ def test_random_inverse_sweep():
             assert (a ** (F.order - 1)) == F.one()
 
 
-def test_elements_cache_is_stable():
+def test_field_keeps_no_element_tuples():
     F = extension_field(3, 2)
-    assert F.elements() is F.elements()
+    assert F.elements() == F.elements()
     assert len(F.elements()) == 9
+    assert Field.__slots__ == ("p", "n", "modulus", "_tables")
 
 
 # -- arithmetic on canonical indices ---------------------------------------------

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab.errors import ParseError, ZeroPolynomialError
-from expanderlab.field import extension_field, prime_field
+from expanderlab.bound import value_rows
+from expanderlab.errors import FieldMismatchError, ParseError, ZeroPolynomialError
+from expanderlab.field import FieldElem, extension_field, prime_field
 from expanderlab.poly import NEG_INF, Poly, parse_poly
 
 F5 = prime_field(5)
@@ -53,6 +54,15 @@ def test_degree_of_product():
     assert (f * Poly(F5)).degree() == NEG_INF
 
 
+def test_operands_from_elsewhere_are_refused():
+    g = parse_poly("x^2", F5)
+    with pytest.raises(FieldMismatchError):
+        g + parse_poly("x^2", prime_field(7))
+    for foreign in (lambda: g + "x", lambda: g - "x", lambda: "x" - g, lambda: g * "x"):
+        with pytest.raises(TypeError):
+            foreign()
+
+
 def test_int_minus_poly():
     f = parse_poly("x+2", F5)
     assert 1 - f == parse_poly("4*x+4", F5)
@@ -67,6 +77,20 @@ def test_call_wraps_at_index():
         assert g(x) == (t + 1) * x * x + t
         assert g(x).index() == g.at_index(i)
     assert g(2) == g(F9.element(2))
+
+
+def test_evaluation_builds_no_element(monkeypatch):
+    # Coefficients are stored as indices: evaluation never asks an element
+    # for its index.
+    g, h = parse_poly("(t+1)*x^2+t", F9), parse_poly("2*x+t", F9)
+    every = range(F9.order)
+    want = [g.at_index(i) for i in every], value_rows(g, h, every, every)
+
+    def refuse(self):
+        raise AssertionError("FieldElem.index called")
+
+    monkeypatch.setattr(FieldElem, "index", refuse)
+    assert ([g.at_index(i) for i in every], value_rows(g, h, every, every)) == want
 
 
 def test_roots_exhaustive():
@@ -112,6 +136,12 @@ def test_render_parse_roundtrip():
                 assert str(f) == "0"
                 continue
             assert parse_poly(str(f), field) == f
+
+
+def test_equal_polynomials_hash_alike_and_print_their_field():
+    f, g = parse_poly("(t+1)*x+2", F9), Poly(F9, [2, F9.parse_element("t+1")])
+    assert f == g and hash(f) == hash(g) and len({f, g, f + 1}) == 2
+    assert repr(f) == "Poly(3^2/t^2+1, (t+1)*x+2)"
 
 
 def test_repeated_sum_collects_terms():
