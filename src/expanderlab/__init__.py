@@ -10,120 +10,48 @@ Everything is exact: a field element is its index in one canonical order
 of the field (its base-p digits are its coefficients over F_p), no
 floats enter any computation, and all sampling flows through one seeded
 generator so every run is reproducible bit for bit.
+
+Importing the package imports none of its modules: a public name loads
+its home module on first access (PEP 562), so each CLI subcommand
+compiles only the modules it runs.
 """
 
-from .bound import (
-    INF,
-    BoundReport,
-    ExpanderInstance,
-    check_instance,
-    corollary_bound,
-    image,
-    lucas_nonvanishing,
-    parse_characteristic,
-    theorem_bound,
-)
-from .certificate import (
-    Certificate,
-    RefutationReport,
-    binomial_in_field,
-    build_certificate,
-    elementary_symmetric,
-    lambda_coefficients,
-    refute_cover,
-    solve_alpha,
-    solve_beta,
-    verify_alpha,
-    verify_beta,
-)
-from .errors import (
-    BudgetExceededError,
-    EmptySetError,
-    FieldMismatchError,
-    InadmissibleKError,
-    InternalInvariantError,
-    InvalidParametersError,
-    NotDivisorError,
-    NotIrreducibleError,
-    NotPrimeError,
-    NotProperDivisorError,
-    ParseError,
-    TargetDegreeTooLargeError,
-    ValidationError,
-    ZeroPolynomialError,
-)
-from .explore import (
-    ExperimentRecord,
-    SearchConfig,
-    nearest_subfield_distance,
-    records_to_csv,
-    records_to_json,
-    search_extremal,
-    subfield_experiment,
-)
-from .field import (
-    Field,
-    FieldElem,
-    canonical_sort,
-    extension_field,
-    parse_field,
-    prime_field,
-)
-from .poly import Poly, parse_poly
-from .rng import Xoshiro256StarStar
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INF",
-    "BoundReport",
-    "BudgetExceededError",
-    "Certificate",
-    "EmptySetError",
-    "ExpanderInstance",
-    "ExperimentRecord",
-    "Field",
-    "FieldElem",
-    "FieldMismatchError",
-    "InadmissibleKError",
-    "InternalInvariantError",
-    "InvalidParametersError",
-    "NotDivisorError",
-    "NotIrreducibleError",
-    "NotPrimeError",
-    "NotProperDivisorError",
-    "ParseError",
-    "Poly",
-    "RefutationReport",
-    "SearchConfig",
-    "TargetDegreeTooLargeError",
-    "ValidationError",
-    "Xoshiro256StarStar",
-    "ZeroPolynomialError",
-    "binomial_in_field",
-    "build_certificate",
-    "canonical_sort",
-    "check_instance",
-    "corollary_bound",
-    "elementary_symmetric",
-    "extension_field",
-    "image",
-    "lambda_coefficients",
-    "lucas_nonvanishing",
-    "nearest_subfield_distance",
-    "parse_characteristic",
-    "parse_field",
-    "parse_poly",
-    "prime_field",
-    "records_to_csv",
-    "records_to_json",
-    "refute_cover",
-    "search_extremal",
-    "solve_alpha",
-    "solve_beta",
-    "subfield_experiment",
-    "theorem_bound",
-    "verify_alpha",
-    "verify_beta",
-    "__version__",
-]
+# Each public name, by its home module.
+_EXPORTS = {
+    "bound": "INF BoundReport ExpanderInstance check_instance corollary_bound "
+             "image lucas_nonvanishing parse_characteristic theorem_bound",
+    "certificate": "Certificate RefutationReport binomial_in_field build_certificate "
+                   "elementary_symmetric lambda_coefficients refute_cover "
+                   "solve_alpha solve_beta verify_alpha verify_beta",
+    "errors": "BudgetExceededError EmptySetError FieldMismatchError "
+              "InadmissibleKError InternalInvariantError InvalidParametersError "
+              "NotDivisorError NotIrreducibleError NotPrimeError "
+              "NotProperDivisorError ParseError TargetDegreeTooLargeError "
+              "ValidationError ZeroPolynomialError",
+    "explore": "ExperimentRecord SearchConfig nearest_subfield_distance "
+               "records_to_csv records_to_json search_extremal subfield_experiment",
+    "field": "Field FieldElem canonical_sort extension_field parse_field prime_field",
+    "poly": "Poly parse_poly",
+    "rng": "Xoshiro256StarStar",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    """Import a public name's home module on first access, and keep the
+    name in this module so later lookups skip this hook."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,10 +17,13 @@ machine identifiers: the same invocation produces the same bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
+# Only what every subcommand needs.  Each cmd_* imports the layers it runs,
+# so an invocation compiles only those: explore for search, subfield and
+# image, certificate and rng for certify, selftest for selftest, and json
+# where JSON is written.
 from .bound import (
     check_degrees,
     check_instance,
@@ -28,24 +31,13 @@ from .bound import (
     parse_characteristic,
     theorem_bound,
 )
-from .certificate import build_certificate
 from .errors import InternalInvariantError, InvalidParametersError, ParseError, ValidationError
-from .explore import (
-    FORMATS,
-    SearchConfig,
-    negative_slack_error,
-    parse_c,
-    search_extremal,
-    subfield_experiment,
-    summarize,
-    write_records,
-)
 from .field import parse_field
 from .poly import parse_poly
-from .rng import Xoshiro256StarStar
-from .selftest import run_selftest
 
 _ENV_BUDGET = "EXPANDER_LAB_BUDGET"
+FORMATS = ("csv", "json", "plain")    # what explore.write_records renders
+_OUTPUT_KEYS = ("format", "out")
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -123,6 +115,7 @@ def _numbers(opts: dict, *keys: str) -> None:
     try:
         for key in keys:
             if key == "c_fraction":
+                from .explore import parse_c
                 parse_c(opts[key])
             elif key in opts:
                 opts[key] = int(opts[key])
@@ -145,6 +138,8 @@ def _emit(write, out_path: str | None) -> None:
 def _emit_records(records, output: dict) -> None:
     """Records to stdout or --out, then the summary to stderr.  A format
     from a config file is checked here, after the run, before --out opens."""
+    from .explore import summarize, write_records
+
     fmt = output.get("format", "csv")
     if fmt not in FORMATS:
         raise InvalidParametersError(f"unknown format {fmt!r}")
@@ -156,6 +151,8 @@ def _emit_records(records, output: dict) -> None:
 
 
 def cmd_bound(args) -> int:
+    import json
+
     field_text = args.field.strip()
     given = (args.d is not None, args.g is not None, args.h is not None)
     if given not in ((True, False, False), (False, True, True)):
@@ -200,6 +197,10 @@ def _build_instance_or_exit(field_text, g_text, h_text, a_text, b_text):
 
 
 def cmd_image(args) -> int:
+    import json
+
+    from .explore import negative_slack_error
+
     inst = _build_instance_or_exit(args.field, args.g, args.h, args.A, args.B)
     if inst is None:
         return 2
@@ -224,6 +225,11 @@ def cmd_image(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    import json
+
+    from .certificate import build_certificate
+    from .rng import Xoshiro256StarStar
+
     inst = _build_instance_or_exit(args.field, args.g, args.h, args.A, args.B)
     if inst is None:
         return 2
@@ -252,12 +258,10 @@ def cmd_certify(args) -> int:
 # -- search ----------------------------------------------------------------------
 
 
-_OUTPUT_KEYS = ("format", "out")
-_SEARCH_KEYS = SearchConfig._fields + _OUTPUT_KEYS
-
-
 def cmd_search(args) -> int:
-    opts = _given(args, _SEARCH_KEYS, "field", "g", "h", "a", "b")
+    from .explore import SearchConfig, search_extremal
+
+    opts = _given(args, SearchConfig._fields + _OUTPUT_KEYS, "field", "g", "h", "a", "b")
     output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
     if "budget" not in opts and _ENV_BUDGET in os.environ:
         opts["budget"] = os.environ[_ENV_BUDGET]
@@ -275,6 +279,8 @@ _SUBFIELD_KEYS = ("field", "m", "c_fraction", "g", "h", "theta_count", "seed",
 
 
 def cmd_subfield(args) -> int:
+    from .explore import subfield_experiment
+
     opts = _given(args, _SUBFIELD_KEYS, "field", "m", "c_fraction")
     output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
     _numbers(opts, "c_fraction", "m", "theta_count", "seed", "parallelism")
@@ -288,6 +294,8 @@ def cmd_subfield(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest()
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")

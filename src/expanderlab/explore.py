@@ -32,9 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -87,7 +85,6 @@ class ExperimentRecord(NamedTuple):
 
 
 CSV_COLUMNS = ExperimentRecord._fields[:12]
-FORMATS = ("csv", "json", "plain")
 
 
 def write_records(records, fmt: str, out) -> None:
@@ -106,6 +103,7 @@ def write_records(records, fmt: str, out) -> None:
             cells = r[:12]
             out.write(lines.get(cells) or lines.setdefault(cells, render(cells)))
     elif fmt == "json":
+        import json
         out.write(json.dumps([r.to_dict() for r in records], indent=2) + "\n")
     elif fmt == "plain":
         for r in records:
@@ -343,12 +341,13 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
     return records
 
 
-def parse_c(value) -> Fraction:
-    """``c`` as an exact Fraction of a number or of text such as "1/2" or
-    "5e-1"; text whose decimal exponent exceeds ``MAX_C_EXPONENT`` in
-    magnitude is refused before ``Fraction`` expands it.  What ``Fraction``
-    cannot read (a zero denominator, an infinity, a NaN, text that is no
-    number) raises :class:`InvalidParametersError` naming c as given."""
+def parse_c(value):
+    """``c`` as an exact ``fractions.Fraction`` of a number or of text such
+    as "1/2" or "5e-1"; text whose decimal exponent exceeds
+    ``MAX_C_EXPONENT`` in magnitude is refused before ``Fraction`` expands
+    it.  What ``Fraction`` cannot read (a zero denominator, an infinity, a
+    NaN, text that is no number) raises :class:`InvalidParametersError`
+    naming c as given."""
     _, e, exponent = (value.lower() if isinstance(value, str) else "").rpartition("e")
     try:
         huge = bool(e) and abs(int(exponent)) > MAX_C_EXPONENT
@@ -357,6 +356,7 @@ def parse_c(value) -> Fraction:
     if huge:
         raise InvalidParametersError(
             f"c = {value!r} has a decimal exponent beyond ±{MAX_C_EXPONENT}")
+    from fractions import Fraction    # only subfield reads c: keep it off start-up
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError, TypeError):

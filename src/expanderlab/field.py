@@ -244,6 +244,11 @@ class Field:
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; an extension's
+        # tables are built again on first use
+        return Field, (self.p, self.n, self.modulus)
+
     # -- identity ----------------------------------------------------------
 
     @property
@@ -411,6 +416,9 @@ class FieldElem:
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
+
+    def __reduce__(self):
+        return FieldElem, (self.field, self._index)
 
     def _index_of(self, other):
         """The index of an operand: an element of this field, or an int

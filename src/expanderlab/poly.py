@@ -44,6 +44,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly, (self.field, self.coeffs)
+
     @classmethod
     def constant(cls, field: Field, value) -> Poly:
         return cls(field, (value,))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from expanderlab import bound as bound_mod
 from expanderlab import cli
 from expanderlab.cli import main
+from expanderlab.explore import SearchConfig
 
 
 def run_cli(*argv):
@@ -565,7 +566,10 @@ def test_subfield_json_format():
 # tmp; flags override the file, so those two keys are merged but not used.
 CONFIG_BASES = {"search": {"field": "5", "g": "x^2", "h": "x", "a": "1-2", "b": "1-2"},
                 "subfield": {"field": "3^2", "m": "1", "c_fraction": "1/2"}}
-CONFIG_KEYS = sorted(set(cli._SEARCH_KEYS) | set(cli._SUBFIELD_KEYS))
+# The config keys: search's are SearchConfig's fields, subfield's a tuple in
+# cli, and both take the output keys.
+SEARCH_KEYS = SearchConfig._fields + cli._OUTPUT_KEYS
+CONFIG_KEYS = sorted(set(SEARCH_KEYS) | set(cli._SUBFIELD_KEYS))
 CONFIG_FIELDS = st.one_of(
     st.sampled_from(["5", "7", "3^2", "2^4", "5^2", "2^4/t^4+t+1", "4", "", "x"]),
     st.text("0123456789^/t", max_size=1))
@@ -620,12 +624,14 @@ def test_selftest_passes():
 
 
 def test_selftest_reports_failures(monkeypatch):
-    import expanderlab.cli as cli_mod
+    # cmd_selftest imports run_selftest when it runs, so the patch on its
+    # home module is what it calls.
+    import expanderlab.selftest as selftest_mod
 
     def fake_selftest():
         return [("good", True, "ok"), ("bad", False, "boom")]
 
-    monkeypatch.setattr(cli_mod, "run_selftest", fake_selftest)
+    monkeypatch.setattr(selftest_mod, "run_selftest", fake_selftest)
     code, out, _ = run_cli("selftest")
     assert code == 1
     assert "FAIL bad (boom)" in out
@@ -649,9 +655,11 @@ def test_negative_slack_exits_1_with_nothing_on_stdout(monkeypatch, argv):
 
 
 def test_certify_exits_1_when_the_identity_fails(monkeypatch):
-    build = cli.build_certificate
-    monkeypatch.setattr(cli, "build_certificate", lambda inst, C: build(inst, C)._replace(
-        pointwise=inst.field.element(0)))
+    import expanderlab.certificate as certificate_mod
+    build = certificate_mod.build_certificate
+    monkeypatch.setattr(certificate_mod, "build_certificate",
+                        lambda inst, C: build(inst, C)._replace(
+                            pointwise=inst.field.element(0)))
     code, _, err = run_cli("certify", "--field", "13", "--g", "x^2", "--h", "x",
                            "--A", "1,2,3,4,5,6", "--B", "0,1,2,3", "--seed", "7")
     assert code == 1
@@ -789,7 +797,7 @@ def test_cli_surface_is_pinned():
 
 
 @pytest.mark.parametrize("command, keys", [
-    ("search", cli._SEARCH_KEYS), ("subfield", cli._SUBFIELD_KEYS)])
+    ("search", SEARCH_KEYS), ("subfield", cli._SUBFIELD_KEYS)])
 def test_config_keys_are_the_flag_destinations(command, keys):
     dests = {a.dest for a in _subparsers()[command]._actions}
     assert dests - {"help", "config"} == set(keys)

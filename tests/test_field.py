@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -416,3 +418,21 @@ def test_setup_steps_build_no_tables():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+COPIERS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+@pytest.mark.parametrize("text", ["13", "3^2", "2^4/t^4+t+1"])
+def test_fields_and_elements_copy_and_pickle(text, copier):
+    F = parse_field(text)
+    x, y = F.from_index(F.order - 2), F.from_index(F.order // 3)
+    F.index_ops()     # the original's tables are built; a copy's are not
+    G, u, v = copier(F), copier(x), copier(y)
+    assert (G, u, v) == (F, x, y) and str(G) == str(F)
+    assert G._tables is None or G.n == 1     # rebuilt on first use
+    assert [(u * v).index(), (u + v).index(), (u - v).index(), u.inverse().index()] == [
+        (x * y).index(), (x + y).index(), (x - y).index(), x.inverse().index()]
+    assert [w.index() for w in G.subfield(1)] == list(range(F.p))

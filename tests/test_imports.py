@@ -1,12 +1,13 @@
 """What the package imports.
 
-Every name a module of the package imports is used in that module
-(``__init__`` is exempt, since it imports to re-export, and so is
-``from __future__ import annotations``), and start-up loads nothing that
-pulls in ``inspect``.
+Every name a module of the package imports is used in that module (``from
+__future__ import annotations`` is exempt), start-up loads nothing that
+pulls in ``inspect``, each subcommand loads only the layers it runs, and
+the package namespace resolves its public names lazily.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -16,8 +17,7 @@ import pytest
 
 import expanderlab
 
-MODULES = sorted(p for p in Path(expanderlab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(Path(expanderlab.__file__).parent.glob("*.py"))
 
 
 def _imported_names(tree):
@@ -37,20 +37,90 @@ def test_every_imported_name_is_used(path):
     assert sorted(set(_imported_names(tree)) - used) == []
 
 
+def _run(*argv):
+    """Run this Python on ``argv`` with the package under test importable."""
+    src = os.path.dirname(os.path.dirname(expanderlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # dataclasses loads inspect, and inspect loads ast, dis and tokenize:
     # about 10 ms of every CLI invocation.  Only the modules that importing
     # the CLI adds count, so a site hook that loads them does not fail this.
-    src = os.path.dirname(os.path.dirname(expanderlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import expanderlab.cli\n"
             "print(*sorted(set(sys.modules) - before))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    added = set(_run("-c", code).stdout.split())
     assert "expanderlab.cli" in added
     assert sorted(added & {"dataclasses", "inspect"}) == []
+
+
+# Per subcommand, with tiny inputs: a module it runs, and the modules that
+# only other subcommands run, which it must not load.
+SUBCOMMAND_MODULES = {
+    "bound --field 2 --a 10 --b 3 --d 1": (
+        "expanderlab.bound",
+        {"expanderlab.explore", "expanderlab.certificate", "expanderlab.rng",
+         "expanderlab.selftest", "fractions"}),
+    "certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1": (
+        "expanderlab.certificate",
+        {"expanderlab.explore", "expanderlab.selftest", "fractions"}),
+    "search --field 5 --g x^2 --h x --a 1 --b 1": (
+        "expanderlab.explore",
+        {"expanderlab.certificate", "expanderlab.selftest", "fractions", "json"}),
+}
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_MODULES, ids=lambda a: a.split()[0])
+def test_subcommand_loads_only_the_layers_it_runs(argv):
+    # -X importtime lists each module as its import ends, inner ones first;
+    # running -m expanderlab loads the package, which imports no module of
+    # its own, so what follows its line is what the subcommand loaded.
+    stderr = _run("-X", "importtime", "-m", "expanderlab", *argv.split()).stderr
+    names = [line.rpartition("|")[2].strip() for line in stderr.splitlines()
+             if line.startswith("import time:")]
+    loaded = set(names[names.index("expanderlab"):])
+    runs, absent = SUBCOMMAND_MODULES[argv]
+    assert runs in loaded
+    assert sorted(loaded & absent) == []
+
+
+def test_package_import_loads_no_module_of_its_own():
+    code = ("import sys\n"
+            "import expanderlab\n"
+            "print(*sorted(n for n in sys.modules if n.startswith('expanderlab.')))\n")
+    assert _run("-c", code).stdout.split() == []
+
+
+# -- the lazy namespace -------------------------------------------------------------
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in expanderlab.__all__:
+        if name != "__version__":
+            home = importlib.import_module(f"expanderlab.{expanderlab._HOME[name]}")
+            assert getattr(expanderlab, name) is getattr(home, name), name
+
+
+def test_dir_covers_all():
+    assert sorted(set(expanderlab.__all__) - set(dir(expanderlab))) == []
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from expanderlab import *", namespace)
+    for name in expanderlab.__all__:
+        assert namespace[name] is getattr(expanderlab, name), name
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        expanderlab.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from expanderlab import no_such_name  # noqa: F401

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from expanderlab.bound import value_rows
 from expanderlab.errors import FieldMismatchError, ParseError, ZeroPolynomialError
-from expanderlab.field import FieldElem, extension_field, prime_field
+from expanderlab.field import FieldElem, extension_field, parse_field, prime_field
 from expanderlab.poly import NEG_INF, Poly, parse_poly
 
 F5 = prime_field(5)
@@ -164,3 +166,15 @@ def test_power_zero_is_one():
     f = Poly(F5, [2, 3])
     assert f ** 0 == Poly.constant(F5, 1)
     assert Poly(F5) ** 0 == Poly.constant(F5, 1)
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_polys_copy_and_pickle(copier):
+    F16 = parse_field("2^4/t^4+t+1")
+    f = parse_poly("t*x^3+x+t^3", F16)
+    g = copier(f)
+    assert g == f and str(g) == str(f) and g.field == F16
+    assert [g.at_index(i) for i in range(16)] == [f.at_index(i) for i in range(16)]
+    assert g * g == f * f
