@@ -77,6 +77,9 @@ def _distinct_points(points, name: str, nonempty=True) -> tuple[FieldElem, ...]:
     points = canonical_sort(points)
     if nonempty and not points:
         raise EmptySetError(f"{name} is empty")
+    fields = {x.field for x in points}
+    if len(fields) > 1:
+        raise FieldMismatchError(f"{name} mixes elements of {', '.join(sorted(map(str, fields)))}")
     if len(set(points)) != len(points):
         raise InvalidParametersError(f"{name} has repeated elements")
     return points

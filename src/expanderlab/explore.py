@@ -15,13 +15,15 @@ conjectured one floor((1 + c) p^m - 1) which is reported but never
 asserted, and the distance from B to the nearest subfield, where only
 the subfields strictly between F_p and the field need index sets.
 
-Both drivers hand one measuring path runs (A, [B, ...]) of element
-indices, and no step lists the field: value rows from :func:`bound.value_rows`
-(the indices of f = g(x) + y*h(x)) over only the (x, y) the runs touch, image
-sizes as popcounts of OR-ed bit masks of ranked values, one negative-slack
-check, records in run order.  Both drivers run in one thread, since a thread
-pool gained nothing under the interpreter lock; ``parallelism`` is
-validated (>= 1) and otherwise unused: output is the same for any value.
+Both drivers hand one measuring path runs (A, [B, ...], cols) of element
+indices, cols being the y a run reads (every index, a drawn B, or K and the
+thetas), and no step lists the field's elements: value rows from
+:func:`bound.value_rows` (the indices of f = g(x) + y*h(x)) over only A x cols,
+image sizes as popcounts of OR-ed bit masks of ranked values, one
+negative-slack check, records in run order.  Both drivers run in one thread,
+since a thread pool gained nothing under the interpreter lock;
+``parallelism`` is validated (>= 1) and otherwise unused: output is the
+same for any value.
 
 A record with negative slack would disprove the bound; the harness treats
 it as a fatal internal error and dumps the witness configuration.
@@ -224,23 +226,18 @@ def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
 
 
 def _measure(field: Field, g, h, runs) -> list[ExperimentRecord]:
-    """One record per pair of the index runs (A_idx, [B_idx, ...]), in order.
+    """One record per pair of the index runs (A_idx, [B_idx, ...], cols), in order.
 
-    A run touches A times the union of its B's, each value once.  Per run,
-    values get dense ranks, ``col[y]`` ORs ``1 << rank(f(x, y))`` over x in
-    A, and an image size is the popcount of the OR of B's columns: at most
-    min(q, |A| * |union of B's|) bits.  Sizes are taken, and values freed,
-    before records are built; names are rendered with ``field.from_index``
-    only for the indices in some A or B.  A record with negative slack
-    raises :func:`negative_slack_error`.
+    A run touches A times its columns ``cols``, which hold every y of its
+    B's, each value once.  Per run, values get dense ranks, ``col[y]`` ORs
+    ``1 << rank(f(x, y))`` over x in A, and an image size is the popcount of
+    the OR of B's columns: at most min(q, |A| * |cols|) bits.  Sizes are
+    taken, and values freed, before records are built; names are rendered
+    with ``field.from_index`` only for the indices in some A or column.  A
+    record with negative slack raises :func:`negative_slack_error`.
     """
     field_s, g_s, h_s = str(field), str(g), str(h)
     subfield_sets = _subfield_index_sets(field)
-    # Runs that share one list of B's (exhaustive search hands every run of
-    # a cell the same list) share its columns, built once per list.
-    unions = {id(Bs): Bs for _, Bs in runs}
-    unions = {key: tuple(set().union(*Bs)) for key, Bs in unions.items()}
-    runs = [(A_idx, Bs, unions[id(Bs)]) for A_idx, Bs in runs]
     values = {}
     for A_idx, _, cols in runs:
         blank = dict.fromkeys(cols)
@@ -266,7 +263,8 @@ def _measure(field: Field, g, h, runs) -> list[ExperimentRecord]:
             sizes.append(mask.bit_count())
     del values
 
-    names = {i: str(field.from_index(i)) for i in set().union(*(A + B for A, _, B in runs))}
+    touched = set().union(*(A for A, _, _ in runs), *(cols for _, _, cols in runs))
+    names = {i: str(field.from_index(i)) for i in touched}
     bounds, b_sides, records, sizes = {}, {}, [], iter(sizes)
     record = ExperimentRecord._make
     for A_idx, Bs, _ in runs:
@@ -321,21 +319,21 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
             f"run needs {cost} {unit} but the budget is {config.budget}; {advice}")
 
     # Runs come in tie-break order (a, b, A_idx, B_idx): exhaustive runs are
-    # lexicographic and share their cell's list of B's, and random mode sorts
-    # a cell's draws, one run each.  So one stable sort on slack ranks records.
+    # lexicographic and read every index, random runs are a cell's sorted
+    # draws, each reading its own B.  So one stable sort on slack ranks records.
     runs = []
     rng = Xoshiro256StarStar(config.seed)
     for a, b in cells:
         if config.mode == "exhaustive":
             Bs = list(itertools.combinations(range(q), b))
-            runs.extend((A, Bs) for A in itertools.combinations(pool_a, a))
+            runs.extend((A, Bs, range(q)) for A in itertools.combinations(pool_a, a))
         else:
             cell = []
             for _ in range(config.sample_count):
                 A_pos = rng.sample_indices(len(pool_a), a)
                 cell.append((tuple(pool_a[i] for i in A_pos),
                              rng.sample_indices(q, b)))
-            runs.extend((A, [B]) for A, B in sorted(cell))
+            runs.extend((A, [B], B) for A, B in sorted(cell))
     records = _measure(field, g, h, runs)
     records.sort(key=lambda r: r.slack)
     return records
@@ -415,7 +413,7 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
         thetas = [thetas[i] for i in picks]
 
     base, *swept = _measure(field, g_poly, h_poly, [(A, [K_idx] + [
-        tuple(sorted(K_idx + (theta,))) for theta in thetas])])
+        tuple(sorted(K_idx + (theta,))) for theta in thetas], K_idx + tuple(thetas))])
     proved = math.floor((1 + c / 2) * q_m - 1)
     conjectured = math.floor((1 + c) * q_m - 1)
     return [base] + [r._replace(proved_threshold=proved,

@@ -127,11 +127,9 @@ def _is_irreducible(m: list[int], p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """First irreducible monic degree-n polynomial, coefficient tuples ordered
-    low-degree-first.  The scan starts at constant term 1: for n >= 2, x
-    divides every candidate with constant term 0."""
-    if n == 1:
-        return (0, 1)
+    """First irreducible monic polynomial of degree n >= 2, coefficient
+    tuples ordered low-degree-first.  The scan starts at constant term 1:
+    x divides every candidate with constant term 0."""
     for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
         cand = list(tail) + [1]
         if _is_irreducible(cand, p):
@@ -221,7 +219,8 @@ class Field:
         if not isinstance(n, int) or n < 1:
             raise ParseError(f"extension degree must be a positive integer, got {n!r}")
         if n == 1:
-            modulus = None
+            if modulus is not None:
+                raise ParseError(f"modulus {modulus!r} given for the prime field F_{p}")
         elif modulus is None:
             modulus = _smallest_irreducible(p, n)
         else:   # a given modulus is read only once p is known to be a valid prime
@@ -588,8 +587,6 @@ def parse_field(text: str) -> Field:
             p, n = int(head), 1
     except ValueError:
         raise ParseError(f"bad field description {text!r}") from None
-    if slash and n == 1:
-        raise ParseError(f"{text!r}: modulus given for a prime field")
     return extension_field(p, n, mod_text if slash else None)
 
 

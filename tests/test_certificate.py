@@ -193,6 +193,15 @@ def test_solvers_reject_repeated_points():
         solve_alpha(elems(F5, 1, 2, 2), h, b=2, target_degree=0)
 
 
+def test_solvers_refuse_points_of_two_fields():
+    # F13(1) and F9(1) share the index 1, so only a field check tells them apart.
+    mixed = [F13.one(), extension_field(3, 2).one()]
+    with pytest.raises(FieldMismatchError, match=r"^B mixes elements of 13, 3\^2/t\^2\+1$"):
+        solve_beta(mixed)
+    with pytest.raises(FieldMismatchError, match=r"^A mixes elements of 13, 3\^2/t\^2\+1$"):
+        solve_alpha(mixed, parse_poly("x", F13), b=1, target_degree=1)
+
+
 def test_verify_beta_rejects_wrong_shape():
     B = elems(F5, 0, 1, 2)
     beta = solve_beta(B)

@@ -738,6 +738,11 @@ def test_closed_stdout_pipe_exits_141_quietly():
      "error: extension degree must be a positive integer, got 0\n"),
     ("search --field 3^0 --g x^2 --h x --a 2 --b 2",
      "error: extension degree must be a positive integer, got 0\n"),
+    # a modulus is refused for a prime field, after the prime check
+    ("bound --field 13/t+1 --a 3 --b 2 --d 1",
+     "error: modulus 't+1' given for the prime field F_13\n"),
+    ("bound --field 4/t+1 --a 3 --b 2 --d 1",
+     "error: characteristic 4 is not prime\n"),
 ])
 def test_validation_paths_exit_2(argv, message):
     assert run_cli(*argv.split()) == (2, "", message)

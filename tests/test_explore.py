@@ -34,7 +34,7 @@ from expanderlab.field import Field, FieldElem, extension_field, parse_field, pr
 from expanderlab.poly import parse_poly
 from expanderlab.rng import Xoshiro256StarStar, splitmix64
 
-from oracles import image_double_loop, measure_int_sets
+from oracles import frobenius_subfield, image_double_loop, measure_int_sets
 
 
 # -- rng ------------------------------------------------------------------------
@@ -450,8 +450,8 @@ def _measured(measure, field, g, h, runs_or_tasks):
 
 
 def _tasks(runs):
-    """The (A, B) tasks of runs (A, [B, ...]), in run order."""
-    return [(A, B) for A, Bs in runs for B in Bs]
+    """The (A, B) tasks of runs (A, [B, ...], cols), in run order."""
+    return [(A, B) for A, Bs, _ in runs for B in Bs]
 
 
 @settings(max_examples=200, deadline=None)
@@ -460,7 +460,9 @@ def _tasks(runs):
 def test_measure_matches_the_int_set_oracle(data, field_s, forced):
     # A few A's and lists of B's drawn into many runs, so an A recurs with
     # several B's inside one run and in runs next to and apart from each
-    # other, and runs share one list of B's as exhaustive search's do.
+    # other, and runs share one list of B's as exhaustive search's do.  A
+    # run's columns are its B's elements plus up to three y that its B's
+    # need not use, in any order, as exhaustive search reads the whole field.
     # ``forced`` demands a*b distinct values, so pairs with a collision
     # fail and the first one in run order is named.
     field, g, h = _measure_case(field_s)
@@ -468,12 +470,16 @@ def test_measure_matches_the_int_set_oracle(data, field_s, forced):
     def subsets(universe):
         return st.lists(st.sampled_from(universe), min_size=1, max_size=5,
                         unique=True).map(tuple)
+    def with_columns(A, Bs):
+        extra = st.lists(st.sampled_from(range(field.order)), max_size=3)
+        return extra.flatmap(lambda e: st.permutations(sorted(set().union(e, *Bs)))).map(
+            lambda cols: (A, Bs, tuple(cols)))
     As = data.draw(st.lists(subsets(pool), min_size=1, max_size=4))
     B_lists = data.draw(st.lists(st.lists(subsets(range(field.order)),
                                           min_size=1, max_size=4),
                                  min_size=1, max_size=3))
-    runs = data.draw(st.lists(st.tuples(st.sampled_from(As),
-                                        st.sampled_from(B_lists)),
+    runs = data.draw(st.lists(st.tuples(st.sampled_from(As), st.sampled_from(B_lists))
+                              .flatmap(lambda run: with_columns(*run)),
                               min_size=1, max_size=6))
     with pytest.MonkeyPatch.context() as mp:
         if forced:
@@ -491,8 +497,8 @@ def test_measure_names_the_first_negative_slack_witness(monkeypatch):
                         lambda a, b, d, p: SimpleNamespace(bound=a * b))
     field = parse_field("13")
     g, h = parse_poly("x^2", field), parse_poly("x", field)
-    runs = [((1, 2), [(0, 1)]), ((3, 4), [(0, 1)]), ((1, 2), [(5, 7)]),
-            ((1, 12), [(0, 1), (2, 3)])]
+    runs = [((1, 2), [(0, 1)], (0, 1)), ((3, 4), [(0, 1)], (0, 1)),
+            ((1, 2), [(5, 7)], (5, 7)), ((1, 12), [(0, 1), (2, 3)], (0, 1, 2, 3))]
     messages = []
     for measure, arg in ((explore._measure, runs), (measure_int_sets, _tasks(runs))):
         with pytest.raises(InternalInvariantError) as e:
@@ -505,7 +511,7 @@ def test_measure_names_the_first_negative_slack_witness(monkeypatch):
 
 def test_measure_renders_only_the_elements_in_some_set(monkeypatch):
     field, g, h = _measure_case("2^6")
-    runs = [((1, 2), [(0, 5), (7,)]), ((9,), [(5, 63)])]
+    runs = [((1, 2), [(0, 5), (7,)], (0, 5, 7)), ((9,), [(5, 63)], (5, 63))]
     rendered = []
     to_str = FieldElem.__str__
     monkeypatch.setattr(FieldElem, "__str__",
@@ -572,6 +578,27 @@ def test_subfield_f9_half_frozen():
         assert r.subfield_distance == 1 and r.subfield_order == 3
         assert r.image_size >= r.proved_threshold
         assert r.slack >= 0
+
+
+@pytest.mark.parametrize("field_s, m", [("2^4", 2), ("2^6", 2), ("2^6", 3), ("3^4", 2)])
+@pytest.mark.parametrize("random_a", [False, True])
+def test_subfield_records_match_the_int_set_oracle(field_s, m, random_a):
+    # Whole records on fields with intermediate subfields, every theta: K by
+    # the Frobenius test, A the first usable elements of K or a seeded draw
+    # of them, each image an int set, thresholds on the theta records only.
+    field, c, seed = parse_field(field_s), Fraction(1, 2), 3
+    g, h = parse_poly("x^2", field), parse_poly("x", field)
+    K = tuple(x.index() for x in frobenius_subfield(field, m))
+    pool = [i for i in K if i and not h(field.from_index(i)).is_zero()]
+    a = min(math.ceil(c * len(K)), len(pool))
+    picks = Xoshiro256StarStar(seed).sample_indices(len(pool), a) if random_a else range(a)
+    A = tuple(pool[i] for i in picks)
+    base, *swept = measure_int_sets(field, g, h, [(A, K)] + [
+        (A, tuple(sorted(K + (theta,)))) for theta in range(field.order) if theta not in K])
+    thresholds = {"proved_threshold": math.floor((1 + c / 2) * len(K) - 1),
+                  "conjectured_threshold": math.floor((1 + c) * len(K) - 1)}
+    expected = [base] + [r._replace(**thresholds) for r in swept]
+    assert subfield_experiment(field_s, m, c, seed=seed, random_a=random_a) == expected
 
 
 def _count_frobenius_powers(monkeypatch):

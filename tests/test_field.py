@@ -82,6 +82,13 @@ def test_explicit_modulus_validation():
     assert F.modulus == (2, 1, 1)
 
 
+def test_a_prime_field_refuses_any_modulus():
+    for p, modulus in ((3, "garbage"), (3, (0, 1)), (13, "t+1"), (13, "")):
+        with pytest.raises(ParseError) as e:
+            extension_field(p, 1, modulus)
+        assert str(e.value) == f"modulus {modulus!r} given for the prime field F_{p}"
+
+
 def test_modulus_forms_agree():
     # A coefficient sequence, a polynomial over F_p and the text form.
     F3 = prime_field(3)
