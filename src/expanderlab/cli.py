@@ -259,7 +259,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from .explore import SearchConfig, search_extremal
+    from .explore import SearchConfig, rank_search
 
     opts = _given(args, SearchConfig._fields + _OUTPUT_KEYS, "field", "g", "h", "a", "b")
     output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
@@ -267,7 +267,7 @@ def cmd_search(args) -> int:
         opts["budget"] = os.environ[_ENV_BUDGET]
     opts["a"], opts["b"] = _parse_sizes(opts["a"]), _parse_sizes(opts["b"])
     _numbers(opts, "sample_count", "seed", "parallelism", "budget")
-    _emit_records(search_extremal(SearchConfig(**opts)), output)
+    _emit_records(rank_search(SearchConfig(**opts)), output)
     return 0
 
 
@@ -279,14 +279,14 @@ _SUBFIELD_KEYS = ("field", "m", "c_fraction", "g", "h", "theta_count", "seed",
 
 
 def cmd_subfield(args) -> int:
-    from .explore import subfield_experiment
+    from .explore import rank_subfield
 
     opts = _given(args, _SUBFIELD_KEYS, "field", "m", "c_fraction")
     output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
     _numbers(opts, "c_fraction", "m", "theta_count", "seed", "parallelism")
     if "random_a" in opts:
         opts["random_a"] = _parse_bool(opts["random_a"])
-    _emit_records(subfield_experiment(**opts), output)
+    _emit_records(rank_subfield(**opts), output)
     return 0
 
 

@@ -1,40 +1,40 @@
 """Brute-force experiments: extremal searches and subfield sharpness runs.
 
-Two drivers share one record format, which :func:`write_records` renders.
-
 :func:`search_extremal` enumerates or samples pairs (A, B), measures the
 exact image size against the proved bound, and returns the records sorted
 by slack ascending so near-extremal configurations surface first.
 
 :func:`subfield_experiment` probes how far the bound is from sharp when B
-is a subfield K plus one external point.  With coefficients of g and h in
-K and A inside K minus the roots of h, the image over B = K stays inside
-K (no growth); appending one point theta forces growth.  Each record
-carries the proved growth threshold floor((1 + c/2) p^m - 1), the
-conjectured one floor((1 + c) p^m - 1) which is reported but never
-asserted, and the distance from B to the nearest subfield, where only
-the subfields strictly between F_p and the field need index sets.
+is a subfield K plus one point theta outside it.  With g, h over K and A in
+K minus 0 and the roots of h, f(A, K) = K, and each theta record's image is
+p^m + N(A), N(A) the number of distinct (g(x), h(x)) over A.  Theta records
+carry floor((1 + c/2) p^m - 1), the "proved" growth threshold, and
+floor((1 + c) p^m - 1), the conjectured one; neither is raised on, and the
+tests assert the proved one only for g = x^2, h = x on F_9 and F_25.
+Every record carries the distance from B to the nearest subfield.
 
-Both drivers hand one measuring path runs (A, [B, ...], cols) of element
-indices, cols being the y a run reads (every index, a drawn B, or K and the
-thetas), and no step lists the field's elements: value rows from
-:func:`bound.value_rows` (the indices of f = g(x) + y*h(x)) over only A x cols,
-image sizes as popcounts of OR-ed bit masks of ranked values, one
-negative-slack check, records in run order.  Both drivers run in one thread,
-since a thread pool gained nothing under the interpreter lock;
-``parallelism`` is validated (>= 1) and otherwise unused: output is the
-same for any value.
+Both drivers hand one measuring kernel runs (A, [B, ...], cols) of element
+indices, cols being the y a run reads, and no step lists the field's
+elements.  The kernel checks every pair's slack and returns a
+:class:`Ranked`: per pair a row id into the distinct CSV rows and its run
+position, in output order, so CSV is written from row ids and a record is
+built only for json, plain, the summary and the list APIs.  Evaluation is
+single-threaded, as a thread pool gained nothing under the interpreter
+lock: ``parallelism`` is validated (>= 1) and otherwise unused.
 
-A record with negative slack would disprove the bound; the harness treats
-it as a fatal internal error and dumps the witness configuration.
+A pair with negative slack would disprove the bound; the harness treats
+it as a fatal internal error, before any output, and names the witness.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import io
 import itertools
 import math
+from array import array
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -80,33 +80,56 @@ class ExperimentRecord(NamedTuple):
     B: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        out = self._asdict()
-        out["A"] = list(self.A)
-        out["B"] = list(self.B)
-        return out
+        return {**self._asdict(), "A": list(self.A), "B": list(self.B)}
 
 
 CSV_COLUMNS = ExperimentRecord._fields[:12]
 
 
+class Ranked(SimpleNamespace):
+    """Measured pairs in output order, with no record per pair: the i-th is
+    pair ``order[i]`` in run order (``starts`` numbers each run's first) and
+    has row ``ids[i]`` of the distinct CSV ``rows``.  Indexing builds its
+    :class:`ExperimentRecord`, naming elements by ``name``."""
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        k = self.order[i]
+        r = bisect.bisect_right(self.starts, k) - 1
+        A_idx, Bs, _ = self.runs[r]
+        return ExperimentRecord._make(self.rows[self.ids[i]] + (
+            tuple(map(self.name, A_idx)), tuple(map(self.name, Bs[k - self.starts[r]]))))
+
+
+def _table(records):
+    """(rows, ids): the distinct CSV rows, in id order, and each record's id."""
+    if isinstance(records, Ranked):
+        return records.rows, records.ids
+    rows = {}       # filled by the second item, which is evaluated after the first
+    return rows, [rows.setdefault(r[:12], len(rows)) for r in records]
+
+
 def write_records(records, fmt: str, out) -> None:
-    """Write records to the text stream ``out`` as csv, json or plain, one
-    record at a time for csv and plain (json is one document).  csv writes
-    None as an empty cell."""
+    """Write records, a list or a :class:`Ranked`, to the text stream ``out``
+    as csv, json or plain, one record at a time; json is the bytes of
+    ``json.dumps(list, indent=2)``.  csv renders each distinct row once,
+    writes None as an empty cell and builds no record."""
     if fmt == "csv":
-        # writerow returns what write returns, here the rendered line; rows
-        # repeat (search varies only in a few integer cells), so each
-        # distinct row is rendered once.
+        # writerow returns what write returns, here the rendered line.
         echo = SimpleNamespace(write=lambda line: line)
         render = csv.writer(echo, lineterminator="\n").writerow
-        lines = {}
+        rows, ids = _table(records)
+        lines = [render(row) for row in rows]
         out.write(render(CSV_COLUMNS))
-        for r in records:
-            cells = r[:12]
-            out.write(lines.get(cells) or lines.setdefault(cells, render(cells)))
+        out.writelines(map(lines.__getitem__, ids))
     elif fmt == "json":
         import json
-        out.write(json.dumps([r.to_dict() for r in records], indent=2) + "\n")
+        for i, r in enumerate(records):
+            text = json.dumps(r.to_dict(), indent=2).replace("\n", "\n  ")
+            out.write((",\n  " if i else "[\n  ") + text)
+        out.write("\n]\n" if len(records) else "[]\n")
     elif fmt == "plain":
         for r in records:
             extra = ("" if r.proved_threshold is None else
@@ -135,11 +158,14 @@ def summarize(records) -> str:
     """The stderr summary: the record count and the best record, the least
     by (slack, a, b, A, B) with A and B compared as tuples of element
     strings, so ties need not fall on the first record in output order;
-    only the records of least slack are keyed."""
-    if not records:
+    only the records of least slack are built and keyed."""
+    rows, ids = _table(records)
+    if not rows:
         return "0 records"
-    least = min(r.slack for r in records)
-    best = min((r for r in records if r.slack == least),
+    least = min(row[7] for row in rows)
+    is_least = [row[7] == least for row in rows]
+    best = min(map(records.__getitem__,
+                   itertools.compress(itertools.count(), map(is_least.__getitem__, ids))),
                key=lambda r: (r.a, r.b, r.A, r.B))
     return (f"{len(records)} records; min slack {best.slack} at a={best.a}"
             f" b={best.b} {_sets_text(best.A, best.B)}")
@@ -225,18 +251,20 @@ def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
         f"for field={field_s} g={g_s} h={h_s} {_sets_text(A, B)}")
 
 
-def _measure(field: Field, g, h, runs) -> list[ExperimentRecord]:
-    """One record per pair of the index runs (A_idx, [B_idx, ...], cols), in order.
+def _measure(field: Field, g, h, runs, by_slack: bool = True) -> Ranked:
+    """The pairs of the index runs (A_idx, [B_idx, ...], cols), ranked.
 
     A run touches A times its columns ``cols``, which hold every y of its
     B's, each value once.  Per run, values get dense ranks, ``col[y]`` ORs
     ``1 << rank(f(x, y))`` over x in A, and an image size is the popcount of
-    the OR of B's columns: at most min(q, |A| * |cols|) bits.  Sizes are
-    taken, and values freed, before records are built; names are rendered
-    with ``field.from_index`` only for the indices in some A or column.  A
-    record with negative slack raises :func:`negative_slack_error`.
+    the OR of B's columns: at most min(q, |A| * |cols|) bits.  Runs sharing
+    a and their B's share, per B, a table from size to a row id into the
+    distinct CSV rows.  A row's slack is checked as it first appears, so the
+    first offender in run order raises :func:`negative_slack_error`.  Pairs
+    are bucketed by slack in run order, or kept in run order without ``by_slack``.
     """
     field_s, g_s, h_s = str(field), str(g), str(h)
+    name = functools.cache(lambda i: str(field.from_index(i)))
     subfield_sets = _subfield_index_sets(field)
     values = {}
     for A_idx, _, cols in runs:
@@ -247,42 +275,55 @@ def _measure(field: Field, g, h, runs) -> list[ExperimentRecord]:
         cols = tuple(row)
         row.update(zip(cols, bound_mod.value_rows(g, h, [i], cols)[0]))
 
-    sizes = []
-    for A_idx, Bs, cols in runs:
-        rows = [values[i] for i in A_idx]
+    bound = functools.cache(lambda a, b: bound_mod.theorem_bound(a, b, g.degree(), field.p).bound)
+    rows, table_of, bucket_of, buckets, sides, cell = [], {}, [], {}, {}, None
+    starts = array("I", itertools.accumulate([len(Bs) for _, Bs, _ in runs], initial=0))
+    for (A_idx, Bs, cols), start in zip(runs, starts):
+        value_rows = [values[i] for i in A_idx]
         rank, col = {}, {}
         for y in cols:
             mask = 0
-            for row in rows:
+            for row in value_rows:
                 mask |= 1 << rank.setdefault(row[y], len(rank))
             col[y] = mask
-        for B_idx in Bs:
+        a = len(A_idx)
+        if (a, Bs) != cell:         # exhaustive runs of a cell share a and B's
+            cell, b_sides = (a, Bs), [sides.get(B_idx) or sides.setdefault(
+                B_idx, (len(B_idx), *_nearest_distance(B_idx, field, subfield_sets)))
+                for B_idx in Bs]
+            tables = [table_of.setdefault((a, side), {}) for side in b_sides]
+        for k, B_idx, side, table in zip(itertools.count(start), Bs, b_sides, tables):
             mask = 0
             for y in B_idx:
                 mask |= col[y]
-            sizes.append(mask.bit_count())
-    del values
-
-    touched = set().union(*(A for A, _, _ in runs), *(cols for _, _, cols in runs))
-    names = {i: str(field.from_index(i)) for i in touched}
-    bounds, b_sides, records, sizes = {}, {}, [], iter(sizes)
-    record = ExperimentRecord._make
-    for A_idx, Bs, _ in runs:
-        a, A_s = len(A_idx), tuple(names[i] for i in A_idx)
-        for B_idx, size in zip(Bs, sizes):
-            b, dist, order, B_s = b_sides.get(B_idx) or b_sides.setdefault(
-                B_idx, (len(B_idx), *_nearest_distance(B_idx, field, subfield_sets),
-                        tuple(names[j] for j in B_idx)))
-            tb = bounds.get((a, b)) or bounds.setdefault(
-                (a, b), bound_mod.theorem_bound(a, b, g.degree(), field.p).bound)
-            if size < tb:
-                raise negative_slack_error(field_s, g_s, h_s, A_s, B_s, size, tb)
-            records.append(record((field_s, g_s, h_s, a, b, size, tb, size - tb,
-                                   None, None, dist, order, A_s, B_s)))
-    return records
+            size = mask.bit_count()
+            rid = table.get(size)
+            if rid is None:
+                b, dist, nearest = side
+                tb = bound(a, b)
+                if size < tb:
+                    raise negative_slack_error(field_s, g_s, h_s, tuple(map(name, A_idx)),
+                                               tuple(map(name, B_idx)), size, tb)
+                rid = table[size] = len(rows)
+                rows.append((field_s, g_s, h_s, a, b, size, tb, size - tb,
+                             None, None, dist, nearest))
+                bucket_of.append(buckets.setdefault(size - tb if by_slack else 0, array("I")))
+            bucket = bucket_of[rid]
+            bucket.append(k)
+            bucket.append(rid)
+    ranked = array("I")                         # pair, row, pair, row, ...
+    for slack in sorted(buckets):
+        ranked += buckets[slack]
+    return Ranked(rows=rows, ids=ranked[1::2], order=ranked[::2], starts=starts,
+                  runs=runs, name=name)
 
 
 def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
+    """The records of :func:`rank_search`, sorted by slack ascending."""
+    return list(rank_search(config))
+
+
+def rank_search(config: SearchConfig) -> Ranked:
     field = parse_field(config.field)
     g = parse_poly(config.g, field)
     h = parse_poly(config.h, field)
@@ -305,8 +346,6 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
     a_sizes = _size_list(config.a, len(pool_a), "a")
     b_sizes = _size_list(config.b, q, "b")
     cells = [(a, b) for a in a_sizes for b in b_sizes]
-    if not cells:
-        return []
 
     if config.mode == "exhaustive":
         cost = sum(math.comb(len(pool_a), a) * math.comb(q, b) for a, b in cells)
@@ -320,7 +359,7 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
 
     # Runs come in tie-break order (a, b, A_idx, B_idx): exhaustive runs are
     # lexicographic and read every index, random runs are a cell's sorted
-    # draws, each reading its own B.  So one stable sort on slack ranks records.
+    # draws, each reading its own B.  So bucketing by slack in run order ranks pairs.
     runs = []
     rng = Xoshiro256StarStar(config.seed)
     for a, b in cells:
@@ -334,9 +373,7 @@ def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
                 cell.append((tuple(pool_a[i] for i in A_pos),
                              rng.sample_indices(q, b)))
             runs.extend((A, [B], B) for A, B in sorted(cell))
-    records = _measure(field, g, h, runs)
-    records.sort(key=lambda r: r.slack)
-    return records
+    return _measure(field, g, h, runs)
 
 
 def parse_c(value):
@@ -361,10 +398,14 @@ def parse_c(value):
         raise InvalidParametersError(f"c = {value!r} is not a finite number") from None
 
 
-def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
-                        h: str = "x", theta_count: int | None = None,
-                        seed: int = 0, random_a: bool = False,
-                        parallelism: int = 1) -> list[ExperimentRecord]:
+def subfield_experiment(*args, **kwargs) -> list[ExperimentRecord]:
+    """The records of :func:`rank_subfield`, which takes the same arguments."""
+    return list(rank_subfield(*args, **kwargs))
+
+
+def rank_subfield(field, m: int, c_fraction, g: str = "x^2", h: str = "x",
+                  theta_count: int | None = None, seed: int = 0,
+                  random_a: bool = False, parallelism: int = 1) -> Ranked:
     """Image growth when B is the order-p^m subfield K plus one point.
 
     A is ceil(c * p^m) elements of K minus {0} and the roots of h, clipped
@@ -412,10 +453,9 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2",
         picks = rng.sample_indices(len(thetas), theta_count)
         thetas = [thetas[i] for i in picks]
 
-    base, *swept = _measure(field, g_poly, h_poly, [(A, [K_idx] + [
-        tuple(sorted(K_idx + (theta,))) for theta in thetas], K_idx + tuple(thetas))])
-    proved = math.floor((1 + c / 2) * q_m - 1)
-    conjectured = math.floor((1 + c) * q_m - 1)
-    return [base] + [r._replace(proved_threshold=proved,
-                                conjectured_threshold=conjectured)
-                     for r in swept]
+    Bs = [K_idx] + [tuple(sorted(K_idx + (theta,))) for theta in thetas]
+    ranked = _measure(field, g_poly, h_poly, [(A, Bs, K_idx + tuple(thetas))], by_slack=False)
+    # Row 0 is the baseline's, the first pair's, and no other: theta's B has p^m + 1.
+    thresholds = (math.floor((1 + c / 2) * q_m - 1), math.floor((1 + c) * q_m - 1))
+    ranked.rows[1:] = [row[:8] + thresholds + row[10:] for row in ranked.rows[1:]]
+    return ranked

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import bound as bound_mod
-from expanderlab import cli
+from expanderlab import cli, explore
 from expanderlab.cli import main
 from expanderlab.explore import SearchConfig
 
@@ -416,6 +416,66 @@ def test_unknown_config_format_leaves_out_alone(tmp_path, command, body):
     out.write_text("keep")
     assert run_cli(command, "--config", str(cfg))[0] == 2
     assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv", [
+    "search --field 13 --g x^2 --h x --a 2 --b 2",
+    "subfield --field 3^2 --m 1 --c-fraction 1/2",
+])
+def test_negative_slack_leaves_out_alone(tmp_path, monkeypatch, argv):
+    # Every pair is ranked, and its slack checked, before --out is opened.
+    monkeypatch.setattr(explore.bound_mod, "theorem_bound",
+                        lambda a, b, d, p: SimpleNamespace(bound=10**6))
+    out = tmp_path / "records.csv"
+    out.write_text("keep")
+    code, stdout, err = run_cli(*argv.split(), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("internal error: negative slack")
+    assert out.read_text() == "keep"
+
+
+def test_csv_search_builds_a_record_only_for_the_least_slack_pairs(monkeypatch):
+    # CSV is written from row ids; the summary builds the least-slack pairs.
+    made = []
+
+    class Counted(explore.ExperimentRecord):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            made.append(1)
+            return super().__new__(cls, *args, **kwargs)
+
+        @classmethod
+        def _make(cls, iterable):
+            made.append(1)
+            return super()._make(iterable)
+
+    monkeypatch.setattr(explore, "ExperimentRecord", Counted)
+    code, out, _ = run_cli("search", "--field", "13", "--g", "x^2", "--h", "x",
+                           "--a", "2-3", "--b", "2")
+    slacks = [int(line.split(",")[7]) for line in out.splitlines()[1:]]
+    least = slacks.count(min(slacks))
+    assert (code, len(slacks), least) == (0, 22308, 228)
+    assert 0 < len(made) <= least
+
+
+@pytest.mark.parametrize("argv, thetas, cells", [
+    # x -> x^3 is 3-to-1 on F_13*, so A has N(A) = 4 distinct (g(x), h(x)):
+    # image 13 + 4 = 17, below the proved threshold 18 (theorem bound 15).
+    ("subfield --field 13^2 --m 1 --c-fraction 12/13 --g x^6 --h x^3", 156,
+     ["12", "14", "17", "15", "2", "18", "24"]),
+    # image 13, below the conjectured threshold 16 (proved 12).
+    ("subfield --field 3^4 --m 2 --c-fraction 8/9 --g x^4 --h x^2", 72,
+     ["8", "10", "13", "11", "2", "12", "16"]),
+])
+def test_theta_images_below_a_threshold_are_not_errors(argv, thetas, cells):
+    # The thresholds are reported, never raised on: the proved one is
+    # asserted only for g = x^2, h = x on F_9 and F_25.
+    code, out, err = run_cli(*argv.split())
+    assert code == 0 and err.startswith(f"{1 + thetas} records; min slack 0 at ")
+    rows = [line.split(",") for line in out.splitlines()[2:]]    # the theta rows
+    assert len(rows) == thetas
+    assert all(row[3:10] == cells for row in rows)         # slack 2 in each
 
 
 def test_unknown_config_format_is_reported_after_the_run(tmp_path):

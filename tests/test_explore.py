@@ -157,6 +157,17 @@ def test_records_are_written_as_they_render(fmt):
         assert stream.getvalue() == records_to_csv(recs)
 
 
+def test_json_is_streamed_as_the_bytes_of_one_document():
+    import json
+    recs = search_extremal(SearchConfig("2^3", "x^2", "x", (1, 2), (1, 2)))
+    stream = _CountingStream()
+    write_records(recs, "json", stream)
+    assert stream.writes > len(recs) > 0          # one write per record, then the close
+    assert stream.getvalue() == json.dumps([r.to_dict() for r in recs], indent=2) + "\n"
+    empty = explore.rank_search(SearchConfig("5", "x^2", "x", 9, 2))
+    assert records_to_json([]) == records_to_json(empty) == "[]\n"
+
+
 def test_csv_line_cache_matches_a_plain_writer():
     # Text cells that need quoting, None cells, and rows that repeat (also
     # with other A and B, which csv leaves out) or differ in one cell.
@@ -443,8 +454,9 @@ def _measure_case(field_s):
 
 
 def _measured(measure, field, g, h, runs_or_tasks):
+    """The records in output order, or the error message."""
     try:
-        return measure(field, g, h, runs_or_tasks)
+        return list(measure(field, g, h, runs_or_tasks))
     except InternalInvariantError as e:
         return str(e)
 
@@ -464,7 +476,8 @@ def test_measure_matches_the_int_set_oracle(data, field_s, forced):
     # run's columns are its B's elements plus up to three y that its B's
     # need not use, in any order, as exhaustive search reads the whole field.
     # ``forced`` demands a*b distinct values, so pairs with a collision
-    # fail and the first one in run order is named.
+    # fail and the first one in run order is named.  Otherwise the records
+    # the ranked result builds are the oracle's, stably sorted by slack.
     field, g, h = _measure_case(field_s)
     pool = [x.index() for x in field.elements() if not h(x).is_zero()]
     def subsets(universe):
@@ -485,8 +498,10 @@ def test_measure_matches_the_int_set_oracle(data, field_s, forced):
         if forced:
             mp.setattr(explore.bound_mod, "theorem_bound",
                        lambda a, b, d, p: SimpleNamespace(bound=a * b))
-        assert (_measured(explore._measure, field, g, h, runs)
-                == _measured(measure_int_sets, field, g, h, _tasks(runs)))
+        expected = _measured(measure_int_sets, field, g, h, _tasks(runs))
+        if isinstance(expected, list):
+            expected.sort(key=lambda r: r.slack)
+        assert _measured(explore._measure, field, g, h, runs) == expected
 
 
 def test_measure_names_the_first_negative_slack_witness(monkeypatch):
@@ -518,7 +533,8 @@ def test_measure_renders_only_the_elements_in_some_set(monkeypatch):
                         lambda x: rendered.append(x.index()) or to_str(x))
     str(g), str(h)
     polys = len(rendered)               # the coefficients of g and h
-    explore._measure(field, g, h, runs)
+    records = list(explore._measure(field, g, h, runs))
+    assert len(records) == 3                # names are rendered as records are built
     assert sorted(rendered[2 * polys:]) == [0, 1, 2, 5, 7, 9, 63]
 
 
