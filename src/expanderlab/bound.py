@@ -9,34 +9,64 @@ a = |A|, b = |B|.  If k satisfies
 then the image has more than k elements.  :func:`theorem_bound` enumerates
 the k whose base-p digits dominate those of b-1 (Lucas' theorem read
 constructively: N. J. Fine, "Binomial coefficients modulo a prime", Amer.
-Math. Monthly 54, 1947) and reports them all with the best one; every one
-is reported because nonvanishing mod p is not monotone in k.
-:func:`corollary_bound` is the closed-form consequence min(a/d + b - 1, p),
-floored to an integer.
+Math. Monthly 54, 1947), meeting in the middle of the digits, and reports
+them all with the best one; every one is reported because nonvanishing
+mod p is not monotone in k.  :func:`corollary_bound` is the closed-form
+consequence min(a/d + b - 1, p), floored to an integer.
 
 ``characteristic`` arguments accept a prime up to ``MAX_CHARACTERISTIC``
 or ``math.inf``, the sentinel for characteristic zero, where no binomial
 with 0 <= r <= k vanishes and the p-cap never binds; the digit code runs
-it as an integer base above every k in question.
+it as an integer base above every k in question.  The field size limits
+and ``is_prime`` live here, so ``bound --d`` needs no field layer.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     FieldMismatchError,
     InvalidParametersError,
     NotPrimeError,
 )
-from .field import Field, FieldElem, _check_field_size, canonical_sort, is_prime
-from .poly import Poly
+
+if TYPE_CHECKING:                # annotations only: `bound --d` loads no field layer
+    from .field import Field, FieldElem
+    from .poly import Poly
 
 INF = math.inf
 
 MAX_ADMISSIBLE_K = 10**7    # theorem_bound reports every admissible k
+MAX_CHARACTERISTIC = 10**12    # field's brute-force searches stay fast under these
+MAX_EXTENSION_ORDER = 10**5
+
+
+def _check_field_size(p, n=1) -> None:
+    """Refuse p, or p^n for n > 1, above its limit; as 2^64 exceeds it, n is capped."""
+    if not (isinstance(p, int) and isinstance(n, int)):
+        return
+    if p > MAX_CHARACTERISTIC:
+        raise InvalidParametersError(f"characteristic {p} over the limit {MAX_CHARACTERISTIC}")
+    if n > 1 and p > 1 and p ** min(n, 64) > MAX_EXTENSION_ORDER:
+        raise InvalidParametersError(f"{p}^{n} elements over the limit {MAX_EXTENSION_ORDER}")
+
+
+def is_prime(p: int) -> bool:
+    """Trial-division primality test; fine at the scales this library targets."""
+    if p < 2:
+        return False
+    if p % 2 == 0:
+        return p == 2
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def _check_characteristic(characteristic) -> None:
@@ -82,30 +112,35 @@ def lucas_nonvanishing(k: int, r: int, characteristic) -> bool:
     return True
 
 
-def _dominating(r: int, hi: int, p: int) -> list[range]:
+def _dominating(r: int, hi: int, p: int) -> list:
     """The k <= hi whose base-p digits dominate those of r, in ascending
-    order, as ``range`` chunks of step 1; every such k is at least r.
+    order, as ``range`` or ``list`` chunks; every such k is at least r.
     Needs r <= hi and an integer base p >= 2, or p = 1 with hi = 0.
 
-    Digits are fixed from the top down, level by level, each from r's
-    digit to p - 1, and a prefix past ``hi`` is dropped.  At r's lowest
-    nonzero digit (the top level when r = 0) every lower digit is free and
-    the blocks for the digits allowed there sit next to each other, so
-    each prefix above it is one chunk.
+    Meet in the middle: the dominating completions of the low half of the
+    digits are listed once, the high-half prefixes up to ``hi`` come from
+    this enumeration one level down, and each prefix plus the low block is
+    emitted in turn, only the last cut at ``hi``.  Below one past r's lowest
+    nonzero digit every digit is free, so a low half no wider is one
+    ``range`` per prefix (one in all when r = 0 or p > hi); a wider one
+    makes a single flat list.
     """
-    digits, powers = [r % p], [1]
-    while powers[-1] <= hi:          # r's digits, one past those of hi
+    powers = [1]
+    while powers[-1] <= hi:                  # until p^width > hi
         powers.append(powers[-1] * p)
-        digits.append(r // powers[-1] % p)
-    free = next((i for i, digit in enumerate(digits) if digit), len(digits) - 1)
-    prefixes = [0]
-    for i in range(len(digits) - 1, free, -1):
-        step, low = powers[i], digits[i] * powers[i]
-        prefixes = [base for prefix in prefixes
-                    for base in range(prefix + low, min(prefix + p * step, hi + 1), step)]
-    step, low = powers[free], digits[free] * powers[free]
-    chunks = (range(prefix + low, min(prefix + p * step, hi + 1)) for prefix in prefixes)
-    return [chunk for chunk in chunks if chunk]
+    width = len(powers) - 1                  # how many digits 0 .. hi have
+    free = next((i + 1 for i in range(width) if r // powers[i] % p), width)
+    split = max(free, (width + 1) // 2)
+    block = powers[split]
+    low = range(r % powers[free], powers[free])
+    for i in range(free, split):
+        low = [x + digit * powers[i] for digit in range(r // powers[i] % p, p) for x in low]
+    prefixes = ([h * block for chunk in _dominating(r // block, hi // block, p) for h in chunk]
+                if split < width else [0])
+    chunks = ([range(h + low.start, h + low.stop) for h in prefixes] if isinstance(low, range)
+              else [[h + x for h in prefixes for x in low]])
+    chunks[-1] = chunks[-1][:bisect.bisect_right(chunks[-1], hi)]
+    return chunks if chunks[-1] else chunks[:-1]
 
 
 def _count_dominating(r: int, hi: int, p: int) -> int:
@@ -239,6 +274,8 @@ def check_instance(field: Field, g: Poly, h: Poly, A, B):
     polynomials over the wrong field are not a hypothesis violation but a
     programming mistake.
     """
+    from .field import canonical_sort
+
     for f_, name in ((g, "g"), (h, "h")):
         if f_.field != field:
             raise FieldMismatchError(f"{name} is over {f_.field}, expected {field}")

@@ -21,8 +21,9 @@ import os
 import sys
 
 # Only what every subcommand needs.  Each cmd_* imports the layers it runs,
-# so an invocation compiles only those: explore for search, subfield and
-# image, certificate and rng for certify, selftest for selftest, and json
+# so an invocation compiles only those: field and poly where a field text is
+# parsed (not `bound --d` over a prime or inf), explore for search, subfield
+# and image, certificate and rng for certify, selftest for selftest, and json
 # where JSON is written.
 from .bound import (
     check_degrees,
@@ -32,8 +33,6 @@ from .bound import (
     theorem_bound,
 )
 from .errors import InternalInvariantError, InvalidParametersError, ParseError, ValidationError
-from .field import parse_field
-from .poly import parse_poly
 
 _ENV_BUDGET = "EXPANDER_LAB_BUDGET"
 FORMATS = ("csv", "json", "plain")    # what explore.write_records renders
@@ -159,6 +158,7 @@ def cmd_bound(args) -> int:
         raise InvalidParametersError("provide either --d or both --g and --h")
     if args.d is not None:
         if "^" in field_text or "/" in field_text:
+            from .field import parse_field
             characteristic = parse_field(field_text).p
         else:
             characteristic = parse_characteristic(field_text)
@@ -167,6 +167,8 @@ def cmd_bound(args) -> int:
         if field_text.lower() == "inf":
             raise InvalidParametersError(
                 "--g/--h need a finite field; use --d with --field inf")
+        from .field import parse_field
+        from .poly import parse_poly
         field = parse_field(field_text)
         g = parse_poly(args.g, field)
         h = parse_poly(args.h, field)
@@ -182,6 +184,8 @@ def cmd_bound(args) -> int:
 
 
 def _build_instance_or_exit(field_text, g_text, h_text, a_text, b_text):
+    from .field import parse_field
+    from .poly import parse_poly
     field = parse_field(field_text)
     g = parse_poly(g_text, field)
     h = parse_poly(h_text, field)

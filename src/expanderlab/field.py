@@ -11,7 +11,7 @@ proper subfields in closed form.  Coefficient vectors are multiplied and
 reduced only to fill the tables and to test irreducibility.  Fields in
 scope are desk-sized (``MAX_CHARACTERISTIC``, ``MAX_EXTENSION_ORDER``), so
 the primality, irreducibility, root and primitive-element searches are
-deliberately brute force.
+deliberately brute force; the limits and ``is_prime`` live in ``bound``.
 
 Text formats:
   field    "5", "3^2" (default modulus), "3^2/t^2+1" (explicit modulus)
@@ -29,42 +29,15 @@ from __future__ import annotations
 import itertools
 import operator
 
+from .bound import _check_field_size, is_prime    # one copy of each, with the limits
 from .errors import (
     FieldMismatchError,
     InternalInvariantError,
-    InvalidParametersError,
     NotDivisorError,
     NotIrreducibleError,
     NotPrimeError,
     ParseError,
 )
-
-MAX_CHARACTERISTIC = 10**12    # the brute-force tests below stay fast under these
-MAX_EXTENSION_ORDER = 10**5
-
-
-def _check_field_size(p, n=1) -> None:
-    """Refuse p, or p^n for n > 1, above its limit; as 2^64 exceeds it, n is capped."""
-    if not (isinstance(p, int) and isinstance(n, int)):
-        return
-    if p > MAX_CHARACTERISTIC:
-        raise InvalidParametersError(f"characteristic {p} over the limit {MAX_CHARACTERISTIC}")
-    if n > 1 and p > 1 and p ** min(n, 64) > MAX_EXTENSION_ORDER:
-        raise InvalidParametersError(f"{p}^{n} elements over the limit {MAX_EXTENSION_ORDER}")
-
-
-def is_prime(p: int) -> bool:
-    """Trial-division primality test; fine at the scales this library targets."""
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
 
 
 # ---------------------------------------------------------------------------

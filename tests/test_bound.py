@@ -127,13 +127,20 @@ def test_theorem_bound_validates_the_characteristic_once(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(a=st.integers(1, 5000), b=st.integers(1, 400), d=st.integers(1, 6),
-       p=st.sampled_from((2, 3, 5, 7, INF)))
+       p=st.sampled_from((2, 3, 5, 7, 13, INF)))
 @example(a=3, b=1, d=5, p=2)            # a <= d, b = 1: the range is [0, 0]
 @example(a=1, b=1, d=1, p=INF)
 @example(a=5000, b=1, d=1, p=3)         # b = 1: every k is admissible
 @example(a=4000, b=8, d=1, p=2)         # b - 1 = 2^3 - 1
 @example(a=5000, b=243, d=2, p=3)       # b - 1 = 3^5 - 1
 @example(a=5000, b=49, d=3, p=7)        # b - 1 = 7^2 - 1
+@example(a=5000, b=1000, d=1, p=2)      # bound-scan's digits: a listed low half
+@example(a=20, b=1000, d=1, p=2)        # hi - r below one low block of 32:
+                                        # one prefix, cut at hi
+@example(a=170, b=15, d=1, p=13)        # hi = 13^2 + 14: a listed low half
+                                        # of 144, and one k past its block
+@example(a=14, b=2, d=1, p=13)          # hi = 13 + 1: a range low half
+@example(a=252, b=2, d=1, p=251)        # hi = 251 + 1
 def test_theorem_bound_matches_the_scan(a, b, d, p):
     assert theorem_bound(a, b, d, p).admissible_k == admissible_k_scan(a, b, d, p)
 
@@ -202,8 +209,15 @@ def test_dominating_yields_one_chunk_per_prefix_above_the_free_digit():
     # r = 1 in base 3 takes digits 1 and 2 together.
     assert list(bound_mod._dominating(1, 8, 3)) == [
         range(1, 3), range(4, 6), range(7, 9)]
-    # The bound-scan parameters: a = 10^6, b = 1000, d = 1 over F_2.
-    assert sum(1 for _ in bound_mod._dominating(999, 10**6 + 998, 2)) == 3908
+    # r's low digits all 0: one range per prefix, not one chunk per k.
+    chunks = bound_mod._dominating(2**10, 10**6, 2)
+    assert len(chunks) == 488
+    assert all(type(chunk) is range and len(chunk) == 2**10 for chunk in chunks)
+    # The bound-scan parameters: a = 10^6, b = 1000, d = 1 over F_2.  The
+    # k are counted; the chunks stay far fewer than the 3,908 k.
+    chunks = bound_mod._dominating(999, 10**6 + 998, 2)
+    assert sum(map(len, chunks)) == 3908
+    assert len(chunks) <= 63
 
 
 @settings(max_examples=200, deadline=None)

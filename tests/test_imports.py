@@ -61,32 +61,41 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert sorted(added & {"dataclasses", "inspect"}) == []
 
 
-# Per subcommand, with tiny inputs: a module it runs, and the modules that
-# only other subcommands run, which it must not load.
+# Per invocation, with tiny inputs: a module it runs, and the modules that
+# only other invocations run, which it must not load.  `bound --d` over a
+# prime or inf runs the digit code alone; a field text or --g/--h is parsed
+# by the field layer.
+_OTHER_LAYERS = {"expanderlab.explore", "expanderlab.certificate", "expanderlab.rng",
+                 "expanderlab.selftest", "fractions"}
+_FIELD_LAYERS = {"expanderlab.field", "expanderlab.poly"}
 SUBCOMMAND_MODULES = {
-    "bound --field 2 --a 10 --b 3 --d 1": (
-        "expanderlab.bound",
-        {"expanderlab.explore", "expanderlab.certificate", "expanderlab.rng",
-         "expanderlab.selftest", "fractions"}),
-    "certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1": (
-        "expanderlab.certificate",
-        {"expanderlab.explore", "expanderlab.selftest", "fractions"}),
-    "search --field 5 --g x^2 --h x --a 1 --b 1": (
-        "expanderlab.explore",
-        {"expanderlab.certificate", "expanderlab.selftest", "fractions", "json"}),
+    "bound": ("bound --field 2 --a 10 --b 3 --d 1",
+              "expanderlab.bound", _OTHER_LAYERS | _FIELD_LAYERS),
+    "bound-inf": ("bound --field inf --a 10 --b 3 --d 2",
+                  "expanderlab.bound", _OTHER_LAYERS | _FIELD_LAYERS),
+    "bound-polys": ("bound --field 7 --a 10 --b 3 --g x^2 --h x",
+                    "expanderlab.field", _OTHER_LAYERS),
+    "bound-extension": ("bound --field 3^2 --a 8 --b 3 --d 2",
+                        "expanderlab.field", _OTHER_LAYERS | {"expanderlab.poly"}),
+    "certify": ("certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1",
+                "expanderlab.certificate",
+                {"expanderlab.explore", "expanderlab.selftest", "fractions"}),
+    "search": ("search --field 5 --g x^2 --h x --a 1 --b 1",
+               "expanderlab.explore",
+               {"expanderlab.certificate", "expanderlab.selftest", "fractions", "json"}),
 }
 
 
-@pytest.mark.parametrize("argv", SUBCOMMAND_MODULES, ids=lambda a: a.split()[0])
-def test_subcommand_loads_only_the_layers_it_runs(argv):
+@pytest.mark.parametrize("name", SUBCOMMAND_MODULES)
+def test_subcommand_loads_only_the_layers_it_runs(name):
     # -X importtime lists each module as its import ends, inner ones first;
     # running -m expanderlab loads the package, which imports no module of
     # its own, so what follows its line is what the subcommand loaded.
+    argv, runs, absent = SUBCOMMAND_MODULES[name]
     stderr = _run("-X", "importtime", "-m", "expanderlab", *argv.split()).stderr
     names = [line.rpartition("|")[2].strip() for line in stderr.splitlines()
              if line.startswith("import time:")]
     loaded = set(names[names.index("expanderlab"):])
-    runs, absent = SUBCOMMAND_MODULES[argv]
     assert runs in loaded
     assert sorted(loaded & absent) == []
 
