@@ -176,7 +176,10 @@ def cmd_bound(args) -> int:
         characteristic = field.p
         d = g.degree()
     report = theorem_bound(args.a, args.b, d, characteristic)
-    sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    # json's indented encoder is pure Python: lay out the k list, up to 10^6 ints, here.
+    ks = "[\n    " + ",\n    ".join(map(str, report.admissible_k)) + "\n  ]"
+    text = json.dumps({**report.to_dict(), "admissible_k": ""}, indent=2)
+    sys.stdout.write(text.replace('"admissible_k": ""', '"admissible_k": ' + ks, 1) + "\n")
     return 0
 
 

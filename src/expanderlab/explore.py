@@ -34,6 +34,7 @@ import functools
 import io
 import itertools
 import math
+import operator
 from array import array
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -52,6 +53,7 @@ from .rng import Xoshiro256StarStar
 DEFAULT_BUDGET = 10_000_000
 MAX_SEARCH_ORDER = 10**6    # search scans every index for roots of h before its budget gate
 MAX_C_EXPONENT = 4300       # Fraction builds 10**|e| before any range check
+WRITE_BLOCK = 1024          # texts per write: an unbuffered stdout makes each write a syscall
 
 
 class ExperimentRecord(NamedTuple):
@@ -111,11 +113,26 @@ def _table(records):
     return rows, [rows.setdefault(r[:12], len(rows)) for r in records]
 
 
+def _write_blocks(out, texts) -> None:
+    """Write the strings ``texts`` to ``out`` joined ``WRITE_BLOCK`` at a
+    time: one write per block, never per text, and one block in memory."""
+    texts = iter(texts)
+    while block := list(itertools.islice(texts, WRITE_BLOCK)):
+        out.write("".join(block))
+
+
+def _plain_line(r) -> str:
+    extra = ("" if r.proved_threshold is None else
+             f" proved>={r.proved_threshold} conjectured>={r.conjectured_threshold}")
+    return (f"slack={r.slack} field={r.field} g={r.g} h={r.h} a={r.a} b={r.b}"
+            f" image={r.image_size} bound={r.theorem_bound} {_sets_text(r.A, r.B)}{extra}\n")
+
+
 def write_records(records, fmt: str, out) -> None:
     """Write records, a list or a :class:`Ranked`, to the text stream ``out``
-    as csv, json or plain, one record at a time; json is the bytes of
-    ``json.dumps(list, indent=2)``.  csv renders each distinct row once,
-    writes None as an empty cell and builds no record."""
+    as csv, json or plain, in blocks of ``WRITE_BLOCK`` texts, one write per
+    block; json is the bytes of ``json.dumps(list, indent=2)``.  csv renders
+    each distinct row once, writes None as an empty cell and builds no record."""
     if fmt == "csv":
         # writerow returns what write returns, here the rendered line.
         echo = SimpleNamespace(write=lambda line: line)
@@ -123,21 +140,15 @@ def write_records(records, fmt: str, out) -> None:
         rows, ids = _table(records)
         lines = [render(row) for row in rows]
         out.write(render(CSV_COLUMNS))
-        out.writelines(map(lines.__getitem__, ids))
+        _write_blocks(out, map(lines.__getitem__, ids))
     elif fmt == "json":
         import json
-        for i, r in enumerate(records):
-            text = json.dumps(r.to_dict(), indent=2).replace("\n", "\n  ")
-            out.write((",\n  " if i else "[\n  ") + text)
+        _write_blocks(out, ((",\n  " if i else "[\n  ")
+                            + json.dumps(r.to_dict(), indent=2).replace("\n", "\n  ")
+                            for i, r in enumerate(records)))
         out.write("\n]\n" if len(records) else "[]\n")
     elif fmt == "plain":
-        for r in records:
-            extra = ("" if r.proved_threshold is None else
-                     f" proved>={r.proved_threshold}"
-                     f" conjectured>={r.conjectured_threshold}")
-            out.write(f"slack={r.slack} field={r.field} g={r.g} h={r.h} a={r.a}"
-                      f" b={r.b} image={r.image_size} bound={r.theorem_bound}"
-                      f" {_sets_text(r.A, r.B)}{extra}\n")
+        _write_blocks(out, map(_plain_line, records))
     else:
         raise InvalidParametersError(f"unknown format {fmt!r}")
 
@@ -158,15 +169,16 @@ def summarize(records) -> str:
     """The stderr summary: the record count and the best record, the least
     by (slack, a, b, A, B) with A and B compared as tuples of element
     strings, so ties need not fall on the first record in output order;
-    only the records of least slack are built and keyed."""
+    only the records of the rows of least (slack, a, b) are built and keyed."""
     rows, ids = _table(records)
     if not rows:
         return "0 records"
-    least = min(row[7] for row in rows)
-    is_least = [row[7] == least for row in rows]
+    rank = operator.itemgetter(7, 3, 4)         # slack, a, b
+    least = min(map(rank, rows))
+    is_least = [rank(row) == least for row in rows]
     best = min(map(records.__getitem__,
                    itertools.compress(itertools.count(), map(is_least.__getitem__, ids))),
-               key=lambda r: (r.a, r.b, r.A, r.B))
+               key=lambda r: (r.A, r.B))
     return (f"{len(records)} records; min slack {best.slack} at a={best.a}"
             f" b={best.b} {_sets_text(best.A, best.B)}")
 

@@ -88,6 +88,25 @@ def test_bound_extension_field_characteristic():
     assert json.loads(out)["characteristic"] == 3
 
 
+@pytest.mark.parametrize("argv, report", [
+    ("--field 13 --a 6 --b 4 --d 2", (6, 4, 2, 13)),
+    ("--field 3^2 --a 8 --b 3 --d 2", (8, 3, 2, 3)),
+    ("--field inf --a 100 --b 5 --d 3", (100, 5, 3, bound_mod.INF)),
+    ("--field 2 --a 1 --b 1 --d 1", (1, 1, 1, 2)),
+    ("--field 5 --a 40 --b 1 --d 3", (40, 1, 3, 5)),
+    ("--field 7 --a 1 --b 9 --d 2", (1, 9, 2, 7)),
+    ("--field 2 --a 1000 --b 37 --d 1", (1000, 37, 1, 2)),
+    ("--field 13 --a 6 --b 4 --g x^2 --h x", (6, 4, 2, 13)),
+])
+def test_bound_output_is_the_indented_json_of_the_report(argv, report):
+    # The admissible k are laid out by hand; the bytes are json's own.
+    # The list is never empty: k = b - 1 is always admissible.
+    code, out, _ = run_cli("bound", *argv.split())
+    report = bound_mod.theorem_bound(*report)
+    assert code == 0 and report.admissible_k
+    assert out == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
 # -- image -----------------------------------------------------------------------
 
 
@@ -457,6 +476,26 @@ def test_csv_search_builds_a_record_only_for_the_least_slack_pairs(monkeypatch):
     least = slacks.count(min(slacks))
     assert (code, len(slacks), least) == (0, 22308, 228)
     assert 0 < len(made) <= least
+
+
+def test_search_writes_stdout_in_blocks_not_lines():
+    # Under PYTHONUNBUFFERED every write to stdout is one system call; the
+    # 22,308 records go out in blocks, not one write per line.
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    out = Counting()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["search", "--field", "13", "--g", "x^2", "--h", "x",
+                     "--a", "2-3", "--b", "2"])
+    assert code == 0
+    assert out.writes <= -(-22308 // explore.WRITE_BLOCK) + 3
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "43a2203e8b7e8b2e61f0fa1ec590310574e6c51da9c186e13941df147d977698")
 
 
 @pytest.mark.parametrize("argv, thetas, cells", [

@@ -139,33 +139,89 @@ def test_csv_schema_and_none_rendering():
 class _CountingStream(io.StringIO):
     def __init__(self):
         super().__init__()
-        self.writes = 0
+        self.texts = []
+
+    @property
+    def writes(self):
+        return len(self.texts)
 
     def write(self, text):
-        self.writes += 1
+        self.texts.append(text)
         return super().write(text)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "plain"])
-def test_records_are_written_as_they_render(fmt):
-    recs = search_extremal(SearchConfig("5", "x^2", "x", 2, 2))
-    stream = _CountingStream()
-    write_records(recs, fmt, stream)
-    assert stream.writes >= len(recs)          # one write per record at least
-    assert stream.getvalue().count("\n") == len(recs) + (fmt == "csv")
+# Search records without thresholds, then subfield records with them.
+_MIXED = (search_extremal(SearchConfig("5", "x^2", "x", 2, 2))[:4]
+          + subfield_experiment("3^2", 1, "1/2")[:3])
+
+
+def _unblocked(records, fmt):
+    """The reference bytes: a csv writer, json.dumps, or one record per write."""
+    if fmt == "json":
+        import json
+        return json.dumps([r.to_dict() for r in records], indent=2) + "\n"
+    ref = io.StringIO()
     if fmt == "csv":
-        assert stream.getvalue() == records_to_csv(recs)
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(r[:12] for r in records)
+    else:
+        for r in records:
+            write_records([r], "plain", ref)
+    return ref.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plain", "json"])
+def test_records_are_written_as_they_render(monkeypatch, fmt):
+    # Records are joined WRITE_BLOCK texts per write, never one write per
+    # line: the header (csv) and the close (json) are one write each.
+    monkeypatch.setattr(explore, "WRITE_BLOCK", 3)
+    for n in (0, 1, 3, 4, 7):
+        stream = _CountingStream()
+        write_records(_MIXED[:n], fmt, stream)
+        assert stream.getvalue() == _unblocked(_MIXED[:n], fmt)
+        assert stream.writes == math.ceil(n / 3) + (fmt != "plain")
+        # No write carries more than a block of record texts.
+        per_write = [t.count("\n  {") if fmt == "json" else t.count("\n")
+                     for t in stream.texts]
+        assert max(per_write, default=0) <= 3 and sum(per_write) == n + (fmt == "csv")
 
 
 def test_json_is_streamed_as_the_bytes_of_one_document():
     import json
-    recs = search_extremal(SearchConfig("2^3", "x^2", "x", (1, 2), (1, 2)))
+    ranked = explore.rank_search(SearchConfig("2^3", "x^2", "x", (1, 2), (1, 2)))
     stream = _CountingStream()
-    write_records(recs, "json", stream)
-    assert stream.writes > len(recs) > 0          # one write per record, then the close
-    assert stream.getvalue() == json.dumps([r.to_dict() for r in recs], indent=2) + "\n"
+    write_records(ranked, "json", stream)
+    assert stream.writes == math.ceil(len(ranked) / explore.WRITE_BLOCK) + 1 == 2
+    assert stream.getvalue() == json.dumps([r.to_dict() for r in ranked], indent=2) + "\n"
     empty = explore.rank_search(SearchConfig("5", "x^2", "x", 9, 2))
     assert records_to_json([]) == records_to_json(empty) == "[]\n"
+
+
+@pytest.mark.parametrize("ranked", [
+    pytest.param(lambda: explore.rank_search(SearchConfig("17", "x^2", "x", 2, 1)),
+                 id="element-string-ties"),
+    pytest.param(lambda: explore.rank_search(SearchConfig("2^3", "x^2", "x", (1, 3), (1, 2))),
+                 id="extension-search"),
+    pytest.param(lambda: explore.rank_search(SearchConfig(
+        "31", "x^3", "x+1", (2, 4), (1, 3), mode="random", sample_count=40, seed=3)),
+                 id="random-search"),
+    pytest.param(lambda: explore.rank_subfield("3^4", 2, "2/3", g="x^4", h="x^2"),
+                 id="subfield"),
+    # Least slack at several sizes, the smallest sizes with the largest strings.
+    pytest.param(lambda: [ExperimentRecord("F_13", "x^2", "x", a, b, 9, 9 - slack, slack,
+                                           None, None, 0, 13, A, ("0",) * b)
+                          for slack, a, b, A in [(1, 1, 1, ("0",)), (0, 3, 1, ("1", "2", "3")),
+                                                 (0, 2, 2, ("1", "2")), (0, 2, 1, ("7", "8")),
+                                                 (0, 2, 1, ("5", "9"))]],
+                 id="sizes-before-element-strings"),
+])
+def test_summary_is_the_least_record_by_slack_a_b_and_sets(ranked):
+    ranked = ranked()
+    best = min(ranked, key=lambda r: (r.slack, r.a, r.b, r.A, r.B))
+    line = (f"{len(ranked)} records; min slack {best.slack} at a={best.a} b={best.b}"
+            f" A={{{','.join(best.A)}}} B={{{','.join(best.B)}}}")
+    assert explore.summarize(ranked) == explore.summarize(list(ranked)) == line
 
 
 def test_csv_line_cache_matches_a_plain_writer():
