@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     FieldMismatchError,
+    InternalInvariantError,
     InvalidParametersError,
     NotPrimeError,
 )
@@ -326,3 +327,16 @@ def image(instance: ExpanderInstance) -> tuple[FieldElem, ...]:
     rows = value_rows(instance.g, instance.h, [x.index() for x in instance.A],
                       [y.index() for y in instance.B])
     return tuple(map(instance.field.from_index, sorted(set().union(*rows))))
+
+
+def _sets_text(A, B) -> str:
+    """'A={..} B={..}' for sequences of element strings."""
+    return f"A={{{','.join(A)}}} B={{{','.join(B)}}}"
+
+
+def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
+    """The fatal error for an image smaller than the proved bound, naming
+    the witness configuration; A and B are sequences of element strings."""
+    return InternalInvariantError(
+        f"negative slack {size - tb}: image_size {size} below bound {tb} "
+        f"for field={field_s} g={g_s} h={h_s} {_sets_text(A, B)}")

@@ -22,13 +22,14 @@ import sys
 
 # Only what every subcommand needs.  Each cmd_* imports the layers it runs,
 # so an invocation compiles only those: field and poly where a field text is
-# parsed (not `bound --d` over a prime or inf), explore for search, subfield
-# and image, certificate and rng for certify, selftest for selftest, and json
+# parsed (not `bound --d` over a prime or inf), explore for search and
+# subfield, certificate and rng for certify, selftest for selftest, and json
 # where JSON is written.
 from .bound import (
     check_degrees,
     check_instance,
     image,
+    negative_slack_error,
     parse_characteristic,
     theorem_bound,
 )
@@ -205,8 +206,6 @@ def _build_instance_or_exit(field_text, g_text, h_text, a_text, b_text):
 
 def cmd_image(args) -> int:
     import json
-
-    from .explore import negative_slack_error
 
     inst = _build_instance_or_exit(args.field, args.g, args.h, args.A, args.B)
     if inst is None:

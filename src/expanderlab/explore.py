@@ -13,10 +13,10 @@ floor((1 + c) p^m - 1), the conjectured one; neither is raised on, and the
 tests assert the proved one only for g = x^2, h = x on F_9 and F_25.
 Every record carries the distance from B to the nearest subfield.
 
-Both drivers hand one measuring kernel runs (A, [B, ...], cols) of element
-indices, cols being the y a run reads, and no step lists the field's
-elements.  The kernel checks every pair's slack and returns a
-:class:`Ranked`: per pair a row id into the distinct CSV rows and its run
+Both drivers hand one measuring kernel runs (A, Bs, cols) of element indices,
+Bs a list of B's or a random draw's (B,), cols the y a run reads; no step
+lists the field's elements.  The kernel checks every pair's slack and returns
+a :class:`Ranked`: per pair a row id into the distinct CSV rows and its run
 position, in output order, so CSV is written from row ids and a record is
 built only for json, plain, the summary and the list APIs.  Evaluation is
 single-threaded, as a thread pool gained nothing under the interpreter
@@ -40,9 +40,9 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import bound as bound_mod
+from .bound import _sets_text, negative_slack_error
 from .errors import (
     BudgetExceededError,
-    InternalInvariantError,
     InvalidParametersError,
     NotProperDivisorError,
 )
@@ -250,21 +250,8 @@ def nearest_subfield_distance(B, field: Field) -> tuple[int, int]:
     return _nearest_distance(indices, field, _subfield_index_sets(field))
 
 
-def _sets_text(A, B) -> str:
-    """'A={..} B={..}' for sequences of element strings."""
-    return f"A={{{','.join(A)}}} B={{{','.join(B)}}}"
-
-
-def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
-    """The fatal error for an image smaller than the proved bound, naming
-    the witness configuration; A and B are sequences of element strings."""
-    return InternalInvariantError(
-        f"negative slack {size - tb}: image_size {size} below bound {tb} "
-        f"for field={field_s} g={g_s} h={h_s} {_sets_text(A, B)}")
-
-
 def _measure(field: Field, g, h, runs, by_slack: bool = True) -> Ranked:
-    """The pairs of the index runs (A_idx, [B_idx, ...], cols), ranked.
+    """The pairs of the index runs (A_idx, Bs, cols), Bs a list or (B_idx,), ranked.
 
     A run touches A times its columns ``cols``, which hold every y of its
     B's, each value once.  Per run, values get dense ranks, ``col[y]`` ORs
@@ -288,7 +275,7 @@ def _measure(field: Field, g, h, runs, by_slack: bool = True) -> Ranked:
         row.update(zip(cols, bound_mod.value_rows(g, h, [i], cols)[0]))
 
     bound = functools.cache(lambda a, b: bound_mod.theorem_bound(a, b, g.degree(), field.p).bound)
-    rows, table_of, bucket_of, buckets, sides, cell = [], {}, [], {}, {}, None
+    rows, table_of, bucket_of, buckets, cell = [], {}, [], {}, None
     starts = array("I", itertools.accumulate([len(Bs) for _, Bs, _ in runs], initial=0))
     for (A_idx, Bs, cols), start in zip(runs, starts):
         value_rows = [values[i] for i in A_idx]
@@ -300,9 +287,8 @@ def _measure(field: Field, g, h, runs, by_slack: bool = True) -> Ranked:
             col[y] = mask
         a = len(A_idx)
         if (a, Bs) != cell:         # exhaustive runs of a cell share a and B's
-            cell, b_sides = (a, Bs), [sides.get(B_idx) or sides.setdefault(
-                B_idx, (len(B_idx), *_nearest_distance(B_idx, field, subfield_sets)))
-                for B_idx in Bs]
+            cell, b_sides = (a, Bs), [(len(B_idx), *_nearest_distance(B_idx, field, subfield_sets))
+                                      for B_idx in Bs]
             tables = [table_of.setdefault((a, side), {}) for side in b_sides]
         for k, B_idx, side, table in zip(itertools.count(start), Bs, b_sides, tables):
             mask = 0
@@ -384,7 +370,7 @@ def rank_search(config: SearchConfig) -> Ranked:
                 A_pos = rng.sample_indices(len(pool_a), a)
                 cell.append((tuple(pool_a[i] for i in A_pos),
                              rng.sample_indices(q, b)))
-            runs.extend((A, [B], B) for A, B in sorted(cell))
+            runs.extend((A, (B,), B) for A, B in sorted(cell))
     return _measure(field, g, h, runs)
 
 

@@ -83,6 +83,11 @@ SUBCOMMAND_MODULES = {
     "search": ("search --field 5 --g x^2 --h x --a 1 --b 1",
                "expanderlab.explore",
                {"expanderlab.certificate", "expanderlab.selftest", "fractions", "json"}),
+    "image": ("image --field 13 --g x^2 --h x --A 1,2,3 --B 0,1",
+              "expanderlab.bound", _OTHER_LAYERS | {"csv", "array"}),
+    "subfield": ("subfield --field 3^2 --m 1 --c-fraction 1/2",
+                 "expanderlab.explore",
+                 {"expanderlab.certificate", "expanderlab.selftest", "json"}),
 }
 
 
