@@ -228,7 +228,8 @@ def corollary_bound(a: int, b: int, d: int, characteristic) -> int:
 
 class ExpanderInstance(NamedTuple):
     """A validated (field, g, h, A, B) tuple; A and B are stored distinct
-    and in canonical element order."""
+    and in canonical element order.  A hand-built tuple with a repeated
+    point is refused by the certificate solvers."""
 
     field: Field
     g: Poly

@@ -27,7 +27,9 @@ That value is independent of C and nonzero for admissible k.  If C
 covered the whole image, P would vanish on all of A x B and the sum would
 be zero instead; so no admissible-size C covers the image.
 
-:func:`build_certificate` materializes alpha, beta and both sides, and a
+:func:`build_certificate` takes beta from :func:`solve_beta` and alpha from
+:func:`solve_alpha`, the one path that computes the weights, and hands
+their dicts to the pointwise sum, which works on indices.  A
 :class:`Certificate` holds what its JSON form (:meth:`Certificate.to_dict`)
 carries: the instance, C, alpha, beta and both sides, enough to replay the
 moment conditions and the pointwise sum with field arithmetic alone.  The
@@ -122,27 +124,6 @@ def _dual_weights(field: Field, points) -> list[int]:
     return out
 
 
-def _alpha_weights(h: Poly, A, b: int, D: int) -> list[int]:
-    """The alpha weight indices of :func:`solve_alpha` over the distinct
-    point indices A, in order: u / h(x)^(b-1) on the first D + 1, with u
-    the Lagrange dual weights there, and 0 on the rest."""
-    if b < 1:
-        raise InvalidParametersError(f"need b >= 1, got {b}")
-    if D < 0:
-        raise InvalidParametersError(f"target degree must be >= 0, got {D}")
-    if D > len(A) - 1:
-        raise TargetDegreeTooLargeError(
-            f"target degree {D} needs {D + 1} points but |A| = {len(A)}")
-    field, support = h.field, A[:D + 1]
-    _, _, mul, inv = field.index_ops()
-    hs = [h.at_index(x) for x in support]
-    if 0 in hs:
-        raise InvalidParametersError(f"h vanishes at {field.from_index(support[hs.index(0)])}, "
-                                     "alpha system is singular")
-    return [mul(u, _power(inv(hx), b - 1, 1, mul))
-            for u, hx in zip(_dual_weights(field, support), hs)] + [0] * (len(A) - D - 1)
-
-
 def solve_beta(B) -> dict:
     """Weights {y: beta(y)} on B with sum_y beta(y) y^j = delta_{j, b-1}
     for j = 0 .. b-1: the Lagrange dual weights of B.  The Vandermonde
@@ -165,8 +146,24 @@ def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
     points, D <= |A| - 1 and h nonvanishing on A.
     """
     A = _distinct_points(A, "A")
-    weights = _alpha_weights(h, [h.field.element(x).index() for x in A], b, target_degree)
-    return dict(zip(A, map(h.field.from_index, weights)))
+    D = target_degree
+    if b < 1:
+        raise InvalidParametersError(f"need b >= 1, got {b}")
+    if D < 0:
+        raise InvalidParametersError(f"target degree must be >= 0, got {D}")
+    if D > len(A) - 1:
+        raise TargetDegreeTooLargeError(
+            f"target degree {D} needs {D + 1} points but |A| = {len(A)}")
+    field = h.field
+    _, _, mul, inv = field.index_ops()
+    support = [field.element(x).index() for x in A[:D + 1]]
+    hs = [h.at_index(x) for x in support]
+    if 0 in hs:
+        raise InvalidParametersError(f"h vanishes at {field.from_index(support[hs.index(0)])}, "
+                                     "alpha system is singular")
+    weights = [mul(u, _power(inv(hx), b - 1, 1, mul))
+               for u, hx in zip(_dual_weights(field, support), hs)] + [0] * (len(A) - D - 1)
+    return dict(zip(A, map(field.from_index, weights)))
 
 
 def _moments_match(weights: dict, points, scale, top: int) -> bool:
@@ -193,17 +190,19 @@ def verify_alpha(alpha: dict, A, h: Poly, b: int, target_degree: int) -> bool:
     return _moments_match(alpha, A, lambda x: h(x) ** (b - 1), target_degree)
 
 
-def _pointwise_sum(field, g, h, A, B, C, alpha, beta) -> int:
-    """The index of sum_{x,y} alpha(x) beta(y) prod_{c in C} (f(x, y) - c),
-    for index lists A, B and C and weight indices alpha and beta aligned
-    with A and B.  f is read off :func:`value_rows` over the support of
-    alpha; the weights are summed per value of f, so each product is formed
-    once per distinct value."""
-    support = [(x, ax) for x, ax in zip(A, alpha) if ax]
+def _pointwise_sum(g: Poly, h: Poly, alpha: dict, beta: dict, C) -> FieldElem:
+    """sum_{x,y} alpha(x) beta(y) prod_{c in C} (f(x, y) - c) for the weight
+    dicts alpha on A and beta on B.  The points and weights become indices
+    once; f is read off :func:`value_rows` over the support of alpha, and the
+    weights are summed per value of f, so each product is formed once per
+    distinct value."""
+    field = g.field
     add, sub, mul, _ = field.index_ops()
+    support = [(x.index(), ax.index()) for x, ax in alpha.items() if not ax.is_zero()]
+    B, beta = [y.index() for y in beta], [by.index() for by in beta.values()]
+    C = [c.index() for c in C]
     weights = {}
-    rows = value_rows(g, h, [x for x, _ in support], B)
-    for (_, ax), row in zip(support, rows):
+    for (_, ax), row in zip(support, value_rows(g, h, [x for x, _ in support], B)):
         for by, v in zip(beta, row):
             weights[v] = add(weights.get(v, 0), mul(ax, by))
     total = 0
@@ -211,7 +210,7 @@ def _pointwise_sum(field, g, h, A, B, C, alpha, beta) -> int:
         for c in C:
             prod = mul(prod, sub(v, c))
         total = add(total, prod)
-    return total
+    return field.from_index(total)
 
 
 class Certificate(NamedTuple):
@@ -263,8 +262,9 @@ def _check_admissible(instance: ExpanderInstance, k: int) -> None:
 def build_certificate(instance: ExpanderInstance, C) -> Certificate:
     """Construct alpha, beta and both sides of the identity for the given
     candidate set C (any size-k set works and yields the same predicted
-    value; k = |C| must be admissible).  The weights and the pointwise sum
-    are computed on element indices; elements are built for the result."""
+    value; k = |C| must be admissible).  The weights come from
+    :func:`solve_beta` and :func:`solve_alpha`, so an instance with a
+    repeated point is refused as bad input."""
     field = instance.field
     C = _distinct_points((field.element(c) for c in C), "C", nonempty=False)
     k = len(C)
@@ -272,20 +272,15 @@ def build_certificate(instance: ExpanderInstance, C) -> Certificate:
     if k > field.order - 1:
         # Unreachable: admissible k <= q-1 whenever A, B are subsets of F_q.
         raise InternalInvariantError(f"admissible k = {k} exceeds |F| - 1")
-    g, h, b, d = instance.g, instance.h, instance.b, instance.d
-    A = [x.index() for x in instance.A]
-    B = [y.index() for y in instance.B]
-    beta = _dual_weights(field, B)
-    alpha = _alpha_weights(h, A, b, d * (k - b + 1))
+    g, h, b = instance.g, instance.h, instance.b
+    beta = solve_beta(instance.B)
+    alpha = solve_alpha(instance.A, h, b, instance.d * (k - b + 1))
     M = g.leading_coefficient()
     predicted = binomial_in_field(field, k, b - 1) * M ** (k - b + 1)
     if predicted.is_zero():
         raise InternalInvariantError(
             "predicted value vanished despite the Lucas check")
-    pointwise = _pointwise_sum(field, g, h, A, B, [c.index() for c in C], alpha, beta)
-    return Certificate(instance, C, dict(zip(instance.B, map(field.from_index, beta))),
-                       dict(zip(instance.A, map(field.from_index, alpha))),
-                       predicted, field.from_index(pointwise))
+    return Certificate(instance, C, beta, alpha, predicted, _pointwise_sum(g, h, alpha, beta, C))
 
 
 class RefutationReport(NamedTuple):

@@ -274,7 +274,6 @@ def _measure(field: Field, g, h, runs, by_slack: bool = True) -> Ranked:
         cols = tuple(row)
         row.update(zip(cols, bound_mod.value_rows(g, h, [i], cols)[0]))
 
-    bound = functools.cache(lambda a, b: bound_mod.theorem_bound(a, b, g.degree(), field.p).bound)
     rows, table_of, bucket_of, buckets, cell = [], {}, [], {}, None
     starts = array("I", itertools.accumulate([len(Bs) for _, Bs, _ in runs], initial=0))
     for (A_idx, Bs, cols), start in zip(runs, starts):
@@ -298,7 +297,7 @@ def _measure(field: Field, g, h, runs, by_slack: bool = True) -> Ranked:
             rid = table.get(size)
             if rid is None:
                 b, dist, nearest = side
-                tb = bound(a, b)
+                tb = bound_mod.theorem_bound(a, b, g.degree(), field.p).bound
                 if size < tb:
                     raise negative_slack_error(field_s, g_s, h_s, tuple(map(name, A_idx)),
                                                tuple(map(name, B_idx)), size, tb)

@@ -1,9 +1,13 @@
+import contextlib
+import hashlib
+import io
 import random
 
 import pytest
 
 from expanderlab import bound as bound_mod
-from expanderlab.bound import check_instance, theorem_bound
+from expanderlab import certificate as certificate_mod
+from expanderlab.bound import ExpanderInstance, check_instance, theorem_bound
 from expanderlab.certificate import (
     _dual_weights,
     _pointwise_sum,
@@ -17,6 +21,7 @@ from expanderlab.certificate import (
     verify_alpha,
     verify_beta,
 )
+from expanderlab.cli import main
 from expanderlab.errors import (
     EmptySetError,
     FieldMismatchError,
@@ -412,6 +417,33 @@ def test_degree_side_condition_strict():
                 assert i * d + (j - b + 1) * e < D, (d, e, b, k, i, j)
 
 
+def test_certificate_weights_come_from_the_public_solvers(monkeypatch):
+    # One weight path: a certify run calls solve_beta and solve_alpha once
+    # each, and its stdout keeps its pinned digest.
+    calls = []
+    for name in ("solve_beta", "solve_alpha"):
+        solver = getattr(certificate_mod, name)
+        monkeypatch.setattr(certificate_mod, name, lambda *args, name=name, solver=solver:
+                            calls.append(name) or solver(*args))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["certify", "--field", "13", "--g", "x^2", "--h", "x",
+                     "--A", "1,2,3,4,5,6", "--B", "0,1,2,3", "--seed", "7"])
+    assert code == 0 and calls == ["solve_beta", "solve_alpha"]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "41ac5a701fd927d21982e5d751e88c690dd1a403b1ceebe7c547577ea0d9dad7")
+
+
+def test_hand_built_instance_with_a_repeated_point_is_bad_input():
+    # check_instance never builds this.  Taken as it is, A = (1, 1, 2, 3, 4)
+    # breaks the identity (predicted 2, pointwise 9), so it is bad input.
+    inst = ExpanderInstance(F13, parse_poly("x^2", F13), parse_poly("x", F13),
+                            tuple(elems(F13, 1, 1, 2, 3, 4)), tuple(elems(F13, 0, 1)))
+    for build in (build_certificate, refute_cover):
+        with pytest.raises(InvalidParametersError, match="A has repeated elements"):
+            build(inst, elems(F13, 0, 5))
+
+
 def test_certificate_json_schema():
     inst = make_instance(F13, "x^2", "x", elems(F13, 1, 2, 3, 4), elems(F13, 0, 1))
     cert = build_certificate(inst, elems(F13, 0, 1))
@@ -469,11 +501,7 @@ def test_pointwise_sum_matches_double_loop_oracle(field):
         beta = {y: els[rng.randrange(field.order)] if rng.random() > 1 / 3
                 else field.zero() for y in B}
         want = pointwise_double_loop(field, g, h, A, B, C, alpha, beta)
-        # Indices in, an index out.
-        idx = [[z.index() for z in points] for points in (A, B, C)]
-        weights = [[w[z].index() for z in points] for w, points in ((alpha, A), (beta, B))]
-        total = _pointwise_sum(field, g, h, *idx, *weights)
-        assert type(total) is int and total == want.index()
+        assert _pointwise_sum(g, h, alpha, beta, C) == want
 
 
 # -- refutation ---------------------------------------------------------------
