@@ -17,8 +17,8 @@ Both drivers hand one measuring kernel runs (A, Bs, cols) of element indices,
 Bs a list of B's or a random draw's (B,), cols the y a run reads; no step
 lists the field's elements.  The kernel checks every pair's slack and returns
 a :class:`Ranked`: per pair a row id into the distinct CSV rows and its run
-position, in output order, so CSV is written from row ids and a record is
-built only for json, plain, the summary and the list APIs.  Evaluation is
+position, in output order, so every format and the summary render from row
+ids and a record is built only for the list APIs.  Evaluation is
 single-threaded, as a thread pool gained nothing under the interpreter
 lock: ``parallelism`` is validated (>= 1) and otherwise unused.
 
@@ -91,26 +91,30 @@ CSV_COLUMNS = ExperimentRecord._fields[:12]
 class Ranked(SimpleNamespace):
     """Measured pairs in output order, with no record per pair: the i-th is
     pair ``order[i]`` in run order (``starts`` numbers each run's first) and
-    has row ``ids[i]`` of the distinct CSV ``rows``.  Indexing builds its
-    :class:`ExperimentRecord`, naming elements by ``name``."""
+    has row ``ids[i]`` of the distinct CSV ``rows``.  :meth:`sets` names its
+    A and B by ``name``; indexing builds its :class:`ExperimentRecord`."""
 
     def __len__(self):
         return len(self.ids)
 
-    def __getitem__(self, i):
+    def sets(self, i):
+        """The i-th pair's (A, B) as tuples of element strings."""
         k = self.order[i]
         r = bisect.bisect_right(self.starts, k) - 1
         A_idx, Bs, _ = self.runs[r]
-        return ExperimentRecord._make(self.rows[self.ids[i]] + (
-            tuple(map(self.name, A_idx)), tuple(map(self.name, Bs[k - self.starts[r]]))))
+        return tuple(map(self.name, A_idx)), tuple(map(self.name, Bs[k - self.starts[r]]))
+
+    def __getitem__(self, i):
+        return ExperimentRecord._make(self.rows[self.ids[i]] + self.sets(i))
 
 
 def _table(records):
-    """(rows, ids): the distinct CSV rows, in id order, and each record's id."""
+    """(rows, ids, sets): the distinct CSV rows, in id order, each record's
+    id, and a function from a record's position to its (A, B)."""
     if isinstance(records, Ranked):
-        return records.rows, records.ids
+        return records.rows, records.ids, records.sets
     rows = {}       # filled by the second item, which is evaluated after the first
-    return rows, [rows.setdefault(r[:12], len(rows)) for r in records]
+    return rows, [rows.setdefault(r[:12], len(rows)) for r in records], lambda i: records[i][12:]
 
 
 def _write_blocks(out, texts) -> None:
@@ -121,34 +125,41 @@ def _write_blocks(out, texts) -> None:
         out.write("".join(block))
 
 
-def _plain_line(r) -> str:
-    extra = ("" if r.proved_threshold is None else
-             f" proved>={r.proved_threshold} conjectured>={r.conjectured_threshold}")
-    return (f"slack={r.slack} field={r.field} g={r.g} h={r.h} a={r.a} b={r.b}"
-            f" image={r.image_size} bound={r.theorem_bound} {_sets_text(r.A, r.B)}{extra}\n")
-
-
 def write_records(records, fmt: str, out) -> None:
     """Write records, a list or a :class:`Ranked`, to the text stream ``out``
     as csv, json or plain, in blocks of ``WRITE_BLOCK`` texts, one write per
-    block; json is the bytes of ``json.dumps(list, indent=2)``.  csv renders
-    each distinct row once, writes None as an empty cell and builds no record."""
+    block; json is the bytes of ``json.dumps(list, indent=2)``.  Each distinct
+    row renders once and a record adds only its A and B, so none is built."""
+    rows, ids, sets = _table(records)
+    pairs = zip(ids, map(sets, range(len(ids))))
+    named = [dict(zip(CSV_COLUMNS, row)) for row in rows]
     if fmt == "csv":
         # writerow returns what write returns, here the rendered line.
         echo = SimpleNamespace(write=lambda line: line)
         render = csv.writer(echo, lineterminator="\n").writerow
-        rows, ids = _table(records)
         lines = [render(row) for row in rows]
         out.write(render(CSV_COLUMNS))
         _write_blocks(out, map(lines.__getitem__, ids))
     elif fmt == "json":
         import json
-        _write_blocks(out, ((",\n  " if i else "[\n  ")
-                            + json.dumps(r.to_dict(), indent=2).replace("\n", "\n  ")
-                            for i, r in enumerate(records)))
-        out.write("\n]\n" if len(records) else "[]\n")
+        quote = functools.cache(json.dumps)
+
+        def listed(names):      # as json.dumps lays out a list in a record of a list
+            return "[\n      " + ",\n      ".join(map(quote, names)) + "\n    ]" if names else "[]"
+
+        # Each row's dict without its closing "\n}", one level deeper.
+        heads = [json.dumps(r, indent=2)[:-2].replace("\n", "\n  ") for r in named]
+        _write_blocks(out, ((",\n  " if i else "[\n  ") + heads[rid] + ',\n    "A": ' + listed(A)
+                            + ',\n    "B": ' + listed(B) + "\n  }"
+                            for i, (rid, (A, B)) in enumerate(pairs)))
+        out.write("\n]\n" if ids else "[]\n")
     elif fmt == "plain":
-        _write_blocks(out, map(_plain_line, records))
+        heads = ["slack={slack} field={field} g={g} h={h} a={a} b={b} image={image_size}"
+                 " bound={theorem_bound} ".format_map(r) for r in named]
+        tails = ["\n" if r["proved_threshold"] is None else
+                 " proved>={proved_threshold} conjectured>={conjectured_threshold}\n".format_map(r)
+                 for r in named]
+        _write_blocks(out, (heads[rid] + _sets_text(A, B) + tails[rid] for rid, (A, B) in pairs))
     else:
         raise InvalidParametersError(f"unknown format {fmt!r}")
 
@@ -169,18 +180,15 @@ def summarize(records) -> str:
     """The stderr summary: the record count and the best record, the least
     by (slack, a, b, A, B) with A and B compared as tuples of element
     strings, so ties need not fall on the first record in output order;
-    only the records of the rows of least (slack, a, b) are built and keyed."""
-    rows, ids = _table(records)
+    slack, a and b are read off the distinct rows, and no record is built."""
+    rows, ids, sets = _table(records)
     if not rows:
         return "0 records"
     rank = operator.itemgetter(7, 3, 4)         # slack, a, b
-    least = min(map(rank, rows))
+    slack, a, b = least = min(map(rank, rows))
     is_least = [rank(row) == least for row in rows]
-    best = min(map(records.__getitem__,
-                   itertools.compress(itertools.count(), map(is_least.__getitem__, ids))),
-               key=lambda r: (r.A, r.B))
-    return (f"{len(records)} records; min slack {best.slack} at a={best.a}"
-            f" b={best.b} {_sets_text(best.A, best.B)}")
+    A, B = min(map(sets, itertools.compress(itertools.count(), map(is_least.__getitem__, ids))))
+    return f"{len(ids)} records; min slack {slack} at a={a} b={b} {_sets_text(A, B)}"
 
 
 class SearchConfig(NamedTuple):

@@ -7,7 +7,9 @@ Lagrange dual bases, a digit test of every k in range instead of
 enumerating the digit-dominating k, int sets of value indices instead of
 OR-ed bit masks, built symmetric differences instead of intersection
 counts, coefficient vectors, extended Euclid and Frobenius fixed points
-instead of index tables) so that agreement is evidence, not tautology.
+instead of index tables, a minimum over powers of p instead of Lucas digit
+tests, one f-string per record instead of rows rendered once) so that
+agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -204,6 +206,30 @@ def pointwise_double_loop(field, g, h, A, B, C, alpha, beta):
                 prod = prod * (gx + y * hx - c)
             total = total + prod
     return total
+
+
+def hopf_stiefel(p: int, r: int, s: int) -> int:
+    """The Hopf-Stiefel number: min over j >= 0 of
+    (ceil(r/p^j) + ceil(s/p^j) - 1) * p^j, by trying each power of p up to
+    the first at least r + s - 1, past which no term is smaller.  It is the
+    least |A + B| over |A| = r, |B| = s in a vector space over F_p
+    (Eliahou and Kervaire, J. Number Theory 71, 1998); the library takes the
+    best k whose binomial survives Lucas' digit test."""
+    best, q = r + s - 1, 1
+    while q < r + s - 1:
+        q *= p
+        best = min(best, (-(-r // q) - (-s // q) - 1) * q)
+    return best
+
+
+def plain_line(r) -> str:
+    """The plain-format line of one ExperimentRecord, one f-string over its
+    fields; the library renders each distinct row once and joins in A and B."""
+    extra = ("" if r.proved_threshold is None else
+             f" proved>={r.proved_threshold} conjectured>={r.conjectured_threshold}")
+    return (f"slack={r.slack} field={r.field} g={r.g} h={r.h} a={r.a} b={r.b}"
+            f" image={r.image_size} bound={r.theorem_bound}"
+            f" A={{{','.join(r.A)}}} B={{{','.join(r.B)}}}{extra}\n")
 
 
 def admissible_k_scan(a: int, b: int, d: int, p) -> tuple[int, ...]:

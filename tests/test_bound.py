@@ -24,7 +24,7 @@ from expanderlab.errors import (
 from expanderlab.field import extension_field, is_prime, prime_field
 from expanderlab.poly import parse_poly
 
-from oracles import admissible_k_scan, binom_mod_pascal, image_double_loop
+from oracles import admissible_k_scan, binom_mod_pascal, hopf_stiefel, image_double_loop
 
 
 def make_instance(field, g_text, h_text, A, B):
@@ -175,6 +175,20 @@ def test_theorem_bound_refuses_a_huge_sparse_set_at_once(monkeypatch):
     monkeypatch.setattr(bound_mod, "_dominating", enumerate_)
     with pytest.raises(InvalidParametersError, match="more than 10000000 .*a=10+, b=2"):
         theorem_bound(10**15, 2, 1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(1, 10**4), b=st.integers(1, 10**4), d=st.integers(1, 8),
+       p=st.sampled_from([p for p in range(2, 252) if is_prime(p)] + [INF]))
+@example(a=5, b=3, d=1, p=2)            # the minimum at j = 0: 7 against 8
+@example(a=3, b=3, d=1, p=3)            # at j = 1: 3 against 5
+def test_theorem_bound_is_the_hopf_stiefel_number(a, b, d, p):
+    # An identity observed, not proved here: the best admissible k + 1 is
+    # the least sumset size for sizes (ceil(a/d), b), or ceil(a/d) + b - 1
+    # in characteristic zero.
+    r = -(-a // d)
+    expected = r + b - 1 if p == INF else hopf_stiefel(p, r, b)
+    assert theorem_bound(a, b, d, p).bound == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -464,8 +464,9 @@ def test_negative_slack_leaves_out_alone(tmp_path, monkeypatch, argv):
     assert out.read_text() == "keep"
 
 
-def test_csv_search_builds_a_record_only_for_the_least_slack_pairs(monkeypatch):
-    # CSV is written from row ids; the summary builds the least-slack pairs.
+def test_search_output_and_summary_build_no_record(monkeypatch):
+    # Every format renders each distinct row once and joins in A and B per
+    # pair, and the summary reads the least rows' (A, B): no record is built.
     made = []
 
     class Counted(explore.ExperimentRecord):
@@ -481,12 +482,16 @@ def test_csv_search_builds_a_record_only_for_the_least_slack_pairs(monkeypatch):
             return super()._make(iterable)
 
     monkeypatch.setattr(explore, "ExperimentRecord", Counted)
-    code, out, _ = run_cli("search", "--field", "13", "--g", "x^2", "--h", "x",
-                           "--a", "2-3", "--b", "2")
-    slacks = [int(line.split(",")[7]) for line in out.splitlines()[1:]]
-    least = slacks.count(min(slacks))
-    assert (code, len(slacks), least) == (0, 22308, 228)
-    assert 0 < len(made) <= least
+    summary = "22308 records; min slack 0 at a=2 b=2 A={1,12} B={1,12}\n"
+    for fmt in ("csv", "json", "plain"):
+        code, out, err = run_cli("search", "--field", "13", "--g", "x^2", "--h", "x",
+                                 "--a", "2-3", "--b", "2", "--format", fmt)
+        assert (code, err, made) == (0, summary, [])
+    slacks = [int(line.split(",")[7]) for line in run_cli(
+        "search", "--field", "13", "--g", "x^2", "--h", "x", "--a", "2-3", "--b", "2")[1]
+        .splitlines()[1:]]
+    assert (len(slacks), slacks.count(min(slacks)), made) == (22308, 228, [])
+    assert not hasattr(explore, "_plain_line")
 
 
 def test_search_writes_stdout_in_blocks_not_lines():

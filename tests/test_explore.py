@@ -1,6 +1,10 @@
+import collections
 import csv
 import functools
+import hashlib
 import io
+import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -11,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import explore
-from expanderlab.bound import check_instance, image
+from expanderlab.bound import check_instance, image, theorem_bound
 from expanderlab.errors import (
     BudgetExceededError,
     InternalInvariantError,
@@ -34,7 +38,13 @@ from expanderlab.field import Field, FieldElem, extension_field, parse_field, pr
 from expanderlab.poly import parse_poly
 from expanderlab.rng import Xoshiro256StarStar, splitmix64
 
-from oracles import frobenius_subfield, image_double_loop, measure_int_sets
+from oracles import (
+    frobenius_subfield,
+    hopf_stiefel,
+    image_double_loop,
+    measure_int_sets,
+    plain_line,
+)
 
 
 # -- rng ------------------------------------------------------------------------
@@ -156,19 +166,23 @@ _MIXED = (search_extremal(SearchConfig("5", "x^2", "x", 2, 2))[:4]
 
 
 def _unblocked(records, fmt):
-    """The reference bytes: a csv writer, json.dumps, or one record per write."""
+    """The reference bytes, one record at a time: a csv writer, json.dumps
+    of the records' dicts, or one f-string per record."""
     if fmt == "json":
-        import json
         return json.dumps([r.to_dict() for r in records], indent=2) + "\n"
+    if fmt == "plain":
+        return "".join(map(plain_line, records))
     ref = io.StringIO()
-    if fmt == "csv":
-        writer = csv.writer(ref, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(r[:12] for r in records)
-    else:
-        for r in records:
-            write_records([r], "plain", ref)
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(r[:12] for r in records)
     return ref.getvalue()
+
+
+def _render(records, fmt):
+    stream = io.StringIO()
+    write_records(records, fmt, stream)
+    return stream.getvalue()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "plain", "json"])
@@ -188,7 +202,6 @@ def test_records_are_written_as_they_render(monkeypatch, fmt):
 
 
 def test_json_is_streamed_as_the_bytes_of_one_document():
-    import json
     ranked = explore.rank_search(SearchConfig("2^3", "x^2", "x", (1, 2), (1, 2)))
     stream = _CountingStream()
     write_records(ranked, "json", stream)
@@ -196,6 +209,81 @@ def test_json_is_streamed_as_the_bytes_of_one_document():
     assert stream.getvalue() == json.dumps([r.to_dict() for r in ranked], indent=2) + "\n"
     empty = explore.rank_search(SearchConfig("5", "x^2", "x", 9, 2))
     assert records_to_json([]) == records_to_json(empty) == "[]\n"
+
+
+# Names that JSON escapes (a quote, a backslash, a control character, a
+# character outside ASCII), and empty sets, which json.dumps writes as [].
+_ESCAPED = ExperimentRecord('GF(3, "t")', "x\\2", "x\t", 3, 1, 3, 2, 1, 4, 5, None, None,
+                            ('"a"', "b\\", "\n"), ("\u00e9",))
+_HAND_BUILT = [_ESCAPED, _ESCAPED._replace(A=()), _ESCAPED._replace(B=()),
+               _ESCAPED._replace(A=(), B=(), proved_threshold=None)]
+
+
+@st.composite
+def _measured(draw):
+    """A small ranked search, exhaustive or random, or a subfield run."""
+    kind = draw(st.sampled_from(["exhaustive", "random", "subfield"]))
+    if kind == "subfield":
+        field_s, m = draw(st.sampled_from([("3^2", 1), ("2^4", 2), ("2^6", 3), ("5^2", 1)]))
+        return explore.rank_subfield(field_s, m, draw(st.sampled_from(["1/3", "1/2", "4/5"])),
+                                     random_a=draw(st.booleans()), seed=draw(st.integers(0, 9)))
+    g, h = draw(st.sampled_from([("x^2", "x"), ("x^3", "x+1"), ("x", "1")]))
+    if kind == "exhaustive":
+        return explore.rank_search(SearchConfig(
+            draw(st.sampled_from(["5", "7", "2^3", "3^2"])), g, h,
+            (1, draw(st.integers(1, 2))), (1, draw(st.integers(1, 2)))))
+    return explore.rank_search(SearchConfig(
+        draw(st.sampled_from(["11", "31", "2^4", "5^2"])), g, h, (1, 3), (1, 3),
+        mode="random", sample_count=draw(st.integers(1, 20)), seed=draw(st.integers(0, 99))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ranked=_measured(), hand=st.lists(st.sampled_from(_HAND_BUILT), max_size=4),
+       data=st.data())
+def test_json_and_plain_bytes_match_the_per_record_reference(ranked, hand, data):
+    # A Ranked and its list render alike; hand-built records go in anywhere.
+    records = list(ranked)
+    for fmt in ("json", "plain"):
+        assert _render(ranked, fmt) == _render(records, fmt) == _unblocked(records, fmt)
+    at = data.draw(st.integers(0, len(records)))
+    records[at:at] = hand
+    for fmt in ("json", "plain"):
+        assert _render(records, fmt) == _unblocked(records, fmt)
+
+
+def test_json_dumps_with_indent_runs_once_per_distinct_row(monkeypatch):
+    # search-exhaustive's 22,308 pairs have 7 distinct rows; only A and B
+    # are rendered per pair, through the C encoder.
+    ranked = explore.rank_search(SearchConfig("13", "x^2", "x", (2, 3), 2))
+    dumps, indented = json.dumps, []
+
+    def counting(obj, **kwargs):
+        indented.append("indent" in kwargs)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    text = _render(ranked, "json")
+    monkeypatch.undo()
+    assert (len(ranked), len(ranked.rows), sum(indented)) == (22308, 7, 7)
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == "42b6a0c133ff"
+
+
+@pytest.mark.parametrize("field_s", ["7", "11", "2^3", "3^2"])
+def test_sumset_minimum_is_the_bound(field_s):
+    # g = x, h = 1: f(A, B) = A + B, whose least size is the Hopf-Stiefel
+    # number (Eliahou and Kervaire), and the bound reaches it in every cell.
+    # On a prime field with 2 <= a, b and a + b <= p - 1 the minimizers are
+    # the pairs of arithmetic progressions with one common difference
+    # (Vosper's theorem): p^2 (p - 1) / 2 of them.
+    ranked = explore.rank_search(SearchConfig(field_s, "x", "1", (1, 3), (1, 3)))
+    field = parse_field(field_s)
+    p = field.p
+    counts = collections.Counter(ranked.rows[rid][3:6] for rid in ranked.ids)   # a, b, size
+    for a, b in itertools.product(range(1, 4), repeat=2):
+        least = min(size for a_, b_, size in counts if (a_, b_) == (a, b))
+        assert least == hopf_stiefel(p, a, b) == theorem_bound(a, b, 1, p).bound
+        if field.n == 1 and 2 <= min(a, b) and a + b <= p - 1:
+            assert counts[a, b, least] == p * p * (p - 1) // 2
 
 
 @pytest.mark.parametrize("ranked", [
@@ -252,7 +340,6 @@ def test_unknown_format_writes_nothing():
 
 def test_json_mirror_includes_sets():
     recs = search_extremal(SearchConfig("5", "x^2", "x", 2, 2))
-    import json
     data = json.loads(records_to_json(recs))
     assert len(data) == len(recs)
     row = data[0]

@@ -8,8 +8,10 @@ stderr.  It needs only the standard library besides pytest itself, and
 pytest does not collect it (the name does not start with ``test_``).
 
 It exits 0 whatever the tests do: tracing slows every traced line, so a
-test with a time limit may fail under it.  Tests that run the CLI in a
-subprocess are invisible to it; the lines only they run are listed.
+test with a time limit may fail under it.  The node id of every test that
+failed under the tracer goes to stderr, so such a failure can be told from
+a real one.  Tests that run the CLI in a subprocess are invisible to it;
+the lines only they run are listed.
 
     python tests/untested_lines.py [extra pytest arguments]
 """
@@ -41,12 +43,28 @@ def statement_lines(path: Path) -> set[int]:
             if isinstance(node, ast.stmt) and node not in docstrings}
 
 
-def run_traced(pytest_args) -> tuple[int, set[tuple[str, int]]]:
-    """Run pytest under the tracer: (pytest's exit code, (file, line) hits)."""
+class Failures:
+    """A pytest plugin that keeps the node id of each failed report, of a
+    test's set-up, call or tear-down or of a collection, once each."""
+
+    def __init__(self):
+        self.ids = {}
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.ids[report.nodeid] = None
+
+    pytest_collectreport = pytest_runtest_logreport
+
+
+def run_traced(pytest_args) -> tuple[int, set[tuple[str, int]], list[str]]:
+    """Run pytest under the tracer: (pytest's exit code, (file, line) hits,
+    the node ids that failed)."""
     import pytest
 
     files = {str(path) for path in SOURCES}
     hits = set()
+    failures = Failures()
 
     def local(frame, event, arg):
         if event == "line":
@@ -61,15 +79,15 @@ def run_traced(pytest_args) -> tuple[int, set[tuple[str, int]]]:
     try:
         with contextlib.redirect_stdout(sys.stderr):    # stdout is the listing
             code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"),
-                                *pytest_args])
+                                *pytest_args], plugins=[failures])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(code), hits
+    return int(code), hits, list(failures.ids)
 
 
 def main(argv) -> int:
-    code, hits = run_traced(argv)
+    code, hits, failed = run_traced(argv)
     untested = total = 0
     for path in SOURCES:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -80,6 +98,7 @@ def main(argv) -> int:
             print(f"{path.relative_to(ROOT)}:{lineno}: {lines[lineno - 1].strip()}")
     print(f"{untested} of {total} statement lines untested in-process; "
           f"pytest exit code {code}", file=sys.stderr)
+    print(f"failed under the tracer: {', '.join(failed) or 'none'}", file=sys.stderr)
     return 0
 
 
