@@ -16,7 +16,6 @@ machine identifiers: the same invocation produces the same bytes.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -38,6 +37,36 @@ from .errors import InternalInvariantError, InvalidParametersError, ParseError, 
 _ENV_BUDGET = "EXPANDER_LAB_BUDGET"
 FORMATS = ("csv", "json", "plain")    # what explore.write_records renders
 _OUTPUT_KEYS = ("format", "out")
+
+# Each subcommand's help line and its options in usage order, "*" marking a
+# required one; random-a is the only flag.  With _ for -, the names key the
+# dict a cmd_* takes, and are the config keys of search and subfield.
+_INSTANCE = "field* g* h* A* B*"
+_SWEEP = "seed parallelism format out config"
+COMMANDS = {
+    "bound": ("compute the lower bound for sizes (a, b)", "field* a* b* d g h"),
+    "image": ("evaluate the exact image of one instance", _INSTANCE),
+    "certify": ("build and replay a certificate for one instance", _INSTANCE + " C k seed out"),
+    "search": ("sweep (A, B) pairs and rank them by slack",
+               "field* g* h* a* b* mode sample-count budget " + _SWEEP),
+    "subfield": ("measure image growth over a subfield plus one point",
+                 "field* m* c-fraction* g h theta-count random-a " + _SWEEP),
+    "selftest": ("run the embedded check suite", ""),
+}
+# Help notes, shared by every subcommand that takes the option.
+_NOTES = {
+    "field": "prime, p^n, p^n/modulus, or inf (bound --d only)", "d": "deg g, not --g/--h",
+    "a": "|A| (search: N or LO-HI)", "b": "|B| (search: N or LO-HI)", "g": "g in x", "h": "h in x",
+    "A": "comma-separated elements", "B": "comma-separated elements", "C": "the same, for C",
+    "k": "size of a random C (default: best k)", "seed": "seed of the random draws (default 0)",
+    "mode": "exhaustive or random", "sample-count": "pairs per (a, b) cell in random mode",
+    "budget": f"pairs (exhaustive) or value evaluations (random); or ${_ENV_BUDGET}",
+    "parallelism": ">= 1; evaluation is single-threaded", "format": ", ".join(FORMATS),
+    "out": "write here, not to stdout", "config": "key=value file; flags override it",
+    "m": "subfield degree, a proper divisor of n", "c-fraction": "|A| = ceil(c * p^m), 0 < c < 1",
+    "theta-count": "sample this many points outside the subfield, not all",
+    "random-a": "draw A at random from the subfield, not its first elements",
+}
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -92,20 +121,30 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _given(args, keys: tuple, *required: str) -> dict:
-    """The options given among ``keys``: config file entries, then explicit
-    flags on top.  Missing ``required`` ones are named in one error."""
-    opts = {}
-    if getattr(args, "config", None):
-        for key, value in _read_config(args.config).items():
-            if key not in keys:
+def _options(command: str) -> dict:
+    """{name: required} of ``command``'s options, in usage order."""
+    return {name.rstrip("*"): name.endswith("*") for name in COMMANDS[command][1].split()}
+
+
+def _given(command: str, flags: dict) -> dict:
+    """``command``'s config file entries, then ``flags`` on top; before any
+    work, missing required options, a bad format and --C with --k refused."""
+    options, opts = _options(command), {}
+    if "config" in flags:
+        for key, value in _read_config(flags["config"]).items():
+            if key.replace("_", "-") not in options or key == "config":
                 raise InvalidParametersError(f"unknown config key {key!r}")
             opts[key] = value
-    opts.update((key, value) for key, value in vars(args).items() if key in keys)
-    missing = [key for key in required if key not in opts]
+    opts.update(flags)
+    opts.pop("config", None)
+    missing = [f"--{name}" for name, need in options.items()
+               if need and name.replace("-", "_") not in opts]
     if missing:
-        raise InvalidParametersError("missing required option(s): " + ", ".join(
-            "--" + key.replace("_", "-") for key in missing))
+        raise InvalidParametersError("missing required option(s): " + ", ".join(missing))
+    if opts.get("format", "csv") not in FORMATS:
+        raise InvalidParametersError(f"unknown format {opts['format']!r}")
+    if "C" in opts and "k" in opts:
+        raise InvalidParametersError("--C and --k cannot be given together")
     return opts
 
 
@@ -136,13 +175,10 @@ def _emit(write, out_path: str | None) -> None:
 
 
 def _emit_records(records, output: dict) -> None:
-    """Records to stdout or --out, then the summary to stderr.  A format
-    from a config file is checked here, after the run, before --out opens."""
+    """Records to stdout or --out, then the summary to stderr."""
     from .explore import summarize, write_records
 
     fmt = output.get("format", "csv")
-    if fmt not in FORMATS:
-        raise InvalidParametersError(f"unknown format {fmt!r}")
     _emit(lambda out: write_records(records, fmt, out), output.get("out"))
     print(summarize(records), file=sys.stderr)
 
@@ -150,20 +186,21 @@ def _emit_records(records, output: dict) -> None:
 # -- bound ----------------------------------------------------------------------
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(opts: dict) -> int:
     import json
 
-    field_text = args.field.strip()
-    given = (args.d is not None, args.g is not None, args.h is not None)
+    _numbers(opts, "a", "b", "d")
+    field_text = opts["field"].strip()
+    given = ("d" in opts, "g" in opts, "h" in opts)
     if given not in ((True, False, False), (False, True, True)):
         raise InvalidParametersError("provide either --d or both --g and --h")
-    if args.d is not None:
+    if "d" in opts:
         if "^" in field_text or "/" in field_text:
             from .field import parse_field
             characteristic = parse_field(field_text).p
         else:
             characteristic = parse_characteristic(field_text)
-        d = args.d
+        d = opts["d"]
     else:
         if field_text.lower() == "inf":
             raise InvalidParametersError(
@@ -171,12 +208,12 @@ def cmd_bound(args) -> int:
         from .field import parse_field
         from .poly import parse_poly
         field = parse_field(field_text)
-        g = parse_poly(args.g, field)
-        h = parse_poly(args.h, field)
+        g = parse_poly(opts["g"], field)
+        h = parse_poly(opts["h"], field)
         check_degrees(g, h)
         characteristic = field.p
         d = g.degree()
-    report = theorem_bound(args.a, args.b, d, characteristic)
+    report = theorem_bound(opts["a"], opts["b"], d, characteristic)
     # json's indented encoder is pure Python: lay out the k list, up to 10^6 ints, here.
     ks = "[\n    " + ",\n    ".join(map(str, report.admissible_k)) + "\n  ]"
     text = json.dumps({**report.to_dict(), "admissible_k": ""}, indent=2)
@@ -187,14 +224,14 @@ def cmd_bound(args) -> int:
 # -- image ----------------------------------------------------------------------
 
 
-def _build_instance_or_exit(field_text, g_text, h_text, a_text, b_text):
+def _build_instance_or_exit(opts: dict):
     from .field import parse_field
     from .poly import parse_poly
-    field = parse_field(field_text)
-    g = parse_poly(g_text, field)
-    h = parse_poly(h_text, field)
-    A = _parse_elements(field, a_text, "--A")
-    B = _parse_elements(field, b_text, "--B")
+    field = parse_field(opts["field"])
+    g = parse_poly(opts["g"], field)
+    h = parse_poly(opts["h"], field)
+    A = _parse_elements(field, opts["A"], "--A")
+    B = _parse_elements(field, opts["B"], "--B")
     inst, violations = check_instance(field, g, h, A, B)
     if violations:
         print("invalid instance:", file=sys.stderr)
@@ -204,10 +241,10 @@ def _build_instance_or_exit(field_text, g_text, h_text, a_text, b_text):
     return inst
 
 
-def cmd_image(args) -> int:
+def cmd_image(opts: dict) -> int:
     import json
 
-    inst = _build_instance_or_exit(args.field, args.g, args.h, args.A, args.B)
+    inst = _build_instance_or_exit(opts)
     if inst is None:
         return 2
     values = image(inst)
@@ -230,28 +267,29 @@ def cmd_image(args) -> int:
 # -- certify ----------------------------------------------------------------------
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(opts: dict) -> int:
     import json
 
     from .certificate import build_certificate
     from .rng import Xoshiro256StarStar
 
-    inst = _build_instance_or_exit(args.field, args.g, args.h, args.A, args.B)
+    _numbers(opts, "k", "seed")
+    inst = _build_instance_or_exit(opts)
     if inst is None:
         return 2
     field = inst.field
-    if args.C is not None:
-        C = _parse_elements(field, args.C, "--C")
+    if "C" in opts:
+        C = _parse_elements(field, opts["C"], "--C")
     else:
-        k = args.k if args.k is not None else inst.bound_report().best_k
+        k = opts["k"] if "k" in opts else inst.bound_report().best_k
         if not 0 <= k <= field.order:
             raise InvalidParametersError(
                 f"cannot draw {k} distinct elements from a field of order {field.order}")
-        rng = Xoshiro256StarStar(args.seed)
+        rng = Xoshiro256StarStar(opts.get("seed", 0))
         C = [field.from_index(i) for i in rng.sample_indices(field.order, k)]
     cert = build_certificate(inst, C)
     _emit(lambda out: out.write(json.dumps(cert.to_dict(), indent=2) + "\n"),
-          args.out)
+          opts.get("out"))
     if cert.identity_holds:
         print(f"PASS: predicted matches pointwise sum ({cert.predicted})",
               file=sys.stderr)
@@ -264,10 +302,9 @@ def cmd_certify(args) -> int:
 # -- search ----------------------------------------------------------------------
 
 
-def cmd_search(args) -> int:
+def cmd_search(opts: dict) -> int:
     from .explore import SearchConfig, rank_search
 
-    opts = _given(args, SearchConfig._fields + _OUTPUT_KEYS, "field", "g", "h", "a", "b")
     output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
     if "budget" not in opts and _ENV_BUDGET in os.environ:
         opts["budget"] = os.environ[_ENV_BUDGET]
@@ -280,14 +317,9 @@ def cmd_search(args) -> int:
 # -- subfield ----------------------------------------------------------------------
 
 
-_SUBFIELD_KEYS = ("field", "m", "c_fraction", "g", "h", "theta_count", "seed",
-                  "random_a", "parallelism") + _OUTPUT_KEYS
-
-
-def cmd_subfield(args) -> int:
+def cmd_subfield(opts: dict) -> int:
     from .explore import rank_subfield
 
-    opts = _given(args, _SUBFIELD_KEYS, "field", "m", "c_fraction")
     output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
     _numbers(opts, "c_fraction", "m", "theta_count", "seed", "parallelism")
     if "random_a" in opts:
@@ -299,7 +331,7 @@ def cmd_subfield(args) -> int:
 # -- selftest ----------------------------------------------------------------------
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(opts: dict) -> int:
     from .selftest import run_selftest
 
     results = run_selftest()
@@ -310,89 +342,68 @@ def cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-# -- parser ----------------------------------------------------------------------
+# -- argv ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="expander-lab",
-        description="Exact lower bounds, certificates, and experiments for "
-                    "image sets {g(x) + y*h(x)} over finite fields.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def parse_args(argv) -> tuple:
+    """(command, the options given, keyed with _ for -) from the arguments
+    after the program name, or (command, None) for -h or --help.  Options are
+    --name VALUE or --name=VALUE, name exact or a unique prefix, VALUE not
+    starting with "--", the last repeat winning.  A bad token raises
+    InvalidParametersError, an unknown or stray one only if no --help follows."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    names = [*_options(command), "help"] if command else ["help"]
+    tokens = iter(argv[1:] if command else argv[:1])    # before a command, only -h or --help
+    given, unknown = {}, []
+    for token in tokens:
+        head, eq, value = token[2:].partition("=") if token[:2] == "--" else ("", "", None)
+        found = [n for n in names if n == head] or [
+            n for n in names if head and n.startswith(head)]
+        if len(found) > 1:
+            raise InvalidParametersError(
+                f"ambiguous option --{head}: " + ", ".join("--" + n for n in found))
+        name, value = (found[0] if found else None), (value if eq else None)
+        if token == "-h" or name == "help" and value is None:
+            return command, None
+        if name is None:
+            unknown.append(token)
+            continue
+        if name in ("help", "random-a"):
+            if value is not None:
+                raise InvalidParametersError(f"--{name} takes no value, got {value!r}")
+            value = True
+        elif value is None:
+            value = next(tokens, "--")      # "--" when no token is left
+            if value.startswith("--"):
+                raise InvalidParametersError(f"--{name} needs a value")
+        given[name.replace("-", "_")] = value
+    if command is None:
+        raise InvalidParametersError(f"expected a command ({', '.join(COMMANDS)}), got "
+                                     + (repr(argv[0]) if argv else "none"))
+    if unknown:
+        raise InvalidParametersError(f"unknown option or stray argument {unknown[0]!r}")
+    return command, given
 
-    # image and certify: one explicit instance
-    instance = argparse.ArgumentParser(add_help=False)
-    for flag in ("--field", "--g", "--h"):
-        instance.add_argument(flag, required=True)
-    for flag in ("--A", "--B"):
-        instance.add_argument(flag, required=True, help="comma-separated elements")
 
-    # search and subfield: only the options given reach the namespace, so
-    # config entries and the library's defaults fill in the rest
-    sweep = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    for flag in ("--field", "--g", "--h", "--seed", "--out"):
-        sweep.add_argument(flag)
-    sweep.add_argument("--parallelism",
-                        help="must be >= 1; evaluation is single-threaded")
-    sweep.add_argument("--format", choices=FORMATS)
-    sweep.add_argument("--config", help="key=value file; flags override it")
-
-    p = sub.add_parser("bound", help="compute the lower bound for sizes (a, b)")
-    p.add_argument("--field", required=True,
-                   help="prime, p^n, p^n/modulus, or inf")
-    p.add_argument("--a", type=int, required=True, help="|A|")
-    p.add_argument("--b", type=int, required=True, help="|B|")
-    p.add_argument("--d", type=int, help="deg g (alternative to --g/--h)")
-    p.add_argument("--g", help="polynomial g in x")
-    p.add_argument("--h", help="polynomial h in x")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("image", parents=[instance],
-                       help="evaluate the exact image of one instance")
-    p.set_defaults(func=cmd_image)
-
-    p = sub.add_parser("certify", parents=[instance],
-                       help="build and replay a certificate for one instance")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--C", help="explicit candidate set, comma-separated")
-    group.add_argument("--k", type=int,
-                       help="size of the random candidate set (default: best k)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the random candidate set")
-    p.add_argument("--out", help="write the certificate JSON here instead of stdout")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("search", parents=[sweep], argument_default=argparse.SUPPRESS,
-                       help="sweep (A, B) pairs and rank them by slack")
-    p.add_argument("--a", help="|A| as N or LO-HI")
-    p.add_argument("--b", help="|B| as N or LO-HI")
-    p.add_argument("--mode", choices=("exhaustive", "random"))
-    p.add_argument("--sample-count")
-    p.add_argument("--budget",
-                   help="work budget: pairs in exhaustive mode, value "
-                        f"evaluations in random mode (or ${_ENV_BUDGET})")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("subfield", parents=[sweep], argument_default=argparse.SUPPRESS,
-                       help="measure image growth over a subfield plus one point")
-    p.add_argument("--m", help="subfield degree, a proper divisor of n")
-    p.add_argument("--c-fraction", help="|A| = ceil(c * p^m), 0 < c < 1")
-    p.add_argument("--theta-count", help="sample this many external points instead of all")
-    p.add_argument("--random-a", action="store_true",
-                   help="draw A at random from the subfield instead of "
-                        "taking the first elements")
-    p.set_defaults(func=cmd_subfield)
-
-    p = sub.add_parser("selftest", help="run the embedded check suite")
-    p.set_defaults(func=cmd_selftest)
-
-    return parser
+def _help(command: str | None) -> str:
+    """The help page of ``command``, or of the program for None."""
+    if command is None:
+        head, rows = "COMMAND [--OPTION VALUE ...]\n\ncommands:", [
+            (name, text) for name, (text, _) in COMMANDS.items()]
+    else:
+        head = f"{command} [--OPTION VALUE ...]\n\n{COMMANDS[command][0]}\n\noptions:"
+        rows = [(f"--{name}" + " VALUE" * (name != "random-a"), "required; " * need + _NOTES[name])
+                for name, need in _options(command).items()] + [("-h, --help", "show this help")]
+    return f"usage: expander-lab {head}\n" + "".join(f"  {a:<22}{b}\n" for a, b in rows)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        command, flags = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if flags is None:
+            sys.stdout.write(_help(command))
+        # cmd_* is looked up per call, so a wrapper set on the module is the one run.
+        code = 0 if flags is None else globals()[f"cmd_{command}"](_given(command, flags))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -97,12 +97,25 @@ class Ranked(SimpleNamespace):
     def __len__(self):
         return len(self.ids)
 
+    _lo, _hi, _Bs = 0, 0, None      # the pairs of the run sets named last, its B list
+
     def sets(self, i):
-        """The i-th pair's (A, B) as tuples of element strings."""
+        """The i-th pair's (A, B) as tuples of element strings.  A run of more
+        than one pair keeps its A's names and its B list's: a run's pairs
+        often come in a row, and the runs of an exhaustive cell share B's."""
         k = self.order[i]
-        r = bisect.bisect_right(self.starts, k) - 1
-        A_idx, Bs, _ = self.runs[r]
-        return tuple(map(self.name, A_idx)), tuple(map(self.name, Bs[k - self.starts[r]]))
+        if not self._lo <= k < self._hi:
+            r = bisect.bisect_right(self.starts, k) - 1
+            A_idx, Bs, _ = self.runs[r]
+            if len(Bs) == 1:        # a random draw: nothing to share
+                return tuple(map(self.name, A_idx)), tuple(map(self.name, Bs[0]))
+            self._lo, self._hi = self.starts[r], self.starts[r + 1]
+            self._A = tuple(map(self.name, A_idx))
+            if Bs is not self._Bs:
+                self._Bs, self._B = Bs, [None] * len(Bs)
+        j = k - self._lo
+        B = self._B[j] = self._B[j] or tuple(map(self.name, self._Bs[j]))
+        return self._A, B
 
     def __getitem__(self, i):
         return ExperimentRecord._make(self.rows[self.ids[i]] + self.sets(i))

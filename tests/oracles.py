@@ -8,17 +8,29 @@ enumerating the digit-dominating k, int sets of value indices instead of
 OR-ed bit masks, built symmetric differences instead of intersection
 counts, coefficient vectors, extended Euclid and Frobenius fixed points
 instead of index tables, a minimum over powers of p instead of Lucas digit
-tests, one f-string per record instead of rows rendered once) so that
-agreement is evidence, not tautology.
+tests, one f-string per record instead of rows rendered once, argparse
+instead of the CLI's option table) so that agreement is evidence, not
+tautology.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 
 from expanderlab import bound as bound_mod
 from expanderlab.bound import lucas_nonvanishing
+from expanderlab.cli import (
+    _ENV_BUDGET,
+    FORMATS,
+    cmd_bound,
+    cmd_certify,
+    cmd_image,
+    cmd_search,
+    cmd_selftest,
+    cmd_subfield,
+)
 from expanderlab.explore import ExperimentRecord, negative_slack_error
 from expanderlab.field import _is_irreducible, _vec_mod, _vec_mul, _vec_trim
 
@@ -288,3 +300,81 @@ def measure_int_sets(field, g, h, tasks):
             field_s, g_s, h_s, a, b, size, tb, size - tb, None, None,
             *nearest(B_idx), strings(A_idx), strings(B_idx)))
     return records
+
+
+# The argument parser the CLI used before its option table, verbatim: the
+# differential test in test_cli.py holds cli.parse_args to what it accepts.
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="expander-lab",
+        description="Exact lower bounds, certificates, and experiments for "
+                    "image sets {g(x) + y*h(x)} over finite fields.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    # image and certify: one explicit instance
+    instance = argparse.ArgumentParser(add_help=False)
+    for flag in ("--field", "--g", "--h"):
+        instance.add_argument(flag, required=True)
+    for flag in ("--A", "--B"):
+        instance.add_argument(flag, required=True, help="comma-separated elements")
+
+    # search and subfield: only the options given reach the namespace, so
+    # config entries and the library's defaults fill in the rest
+    sweep = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for flag in ("--field", "--g", "--h", "--seed", "--out"):
+        sweep.add_argument(flag)
+    sweep.add_argument("--parallelism",
+                        help="must be >= 1; evaluation is single-threaded")
+    sweep.add_argument("--format", choices=FORMATS)
+    sweep.add_argument("--config", help="key=value file; flags override it")
+
+    p = sub.add_parser("bound", help="compute the lower bound for sizes (a, b)")
+    p.add_argument("--field", required=True,
+                   help="prime, p^n, p^n/modulus, or inf")
+    p.add_argument("--a", type=int, required=True, help="|A|")
+    p.add_argument("--b", type=int, required=True, help="|B|")
+    p.add_argument("--d", type=int, help="deg g (alternative to --g/--h)")
+    p.add_argument("--g", help="polynomial g in x")
+    p.add_argument("--h", help="polynomial h in x")
+    p.set_defaults(func=cmd_bound)
+
+    p = sub.add_parser("image", parents=[instance],
+                       help="evaluate the exact image of one instance")
+    p.set_defaults(func=cmd_image)
+
+    p = sub.add_parser("certify", parents=[instance],
+                       help="build and replay a certificate for one instance")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--C", help="explicit candidate set, comma-separated")
+    group.add_argument("--k", type=int,
+                       help="size of the random candidate set (default: best k)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the random candidate set")
+    p.add_argument("--out", help="write the certificate JSON here instead of stdout")
+    p.set_defaults(func=cmd_certify)
+
+    p = sub.add_parser("search", parents=[sweep], argument_default=argparse.SUPPRESS,
+                       help="sweep (A, B) pairs and rank them by slack")
+    p.add_argument("--a", help="|A| as N or LO-HI")
+    p.add_argument("--b", help="|B| as N or LO-HI")
+    p.add_argument("--mode", choices=("exhaustive", "random"))
+    p.add_argument("--sample-count")
+    p.add_argument("--budget",
+                   help="work budget: pairs in exhaustive mode, value "
+                        f"evaluations in random mode (or ${_ENV_BUDGET})")
+    p.set_defaults(func=cmd_search)
+
+    p = sub.add_parser("subfield", parents=[sweep], argument_default=argparse.SUPPRESS,
+                       help="measure image growth over a subfield plus one point")
+    p.add_argument("--m", help="subfield degree, a proper divisor of n")
+    p.add_argument("--c-fraction", help="|A| = ceil(c * p^m), 0 < c < 1")
+    p.add_argument("--theta-count", help="sample this many external points instead of all")
+    p.add_argument("--random-a", action="store_true",
+                   help="draw A at random from the subfield instead of "
+                        "taking the first elements")
+    p.set_defaults(func=cmd_subfield)
+
+    p = sub.add_parser("selftest", help="run the embedded check suite")
+    p.set_defaults(func=cmd_selftest)
+
+    return parser

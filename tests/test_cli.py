@@ -1,7 +1,10 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
+import os
+import re
 import time
 from types import SimpleNamespace
 
@@ -12,16 +15,15 @@ from hypothesis import strategies as st
 from expanderlab import bound as bound_mod
 from expanderlab import cli, explore
 from expanderlab.cli import main
+from expanderlab.errors import InvalidParametersError
 from expanderlab.explore import SearchConfig
+from oracles import build_parser
 
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:   # argparse errors exit directly
-            code = exc.code
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -536,11 +538,16 @@ def test_theta_images_below_a_threshold_are_not_errors(argv, thetas, cells):
     assert all(row[3:10] == cells for row in rows)
 
 
-def test_unknown_config_format_is_reported_after_the_run(tmp_path):
-    cfg = tmp_path / "run.cfg"
+def test_unknown_config_format_is_refused_before_the_run(tmp_path, monkeypatch):
+    # One check covers a format from the flag and from the file, before any
+    # work: --budget 1 would refuse the search itself, and no search runs.
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
     cfg.write_text("field=5\ng=x^2\nh=x\na=3\nb=3\nformat=xml\n")
-    code, _, err = run_cli("search", "--config", str(cfg), "--budget", "1")
-    assert code == 2 and "budget is 1" in err
+    monkeypatch.setattr(explore, "rank_search", lambda config: pytest.fail("search ran"))
+    for flags in ([], ["--format", "xml"]):
+        assert run_cli("search", "--config", str(cfg), "--budget", "1", "--out", str(out),
+                       *flags) == (2, "", "error: unknown format 'xml'\n")
+    assert not out.exists()
 
 
 def test_search_bad_size_exit_2():
@@ -684,10 +691,11 @@ def test_subfield_json_format():
 # tmp; flags override the file, so those two keys are merged but not used.
 CONFIG_BASES = {"search": {"field": "5", "g": "x^2", "h": "x", "a": "1-2", "b": "1-2"},
                 "subfield": {"field": "3^2", "m": "1", "c_fraction": "1/2"}}
-# The config keys: search's are SearchConfig's fields, subfield's a tuple in
-# cli, and both take the output keys.
+# The config keys: search's are SearchConfig's fields, subfield's the
+# keywords of rank_subfield, and both take the output keys.
 SEARCH_KEYS = SearchConfig._fields + cli._OUTPUT_KEYS
-CONFIG_KEYS = sorted(set(SEARCH_KEYS) | set(cli._SUBFIELD_KEYS))
+SUBFIELD_KEYS = tuple(inspect.signature(explore.rank_subfield).parameters) + cli._OUTPUT_KEYS
+CONFIG_KEYS = sorted(set(SEARCH_KEYS) | set(SUBFIELD_KEYS))
 CONFIG_FIELDS = st.one_of(
     st.sampled_from(["5", "7", "3^2", "2^4", "5^2", "2^4/t^4+t+1", "4", "", "x"]),
     st.text("0123456789^/t", max_size=1))
@@ -904,29 +912,176 @@ CLI_OPTIONS = {
 }
 
 
-def _subparsers():
-    import argparse
-    parser = cli.build_parser()
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
-
-
 def test_cli_surface_is_pinned():
-    subparsers = _subparsers()
-    assert sorted(subparsers) == sorted(CLI_OPTIONS)
+    assert sorted(cli.COMMANDS) == sorted(CLI_OPTIONS)
     for command, options in CLI_OPTIONS.items():
-        given = sorted(s for a in subparsers[command]._actions for s in a.option_strings)
-        assert given == sorted(["-h", "--help", *options.split()]), command
+        given = sorted("--" + name for name in cli._options(command))
+        assert given == sorted(options.split()), command
 
 
 @pytest.mark.parametrize("command, keys", [
-    ("search", SEARCH_KEYS), ("subfield", cli._SUBFIELD_KEYS)])
+    ("search", SEARCH_KEYS), ("subfield", SUBFIELD_KEYS)])
 def test_config_keys_are_the_flag_destinations(command, keys):
-    dests = {a.dest for a in _subparsers()[command]._actions}
-    assert dests - {"help", "config"} == set(keys)
+    dests = {name.replace("-", "_") for name in cli._options(command)}
+    assert dests - {"config"} == set(keys)
 
 
 @pytest.mark.parametrize("command", ["", *CLI_OPTIONS])
 def test_help_exits_0(command):
     code, out, _ = run_cli(*command.split(), "--help")
     assert code == 0 and out.startswith("usage: expander-lab")
+    for name in cli._options(command) if command else cli.COMMANDS:
+        assert re.search(rf"^  (--)?{name}\b", out, re.M), name
+
+
+def test_main_runs_the_cmd_function_the_module_holds(monkeypatch):
+    # A wrapper set on the module, as perfbench's tracer sets one, is what runs.
+    seen = []
+    monkeypatch.setattr(cli, "cmd_bound", lambda opts: seen.append(opts) or 0)
+    argv = ["bound", "--fi=2", "--a", "3", "--b", "1", "--d", "1", "--d", "2"]
+    assert run_cli(*argv) == (0, "", "")
+    assert seen == [{"field": "2", "a": "3", "b": "1", "d": "2"}]
+
+
+def test_a_value_may_begin_with_one_dash():
+    # argparse refused "--g -x^2" as a missing value; the table reads it.
+    code, out, _ = run_cli("bound", "--field", "7", "--a", "3", "--b", "2", "--g", "-x^2",
+                           "--h", "x")
+    assert code == 0 and json.loads(out)["d"] == 2
+    assert cli.parse_args(["search", "--g", "-x^2", "--seed", "-1"]) == (
+        "search", {"g": "-x^2", "seed": "-1"})
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("", "expected a command (bound, image, certify, search, subfield, selftest), got none"),
+    ("frobnicate --help", "expected a command (bound, image, certify, search, subfield, "
+                          "selftest), got 'frobnicate'"),
+    ("search --f 5", "ambiguous option --f: --field, --format"),
+    ("search --s 1 --help", "ambiguous option --s: --sample-count, --seed"),
+    ("bound --field", "--field needs a value"),
+    ("bound --field --a 3", "--field needs a value"),
+    ("subfield --random-a=yes", "--random-a takes no value, got 'yes'"),
+    ("bound --field 2 --a 3 --b 1 --d 1 --e 2", "unknown option or stray argument '--e'"),
+    ("selftest now", "unknown option or stray argument 'now'"),
+    ("bound --a 3", "missing required option(s): --field, --b"),
+    ("certify --field 13 --g x^2 --h x --A 1 --B 0 --C 0 --k 1",
+     "--C and --k cannot be given together"),
+    ("bound --field 2 --a three --b 1 --d 1",
+     "bad numeric option: invalid literal for int() with base 10: 'three'"),
+])
+def test_parse_errors_are_one_line_and_exit_2(argv, message):
+    assert run_cli(*argv.split()) == (2, "", f"error: {message}\n")
+
+
+# -- parse_args against the argparse oracle ------------------------------------------
+
+
+# Values of every kind an option meets: numbers, sizes, polynomials, element
+# lists, the formats and modes, junk, an empty string and a negative number.
+# argparse refused "-x^2" as a value, and -h after a bare option; the table
+# reads both as the value.
+VALUES = st.sampled_from(["5", "13", "2-3", "x^2", "x", "1,2", "", "csv", "xml", "random",
+                          "walk", "-1", "abc", "0", "1/2", "-x^2"])
+ODD_NAMES = ["zzz", "sample_count", "A", "a", "fields", "help"]
+
+
+@st.composite
+def table_argv(draw):
+    """A command and tokens built from its options: full names, prefixes and
+    "=" values, repeats, the flag, bare options, unknown ones, strays, -h."""
+    command = draw(st.sampled_from([*cli.COMMANDS]))
+    names = [*cli._options(command)] * 3 + ODD_NAMES
+    argv = [command]
+    if draw(st.booleans()):     # the required options first, so that argparse may accept
+        for name, required in cli._options(command).items():
+            argv += [f"--{name}", draw(st.sampled_from(["5", "13", "x"]))] * required
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(names))
+        spelled = "--" + name[:draw(st.integers(1, len(name)))] if draw(st.booleans()) else (
+            "--" + name)
+        form = draw(st.sampled_from(["value"] * 6 + ["equals"] * 2 + ["bare", "stray", "-h"]))
+        if form == "value":
+            argv += [spelled, draw(VALUES)]
+        elif form == "equals":
+            argv.append(f"{spelled}={draw(VALUES)}")
+        elif form == "bare":
+            argv.append(spelled)
+        else:
+            argv.append(draw(VALUES) if form == "stray" else "-h")
+    return argv
+
+
+def _oracle(parser, argv):
+    """("ok", given), ("help", usage line) or ("error", message) from argparse."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            ns = parser.parse_args(argv)
+    except SystemExit as exc:
+        return ("help", out.getvalue().partition("\n")[0]) if exc.code == 0 else (
+            "error", err.getvalue())
+    return "ok", (ns.command, {k: v for k, v in vars(ns).items()
+                               if k not in ("func", "command") and v is not None})
+
+
+def _relaxed(argv):
+    """Whether a bare --name precedes a token that begins with one "-" and is
+    no negative number: argparse took it for an option, the table for a value."""
+    return any(prev.startswith("--") and "=" not in prev and re.match(r"-(?!-|\d+$)", token)
+               for prev, token in zip(argv, argv[1:]))
+
+
+def test_parse_args_accepts_what_argparse_accepted(tmp_path_factory):
+    parser = build_parser()
+    workdir = tmp_path_factory.mktemp("argv")       # where an accidental --out would land
+
+    @settings(max_examples=500, deadline=None)
+    @given(table_argv())
+    def run(argv):
+        verdict, detail = _oracle(parser, argv)
+        try:
+            mine = cli.parse_args(argv)
+        except InvalidParametersError:
+            mine = None
+        if verdict == "ok":
+            # argparse converted these to int, and defaulted certify's seed to 0.
+            command, given = mine
+            for key in {"bound": ("a", "b", "d"), "certify": ("k", "seed")}.get(command, ()):
+                if key in given:
+                    given[key] = int(given[key])
+            if command == "certify":
+                given.setdefault("seed", 0)
+            assert (command, given) == detail
+        elif verdict == "help":
+            assert mine is not None and mine[1] is None, argv
+            assert detail.startswith(f"usage: expander-lab {mine[0] or '[-h]'}")
+        elif not _relaxed(argv):
+            if mine is not None and mine[1] is None:
+                # Values are checked after parsing, and options as they come,
+                # so --help after a value argparse refused (no int, no choice,
+                # --C with --k) or before an ambiguous option gives help.
+                assert re.search("invalid int value|invalid choice|not allowed with|"
+                                 "ambiguous option", detail), argv
+                return
+            cwd = os.getcwd()
+            os.chdir(workdir)
+            try:
+                code, out, err = run_cli(*argv)
+            finally:
+                os.chdir(cwd)
+            assert (code, out) == (2, "") and re.fullmatch("error: [^\n]*\n", err), (argv, err)
+
+    run()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=6), st.sampled_from(
+    ["--", "-", "-h", "--help", "--h", "--=", "--field=", "=", "--f", "search", "bound",
+     "subfield", "certify", "--random-a", "--random-a=", "--c", "--s"])), max_size=8))
+def test_parse_args_returns_or_refuses_any_tokens(argv):
+    try:
+        command, given = cli.parse_args(argv)
+    except InvalidParametersError:
+        return
+    assert command is None or command in cli.COMMANDS
+    assert given is None or all(isinstance(v, (str, bool)) for v in given.values())
