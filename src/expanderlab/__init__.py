@@ -32,7 +32,7 @@ _EXPORTS = {
               "NotDivisorError NotIrreducibleError NotPrimeError "
               "NotProperDivisorError ParseError TargetDegreeTooLargeError "
               "ValidationError ZeroPolynomialError",
-    "explore": "ExperimentRecord SearchConfig nearest_subfield_distance "
+    "explore": "ExperimentRecord Ranked nearest_subfield_distance "
                "records_to_csv records_to_json search_extremal subfield_experiment",
     "field": "Field FieldElem canonical_sort extension_field parse_field prime_field",
     "poly": "Poly parse_poly",

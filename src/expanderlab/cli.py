@@ -8,10 +8,11 @@ closed the output pipe.
 
 search and subfield accept --config FILE with flat key=value lines;
 explicit flags override the file, and what neither gives takes its default
-from SearchConfig or subfield_experiment.  The environment variable
-EXPANDER_LAB_BUDGET overrides the built-in search budget and is itself
-overridden by a config file or flag.  No output contains timestamps or
-machine identifiers: the same invocation produces the same bytes.
+from the signature of search_extremal or subfield_experiment.  The
+environment variable EXPANDER_LAB_BUDGET overrides the built-in search
+budget and is itself overridden by a config file or flag.  No output
+contains timestamps or machine identifiers: the same invocation produces
+the same bytes.
 """
 
 from __future__ import annotations
@@ -303,14 +304,14 @@ def cmd_certify(opts: dict) -> int:
 
 
 def cmd_search(opts: dict) -> int:
-    from .explore import SearchConfig, rank_search
+    from .explore import search_extremal
 
     output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
     if "budget" not in opts and _ENV_BUDGET in os.environ:
         opts["budget"] = os.environ[_ENV_BUDGET]
     opts["a"], opts["b"] = _parse_sizes(opts["a"]), _parse_sizes(opts["b"])
     _numbers(opts, "sample_count", "seed", "parallelism", "budget")
-    _emit_records(rank_search(SearchConfig(**opts)), output)
+    _emit_records(search_extremal(**opts), output)
     return 0
 
 
@@ -318,13 +319,13 @@ def cmd_search(opts: dict) -> int:
 
 
 def cmd_subfield(opts: dict) -> int:
-    from .explore import rank_subfield
+    from .explore import subfield_experiment
 
     output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
     _numbers(opts, "c_fraction", "m", "theta_count", "seed", "parallelism")
     if "random_a" in opts:
         opts["random_a"] = _parse_bool(opts["random_a"])
-    _emit_records(rank_subfield(**opts), output)
+    _emit_records(subfield_experiment(**opts), output)
     return 0
 
 

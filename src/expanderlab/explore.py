@@ -1,8 +1,8 @@
 """Brute-force experiments: extremal searches and subfield sharpness runs.
 
 :func:`search_extremal` enumerates or samples pairs (A, B), measures the
-exact image size against the proved bound, and returns the records sorted
-by slack ascending so near-extremal configurations surface first.
+exact image size against the proved bound, and ranks the pairs by slack
+ascending so near-extremal configurations surface first.
 
 :func:`subfield_experiment` probes how far the bound is from sharp when B
 is a subfield K plus one point theta outside it.  With g, h over K and A in
@@ -15,12 +15,12 @@ Every record carries the distance from B to the nearest subfield.
 
 Both drivers hand one measuring kernel runs (A, Bs, cols) of element indices,
 Bs a list of B's or a random draw's (B,), cols the y a run reads; no step
-lists the field's elements.  The kernel checks every pair's slack and returns
-a :class:`Ranked`: per pair a row id into the distinct CSV rows and its run
-position, in output order, so every format and the summary render from row
-ids and a record is built only for the list APIs.  Evaluation is
-single-threaded, as a thread pool gained nothing under the interpreter
-lock: ``parallelism`` is validated (>= 1) and otherwise unused.
+lists the field's elements.  The kernel checks every pair's slack, and both
+drivers return its :class:`Ranked`: per pair a row id into the distinct CSV
+rows and its run position, in output order, so every format and the summary
+render from row ids and a record is built only where one is indexed.
+Evaluation is single-threaded, as a thread pool gained nothing under the
+interpreter lock: ``parallelism`` is validated (>= 1) and otherwise unused.
 
 A pair with negative slack would disprove the bound; the harness treats
 it as a fatal internal error, before any output, and names the witness.
@@ -89,13 +89,20 @@ CSV_COLUMNS = ExperimentRecord._fields[:12]
 
 
 class Ranked(SimpleNamespace):
-    """Measured pairs in output order, with no record per pair: the i-th is
-    pair ``order[i]`` in run order (``starts`` numbers each run's first) and
-    has row ``ids[i]`` of the distinct CSV ``rows``.  :meth:`sets` names its
-    A and B by ``name``; indexing builds its :class:`ExperimentRecord`."""
+    """What :func:`search_extremal` and :func:`subfield_experiment` return: a
+    read-only sequence of :class:`ExperimentRecord`, one per measured pair,
+    in output order.  Indexing builds the record, and a slice the list of its
+    records; compare or concatenate results as ``list(ranked)``.
+
+    No record is kept per pair: the i-th is pair ``order[i]`` in run order
+    (``starts`` numbers each run's first) and has row ``ids[i]`` of the
+    distinct CSV ``rows``.  :meth:`sets` names its A and B by ``name``."""
 
     def __len__(self):
         return len(self.ids)
+
+    def __repr__(self):
+        return f"Ranked({len(self)} pairs, {len(self.rows)} distinct rows)"
 
     _lo, _hi, _Bs = 0, 0, None      # the pairs of the run sets named last, its B list
 
@@ -118,6 +125,8 @@ class Ranked(SimpleNamespace):
         return self._A, B
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         return ExperimentRecord._make(self.rows[self.ids[i]] + self.sets(i))
 
 
@@ -202,33 +211,6 @@ def summarize(records) -> str:
     is_least = [rank(row) == least for row in rows]
     A, B = min(map(sets, itertools.compress(itertools.count(), map(is_least.__getitem__, ids))))
     return f"{len(ids)} records; min slack {slack} at a={a} b={b} {_sets_text(A, B)}"
-
-
-class SearchConfig(NamedTuple):
-    """Parameters for :func:`search_extremal`.
-
-    ``a`` and ``b`` are a single size or an inclusive (lo, hi) range.
-    ``mode`` is "exhaustive" or "random"; random mode draws
-    ``sample_count`` pairs per (a, b) cell from the seeded generator.
-    ``budget`` caps the work of the run.  Exhaustive mode counts pairs, the
-    sum of binom(|pool|, a) * binom(q, b) over cells, where the pool is the
-    field minus the roots of h, exactly the pairs it enumerates.  Random
-    mode counts value evaluations, sample_count * a * b per cell, since
-    each sampled pair evaluates up to a * b values.
-    ``parallelism`` must be >= 1 but is otherwise unused: evaluation is
-    single-threaded.
-    """
-
-    field: str
-    g: str
-    h: str
-    a: object
-    b: object
-    mode: str = "exhaustive"
-    sample_count: int = 100
-    seed: int = 0
-    parallelism: int = 1
-    budget: int = DEFAULT_BUDGET
 
 
 def _size_list(v, limit: int, name: str) -> list[int]:
@@ -336,24 +318,35 @@ def _measure(field: Field, g, h, runs, by_slack: bool = True) -> Ranked:
                   runs=runs, name=name)
 
 
-def search_extremal(config: SearchConfig) -> list[ExperimentRecord]:
-    """The records of :func:`rank_search`, sorted by slack ascending."""
-    return list(rank_search(config))
+def search_extremal(field: str, g: str, h: str, a, b, mode: str = "exhaustive",
+                    sample_count: int = 100, seed: int = 0, parallelism: int = 1,
+                    budget: int = DEFAULT_BUDGET) -> Ranked:
+    """The pairs (A, B) of the field text ``field`` under the polynomial texts
+    ``g`` and ``h``, as a :class:`Ranked` by slack ascending.
 
-
-def rank_search(config: SearchConfig) -> Ranked:
-    field = parse_field(config.field)
-    g = parse_poly(config.g, field)
-    h = parse_poly(config.h, field)
+    ``a`` and ``b`` are a single size or an inclusive (lo, hi) range.
+    ``mode`` is "exhaustive" or "random"; random mode draws
+    ``sample_count`` pairs per (a, b) cell from the generator seeded with
+    ``seed``.  ``budget`` caps the work of the run.  Exhaustive mode counts
+    pairs, the sum of binom(|pool|, a) * binom(q, b) over cells, where the
+    pool is the field minus the roots of h, exactly the pairs it enumerates.
+    Random mode counts value evaluations, sample_count * a * b per cell,
+    since each sampled pair evaluates up to a * b values.
+    ``parallelism`` must be >= 1 but is otherwise unused: evaluation is
+    single-threaded.
+    """
+    field = parse_field(field)
+    g = parse_poly(g, field)
+    h = parse_poly(h, field)
     bound_mod.check_degrees(g, h)
-    if config.mode not in ("exhaustive", "random"):
-        raise InvalidParametersError(f"unknown mode {config.mode!r}")
-    if config.parallelism < 1:
+    if mode not in ("exhaustive", "random"):
+        raise InvalidParametersError(f"unknown mode {mode!r}")
+    if parallelism < 1:
         raise InvalidParametersError(
-            f"parallelism must be >= 1, got {config.parallelism}")
-    if config.mode == "random" and config.sample_count < 1:
+            f"parallelism must be >= 1, got {parallelism}")
+    if mode == "random" and sample_count < 1:
         raise InvalidParametersError(
-            f"sample_count must be >= 1, got {config.sample_count}")
+            f"sample_count must be >= 1, got {sample_count}")
 
     q = field.order
     if q > MAX_SEARCH_ORDER:
@@ -361,32 +354,32 @@ def rank_search(config: SearchConfig) -> Ranked:
             f"search needs a field of at most {MAX_SEARCH_ORDER} elements, got {q}")
     pool_a = tuple(i for i in range(q) if h.at_index(i))
 
-    a_sizes = _size_list(config.a, len(pool_a), "a")
-    b_sizes = _size_list(config.b, q, "b")
+    a_sizes = _size_list(a, len(pool_a), "a")
+    b_sizes = _size_list(b, q, "b")
     cells = [(a, b) for a in a_sizes for b in b_sizes]
 
-    if config.mode == "exhaustive":
+    if mode == "exhaustive":
         cost = sum(math.comb(len(pool_a), a) * math.comb(q, b) for a, b in cells)
         unit, advice = "pairs", "narrow the ranges or switch to random mode"
     else:
-        cost = sum(config.sample_count * a * b for a, b in cells)
+        cost = sum(sample_count * a * b for a, b in cells)
         unit, advice = "value evaluations", "narrow the ranges or draw fewer samples"
-    if cost > config.budget:
+    if cost > budget:
         raise BudgetExceededError(
-            f"run needs {cost} {unit} but the budget is {config.budget}; {advice}")
+            f"run needs {cost} {unit} but the budget is {budget}; {advice}")
 
     # Runs come in tie-break order (a, b, A_idx, B_idx): exhaustive runs are
     # lexicographic and read every index, random runs are a cell's sorted
     # draws, each reading its own B.  So bucketing by slack in run order ranks pairs.
     runs = []
-    rng = Xoshiro256StarStar(config.seed)
+    rng = Xoshiro256StarStar(seed)
     for a, b in cells:
-        if config.mode == "exhaustive":
+        if mode == "exhaustive":
             Bs = list(itertools.combinations(range(q), b))
             runs.extend((A, Bs, range(q)) for A in itertools.combinations(pool_a, a))
         else:
             cell = []
-            for _ in range(config.sample_count):
+            for _ in range(sample_count):
                 A_pos = rng.sample_indices(len(pool_a), a)
                 cell.append((tuple(pool_a[i] for i in A_pos),
                              rng.sample_indices(q, b)))
@@ -416,14 +409,9 @@ def parse_c(value):
         raise InvalidParametersError(f"c = {value!r} is not a finite number") from None
 
 
-def subfield_experiment(*args, **kwargs) -> list[ExperimentRecord]:
-    """The records of :func:`rank_subfield`, which takes the same arguments."""
-    return list(rank_subfield(*args, **kwargs))
-
-
-def rank_subfield(field, m: int, c_fraction, g: str = "x^2", h: str = "x",
-                  theta_count: int | None = None, seed: int = 0,
-                  random_a: bool = False, parallelism: int = 1) -> Ranked:
+def subfield_experiment(field, m: int, c_fraction, g: str = "x^2", h: str = "x",
+                        theta_count: int | None = None, seed: int = 0,
+                        random_a: bool = False, parallelism: int = 1) -> Ranked:
     """Image growth when B is the order-p^m subfield K plus one point.
 
     A is ceil(c * p^m) elements of K minus {0} and the roots of h, clipped

@@ -13,12 +13,7 @@ import itertools
 from . import bound as bound_mod
 from .bound import INF, check_instance, corollary_bound, theorem_bound
 from .certificate import build_certificate, refute_cover, verify_alpha, verify_beta
-from .explore import (
-    SearchConfig,
-    records_to_csv,
-    search_extremal,
-    subfield_experiment,
-)
+from .explore import records_to_csv, search_extremal, subfield_experiment
 from .field import extension_field, prime_field
 from .poly import parse_poly
 from .rng import Xoshiro256StarStar
@@ -143,8 +138,8 @@ def _check_soundness_sweep():
 
 def _check_search_determinism():
     cfg = dict(field="5", g="x^2", h="x", a=(1, 2), b=(1, 2))
-    one = records_to_csv(search_extremal(SearchConfig(**cfg, parallelism=1)))
-    two = records_to_csv(search_extremal(SearchConfig(**cfg, parallelism=2)))
+    one = records_to_csv(search_extremal(**cfg, parallelism=1))
+    two = records_to_csv(search_extremal(**cfg, parallelism=2))
     if one != two:
         return False, "worker count changed the output"
     return True, f"{one.count(chr(10)) - 1} records, workers 1 vs 2"

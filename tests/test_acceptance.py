@@ -18,8 +18,7 @@ from expanderlab.bound import INF, check_instance, corollary_bound, image, \
     lucas_nonvanishing, theorem_bound
 from expanderlab.certificate import build_certificate, solve_alpha, solve_beta, \
     verify_alpha, verify_beta
-from expanderlab.explore import SearchConfig, records_to_csv, search_extremal, \
-    subfield_experiment
+from expanderlab.explore import records_to_csv, search_extremal, subfield_experiment
 from expanderlab.field import parse_field, prime_field
 from expanderlab.poly import Poly, parse_poly
 from expanderlab.rng import Xoshiro256StarStar
@@ -268,8 +267,7 @@ def test_criterion_7_determinism(report):
     )
     for spec in search_specs:
         total_runs += 1
-        outputs = {records_to_csv(search_extremal(
-            SearchConfig(**spec, parallelism=w))) for w in workers}
+        outputs = {records_to_csv(search_extremal(**spec, parallelism=w)) for w in workers}
         if len(outputs) == 1:
             identical_runs += 1
     total_runs += 1

@@ -1,9 +1,8 @@
-"""The six record types are read-only: a changed copy comes from ``_replace``."""
+"""The five record types are read-only: a changed copy comes from ``_replace``."""
 
 import pytest
 
 from expanderlab import (
-    SearchConfig,
     build_certificate,
     check_instance,
     parse_field,
@@ -28,8 +27,7 @@ RECORDS = {
     "ExpanderInstance": _instance,
     "Certificate": lambda: build_certificate(_instance(), [0, 1, 2]),
     "RefutationReport": lambda: refute_cover(_instance(), [0, 1, 2]),
-    "SearchConfig": lambda: SearchConfig("5", "x^2", "x", 2, (1, 2)),
-    "ExperimentRecord": lambda: search_extremal(SearchConfig("5", "x^2", "x", 2, 2))[0],
+    "ExperimentRecord": lambda: search_extremal("5", "x^2", "x", 2, 2)[0],
 }
 
 
