@@ -10,9 +10,11 @@ search and subfield accept --config FILE with flat key=value lines;
 explicit flags override the file, and what neither gives takes its default
 from the signature of search_extremal or subfield_experiment.  The
 environment variable EXPANDER_LAB_BUDGET overrides the built-in search
-budget and is itself overridden by a config file or flag.  No output
-contains timestamps or machine identifiers: the same invocation produces
-the same bytes.
+budget and is itself overridden by a config file or flag.  Each option's
+kind sits beside its name in COMMANDS, and every value is converted in
+usage order before any work; a bad one, like any invalid input, is one
+"error:" line naming the option.  No output contains timestamps or machine
+identifiers: the same invocation produces the same bytes.
 """
 
 from __future__ import annotations
@@ -37,21 +39,22 @@ from .errors import InternalInvariantError, InvalidParametersError, ParseError, 
 
 _ENV_BUDGET = "EXPANDER_LAB_BUDGET"
 FORMATS = ("csv", "json", "plain")    # what explore.write_records renders
-_OUTPUT_KEYS = ("format", "out")
 
 # Each subcommand's help line and its options in usage order, "*" marking a
-# required one; random-a is the only flag.  With _ for -, the names key the
+# required one and ":KIND" what the value is converted to (see _KINDS; text
+# without one); random-a is the only flag.  With _ for -, the names key the
 # dict a cmd_* takes, and are the config keys of search and subfield.
 _INSTANCE = "field* g* h* A* B*"
-_SWEEP = "seed parallelism format out config"
+_SWEEP = "seed:int parallelism:int format out config"
 COMMANDS = {
-    "bound": ("compute the lower bound for sizes (a, b)", "field* a* b* d g h"),
+    "bound": ("compute the lower bound for sizes (a, b)", "field* a*:int b*:int d:int g h"),
     "image": ("evaluate the exact image of one instance", _INSTANCE),
-    "certify": ("build and replay a certificate for one instance", _INSTANCE + " C k seed out"),
+    "certify": ("build and replay a certificate for one instance",
+                _INSTANCE + " C k:int seed:int out"),
     "search": ("sweep (A, B) pairs and rank them by slack",
-               "field* g* h* a* b* mode sample-count budget " + _SWEEP),
+               "field* g* h* a*:sizes b*:sizes mode sample-count:int budget:int " + _SWEEP),
     "subfield": ("measure image growth over a subfield plus one point",
-                 "field* m* c-fraction* g h theta-count random-a " + _SWEEP),
+                 "field* m*:int c-fraction*:c g h theta-count:int random-a:bool " + _SWEEP),
     "selftest": ("run the embedded check suite", ""),
 }
 # Help notes, shared by every subcommand that takes the option.
@@ -83,15 +86,10 @@ def _parse_elements(field, text: str, option: str):
 
 def _parse_sizes(text: str):
     """A size argument: "4" or an inclusive range "2-6"."""
-    s = str(text).strip()
-    try:
-        if s.count("-") == 1 and not s.startswith("-"):
-            lo, hi = s.split("-")
-            return (int(lo), int(hi))
-        return int(s)
-    except ValueError:
-        raise InvalidParametersError(
-            f"size must be an integer or LO-HI range, got {text!r}") from None
+    s = text.strip()
+    if s.count("-") == 1 and not s.startswith("-"):
+        return tuple(map(int, s.split("-")))
+    return int(s)
 
 
 def _parse_bool(value) -> bool:
@@ -100,14 +98,26 @@ def _parse_bool(value) -> bool:
         return True
     if s in ("0", "false", "no", "off"):
         return False
-    raise InvalidParametersError(f"expected a boolean, got {value!r}")
+    raise ValueError(s)
+
+
+def _check_c(text: str) -> str:
+    from .explore import parse_c
+    parse_c(text)       # only checked: the library reads c from its text
+    return text
+
+
+# What a value becomes, by the kind COMMANDS gives its option, and what a bad
+# one should have been; parse_c's own error says what is wrong with a c.
+_KINDS = {"int": (int, "an integer"), "sizes": (_parse_sizes, "an integer or LO-HI range"),
+          "bool": (_parse_bool, "a boolean"), "c": (_check_c, "")}
 
 
 def _read_config(path: str) -> dict:
     """Flat key=value file; blank lines and # comments are skipped."""
     out = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -122,14 +132,22 @@ def _read_config(path: str) -> dict:
     return out
 
 
+def _specs(command: str) -> list:
+    """(name, required, kind) of ``command``'s options, in usage order."""
+    return [(name.rstrip("*"), name.endswith("*"), kind) for name, _, kind in
+            (spec.partition(":") for spec in COMMANDS[command][1].split())]
+
+
 def _options(command: str) -> dict:
     """{name: required} of ``command``'s options, in usage order."""
-    return {name.rstrip("*"): name.endswith("*") for name in COMMANDS[command][1].split()}
+    return {name: required for name, required, _ in _specs(command)}
 
 
 def _given(command: str, flags: dict) -> dict:
-    """``command``'s config file entries, then ``flags`` on top; before any
-    work, missing required options, a bad format and --C with --k refused."""
+    """``command``'s config file entries, then ``flags`` on top, each value
+    converted to its kind.  Before any work, missing required options, a
+    bad format, --C with --k and then, in usage order, a bad value are
+    refused, the last as "--NAME: reason"."""
     options, opts = _options(command), {}
     if "config" in flags:
         for key, value in _read_config(flags["config"]).items():
@@ -146,21 +164,18 @@ def _given(command: str, flags: dict) -> dict:
         raise InvalidParametersError(f"unknown format {opts['format']!r}")
     if "C" in opts and "k" in opts:
         raise InvalidParametersError("--C and --k cannot be given together")
+    for name, _, kind in _specs(command):
+        key, source = name.replace("-", "_"), f"--{name}"
+        if key == "budget" and key not in opts and _ENV_BUDGET in os.environ:
+            opts[key], source = os.environ[_ENV_BUDGET], _ENV_BUDGET
+        if kind and key in opts:
+            convert, expected = _KINDS[kind]
+            try:
+                opts[key] = convert(opts[key])
+            except ValueError as exc:
+                reason = f"expected {expected}, got {opts[key]!r}" if expected else exc
+                raise InvalidParametersError(f"{source}: {reason}") from None
     return opts
-
-
-def _numbers(opts: dict, *keys: str) -> None:
-    """int() the given ``keys`` in order; c_fraction is only checked, since
-    the library reads its text.  A bad value is a bad numeric option."""
-    try:
-        for key in keys:
-            if key == "c_fraction":
-                from .explore import parse_c
-                parse_c(opts[key])
-            elif key in opts:
-                opts[key] = int(opts[key])
-    except ValueError as exc:
-        raise InvalidParametersError(f"bad numeric option: {exc}") from None
 
 
 def _emit(write, out_path: str | None) -> None:
@@ -175,22 +190,12 @@ def _emit(write, out_path: str | None) -> None:
         raise InvalidParametersError(f"cannot write {out_path}: {exc}") from None
 
 
-def _emit_records(records, output: dict) -> None:
-    """Records to stdout or --out, then the summary to stderr."""
-    from .explore import summarize, write_records
-
-    fmt = output.get("format", "csv")
-    _emit(lambda out: write_records(records, fmt, out), output.get("out"))
-    print(summarize(records), file=sys.stderr)
-
-
 # -- bound ----------------------------------------------------------------------
 
 
 def cmd_bound(opts: dict) -> int:
     import json
 
-    _numbers(opts, "a", "b", "d")
     field_text = opts["field"].strip()
     given = ("d" in opts, "g" in opts, "h" in opts)
     if given not in ((True, False, False), (False, True, True)):
@@ -225,7 +230,7 @@ def cmd_bound(opts: dict) -> int:
 # -- image ----------------------------------------------------------------------
 
 
-def _build_instance_or_exit(opts: dict):
+def _build_instance(opts: dict):
     from .field import parse_field
     from .poly import parse_poly
     field = parse_field(opts["field"])
@@ -235,19 +240,14 @@ def _build_instance_or_exit(opts: dict):
     B = _parse_elements(field, opts["B"], "--B")
     inst, violations = check_instance(field, g, h, A, B)
     if violations:
-        print("invalid instance:", file=sys.stderr)
-        for v in violations:
-            print(f"  {v}", file=sys.stderr)
-        return None
+        raise InvalidParametersError("invalid instance: " + "; ".join(violations))
     return inst
 
 
 def cmd_image(opts: dict) -> int:
     import json
 
-    inst = _build_instance_or_exit(opts)
-    if inst is None:
-        return 2
+    inst = _build_instance(opts)
     values = image(inst)
     report = inst.bound_report()
     payload = {
@@ -274,10 +274,7 @@ def cmd_certify(opts: dict) -> int:
     from .certificate import build_certificate
     from .rng import Xoshiro256StarStar
 
-    _numbers(opts, "k", "seed")
-    inst = _build_instance_or_exit(opts)
-    if inst is None:
-        return 2
+    inst = _build_instance(opts)
     field = inst.field
     if "C" in opts:
         C = _parse_elements(field, opts["C"], "--C")
@@ -300,33 +297,29 @@ def cmd_certify(opts: dict) -> int:
     return 1
 
 
-# -- search ----------------------------------------------------------------------
+# -- search and subfield ----------------------------------------------------------
+
+
+def _sweep(driver, opts: dict) -> int:
+    """Run a sweep ``driver`` on ``opts``: its records to stdout or --out,
+    then the summary to stderr."""
+    from .explore import summarize, write_records
+
+    fmt, out_path = opts.pop("format", "csv"), opts.pop("out", None)
+    records = driver(**opts)
+    _emit(lambda out: write_records(records, fmt, out), out_path)
+    print(summarize(records), file=sys.stderr)
+    return 0
 
 
 def cmd_search(opts: dict) -> int:
     from .explore import search_extremal
-
-    output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
-    if "budget" not in opts and _ENV_BUDGET in os.environ:
-        opts["budget"] = os.environ[_ENV_BUDGET]
-    opts["a"], opts["b"] = _parse_sizes(opts["a"]), _parse_sizes(opts["b"])
-    _numbers(opts, "sample_count", "seed", "parallelism", "budget")
-    _emit_records(search_extremal(**opts), output)
-    return 0
-
-
-# -- subfield ----------------------------------------------------------------------
+    return _sweep(search_extremal, opts)
 
 
 def cmd_subfield(opts: dict) -> int:
     from .explore import subfield_experiment
-
-    output = {key: opts.pop(key) for key in _OUTPUT_KEYS if key in opts}
-    _numbers(opts, "c_fraction", "m", "theta_count", "seed", "parallelism")
-    if "random_a" in opts:
-        opts["random_a"] = _parse_bool(opts["random_a"])
-    _emit_records(subfield_experiment(**opts), output)
-    return 0
+    return _sweep(subfield_experiment, opts)
 
 
 # -- selftest ----------------------------------------------------------------------

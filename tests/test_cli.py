@@ -416,6 +416,18 @@ def test_search_config_that_is_not_utf8_exit_2(tmp_path):
     assert code == 2 and err.startswith(f"error: cannot read config {cfg}")
 
 
+def test_config_with_a_byte_order_mark(tmp_path):
+    # Some editors start a UTF-8 file with U+FEFF; it is no part of the first key.
+    text = "field=5\ng=x^2\nh=x\na=2\nb=2\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, err = run_cli("search", "--config", str(plain))
+    assert code == 0 and out
+    assert run_cli("search", "--config", str(marked)) == (code, out, err)
+
+
 def test_search_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus=1\n")
@@ -575,11 +587,10 @@ def test_unknown_config_format_is_refused_before_the_run(tmp_path, monkeypatch):
 def test_search_bad_size_exit_2():
     code, _, err = run_cli("search", "--field", "5", "--g", "x^2", "--h", "x",
                            "--a", "two", "--b", "2")
-    assert code == 2 and "size" in err
-    # Reported once, not wrapped again as a bad numeric option.
+    assert code == 2 and err == "error: --a: expected an integer or LO-HI range, got 'two'\n"
     code, _, err = run_cli("search", "--field", "5", "--g", "x^2", "--h", "x",
                            "--a", "1-x", "--b", "2")
-    assert err == "error: size must be an integer or LO-HI range, got '1-x'\n"
+    assert err == "error: --a: expected an integer or LO-HI range, got '1-x'\n"
 
 
 # Sizes as typed: digits, dashes, spaces and junk, with --a=TEXT so that a
@@ -629,11 +640,11 @@ def test_subfield_bad_fraction_exit_2(tmp_path):
     assert code == 2
     code, _, err = run_cli("subfield", "--field", "5^2", "--m", "1",
                            "--c-fraction", "1/0")
-    assert code == 2 and err.startswith("error: bad numeric option")
+    assert code == 2 and err == "error: --c-fraction: c = '1/0' is not a finite number\n"
     cfg = tmp_path / "sub.cfg"
     cfg.write_text("field=5^2\nm=1\nc_fraction=1/0\n")
     code, _, err = run_cli("subfield", "--config", str(cfg))
-    assert code == 2 and err.startswith("error: bad numeric option")
+    assert code == 2 and err == "error: --c-fraction: c = '1/0' is not a finite number\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -714,8 +725,9 @@ def test_subfield_json_format():
 CONFIG_BASES = {"search": {"field": "5", "g": "x^2", "h": "x", "a": "1-2", "b": "1-2"},
                 "subfield": {"field": "3^2", "m": "1", "c_fraction": "1/2"}}
 # The config keys: each command's are its driver's keywords and the output keys.
-SEARCH_KEYS = tuple(inspect.signature(explore.search_extremal).parameters) + cli._OUTPUT_KEYS
-SUBFIELD_KEYS = tuple(inspect.signature(explore.subfield_experiment).parameters) + cli._OUTPUT_KEYS
+SEARCH_KEYS = tuple(inspect.signature(explore.search_extremal).parameters) + ("format", "out")
+SUBFIELD_KEYS = tuple(inspect.signature(explore.subfield_experiment).parameters) + (
+    "format", "out")
 CONFIG_KEYS = sorted(set(SEARCH_KEYS) | set(SUBFIELD_KEYS))
 CONFIG_FIELDS = st.one_of(
     st.sampled_from(["5", "7", "3^2", "2^4", "5^2", "2^4/t^4+t+1", "4", "", "x"]),
@@ -878,7 +890,7 @@ def test_closed_stdout_pipe_exits_141_quietly():
     ("subfield --field 3^2 --m 1 --c-fraction 1/2 --g x^4 --h x^3-x",
      "error: no usable subfield elements for A\n"),
     ("certify --field 13 --g x^2 --h x --A 0,1,2 --B 0,1",
-     "invalid instance:\n  A contains root 0 of h\n"),
+     "error: invalid instance: A contains root 0 of h\n"),
     ("certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1 --k 20",
      "error: cannot draw 20 distinct elements from a field of order 13\n"),
     ("bound --field 3^0 --a 3 --b 2 --d 1",
@@ -915,7 +927,49 @@ def test_random_a_config_value_must_be_a_boolean(tmp_path):
     cfg = tmp_path / "sub.cfg"
     cfg.write_text("random_a=maybe\n")
     assert run_cli(*SUBFIELD_RANDOM, "--config", str(cfg)) == (
-        2, "", "error: expected a boolean, got 'maybe'\n")
+        2, "", "error: --random-a: expected a boolean, got 'maybe'\n")
+
+
+# Each subcommand whose options have kinds, as the entries of a valid run, and
+# a bad value of each kind.
+KIND_BASES = {
+    "bound": {"field": "2", "a": "3", "b": "1", "d": "1"},
+    "certify": {"field": "13", "g": "x^2", "h": "x", "A": "1,2,3", "B": "0,1"},
+    "search": {"field": "5", "g": "x^2", "h": "x", "a": "2", "b": "2"},
+    "subfield": {"field": "3^2", "m": "1", "c-fraction": "1/2"},
+}
+BAD_VALUES = {"int": "x", "sizes": "2-x", "bool": "maybe", "c": "1/0"}
+# (command, option, kind, where the bad value comes from): a flag (random-a
+# takes none), a config file where the command reads one, and the budget
+# variable.
+BAD_VALUE_CASES = [
+    (command, name, kind, source) for command in KIND_BASES
+    for name, _, kind in cli._specs(command) if kind
+    for source in ["flag"] * (kind != "bool") + ["config"] * ("config" in cli._options(command))
+] + [("search", "budget", "int", "env")]
+
+
+@pytest.mark.parametrize("command, name, kind, source", BAD_VALUE_CASES)
+def test_a_bad_value_is_one_error_line_naming_its_option(tmp_path, monkeypatch,
+                                                         command, name, kind, source):
+    entries, out = dict(KIND_BASES[command]), tmp_path / "out"
+    where = f"--{name}"
+    if source == "env":
+        monkeypatch.setenv("EXPANDER_LAB_BUDGET", "abc")
+        where = "EXPANDER_LAB_BUDGET"
+    else:
+        entries[name] = BAD_VALUES[kind]
+    if "out" in cli._options(command):
+        entries["out"] = str(out)
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in entries.items()))
+        argv = ["--config", str(cfg)]
+    else:
+        argv = [token for key, value in entries.items() for token in (f"--{key}", value)]
+    code, stdout, err = run_cli(command, *argv)
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert re.fullmatch(f"error: {where}: [^\n]*\n", err), err
 
 
 # -- the CLI surface ---------------------------------------------------------------
@@ -945,6 +999,18 @@ def test_cli_surface_is_pinned():
 def test_config_keys_are_the_flag_destinations(command, keys):
     dests = {name.replace("-", "_") for name in cli._options(command)}
     assert dests - {"config"} == set(keys)
+    # Kinds agree with the driver: where it gives a default, the default has
+    # the option's type, and sizes and c, which it reads itself, have none.
+    driver = {"search": explore.search_extremal, "subfield": explore.subfield_experiment}
+    params = inspect.signature(driver[command]).parameters
+    empty = inspect.Parameter.empty
+    for name, _, kind in cli._specs(command):
+        param = params.get(name.replace("-", "_"))     # format, out and config: none
+        default = param.default if param else empty
+        if kind in ("sizes", "c"):
+            assert default is empty, name
+        elif default is not empty and default is not None:
+            assert type(default) is {"int": int, "bool": bool, "": str}[kind], name
 
 
 @pytest.mark.parametrize("command", ["", *CLI_OPTIONS])
@@ -961,7 +1027,7 @@ def test_main_runs_the_cmd_function_the_module_holds(monkeypatch):
     monkeypatch.setattr(cli, "cmd_bound", lambda opts: seen.append(opts) or 0)
     argv = ["bound", "--fi=2", "--a", "3", "--b", "1", "--d", "1", "--d", "2"]
     assert run_cli(*argv) == (0, "", "")
-    assert seen == [{"field": "2", "a": "3", "b": "1", "d": "2"}]
+    assert seen == [{"field": "2", "a": 3, "b": 1, "d": 2}]
 
 
 def test_a_value_may_begin_with_one_dash():
@@ -987,8 +1053,7 @@ def test_a_value_may_begin_with_one_dash():
     ("bound --a 3", "missing required option(s): --field, --b"),
     ("certify --field 13 --g x^2 --h x --A 1 --B 0 --C 0 --k 1",
      "--C and --k cannot be given together"),
-    ("bound --field 2 --a three --b 1 --d 1",
-     "bad numeric option: invalid literal for int() with base 10: 'three'"),
+    ("bound --field 2 --a three --b 1 --d 1", "--a: expected an integer, got 'three'"),
 ])
 def test_parse_errors_are_one_line_and_exit_2(argv, message):
     assert run_cli(*argv.split()) == (2, "", f"error: {message}\n")
