@@ -261,9 +261,9 @@ def check_degrees(g: Poly, h: Poly) -> None:
     """Raise :class:`InvalidParametersError` unless deg g > deg h with g
     non-constant and h nonzero, the hypotheses on the polynomials alone."""
     if h.is_zero() or g.degree() < 1 or not g.degree() > h.degree():
-        raise InvalidParametersError(
-            f"need deg g > deg h with g non-constant and h nonzero; "
-            f"got deg g = {g.degree()}, deg h = {h.degree()}")
+        raise InvalidParametersError("need deg g > deg h with g non-constant and h nonzero; got "
+            + ", ".join(f"{n} is the zero polynomial" if f.is_zero() else f"deg {n} = {f.degree()}"
+                        for n, f in (("g", g), ("h", h))))
 
 
 def check_instance(field: Field, g: Poly, h: Poly, A, B):

@@ -269,12 +269,12 @@ def build_certificate(instance: ExpanderInstance, C) -> Certificate:
     C = _distinct_points((field.element(c) for c in C), "C", nonempty=False)
     k = len(C)
     _check_admissible(instance, k)
-    if k > field.order - 1:
-        # Unreachable: admissible k <= q-1 whenever A, B are subsets of F_q.
-        raise InternalInvariantError(f"admissible k = {k} exceeds |F| - 1")
     g, h, b = instance.g, instance.h, instance.b
     beta = solve_beta(instance.B)
     alpha = solve_alpha(instance.A, h, b, instance.d * (k - b + 1))
+    if k > field.order - 1:
+        # Unreachable: admissible k <= q-1 whenever A, B are distinct subsets of F_q.
+        raise InternalInvariantError(f"admissible k = {k} exceeds |F| - 1")
     M = g.leading_coefficient()
     predicted = binomial_in_field(field, k, b - 1) * M ** (k - b + 1)
     if predicted.is_zero():

@@ -42,8 +42,8 @@ FORMATS = ("csv", "json", "plain")    # what explore.write_records renders
 
 # Each subcommand's help line and its options in usage order, "*" marking a
 # required one and ":KIND" what the value is converted to (see _KINDS; text
-# without one); random-a is the only flag.  With _ for -, the names key the
-# dict a cmd_* takes, and are the config keys of search and subfield.
+# without one), a bool one given as a bare flag.  With _ for -, the names key
+# the dict a cmd_* takes, and are the config keys of search and subfield.
 _INSTANCE = "field* g* h* A* B*"
 _SWEEP = "seed:int parallelism:int format out config"
 COMMANDS = {
@@ -346,13 +346,13 @@ def parse_args(argv) -> tuple:
     starting with "--", the last repeat winning.  A bad token raises
     InvalidParametersError, an unknown or stray one only if no --help follows."""
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    names = [*_options(command), "help"] if command else ["help"]
+    kinds = {n: k for n, _, k in (_specs(command) if command else ())} | {"help": "bool"}
     tokens = iter(argv[1:] if command else argv[:1])    # before a command, only -h or --help
     given, unknown = {}, []
     for token in tokens:
         head, eq, value = token[2:].partition("=") if token[:2] == "--" else ("", "", None)
-        found = [n for n in names if n == head] or [
-            n for n in names if head and n.startswith(head)]
+        found = [n for n in kinds if n == head] or [
+            n for n in kinds if head and n.startswith(head)]
         if len(found) > 1:
             raise InvalidParametersError(
                 f"ambiguous option --{head}: " + ", ".join("--" + n for n in found))
@@ -362,7 +362,7 @@ def parse_args(argv) -> tuple:
         if name is None:
             unknown.append(token)
             continue
-        if name in ("help", "random-a"):
+        if kinds[name] == "bool":
             if value is not None:
                 raise InvalidParametersError(f"--{name} takes no value, got {value!r}")
             value = True
@@ -386,8 +386,8 @@ def _help(command: str | None) -> str:
             (name, text) for name, (text, _) in COMMANDS.items()]
     else:
         head = f"{command} [--OPTION VALUE ...]\n\n{COMMANDS[command][0]}\n\noptions:"
-        rows = [(f"--{name}" + " VALUE" * (name != "random-a"), "required; " * need + _NOTES[name])
-                for name, need in _options(command).items()] + [("-h, --help", "show this help")]
+        rows = [(f"--{name}" + " VALUE" * (kind != "bool"), "required; " * need + _NOTES[name])
+                for name, need, kind in _specs(command)] + [("-h, --help", "show this help")]
     return f"usage: expander-lab {head}\n" + "".join(f"  {a:<22}{b}\n" for a, b in rows)
 
 

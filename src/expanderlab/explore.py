@@ -318,11 +318,11 @@ def _measure(field: Field, g, h, runs, by_slack: bool = True) -> Ranked:
                   runs=runs, name=name)
 
 
-def search_extremal(field: str, g: str, h: str, a, b, mode: str = "exhaustive",
+def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
                     sample_count: int = 100, seed: int = 0, parallelism: int = 1,
                     budget: int = DEFAULT_BUDGET) -> Ranked:
-    """The pairs (A, B) of the field text ``field`` under the polynomial texts
-    ``g`` and ``h``, as a :class:`Ranked` by slack ascending.
+    """The pairs (A, B) of ``field``, a :class:`Field` or its text, under the
+    polynomial texts ``g`` and ``h``, as a :class:`Ranked` by slack ascending.
 
     ``a`` and ``b`` are a single size or an inclusive (lo, hi) range.
     ``mode`` is "exhaustive" or "random"; random mode draws
@@ -335,7 +335,8 @@ def search_extremal(field: str, g: str, h: str, a, b, mode: str = "exhaustive",
     ``parallelism`` must be >= 1 but is otherwise unused: evaluation is
     single-threaded.
     """
-    field = parse_field(field)
+    if isinstance(field, str):
+        field = parse_field(field)
     g = parse_poly(g, field)
     h = parse_poly(h, field)
     bound_mod.check_degrees(g, h)

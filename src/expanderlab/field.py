@@ -107,7 +107,7 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
         cand = list(tail) + [1]
         if _is_irreducible(cand, p):
             return tuple(cand)
-    raise AssertionError(f"no irreducible polynomial of degree {n} over F_{p}")
+    raise InternalInvariantError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
 # ---------------------------------------------------------------------------

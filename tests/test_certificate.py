@@ -444,6 +444,16 @@ def test_hand_built_instance_with_a_repeated_point_is_bad_input():
             build(inst, elems(F13, 0, 5))
 
 
+def test_repeated_points_are_refused_before_the_field_size_invariant():
+    # Five copies of 1 make k = 2 admissible over F_2, beyond |F| - 1 = 1; the
+    # solvers refuse the repeated A first, so it is bad input, not a bug.
+    F2 = prime_field(2)
+    inst = ExpanderInstance(F2, parse_poly("x^2", F2), parse_poly("1", F2),
+                            tuple(elems(F2, 1, 1, 1, 1, 1)), tuple(elems(F2, 0)))
+    with pytest.raises(InvalidParametersError, match="A has repeated elements"):
+        build_certificate(inst, elems(F2, 0, 1))
+
+
 def test_certificate_json_schema():
     inst = make_instance(F13, "x^2", "x", elems(F13, 1, 2, 3, 4), elems(F13, 0, 1))
     cert = build_certificate(inst, elems(F13, 0, 1))

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import bound as bound_mod
-from expanderlab import cli, explore
+from expanderlab import certificate, cli, explore, selftest
 from expanderlab.cli import main
 from expanderlab.errors import InvalidParametersError
+from expanderlab.field import FieldElem
 from oracles import build_parser
 
 
@@ -707,6 +708,17 @@ def test_subfield_random_a_flag():
     assert run_cli(*argv) == run_cli(*argv)
 
 
+def test_every_bool_option_is_a_flag(monkeypatch):
+    text, spec = cli.COMMANDS["image"]
+    monkeypatch.setitem(cli.COMMANDS, "image", (text, spec + " dry-run:bool"))
+    monkeypatch.setitem(cli._NOTES, "dry-run", "evaluate nothing")
+    assert cli.parse_args(["image", "--dry-run", "--field", "5"]) == (
+        "image", {"dry_run": True, "field": "5"})
+    with pytest.raises(InvalidParametersError, match="--dry-run takes no value, got 'no'"):
+        cli.parse_args(["image", "--dry-run=no"])
+    assert f"  {'--dry-run':<22}evaluate nothing\n" in cli._help("image")
+
+
 def test_subfield_json_format():
     code, out, _ = run_cli("subfield", "--field", "3^2", "--m", "1",
                            "--c-fraction", "1/2", "--format", "json")
@@ -774,12 +786,62 @@ def test_config_files_exit_0_or_2(tmp_path_factory, command):
 # -- selftest --------------------------------------------------------------------
 
 
+SELFTEST_LINES = [
+    "PASS field-axioms (7, 2^3, 3^2)",
+    "PASS lucas-vs-pascal (k < 40, p in {2,3,5,7})",
+    "PASS bound-examples (frozen examples and 500 random dominations)",
+    "PASS certificate-identities (F_13 and F_9 identities replayed)",
+    "PASS refutation-witness (witness x=2 y=1)",
+    "PASS soundness-sweep (210 exhaustive instances over F_5)",
+    "PASS search-determinism (150 records, workers 1 vs 2)",
+    "PASS subfield-baseline (F_9 over its prime subfield)",
+    "8/8 checks passed",
+]
+
+
 def test_selftest_passes():
-    code, out, _ = run_cli("selftest")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+    assert run_cli("selftest") == (0, "\n".join(SELFTEST_LINES) + "\n", "")
+
+
+# (check, where, name, replacement, the check's detail): each replacement
+# breaks a layer the check calls, and no other check.  Names the checks
+# import are patched on selftest, the rest on their own module.
+SELFTEST_BREAKS = [
+    ("field-axioms", FieldElem, "__truediv__", lambda a, b: a,
+     "(a * b) / b = a at a = 1, b = 2 in F_7"),
+    ("lucas-vs-pascal", bound_mod, "lucas_nonvanishing", lambda k, r, p: True,
+     "lucas_nonvanishing(2, 1, 2) = (binom(2, 1) mod 2 != 0)"),
+    ("bound-examples", selftest, "theorem_bound",
+     lambda *args: bound_mod.theorem_bound(*args)._replace(bound=0),
+     "theorem_bound(6, 4, 2, 13).bound = 6"),
+    ("certificate-identities", certificate, "_pointwise_sum", lambda g, *_: g.field.zero(),
+     "pointwise = predicted: 0 = 10 in F_13"),
+    ("refutation-witness", selftest, "refute_cover",
+     lambda inst, C: certificate.refute_cover(inst, C)._replace(witness_value=inst.field.zero()),
+     "g(2) + 1 * h(2) = 0"),
+    ("soundness-sweep", bound_mod, "image", lambda inst: (),
+     "|f(A, B)| >= 1 at A = (1,), B = (0,)"),
+    ("search-determinism", selftest, "search_extremal",
+     lambda parallelism, **cfg: list(explore.search_extremal(**cfg))[parallelism - 1:],
+     "CSV at parallelism 1 = CSV at parallelism 2"),
+    ("subfield-baseline", selftest, "subfield_experiment",
+     lambda *args: [r._replace(image_size=2) for r in explore.subfield_experiment(*args)],
+     "(image_size, slack, subfield_distance) = (3, 0, 0) at B = K"),
+    # A check that crashes reports the exception, not an equation.
+    ("soundness-sweep", bound_mod, "image", lambda inst: 1 / 0,
+     "raised ZeroDivisionError: division by zero"),
+]
+
+
+@pytest.mark.parametrize("check, where, name, replacement, detail", SELFTEST_BREAKS,
+                         ids=[row[0] + "-crash" * row[4].startswith("raised")
+                              for row in SELFTEST_BREAKS])
+def test_selftest_names_the_equation_that_failed(monkeypatch, check, where, name,
+                                                 replacement, detail):
+    monkeypatch.setattr(where, name, replacement)
+    lines = [f"FAIL {check} ({detail})" if line.split()[1] == check else line
+             for line in SELFTEST_LINES[:-1]]
+    assert run_cli("selftest") == (1, "\n".join(lines + ["7/8 checks passed"]) + "\n", "")
 
 
 def test_selftest_reports_failures(monkeypatch):
@@ -902,6 +964,13 @@ def test_closed_stdout_pipe_exits_141_quietly():
      "error: modulus 't+1' given for the prime field F_13\n"),
     ("bound --field 4/t+1 --a 3 --b 2 --d 1",
      "error: characteristic 4 is not prime\n"),
+    # a zero polynomial is named in words, not by a degree of -inf
+    ("search --field 13 --g x^2 --h 0 --a 2 --b 2",
+     "error: need deg g > deg h with g non-constant and h nonzero; "
+     "got deg g = 2, h is the zero polynomial\n"),
+    ("bound --field 13 --a 3 --b 2 --g 0 --h x",
+     "error: need deg g > deg h with g non-constant and h nonzero; "
+     "got g is the zero polynomial, deg h = 1\n"),
 ])
 def test_validation_paths_exit_2(argv, message):
     assert run_cli(*argv.split()) == (2, "", message)

@@ -401,6 +401,13 @@ def test_search_deterministic_across_worker_counts():
         math.comb(4, a) * math.comb(5, b) for a in (1, 2, 3) for b in (1, 2))
 
 
+def test_both_drivers_take_a_field_or_its_text():
+    F13, F9 = parse_field("13"), parse_field("3^2")
+    assert list(search_extremal(F13, "x^2", "x", 2, 2)) == list(
+        search_extremal("13", "x^2", "x", 2, 2))
+    assert list(subfield_experiment(F9, 1, "1/2")) == list(subfield_experiment("3^2", 1, "1/2"))
+
+
 def test_search_random_mode_deterministic():
     cfg = dict(field="7", g="x^3", h="x+1", a=(1, 4), b=2,
                mode="random", sample_count=25, seed=5)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import field as field_module
+from expanderlab.cli import main
 from expanderlab.errors import (
     FieldMismatchError,
     InternalInvariantError,
@@ -241,6 +242,19 @@ def test_a_default_modulus_is_tested_for_irreducibility_once(monkeypatch):
     tested.clear()
     parse_field("3^2/t^2+1")
     assert tested == [[1, 0, 1]]
+
+
+def test_no_irreducible_modulus_is_an_internal_error(monkeypatch, capsys):
+    # Unreachable with a correct irreducibility test; main reports it as a bug
+    # (exit 1), not with a traceback.
+    monkeypatch.setattr(field_module, "_is_irreducible", lambda m, p: False)
+    with pytest.raises(InternalInvariantError,
+                       match="no irreducible polynomial of degree 2 over F_3"):
+        parse_field("3^2")
+    assert main(["image", "--field", "3^2", "--g", "x^2", "--h", "x",
+                 "--A", "1", "--B", "0"]) == 1
+    assert capsys.readouterr() == (
+        "", "internal error: no irreducible polynomial of degree 2 over F_3\n")
 
 
 def _oracle_inverse(x):
