@@ -78,6 +78,13 @@ def _check_characteristic(characteristic) -> None:
         raise NotPrimeError(f"characteristic must be prime or inf, got {characteristic!r}")
 
 
+def _check_arguments(a: int, b: int, d: int, characteristic) -> None:
+    """The arguments :func:`theorem_bound` and :func:`corollary_bound` share."""
+    if a < 1 or b < 1 or d < 1:
+        raise InvalidParametersError(f"need a, b, d >= 1, got a={a}, b={b}, d={d}")
+    _check_characteristic(characteristic)
+
+
 def parse_characteristic(text: str):
     """Parse "13" or "inf"."""
     s = text.strip().lower()
@@ -196,9 +203,7 @@ def theorem_bound(a: int, b: int, d: int, characteristic) -> BoundReport:
     in closed form, raise :class:`InvalidParametersError` before any is
     enumerated.
     """
-    if a < 1 or b < 1 or d < 1:
-        raise InvalidParametersError(f"need a, b, d >= 1, got a={a}, b={b}, d={d}")
-    _check_characteristic(characteristic)
+    _check_arguments(a, b, d, characteristic)
     k_max_range = (a - 1) // d + b - 1
     p = k_max_range + 1 if characteristic == INF else characteristic
     if _count_dominating(b - 1, k_max_range, p) > MAX_ADMISSIBLE_K:
@@ -217,9 +222,7 @@ def corollary_bound(a: int, b: int, d: int, characteristic) -> int:
     floored to a // d + b - 1 (the largest integer the strict inequality
     certifies) and the result never drops below 1, since a nonempty image
     has size >= 1."""
-    if a < 1 or b < 1 or d < 1:
-        raise InvalidParametersError(f"need a, b, d >= 1, got a={a}, b={b}, d={d}")
-    _check_characteristic(characteristic)
+    _check_arguments(a, b, d, characteristic)
     value = a // d + b - 1
     if characteristic != INF and characteristic < value:
         value = characteristic
@@ -227,9 +230,10 @@ def corollary_bound(a: int, b: int, d: int, characteristic) -> int:
 
 
 class ExpanderInstance(NamedTuple):
-    """A validated (field, g, h, A, B) tuple; A and B are stored distinct
-    and in canonical element order.  A hand-built tuple with a repeated
-    point is refused by the certificate solvers."""
+    """A (field, g, h, A, B) tuple as :func:`check_instance` returns it: A
+    and B distinct and in canonical element order.  A hand-built tuple is
+    not validated; :func:`~expanderlab.certificate.build_certificate`
+    refuses one that breaks :func:`check_degrees` or repeats a point."""
 
     field: Field
     g: Poly
@@ -259,55 +263,40 @@ class ExpanderInstance(NamedTuple):
 
 def check_degrees(g: Poly, h: Poly) -> None:
     """Raise :class:`InvalidParametersError` unless deg g > deg h with g
-    non-constant and h nonzero, the hypotheses on the polynomials alone."""
+    non-constant and h nonzero, the hypotheses on the polynomials alone.
+    The one degree check: :func:`check_instance` lists its message."""
     if h.is_zero() or g.degree() < 1 or not g.degree() > h.degree():
         raise InvalidParametersError("need deg g > deg h with g non-constant and h nonzero; got "
             + ", ".join(f"{n} is the zero polynomial" if f.is_zero() else f"deg {n} = {f.degree()}"
                         for n, f in (("g", g), ("h", h))))
 
 
-def check_instance(field: Field, g: Poly, h: Poly, A, B):
-    """Validate the hypotheses for an (A, B) pair.
-
-    Returns ``(instance, violations)``: a built :class:`ExpanderInstance`
-    and an empty list when every hypothesis holds, otherwise ``None`` and
-    the full list of human-readable violations (degree order, roots of h
-    inside A, emptiness, duplicates).  Only structural type errors raise:
-    polynomials over the wrong field are not a hypothesis violation but a
-    programming mistake.
+def check_instance(field: Field, g: Poly, h: Poly, A, B) -> ExpanderInstance:
+    """The :class:`ExpanderInstance` of an (A, B) pair, or one
+    :class:`InvalidParametersError` listing every violated hypothesis:
+    emptiness, duplicates, the degrees in :func:`check_degrees`'s words and
+    the roots of h inside A.  Polynomials over the wrong field raise
+    :class:`FieldMismatchError`, a programming mistake, not a violation.
     """
     from .field import canonical_sort
 
     for f_, name in ((g, "g"), (h, "h")):
         if f_.field != field:
             raise FieldMismatchError(f"{name} is over {f_.field}, expected {field}")
-    A = [field.element(x) for x in A]
-    B = [field.element(y) for y in B]
-
-    violations = []
-    if not A:
-        violations.append("A is empty")
-    if not B:
-        violations.append("B is empty")
-    if len(set(A)) != len(A):
-        violations.append("A contains duplicate elements")
-    if len(set(B)) != len(B):
-        violations.append("B contains duplicate elements")
-    dg, dh = g.degree(), h.degree()
-    if h.is_zero():
-        violations.append("h is the zero polynomial")
-    if dg < 1:
-        violations.append(f"g is constant (deg g = {dg})")
-    if not dg > dh:
-        violations.append(f"deg g ≤ deg h ({dg} ≤ {dh})")
+    A, B = canonical_sort(map(field.element, A)), canonical_sort(map(field.element, B))
+    violations = [f"{name} is empty" for name, S in (("A", A), ("B", B)) if not S]
+    violations += [f"{name} contains duplicate elements" for name, S in (("A", A), ("B", B))
+                   if len(set(S)) != len(S)]
+    try:
+        check_degrees(g, h)
+    except InvalidParametersError as exc:
+        violations.append(str(exc))
     if not h.is_zero():
-        for x in canonical_sort(set(A)):
-            if h(x).is_zero():
-                violations.append(f"A contains root {x} of h")
+        violations += [f"A contains root {x} of h"
+                       for x in canonical_sort({x for x in A if h(x).is_zero()})]
     if violations:
-        return None, violations
-    return ExpanderInstance(field, g, h, canonical_sort(set(A)),
-                            canonical_sort(set(B))), []
+        raise InvalidParametersError("invalid instance: " + "; ".join(violations))
+    return ExpanderInstance(field, g, h, A, B)
 
 
 def value_rows(g: Poly, h: Poly, xs, ys) -> list[tuple[int, ...]]:

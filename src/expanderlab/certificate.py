@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bound import ExpanderInstance, lucas_nonvanishing, value_rows
+from .bound import ExpanderInstance, check_degrees, lucas_nonvanishing, value_rows
 from .errors import (
     EmptySetError,
     FieldMismatchError,
@@ -262,9 +262,11 @@ def _check_admissible(instance: ExpanderInstance, k: int) -> None:
 def build_certificate(instance: ExpanderInstance, C) -> Certificate:
     """Construct alpha, beta and both sides of the identity for the given
     candidate set C (any size-k set works and yields the same predicted
-    value; k = |C| must be admissible).  The weights come from
-    :func:`solve_beta` and :func:`solve_alpha`, so an instance with a
-    repeated point is refused as bad input."""
+    value; k = |C| must be admissible).  A hand-built instance is checked
+    by :func:`check_degrees` first, and the weights come from
+    :func:`solve_beta` and :func:`solve_alpha`, so one with bad degrees or
+    a repeated point is refused as bad input."""
+    check_degrees(instance.g, instance.h)
     field = instance.field
     C = _distinct_points((field.element(c) for c in C), "C", nonempty=False)
     k = len(C)

@@ -238,10 +238,7 @@ def _build_instance(opts: dict):
     h = parse_poly(opts["h"], field)
     A = _parse_elements(field, opts["A"], "--A")
     B = _parse_elements(field, opts["B"], "--B")
-    inst, violations = check_instance(field, g, h, A, B)
-    if violations:
-        raise InvalidParametersError("invalid instance: " + "; ".join(violations))
-    return inst
+    return check_instance(field, g, h, A, B)
 
 
 def cmd_image(opts: dict) -> int:
@@ -414,6 +411,3 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

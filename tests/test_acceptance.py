@@ -150,8 +150,7 @@ def test_criterion_3_master_identity(report):
             continue
         A = rng.sample(pool, rng.randrange(1, min(len(pool), 16) + 1))
         B = rng.sample(F.elements(), rng.randrange(1, min(p, 8) + 1))
-        inst, violations = check_instance(F, g, h, A, B)
-        assert violations == []
+        inst = check_instance(F, g, h, A, B)
         k = rng.choice(inst.bound_report().admissible_k)
         C = rng.sample(F.elements(), k)
         cert = build_certificate(inst, C)
@@ -232,8 +231,7 @@ def test_criterion_6_subfield_sharpness(report):
         K = field.subfield(1)
         A = [x for x in K if not x.is_zero()]
         g, h = parse_poly("x^2", field), parse_poly("x", field)
-        inst, violations = check_instance(field, g, h, A, K)
-        assert violations == []
+        inst = check_instance(field, g, h, A, K)
         if image(inst) == K:
             baselines_exact += 1
         for c in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):

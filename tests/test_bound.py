@@ -28,10 +28,7 @@ from oracles import admissible_k_scan, binom_mod_pascal, hopf_stiefel, image_dou
 
 
 def make_instance(field, g_text, h_text, A, B):
-    inst, violations = check_instance(field, parse_poly(g_text, field),
-                                      parse_poly(h_text, field), A, B)
-    assert violations == [], violations
-    return inst
+    return check_instance(field, parse_poly(g_text, field), parse_poly(h_text, field), A, B)
 
 
 def test_lucas_examples():
@@ -312,67 +309,63 @@ def test_report_serialization_keys():
 
 def test_check_instance_accepts_valid():
     F = prime_field(13)
-    inst, violations = check_instance(F, parse_poly("x^2", F), parse_poly("x", F),
-                                      [3, 1, 2], [0, 1])
-    assert violations == []
+    inst = check_instance(F, parse_poly("x^2", F), parse_poly("x", F),
+                          [3, 1, 2], [0, 1])
     assert isinstance(inst, ExpanderInstance)
     assert [str(x) for x in inst.A] == ["1", "2", "3"]      # canonical order
     assert inst.a == 3 and inst.b == 2 and inst.d == 2
     assert inst.bound_report().bound == theorem_bound(3, 2, 2, 13).bound
 
 
+DEGREES = "need deg g > deg h with g non-constant and h nonzero; got "
+
+
+def refusal(*args) -> str:
+    """The message check_instance refuses ``args`` with."""
+    with pytest.raises(InvalidParametersError) as exc:
+        check_instance(*args)
+    return str(exc.value)
+
+
 def test_check_instance_flags_root_of_h():
     F = prime_field(13)
-    inst, violations = check_instance(F, parse_poly("x^2", F), parse_poly("x", F),
-                                      [0, 1], [0, 1])
-    assert inst is None
-    assert violations == ["A contains root 0 of h"]
+    assert (refusal(F, parse_poly("x^2", F), parse_poly("x", F), [0, 1], [0, 1])
+            == "invalid instance: A contains root 0 of h")
 
 
 def test_check_instance_lists_every_root_violation():
     F = prime_field(5)
     g, h = parse_poly("x^3", F), parse_poly("x^2+2*x", F)   # roots 0 and 3
-    inst, violations = check_instance(F, g, h, [4, 3, 0], [1])
-    assert inst is None
-    assert violations == ["A contains root 0 of h", "A contains root 3 of h"]
+    assert (refusal(F, g, h, [4, 3, 0, 0], [1])
+            == "invalid instance: A contains duplicate elements; "
+               "A contains root 0 of h; A contains root 3 of h")
 
 
 def test_check_instance_flags_degree_order():
     F = prime_field(13)
-    inst, violations = check_instance(F, parse_poly("x", F), parse_poly("x^2", F),
-                                      [1], [0])
-    assert inst is None
-    assert any(v.startswith("deg g") for v in violations)
+    assert (refusal(F, parse_poly("x", F), parse_poly("x^2", F), [1], [0])
+            == "invalid instance: " + DEGREES + "deg g = 1, deg h = 2")
 
 
 def test_check_instance_flags_zero_h_and_constant_g():
     F = prime_field(5)
-    inst, violations = check_instance(F, parse_poly("3", F), parse_poly("0", F),
-                                      [1], [0])
-    assert inst is None
-    assert "h is the zero polynomial" in violations
-    assert any("g is constant" in v for v in violations)
+    assert (refusal(F, parse_poly("3", F), parse_poly("0", F), [1], [0])
+            == "invalid instance: " + DEGREES + "deg g = 0, h is the zero polynomial")
 
 
 def test_check_instance_flags_empty_and_duplicate_sets():
     F = prime_field(13)
     g, h = parse_poly("x^2", F), parse_poly("x", F)
-    inst, violations = check_instance(F, g, h, [], [0])
-    assert inst is None and "A is empty" in violations
-    inst, violations = check_instance(F, g, h, [1], [])
-    assert inst is None and "B is empty" in violations
-    inst, violations = check_instance(F, g, h, [1, 1, 2], [0, 0])
-    assert inst is None
-    assert "A contains duplicate elements" in violations
-    assert "B contains duplicate elements" in violations
+    assert refusal(F, g, h, [], [0]) == "invalid instance: A is empty"
+    assert refusal(F, g, h, [1], []) == "invalid instance: B is empty"
+    assert (refusal(F, g, h, [1, 1, 2], [0, 0])
+            == "invalid instance: A contains duplicate elements; B contains duplicate elements")
 
 
 def test_check_instance_collects_multiple_violations():
     F = prime_field(5)
-    inst, violations = check_instance(F, parse_poly("x", F), parse_poly("x^2", F),
-                                      [], [0])
-    assert inst is None
-    assert len(violations) >= 2
+    assert (refusal(F, parse_poly("x", F), parse_poly("x^2", F), [], [0])
+            == "invalid instance: A is empty; " + DEGREES + "deg g = 1, deg h = 2")
 
 
 def test_check_instance_field_mismatch_raises():
@@ -410,8 +403,7 @@ def test_image_matches_table_oracle():
         pool = [x for x in F.elements() if not h(x).is_zero()]
         A = rng.sample(pool, rng.randrange(1, 6))
         B = [F.element(y) for y in rng.sample(range(11), rng.randrange(1, 6))]
-        inst, violations = check_instance(F, g, h, A, B)
-        assert violations == []
+        inst = check_instance(F, g, h, A, B)
         assert set(image(inst)) == image_double_loop(F, g, h, A, B)
 
 
@@ -426,6 +418,5 @@ def test_image_respects_theorem_bound_small_sweep():
         for b in range(1, 4):
             for A in itertools.combinations(nonzero, a):
                 for B in itertools.combinations(elems, b):
-                    inst, violations = check_instance(F, g, h, A, B)
-                    assert violations == []
+                    inst = check_instance(F, g, h, A, B)
                     assert len(image(inst)) >= inst.bound_report().bound

@@ -44,10 +44,7 @@ def elems(field, *ints):
 
 
 def make_instance(field, g_text, h_text, A, B):
-    inst, violations = check_instance(field, parse_poly(g_text, field),
-                                      parse_poly(h_text, field), A, B)
-    assert violations == [], violations
-    return inst
+    return check_instance(field, parse_poly(g_text, field), parse_poly(h_text, field), A, B)
 
 
 # -- elementary symmetric -----------------------------------------------------
@@ -444,6 +441,19 @@ def test_hand_built_instance_with_a_repeated_point_is_bad_input():
             build(inst, elems(F13, 0, 5))
 
 
+@pytest.mark.parametrize("g, h, degrees", [
+    ("3", "1", "deg g = 0, deg h = 0"),                   # was ZeroDivisionError
+    ("0", "1", "g is the zero polynomial, deg h = 0"),    # was a range [1, 0.0]
+    ("x", "x", "deg g = 1, deg h = 1"),                   # was identity_holds False
+])
+@pytest.mark.parametrize("build", [build_certificate, refute_cover])
+def test_hand_built_instance_with_bad_degrees_is_bad_input(g, h, degrees, build):
+    inst = ExpanderInstance(F13, parse_poly(g, F13), parse_poly(h, F13),
+                            tuple(elems(F13, 1, 2, 3, 4)), tuple(elems(F13, 0, 1)))
+    with pytest.raises(InvalidParametersError, match=f"need deg g > deg h .*; got {degrees}$"):
+        build(inst, elems(F13, 0, 1, 2, 3))
+
+
 def test_repeated_points_are_refused_before_the_field_size_invariant():
     # Five copies of 1 make k = 2 admissible over F_2, beyond |F| - 1 = 1; the
     # solvers refuse the repeated A first, so it is bad input, not a bug.
@@ -483,8 +493,7 @@ def test_master_identity_random_sweep():
             continue
         A = rng.sample(pool, rng.randrange(1, len(pool) + 1))
         B = rng.sample(F.elements(), rng.randrange(1, p + 1))
-        inst, violations = check_instance(F, g, h, A, B)
-        assert violations == []
+        inst = check_instance(F, g, h, A, B)
         k = inst.bound_report().best_k
         cert = None
         for C in (rng.sample(F.elements(), k), rng.sample(F.elements(), k)):

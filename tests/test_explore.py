@@ -528,8 +528,7 @@ def test_value_rows_match_double_loop_oracle(field_s, g_s, h_s):
         A = [pool[i] for i in rng.sample_indices(len(pool), 1 + rng.bounded(len(pool)))]
         B = [field.from_index(i) for i in
              rng.sample_indices(field.order, 1 + rng.bounded(field.order))]
-        inst, violations = check_instance(field, g, h, A, B)
-        assert violations == []
+        inst = check_instance(field, g, h, A, B)
         assert set(image(inst)) == image_double_loop(field, g, h, A, B)
 
     recs = list(search_extremal(field_s, g_s, h_s, (1, 2), (1, 2)))
