@@ -266,9 +266,9 @@ def check_degrees(g: Poly, h: Poly) -> None:
     non-constant and h nonzero, the hypotheses on the polynomials alone.
     The one degree check: :func:`check_instance` lists its message."""
     if h.is_zero() or g.degree() < 1 or not g.degree() > h.degree():
-        raise InvalidParametersError("need deg g > deg h with g non-constant and h nonzero; got "
+        raise InvalidParametersError("need deg g > deg h with g non-constant and h nonzero (got "
             + ", ".join(f"{n} is the zero polynomial" if f.is_zero() else f"deg {n} = {f.degree()}"
-                        for n, f in (("g", g), ("h", h))))
+                        for n, f in (("g", g), ("h", h))) + ")")
 
 
 def check_instance(field: Field, g: Poly, h: Poly, A, B) -> ExpanderInstance:
@@ -283,17 +283,26 @@ def check_instance(field: Field, g: Poly, h: Poly, A, B) -> ExpanderInstance:
     for f_, name in ((g, "g"), (h, "h")):
         if f_.field != field:
             raise FieldMismatchError(f"{name} is over {f_.field}, expected {field}")
-    A, B = canonical_sort(map(field.element, A)), canonical_sort(map(field.element, B))
-    violations = [f"{name} is empty" for name, S in (("A", A), ("B", B)) if not S]
-    violations += [f"{name} contains duplicate elements" for name, S in (("A", A), ("B", B))
-                   if len(set(S)) != len(S)]
+    A = canonical_sort(field.element(x) for x in A)
+    B = canonical_sort(field.element(y) for y in B)
+
+    violations = []
+    if not A:
+        violations.append("A is empty")
+    if not B:
+        violations.append("B is empty")
+    if len(set(A)) != len(A):
+        violations.append("A contains duplicate elements")
+    if len(set(B)) != len(B):
+        violations.append("B contains duplicate elements")
     try:
         check_degrees(g, h)
     except InvalidParametersError as exc:
         violations.append(str(exc))
     if not h.is_zero():
-        violations += [f"A contains root {x} of h"
-                       for x in canonical_sort({x for x in A if h(x).is_zero()})]
+        for x in canonical_sort(set(A)):
+            if h(x).is_zero():
+                violations.append(f"A contains root {x} of h")
     if violations:
         raise InvalidParametersError("invalid instance: " + "; ".join(violations))
     return ExpanderInstance(field, g, h, A, B)

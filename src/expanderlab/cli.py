@@ -410,4 +410,3 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-

@@ -317,7 +317,9 @@ def test_check_instance_accepts_valid():
     assert inst.bound_report().bound == theorem_bound(3, 2, 2, 13).bound
 
 
-DEGREES = "need deg g > deg h with g non-constant and h nonzero; got "
+def degrees(got: str) -> str:
+    """check_degrees' message for the degrees ``got``."""
+    return f"need deg g > deg h with g non-constant and h nonzero (got {got})"
 
 
 def refusal(*args) -> str:
@@ -344,13 +346,13 @@ def test_check_instance_lists_every_root_violation():
 def test_check_instance_flags_degree_order():
     F = prime_field(13)
     assert (refusal(F, parse_poly("x", F), parse_poly("x^2", F), [1], [0])
-            == "invalid instance: " + DEGREES + "deg g = 1, deg h = 2")
+            == "invalid instance: " + degrees("deg g = 1, deg h = 2"))
 
 
 def test_check_instance_flags_zero_h_and_constant_g():
     F = prime_field(5)
     assert (refusal(F, parse_poly("3", F), parse_poly("0", F), [1], [0])
-            == "invalid instance: " + DEGREES + "deg g = 0, h is the zero polynomial")
+            == "invalid instance: " + degrees("deg g = 0, h is the zero polynomial"))
 
 
 def test_check_instance_flags_empty_and_duplicate_sets():
@@ -365,7 +367,7 @@ def test_check_instance_flags_empty_and_duplicate_sets():
 def test_check_instance_collects_multiple_violations():
     F = prime_field(5)
     assert (refusal(F, parse_poly("x", F), parse_poly("x^2", F), [], [0])
-            == "invalid instance: A is empty; " + DEGREES + "deg g = 1, deg h = 2")
+            == "invalid instance: A is empty; " + degrees("deg g = 1, deg h = 2"))
 
 
 def test_check_instance_field_mismatch_raises():

@@ -450,7 +450,7 @@ def test_hand_built_instance_with_a_repeated_point_is_bad_input():
 def test_hand_built_instance_with_bad_degrees_is_bad_input(g, h, degrees, build):
     inst = ExpanderInstance(F13, parse_poly(g, F13), parse_poly(h, F13),
                             tuple(elems(F13, 1, 2, 3, 4)), tuple(elems(F13, 0, 1)))
-    with pytest.raises(InvalidParametersError, match=f"need deg g > deg h .*; got {degrees}$"):
+    with pytest.raises(InvalidParametersError, match=rf"need deg g > deg h .* \(got {degrees}\)$"):
         build(inst, elems(F13, 0, 1, 2, 3))
 
 

@@ -966,11 +966,11 @@ def test_closed_stdout_pipe_exits_141_quietly():
      "error: characteristic 4 is not prime\n"),
     # a zero polynomial is named in words, not by a degree of -inf
     ("search --field 13 --g x^2 --h 0 --a 2 --b 2",
-     "error: need deg g > deg h with g non-constant and h nonzero; "
-     "got deg g = 2, h is the zero polynomial\n"),
+     "error: need deg g > deg h with g non-constant and h nonzero "
+     "(got deg g = 2, h is the zero polynomial)\n"),
     ("bound --field 13 --a 3 --b 2 --g 0 --h x",
-     "error: need deg g > deg h with g non-constant and h nonzero; "
-     "got g is the zero polynomial, deg h = 1\n"),
+     "error: need deg g > deg h with g non-constant and h nonzero "
+     "(got g is the zero polynomial, deg h = 1)\n"),
 ])
 def test_validation_paths_exit_2(argv, message):
     assert run_cli(*argv.split()) == (2, "", message)
@@ -1186,6 +1186,29 @@ def _relaxed(argv):
                for prev, token in zip(argv, argv[1:]))
 
 
+def _last_values(argv):
+    """argv without the earlier repeats of an option and their values, or
+    None when no option repeats.  A name is exact or a unique prefix, as
+    argparse reads it; any other token stays where it stands."""
+    if not argv or argv[0] not in cli.COMMANDS:
+        return None
+    kinds = {n: k for n, _, k in cli._specs(argv[0])} | {"help": "bool"}
+    spans, rest = [], argv[1:]
+    while rest:
+        head, eq, _ = rest[0][2:].partition("=") if rest[0][:2] == "--" else ("", "", "")
+        found = [n for n in kinds if n == head] or [n for n in kinds if head and n.startswith(head)]
+        name = found[0] if len(found) == 1 else None
+        width = 2 if (name and not eq and kinds[name] != "bool" and rest[1:2]
+                      and rest[1][:2] != "--") else 1
+        spans.append((name, rest[:width]))
+        rest = rest[width:]
+    last = {name: i for i, (name, _) in enumerate(spans) if name}
+    if len(last) == sum(1 for name, _ in spans if name):
+        return None
+    return [argv[0], *(token for i, (name, span) in enumerate(spans)
+                       if name is None or last[name] == i for token in span)]
+
+
 def test_parse_args_accepts_what_argparse_accepted(tmp_path_factory):
     parser = build_parser()
     workdir = tmp_path_factory.mktemp("argv")       # where an accidental --out would land
@@ -1198,12 +1221,11 @@ def test_parse_args_accepts_what_argparse_accepted(tmp_path_factory):
             mine = cli.parse_args(argv)
         except InvalidParametersError:
             mine = None
-        if verdict == "error" and mine is not None and mine[1] is not None:
+        last = _last_values(argv)
+        if verdict == "error" and mine is not None and mine[1] is not None and last:
             # A repeated option keeps its last value, where argparse converts
-            # every one (--a x --a 5): its verdict is on the last values.
-            verdict, detail = _oracle(parser, [mine[0], *(
-                f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
-                for key, value in mine[1].items())])
+            # every one (--a x --a 5): its verdict is on the last repeats.
+            verdict, detail = _oracle(parser, last)
         if verdict == "ok":
             # argparse converted these to int, and defaulted certify's seed to 0.
             command, given = mine
