@@ -9,7 +9,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanderlab import bound as bound_mod
@@ -1215,6 +1215,7 @@ def test_parse_args_accepts_what_argparse_accepted(tmp_path_factory):
 
     @settings(max_examples=500, deadline=None)
     @given(table_argv())
+    @example(["bound", "--field", "5", "--a", "x", "--b", "5", "--a", "5", "--d", "5"])
     def run(argv):
         verdict, detail = _oracle(parser, argv)
         try:
