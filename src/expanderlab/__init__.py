@@ -34,7 +34,7 @@ _EXPORTS = {
               "ValidationError ZeroPolynomialError",
     "explore": "ExperimentRecord Ranked nearest_subfield_distance "
                "records_to_csv records_to_json search_extremal subfield_experiment",
-    "field": "Field FieldElem canonical_sort extension_field parse_field prime_field",
+    "field": "Field FieldElem canonical_sort parse_field",
     "poly": "Poly parse_poly",
     "rng": "Xoshiro256StarStar",
 }

@@ -29,6 +29,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
+    EmptySetError,
     FieldMismatchError,
     InternalInvariantError,
     InvalidParametersError,
@@ -271,11 +272,28 @@ def check_degrees(g: Poly, h: Poly) -> None:
                         for n, f in (("g", g), ("h", h))) + ")")
 
 
+def _distinct_points(points, name: str, nonempty=True) -> tuple[FieldElem, ...]:
+    """``points`` in canonical order, or the error for a set that is empty (unless
+    not ``nonempty``), mixes fields or repeats a point: the one point-set check,
+    which :func:`check_instance` lists for A and B and the certificate solvers raise."""
+    from .field import canonical_sort
+
+    points = canonical_sort(points)
+    if nonempty and not points:
+        raise EmptySetError(f"{name} is empty")
+    fields = {x.field for x in points}
+    if len(fields) > 1:
+        raise FieldMismatchError(f"{name} mixes elements of {', '.join(sorted(map(str, fields)))}")
+    if len(set(points)) != len(points):
+        raise InvalidParametersError(f"{name} contains duplicate elements")
+    return points
+
+
 def check_instance(field: Field, g: Poly, h: Poly, A, B) -> ExpanderInstance:
     """The :class:`ExpanderInstance` of an (A, B) pair, or one
-    :class:`InvalidParametersError` listing every violated hypothesis:
-    emptiness, duplicates, the degrees in :func:`check_degrees`'s words and
-    the roots of h inside A.  Polynomials over the wrong field raise
+    :class:`InvalidParametersError` listing every violated hypothesis: A and
+    B in :func:`_distinct_points`'s words, the degrees in :func:`check_degrees`'s
+    and the roots of h inside A.  Polynomials over the wrong field raise
     :class:`FieldMismatchError`, a programming mistake, not a violation.
     """
     from .field import canonical_sort
@@ -287,14 +305,11 @@ def check_instance(field: Field, g: Poly, h: Poly, A, B) -> ExpanderInstance:
     B = canonical_sort(field.element(y) for y in B)
 
     violations = []
-    if not A:
-        violations.append("A is empty")
-    if not B:
-        violations.append("B is empty")
-    if len(set(A)) != len(A):
-        violations.append("A contains duplicate elements")
-    if len(set(B)) != len(B):
-        violations.append("B contains duplicate elements")
+    for points, name in ((A, "A"), (B, "B")):
+        try:
+            _distinct_points(points, name)
+        except (EmptySetError, InvalidParametersError) as exc:
+            violations.append(str(exc))
     try:
         check_degrees(g, h)
     except InvalidParametersError as exc:

@@ -43,9 +43,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bound import ExpanderInstance, check_degrees, lucas_nonvanishing, value_rows
+from .bound import (
+    ExpanderInstance,
+    _distinct_points,
+    check_degrees,
+    lucas_nonvanishing,
+    value_rows,
+)
 from .errors import (
-    EmptySetError,
     FieldMismatchError,
     InadmissibleKError,
     InternalInvariantError,
@@ -73,18 +78,6 @@ def elementary_symmetric(field: Field, values) -> tuple[FieldElem, ...]:
         for i in range(len(e) - 1, 0, -1):
             e[i] = e[i] + v * e[i - 1]
     return tuple(e)
-
-
-def _distinct_points(points, name: str, nonempty=True) -> tuple[FieldElem, ...]:
-    points = canonical_sort(points)
-    if nonempty and not points:
-        raise EmptySetError(f"{name} is empty")
-    fields = {x.field for x in points}
-    if len(fields) > 1:
-        raise FieldMismatchError(f"{name} mixes elements of {', '.join(sorted(map(str, fields)))}")
-    if len(set(points)) != len(points):
-        raise InvalidParametersError(f"{name} has repeated elements")
-    return points
 
 
 def lambda_coefficients(C, g: Poly, h: Poly) -> dict:

@@ -51,7 +51,7 @@ from .poly import parse_poly
 from .rng import Xoshiro256StarStar
 
 DEFAULT_BUDGET = 10_000_000
-MAX_SEARCH_ORDER = 10**6    # search scans every index for roots of h before its budget gate
+MAX_SEARCH_ORDER = 10**6    # the root scan before the budget gate: q*(deg h + 1) index ops
 MAX_C_EXPONENT = 4300       # Fraction builds 10**|e| before any range check
 WRITE_BLOCK = 1024          # texts per write: an unbuffered stdout makes each write a syscall
 

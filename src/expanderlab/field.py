@@ -83,10 +83,8 @@ def _vec_eval(u: list[int], x: int, p: int) -> int:
 
 
 def _is_irreducible(m: list[int], p: int) -> bool:
-    """Brute-force irreducibility of monic m: root check, then trial division."""
+    """Brute-force irreducibility of monic m, deg m >= 2: root check, then trial division."""
     n = len(m) - 1
-    if n == 1:
-        return True
     if any(_vec_eval(m, x, p) == 0 for x in range(p)):
         return False
     if n <= 3:
@@ -178,9 +176,13 @@ def _parse_terms(text: str, var: str, coeff) -> dict:
 class Field:
     """A finite field F_{p^n}, with n = 1 meaning the prime field F_p.
 
-    Construct through :func:`prime_field`, :func:`extension_field`, or
-    :func:`parse_field`; the constructor itself validates everything and is
-    safe to call directly.  Immutable after construction.
+    ``Field(p, n=1, modulus=None)`` and :func:`parse_field` are the only
+    constructors; both validate everything.  For n > 1 with ``modulus``
+    omitted, the lexicographically smallest monic irreducible of degree n
+    is chosen (coefficient tuples compared low-degree-first), so
+    construction is reproducible without tables.  ``modulus`` may be a
+    coefficient sequence (index = degree), a text form like "t^2+1", or a
+    polynomial over F_p.  Immutable after construction.
     """
 
     __slots__ = ("p", "n", "modulus", "_tables")
@@ -510,22 +512,6 @@ def _power(base, e: int, one, mul=operator.mul):
 # Public constructors.
 
 
-def prime_field(p: int) -> Field:
-    """The prime field F_p; rejects composite p."""
-    return Field(p)
-
-
-def extension_field(p: int, n: int, modulus=None) -> Field:
-    """F_{p^n}.  With ``modulus`` omitted the lexicographically smallest monic
-    irreducible of degree n is chosen (coefficient tuples compared
-    low-degree-first), so construction is reproducible without tables.
-
-    ``modulus`` may be a coefficient sequence (index = degree), a text form
-    like "t^2+1", or a polynomial over F_p.
-    """
-    return Field(p, n, modulus)
-
-
 def _modulus_coeffs(modulus, p: int) -> tuple[int, ...]:
     if isinstance(modulus, str):
         terms = _parse_terms(modulus, "t", int)
@@ -560,7 +546,7 @@ def parse_field(text: str) -> Field:
             p, n = int(head), 1
     except ValueError:
         raise ParseError(f"bad field description {text!r}") from None
-    return extension_field(p, n, mod_text if slash else None)
+    return Field(p, n, mod_text if slash else None)
 
 
 def canonical_sort(elems) -> tuple[FieldElem, ...]:

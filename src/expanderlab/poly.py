@@ -47,10 +47,6 @@ class Poly:
     def __reduce__(self):
         return Poly, (self.field, self.coeffs)
 
-    @classmethod
-    def constant(cls, field: Field, value) -> Poly:
-        return cls(field, (value,))
-
     # -- structure -----------------------------------------------------------
 
     @property

@@ -17,7 +17,7 @@ from . import bound as bound_mod
 from .bound import INF, check_instance, corollary_bound, theorem_bound
 from .certificate import build_certificate, refute_cover, verify_alpha, verify_beta
 from .explore import records_to_csv, search_extremal, subfield_experiment
-from .field import extension_field, prime_field
+from .field import Field
 from .poly import parse_poly
 from .rng import Xoshiro256StarStar
 
@@ -34,7 +34,7 @@ def _expect(ok, equation: str, *args) -> None:
 
 
 def _check_field_axioms():
-    for F in (prime_field(7), extension_field(2, 3), extension_field(3, 2)):
+    for F in (Field(7), Field(2, 3), Field(3, 2)):
         elems = F.elements()
         for a in elems:
             _expect(a * (a + F.one()) == a * a + a, "a(a + 1) = a^2 + a at a = {} in F_{}", a, F)
@@ -76,7 +76,7 @@ def _check_bound_examples():
 
 
 def _f13_instance():
-    F13 = prime_field(13)
+    F13 = Field(13)
     return check_instance(F13, parse_poly("x^2", F13), parse_poly("x", F13),
                           range(1, 7), range(4))
 
@@ -90,7 +90,7 @@ def _check_certificates():
     _expect(verify_beta(cert.beta, inst.B, 4), "sum_y beta(y) y^j = [j = 3] for j = 0 .. 3")
     _expect(verify_alpha(cert.alpha, inst.A, inst.h, 4, 4),
             "sum_x alpha(x) h(x)^3 x^i = [i = 4] for i = 0 .. 4")
-    F9 = extension_field(3, 2)
+    F9 = Field(3, 2)
     A9 = [x for x in F9.elements() if not x.is_zero()]
     inst9 = check_instance(F9, parse_poly("x^2", F9), parse_poly("x", F9), A9, F9.subfield(1))
     cert9 = build_certificate(inst9, [F9.from_index(i) for i in range(5)])
@@ -109,7 +109,7 @@ def _check_refutation():
 
 
 def _check_soundness_sweep():
-    F = prime_field(5)
+    F = Field(5)
     g, h = parse_poly("x^2", F), parse_poly("x", F)
     checked = 0
     for a, b in itertools.product((1, 2, 3), (1, 2)):

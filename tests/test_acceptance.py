@@ -19,7 +19,7 @@ from expanderlab.bound import INF, check_instance, corollary_bound, image, \
 from expanderlab.certificate import build_certificate, solve_alpha, solve_beta, \
     verify_alpha, verify_beta
 from expanderlab.explore import records_to_csv, search_extremal, subfield_experiment
-from expanderlab.field import parse_field, prime_field
+from expanderlab.field import parse_field
 from expanderlab.poly import Poly, parse_poly
 from expanderlab.rng import Xoshiro256StarStar
 

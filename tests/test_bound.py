@@ -21,7 +21,7 @@ from expanderlab.errors import (
     InvalidParametersError,
     NotPrimeError,
 )
-from expanderlab.field import extension_field, is_prime, prime_field
+from expanderlab.field import Field, is_prime
 from expanderlab.poly import parse_poly
 
 from oracles import admissible_k_scan, binom_mod_pascal, hopf_stiefel, image_double_loop
@@ -308,7 +308,7 @@ def test_report_serialization_keys():
 
 
 def test_check_instance_accepts_valid():
-    F = prime_field(13)
+    F = Field(13)
     inst = check_instance(F, parse_poly("x^2", F), parse_poly("x", F),
                           [3, 1, 2], [0, 1])
     assert isinstance(inst, ExpanderInstance)
@@ -330,13 +330,13 @@ def refusal(*args) -> str:
 
 
 def test_check_instance_flags_root_of_h():
-    F = prime_field(13)
+    F = Field(13)
     assert (refusal(F, parse_poly("x^2", F), parse_poly("x", F), [0, 1], [0, 1])
             == "invalid instance: A contains root 0 of h")
 
 
 def test_check_instance_lists_every_root_violation():
-    F = prime_field(5)
+    F = Field(5)
     g, h = parse_poly("x^3", F), parse_poly("x^2+2*x", F)   # roots 0 and 3
     assert (refusal(F, g, h, [4, 3, 0, 0], [1])
             == "invalid instance: A contains duplicate elements; "
@@ -344,19 +344,19 @@ def test_check_instance_lists_every_root_violation():
 
 
 def test_check_instance_flags_degree_order():
-    F = prime_field(13)
+    F = Field(13)
     assert (refusal(F, parse_poly("x", F), parse_poly("x^2", F), [1], [0])
             == "invalid instance: " + degrees("deg g = 1, deg h = 2"))
 
 
 def test_check_instance_flags_zero_h_and_constant_g():
-    F = prime_field(5)
+    F = Field(5)
     assert (refusal(F, parse_poly("3", F), parse_poly("0", F), [1], [0])
             == "invalid instance: " + degrees("deg g = 0, h is the zero polynomial"))
 
 
 def test_check_instance_flags_empty_and_duplicate_sets():
-    F = prime_field(13)
+    F = Field(13)
     g, h = parse_poly("x^2", F), parse_poly("x", F)
     assert refusal(F, g, h, [], [0]) == "invalid instance: A is empty"
     assert refusal(F, g, h, [1], []) == "invalid instance: B is empty"
@@ -365,13 +365,13 @@ def test_check_instance_flags_empty_and_duplicate_sets():
 
 
 def test_check_instance_collects_multiple_violations():
-    F = prime_field(5)
+    F = Field(5)
     assert (refusal(F, parse_poly("x", F), parse_poly("x^2", F), [], [0])
             == "invalid instance: A is empty; " + degrees("deg g = 1, deg h = 2"))
 
 
 def test_check_instance_field_mismatch_raises():
-    F, G5 = prime_field(13), prime_field(5)
+    F, G5 = Field(13), Field(5)
     with pytest.raises(FieldMismatchError):
         check_instance(F, parse_poly("x^2", G5), parse_poly("x", F), [1], [0])
     with pytest.raises(FieldMismatchError):
@@ -379,7 +379,7 @@ def test_check_instance_field_mismatch_raises():
 
 
 def test_image_examples():
-    F9 = extension_field(3, 2)
+    F9 = Field(3, 2)
     inst = make_instance(F9, "x^2", "x", [F9.element(1), F9.element(2)],
                          F9.subfield(1))
     img = image(inst)
@@ -388,7 +388,7 @@ def test_image_examples():
 
 
 def test_image_is_canonically_ordered():
-    F = prime_field(7)
+    F = Field(7)
     inst = make_instance(F, "x^2", "x", [3, 2], [5, 1])
     img = image(inst)
     indices = [v.index() for v in img]
@@ -398,7 +398,7 @@ def test_image_is_canonically_ordered():
 
 def test_image_matches_table_oracle():
     rng = random.Random(99)
-    F = prime_field(11)
+    F = Field(11)
     for _ in range(25):
         g = parse_poly(f"x^3+{rng.randrange(11)}*x", F)
         h = parse_poly(f"x+{rng.randrange(11)}", F)
@@ -412,7 +412,7 @@ def test_image_matches_table_oracle():
 def test_image_respects_theorem_bound_small_sweep():
     # Exhaustive soundness on a small grid: every valid instance has image
     # at least the reported bound.
-    F = prime_field(7)
+    F = Field(7)
     g, h = parse_poly("x^2", F), parse_poly("x", F)
     elems = F.elements()
     nonzero = [x for x in elems if not x.is_zero()]

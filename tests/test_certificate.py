@@ -28,15 +28,16 @@ from expanderlab.errors import (
     InadmissibleKError,
     InvalidParametersError,
     TargetDegreeTooLargeError,
+    ValidationError,
 )
-from expanderlab.field import Field, extension_field, parse_field, prime_field
+from expanderlab.field import Field, parse_field
 from expanderlab.poly import Poly, parse_poly
 from expanderlab.rng import Xoshiro256StarStar
 
 from oracles import expand_shifted_product, pointwise_double_loop, top_moment_weights
 
-F5 = prime_field(5)
-F13 = prime_field(13)
+F5 = Field(5)
+F13 = Field(13)
 
 
 def elems(field, *ints):
@@ -64,7 +65,7 @@ def test_elementary_symmetric_matches_expansion():
     # prod (w - c) = sum (-1)^r e_r w^(k-r); compare against Poly arithmetic.
     rng = random.Random(3)
     for _ in range(20):
-        F = prime_field(rng.choice([5, 7, 13]))
+        F = Field(rng.choice([5, 7, 13]))
         C = rng.sample(range(F.p), rng.randrange(0, min(5, F.p)))
         C = elems(F, *C)
         e = elementary_symmetric(F, C)
@@ -107,7 +108,7 @@ def test_lambda_empty_c_is_the_empty_product():
 def test_lambda_matches_bivariate_oracle():
     rng = random.Random(17)
     for _ in range(30):
-        F = prime_field(rng.choice([5, 7, 11, 13]))
+        F = Field(rng.choice([5, 7, 11, 13]))
         k = rng.randrange(1, 7)
         C = elems(F, *rng.sample(range(F.p), min(k, F.p)))
         g, h = parse_poly("x^2", F), parse_poly("x", F)
@@ -146,7 +147,7 @@ def test_beta_single_point():
 def test_beta_matches_gauss_jordan_oracle():
     rng = random.Random(29)
     for _ in range(40):
-        F = prime_field(rng.choice([5, 7, 11, 13]))
+        F = Field(rng.choice([5, 7, 11, 13]))
         b = rng.randrange(1, min(6, F.p + 1))
         B = elems(F, *rng.sample(range(F.p), b))
         beta = solve_beta(B)
@@ -155,7 +156,7 @@ def test_beta_matches_gauss_jordan_oracle():
 
 
 def test_beta_extension_field():
-    F9 = extension_field(3, 2)
+    F9 = Field(3, 2)
     B = list(F9.subfield(1)) + [F9.parse_element("t")]
     beta = solve_beta(B)
     assert verify_beta(beta, B, len(B))
@@ -197,7 +198,7 @@ def test_solvers_reject_repeated_points():
 
 def test_solvers_refuse_points_of_two_fields():
     # F13(1) and F9(1) share the index 1, so only a field check tells them apart.
-    mixed = [F13.one(), extension_field(3, 2).one()]
+    mixed = [F13.one(), Field(3, 2).one()]
     with pytest.raises(FieldMismatchError, match=r"^B mixes elements of 13, 3\^2/t\^2\+1$"):
         solve_beta(mixed)
     with pytest.raises(FieldMismatchError, match=r"^A mixes elements of 13, 3\^2/t\^2\+1$"):
@@ -260,7 +261,7 @@ def test_alpha_perturbation_breaks_verification():
 def test_alpha_random_verification_sweep():
     rng = random.Random(31)
     for _ in range(30):
-        F = prime_field(rng.choice([7, 11, 13]))
+        F = Field(rng.choice([7, 11, 13]))
         h = parse_poly(rng.choice(["x", "x+1", "2*x+1", "1"]), F)
         pool = [x for x in F.elements() if not h(x).is_zero()]
         a = rng.randrange(1, len(pool) + 1)
@@ -275,7 +276,7 @@ def test_alpha_matches_gauss_jordan_oracle():
     # Gauss-Jordan on the support (the first D + 1 points of A by index),
     # explicit zeros on the rest.
     rng = random.Random(37)
-    fields = [prime_field(p) for p in (5, 7, 11, 13)] + [extension_field(3, 2)]
+    fields = [Field(p) for p in (5, 7, 11, 13)] + [Field(3, 2)]
     for _ in range(40):
         F = rng.choice(fields)
         h = parse_poly(rng.choice(["x", "x+1", "2*x+1", "1"]), F)
@@ -342,7 +343,7 @@ def test_certificate_b_equals_one():
 
 
 def test_certificate_extension_field():
-    F9 = extension_field(3, 2)
+    F9 = Field(3, 2)
     A = [x for x in F9.elements() if not x.is_zero()]
     inst = make_instance(F9, "x^2", "x", A, F9.subfield(1))
     report = inst.bound_report()
@@ -371,7 +372,7 @@ def test_certificate_inadmissible_k():
     assert e.value.reason == "range"
     assert "range" in str(e.value)
     # lucas: binom(3, 1) = 3 = 0 mod 3, with k = 3 still inside the range.
-    F3 = prime_field(3)
+    F3 = Field(3)
     inst3 = make_instance(F3, "x", "1", elems(F3, 0, 1, 2), elems(F3, 0, 1))
     with pytest.raises(InadmissibleKError) as e:
         build_certificate(inst3, elems(F3, 0, 1, 2))
@@ -390,7 +391,7 @@ def test_certificate_reads_the_range_in_closed_form(monkeypatch):
     assert build_certificate(inst, elems(F5, 0, 1)).identity_holds
     with pytest.raises(InadmissibleKError, match=r"^k = 4 fails the range condition \[1, 2\]$"):
         build_certificate(inst, elems(F5, 0, 1, 2, 3))
-    F3 = prime_field(3)
+    F3 = Field(3)
     inst3 = make_instance(F3, "x", "1", elems(F3, 0, 1, 2), elems(F3, 0, 1))
     with pytest.raises(InadmissibleKError, match=r"^k = 3 fails the Lucas condition: "
                                                  r"binom\(3, 1\) vanishes in characteristic 3$"):
@@ -437,7 +438,7 @@ def test_hand_built_instance_with_a_repeated_point_is_bad_input():
     inst = ExpanderInstance(F13, parse_poly("x^2", F13), parse_poly("x", F13),
                             tuple(elems(F13, 1, 1, 2, 3, 4)), tuple(elems(F13, 0, 1)))
     for build in (build_certificate, refute_cover):
-        with pytest.raises(InvalidParametersError, match="A has repeated elements"):
+        with pytest.raises(InvalidParametersError, match="A contains duplicate elements"):
             build(inst, elems(F13, 0, 5))
 
 
@@ -457,11 +458,33 @@ def test_hand_built_instance_with_bad_degrees_is_bad_input(g, h, degrees, build)
 def test_repeated_points_are_refused_before_the_field_size_invariant():
     # Five copies of 1 make k = 2 admissible over F_2, beyond |F| - 1 = 1; the
     # solvers refuse the repeated A first, so it is bad input, not a bug.
-    F2 = prime_field(2)
+    F2 = Field(2)
     inst = ExpanderInstance(F2, parse_poly("x^2", F2), parse_poly("1", F2),
                             tuple(elems(F2, 1, 1, 1, 1, 1)), tuple(elems(F2, 0)))
-    with pytest.raises(InvalidParametersError, match="A has repeated elements"):
+    with pytest.raises(InvalidParametersError, match="A contains duplicate elements"):
         build_certificate(inst, elems(F2, 0, 1))
+
+
+@pytest.mark.parametrize("fault, points", [("is empty", ()),
+                                           ("contains duplicate elements", (1, 1, 2))])
+def test_a_point_set_fault_reads_one_way_everywhere(fault, points):
+    # One check refuses an empty or repeated point set, whichever call it
+    # comes in through.  An empty C is the k = 0 product, and a hand-built
+    # instance with an empty A fails the k range first, so the last two
+    # calls see only the repeated point.
+    g, h = parse_poly("x^2", F13), parse_poly("x", F13)
+    S, B = tuple(elems(F13, *points)), tuple(elems(F13, 0, 1))
+    calls = [("A", lambda: check_instance(F13, g, h, S, B)),
+             ("B", lambda: solve_beta(S)),
+             ("A", lambda: solve_alpha(S, h, 2, 0))]
+    if S:
+        calls += [("C", lambda: lambda_coefficients(S, g, h)),
+                  ("A", lambda: build_certificate(ExpanderInstance(F13, g, h, S, B),
+                                                  elems(F13, 0, 5)))]
+    for name, call in calls:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value).removeprefix("invalid instance: ") == f"{name} {fault}", name
 
 
 def test_certificate_json_schema():
@@ -482,7 +505,7 @@ def test_master_identity_random_sweep():
     primes = [3, 5, 7, 11, 13]
     for _ in range(60):
         p = rng.choice(primes)
-        F = prime_field(p)
+        F = Field(p)
         d = rng.randrange(1, 4)
         e = rng.randrange(0, d)
         g_c = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
@@ -504,9 +527,9 @@ def test_master_identity_random_sweep():
                 assert cert.predicted == prev.predicted
 
 
-@pytest.mark.parametrize("field", [prime_field(7), F13, extension_field(3, 2),
-                                   extension_field(2, 4), extension_field(5, 2),
-                                   extension_field(31, 2)])
+@pytest.mark.parametrize("field", [Field(7), F13, Field(3, 2),
+                                   Field(2, 4), Field(5, 2),
+                                   Field(31, 2)])
 def test_pointwise_sum_matches_double_loop_oracle(field):
     # Random weights, about a third of them zero, so the sum is not the
     # collapsed constant the solver weights always give.

@@ -33,7 +33,7 @@ from expanderlab.explore import (
     subfield_experiment,
     write_records,
 )
-from expanderlab.field import Field, FieldElem, extension_field, parse_field, prime_field
+from expanderlab.field import Field, FieldElem, parse_field
 from expanderlab.poly import parse_poly
 from expanderlab.rng import Xoshiro256StarStar, splitmix64
 
@@ -432,7 +432,7 @@ def test_search_extension_field_subfield_columns():
         assert r.subfield_order in (2, 4)
         assert r.subfield_distance is not None
     # A record whose B is exactly the prime subfield has distance zero.
-    f4 = extension_field(2, 2)
+    f4 = Field(2, 2)
     prime_sub = tuple(str(y) for y in f4.subfield(1))
     exact = [r for r in recs if r.B == prime_sub]
     assert exact and all(r.subfield_distance == 0 and r.subfield_order == 2
@@ -582,7 +582,7 @@ def test_drivers_never_list_the_field(monkeypatch):
 
     monkeypatch.setattr(Field, "elements", refuse)
     assert [list(run()) for run in runs] == expected
-    assert [str(r) for r in parse_poly("x^2-1", prime_field(13)).roots()] == ["1", "12"]
+    assert [str(r) for r in parse_poly("x^2-1", Field(13)).roots()] == ["1", "12"]
 
 
 def test_subfield_evaluates_each_value_once(monkeypatch):
@@ -705,7 +705,7 @@ def test_measure_renders_only_the_elements_in_some_set(monkeypatch):
 
 
 def test_nearest_subfield_distance_examples():
-    F9 = extension_field(3, 2)
+    F9 = Field(3, 2)
     K = F9.subfield(1)
     assert nearest_subfield_distance(K, F9) == (0, 3)
     assert nearest_subfield_distance(list(K) + [F9.parse_element("t")], F9) == (1, 3)
@@ -716,7 +716,7 @@ def test_nearest_subfield_distance_examples():
 
 
 def test_nearest_subfield_distance_prime_field():
-    F7 = prime_field(7)
+    F7 = Field(7)
     assert nearest_subfield_distance([F7.element(2)], F7) == (6, 7)
 
 
@@ -738,7 +738,7 @@ def test_only_intermediate_subfields_get_index_sets():
 
 def test_subfield_f9_half_frozen():
     recs = subfield_experiment("3^2", 1, Fraction(1, 2))
-    F9 = extension_field(3, 2)
+    F9 = Field(3, 2)
     assert len(recs) == 1 + 6           # baseline plus every theta outside K
     base = recs[0]
     assert base.a == 2 and base.b == 3
@@ -847,7 +847,7 @@ def test_subfield_random_a_is_seeded():
     a2 = subfield_experiment("5^2", 1, Fraction(1, 2), random_a=True, seed=3)
     assert records_to_csv(a1) == records_to_csv(a2)
     assert a1[0].a == 3                 # ceil(2.5), pool is large enough
-    K_star = {str(x) for x in extension_field(5, 2).subfield(1) if not x.is_zero()}
+    K_star = {str(x) for x in Field(5, 2).subfield(1) if not x.is_zero()}
     assert set(a1[0].A) <= K_star
 
 

@@ -19,10 +19,8 @@ from expanderlab.errors import (
 )
 from expanderlab.field import (
     Field,
-    extension_field,
     is_prime,
     parse_field,
-    prime_field,
 )
 from expanderlab.poly import Poly
 from oracles import (
@@ -44,13 +42,13 @@ def test_is_prime_small():
 
 def test_prime_field_rejects_composite():
     with pytest.raises(NotPrimeError):
-        prime_field(6)
+        Field(6)
     with pytest.raises(NotPrimeError):
-        prime_field(1)
+        Field(1)
 
 
 def test_prime_field_basic_arithmetic():
-    F = prime_field(5)
+    F = Field(5)
     two, three = F.element(2), F.element(3)
     assert two + three == F.zero()
     assert two * three == F.element(1)
@@ -61,49 +59,49 @@ def test_prime_field_basic_arithmetic():
 
 
 def test_inverse_of_zero_raises():
-    F = prime_field(7)
+    F = Field(7)
     with pytest.raises(ZeroDivisionError):
         F.zero().inverse()
 
 
 def test_default_moduli_are_smallest():
     # Lexicographic scan over coefficient tuples, low degree first.
-    assert extension_field(3, 2).modulus == (1, 0, 1)        # t^2+1
-    assert extension_field(2, 2).modulus == (1, 1, 1)        # t^2+t+1
-    assert extension_field(2, 3).modulus == (1, 0, 1, 1)     # t^3+t^2+1
-    assert extension_field(5, 2).modulus == (1, 1, 1)        # t^2+t+1
+    assert Field(3, 2).modulus == (1, 0, 1)        # t^2+1
+    assert Field(2, 2).modulus == (1, 1, 1)        # t^2+t+1
+    assert Field(2, 3).modulus == (1, 0, 1, 1)     # t^3+t^2+1
+    assert Field(5, 2).modulus == (1, 1, 1)        # t^2+t+1
 
 
 def test_explicit_modulus_validation():
     with pytest.raises(NotIrreducibleError):
-        extension_field(3, 2, "t^2+2")    # (t-1)(t+1) over F_3
+        Field(3, 2, "t^2+2")    # (t-1)(t+1) over F_3
     with pytest.raises(NotIrreducibleError):
-        extension_field(3, 2, "t^3+1")    # wrong degree
-    F = extension_field(3, 2, "t^2+t+2")
+        Field(3, 2, "t^3+1")    # wrong degree
+    F = Field(3, 2, "t^2+t+2")
     assert F.modulus == (2, 1, 1)
 
 
 def test_a_prime_field_refuses_any_modulus():
     for p, modulus in ((3, "garbage"), (3, (0, 1)), (13, "t+1"), (13, "")):
         with pytest.raises(ParseError) as e:
-            extension_field(p, 1, modulus)
+            Field(p, 1, modulus)
         assert str(e.value) == f"modulus {modulus!r} given for the prime field F_{p}"
 
 
 def test_modulus_forms_agree():
     # A coefficient sequence, a polynomial over F_p and the text form.
-    F3 = prime_field(3)
+    F3 = Field(3)
     forms = [(1, 0, 1), Poly(F3, (1, 0, 1)), "t^2+1"]
-    fields = [extension_field(3, 2, m) for m in forms]
+    fields = [Field(3, 2, m) for m in forms]
     assert fields[0] == fields[1] == fields[2]
     assert fields[1].modulus == (1, 0, 1)
-    for other in (prime_field(5), extension_field(3, 2)):
+    for other in (Field(5), Field(3, 2)):
         with pytest.raises(FieldMismatchError, match="prime field"):
-            extension_field(3, 2, Poly(other, (1, 0, 1)))
+            Field(3, 2, Poly(other, (1, 0, 1)))
 
 
 def test_extension_arithmetic_f9():
-    F = extension_field(3, 2)             # t^2 = -1 = 2
+    F = Field(3, 2)             # t^2 = -1 = 2
     t = F.parse_element("t")
     assert t * t == F.element(2)
     assert (t + 1) * (t + 2) == t * t + 3 * t + 2 == F.element(1)
@@ -112,7 +110,7 @@ def test_extension_arithmetic_f9():
 
 
 def test_element_parse_and_render_roundtrip():
-    F = extension_field(3, 2)
+    F = Field(3, 2)
     for text in ("0", "1", "2", "t", "t+1", "t+2", "2*t", "2*t+1", "2*t+2"):
         assert str(F.parse_element(text)) == text
     assert F.parse_element("2t+1") == F.parse_element("2*t+1")
@@ -124,7 +122,7 @@ def test_element_parse_and_render_roundtrip():
 
 
 def test_enumeration_order_and_index():
-    F = extension_field(2, 2)
+    F = Field(2, 2)
     assert [str(a) for a in F.elements()] == ["0", "1", "t", "t+1"]
     for i, a in enumerate(F.elements()):
         assert a.index() == i
@@ -132,9 +130,9 @@ def test_enumeration_order_and_index():
 
 
 def test_parse_field_forms():
-    assert parse_field("5") == prime_field(5)
-    assert parse_field("3^2") == extension_field(3, 2)
-    assert parse_field("3^2/t^2+1") == extension_field(3, 2, "t^2+1")
+    assert parse_field("5") == Field(5)
+    assert parse_field("3^2") == Field(3, 2)
+    assert parse_field("3^2/t^2+1") == Field(3, 2, "t^2+1")
     assert parse_field("3^2/t^2+t+2") != parse_field("3^2/t^2+1")
     with pytest.raises(ParseError):
         parse_field("5/t^2+1")
@@ -155,7 +153,7 @@ def test_field_str_roundtrip():
 
 
 def test_subfield_f9():
-    F = extension_field(3, 2)
+    F = Field(3, 2)
     sub = F.subfield(1)
     assert [str(a) for a in sub] == ["0", "1", "2"]
     assert F.subfield(2) == F.elements()
@@ -164,7 +162,7 @@ def test_subfield_f9():
 
 
 def test_subfield_f16_tower():
-    F = extension_field(2, 4)
+    F = Field(2, 4)
     # Built on each call; the whole field is subfield(n).
     assert F.elements() == F.subfield(F.n)
     assert F.subfield(1) == F.subfield(1)
@@ -179,16 +177,16 @@ def test_subfield_f16_tower():
 
 
 def test_cross_field_mixing_raises():
-    a = prime_field(5).element(2)
-    b = prime_field(7).element(2)
+    a = Field(5).element(2)
+    b = Field(7).element(2)
     with pytest.raises(FieldMismatchError):
         a + b
     with pytest.raises(FieldMismatchError):
-        prime_field(5).element(b)
+        Field(5).element(b)
 
 
 def test_int_interop():
-    F = prime_field(11)
+    F = Field(11)
     a = F.element(4)
     assert 1 + a == F.element(5)
     assert 2 * a == F.element(8)
@@ -201,7 +199,7 @@ def test_int_interop():
 
 
 def test_values_are_immutable():
-    F = extension_field(3, 2)
+    F = Field(3, 2)
     for value, name in ((F, "p"), (F.one(), "_index"), (Poly(F, [1, 1]), "field")):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(value, name, None)
@@ -210,7 +208,7 @@ def test_values_are_immutable():
 def test_an_element_equals_only_the_ints_0_to_p_minus_1():
     # Equality agrees with the hash, the index: an int outside 0..p-1 is
     # not reduced before comparing.
-    F13 = prime_field(13)
+    F13 = Field(13)
     three = F13.element(3)
     assert three == 3 and 3 in {three} and three in {3}
     for c in (16, -10, 13):
@@ -268,8 +266,8 @@ def test_fermat_inverse_matches_euclid_route():
     # Prime fields invert by pow(a, -1, p); extensions by their log tables.
     # The two agree on the prime subfield of an extension, and with the
     # extended-Euclid oracle.
-    P = prime_field(13)
-    E = extension_field(13, 2)
+    P = Field(13)
+    E = Field(13, 2)
     for v in range(1, 13):
         lifted = E.element(v).inverse()
         assert lifted == E.element(P.element(v).inverse().coeffs[0])
@@ -279,7 +277,7 @@ def test_fermat_inverse_matches_euclid_route():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 def test_f9_field_axioms(i, j, k):
-    F = extension_field(3, 2)
+    F = Field(3, 2)
     a, b, c = F.from_index(i), F.from_index(j), F.from_index(k)
     assert a + b == b + a
     assert a * b == b * a
@@ -292,7 +290,7 @@ def test_f9_field_axioms(i, j, k):
 
 def test_random_inverse_sweep():
     rng = random.Random(20260816)
-    for F in (prime_field(31), extension_field(2, 3), extension_field(5, 2)):
+    for F in (Field(31), Field(2, 3), Field(5, 2)):
         for _ in range(50):
             a = F.from_index(rng.randrange(1, F.order))
             assert a * a.inverse() == F.one()
@@ -300,7 +298,7 @@ def test_random_inverse_sweep():
 
 
 def test_field_keeps_no_element_tuples():
-    F = extension_field(3, 2)
+    F = Field(3, 2)
     assert F.elements() == F.elements()
     assert len(F.elements()) == 9
     assert Field.__slots__ == ("p", "n", "modulus", "_tables")
@@ -359,7 +357,7 @@ def _count_table_builds(monkeypatch):
 @pytest.mark.parametrize("p", [2, 13, 251])
 def test_prime_field_index_ops_are_arithmetic_mod_p(monkeypatch, p):
     builds = _count_table_builds(monkeypatch)
-    field = prime_field(p)
+    field = Field(p)
     _index_ops_agree(field, itertools.product(range(min(p, 20)), repeat=2))
     assert field.subfield(1) == field.elements()
     assert builds == []   # a prime field never builds
