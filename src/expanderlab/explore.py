@@ -51,7 +51,9 @@ from .poly import parse_poly
 from .rng import Xoshiro256StarStar
 
 DEFAULT_BUDGET = 10_000_000
-MAX_SEARCH_ORDER = 10**6    # the root scan before the budget gate: q*(deg h + 1) index ops
+# The root scan runs before the budget gate: q*(deg h + 1) index ops, capped at
+# 2*MAX_SEARCH_ORDER, what the field-size cap allows at deg h = 1.
+MAX_SEARCH_ORDER = 10**6
 MAX_C_EXPONENT = 4300       # Fraction builds 10**|e| before any range check
 WRITE_BLOCK = 1024          # texts per write: an unbuffered stdout makes each write a syscall
 
@@ -353,6 +355,11 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     if q > MAX_SEARCH_ORDER:
         raise InvalidParametersError(
             f"search needs a field of at most {MAX_SEARCH_ORDER} elements, got {q}")
+    scan = q * (h.degree() + 1)
+    if scan > 2 * MAX_SEARCH_ORDER:
+        raise InvalidParametersError(
+            f"the scan for the roots of h needs q*(deg h + 1) = {q}*({h.degree()} + 1) = "
+            f"{scan} index operations, more than {2 * MAX_SEARCH_ORDER}")
     pool_a = tuple(i for i in range(q) if h.at_index(i))
 
     a_sizes = _size_list(a, len(pool_a), "a")

@@ -7,10 +7,12 @@ modulus root ``t``, lowest first.  All element arithmetic is
 in an extension exp/log and Zech tables (alpha^e + 1 = alpha^Z[e]; Huber,
 IEEE Trans. Inf. Theory 36(4), 1990), built on the field's first
 arithmetic and checked while they are filled.  The same tables list the
-proper subfields in closed form.  Coefficient vectors are multiplied and
-reduced only to fill the tables and to test irreducibility.  Fields in
-scope are desk-sized (``MAX_CHARACTERISTIC``, ``MAX_EXTENSION_ORDER``), so
-the primality, irreducibility, root and primitive-element searches are
+proper subfields in closed form.  What only an extension runs (its
+modulus, the irreducibility test, the tables) lives in
+:mod:`expanderlab.extension`, which this module imports only for n > 1, so
+an invocation over a prime field never compiles it.  Fields in scope are
+desk-sized (``MAX_CHARACTERISTIC``, ``MAX_EXTENSION_ORDER``), so the
+primality, irreducibility, root and primitive-element searches are
 deliberately brute force; the limits and ``is_prime`` live in ``bound``.
 
 Text formats:
@@ -26,86 +28,15 @@ repeated exponents summed, no empty term, exponents <= ``MAX_EXPONENT``.
 
 from __future__ import annotations
 
-import itertools
 import operator
 
 from .bound import _check_field_size, is_prime    # one copy of each, with the limits
 from .errors import (
     FieldMismatchError,
-    InternalInvariantError,
     NotDivisorError,
-    NotIrreducibleError,
     NotPrimeError,
     ParseError,
 )
-
-
-# ---------------------------------------------------------------------------
-# Internal helpers on raw coefficient lists over F_p (index = degree), for
-# the modulus checks and for filling an extension's tables.
-
-
-def _vec_trim(u: list[int]) -> list[int]:
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _vec_mul(u: list[int], v: list[int], p: int) -> list[int]:
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _vec_trim(out)
-
-def _vec_mod(u: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of u modulo a monic m."""
-    r = [c % p for c in u]
-    _vec_trim(r)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm:
-        shift = len(r) - 1 - dm
-        lead = r[-1]
-        for i, c in enumerate(m):
-            r[shift + i] = (r[shift + i] - lead * c) % p
-        _vec_trim(r)
-    return r
-
-
-def _vec_eval(u: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(u):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _is_irreducible(m: list[int], p: int) -> bool:
-    """Brute-force irreducibility of monic m, deg m >= 2: root check, then trial division."""
-    n = len(m) - 1
-    if any(_vec_eval(m, x, p) == 0 for x in range(p)):
-        return False
-    if n <= 3:
-        return True  # a reducible cubic or quadratic has a linear factor
-    for deg in range(2, n // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            cand = list(tail) + [1]
-            if not _vec_mod(m, cand, p):
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """First irreducible monic polynomial of degree n >= 2, coefficient
-    tuples ordered low-degree-first.  The scan starts at constant term 1:
-    x divides every candidate with constant term 0."""
-    for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
-        cand = list(tail) + [1]
-        if _is_irreducible(cand, p):
-            return tuple(cand)
-    raise InternalInvariantError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +113,9 @@ class Field:
     is chosen (coefficient tuples compared low-degree-first), so
     construction is reproducible without tables.  ``modulus`` may be a
     coefficient sequence (index = degree), a text form like "t^2+1", or a
-    polynomial over F_p.  Immutable after construction.
+    polynomial over F_p.  Immutable after construction.  A prime field's
+    index ops are built with it; an extension's modulus is read and its
+    tables built by :mod:`expanderlab.extension`, loaded only for n > 1.
     """
 
     __slots__ = ("p", "n", "modulus", "_tables")
@@ -196,16 +129,9 @@ class Field:
         if n == 1:
             if modulus is not None:
                 raise ParseError(f"modulus {modulus!r} given for the prime field F_{p}")
-        elif modulus is None:
-            modulus = _smallest_irreducible(p, n)
         else:   # a given modulus is read only once p is known to be a valid prime
-            modulus = _modulus_coeffs(modulus, p)
-            if len(modulus) != n + 1 or modulus[-1] != 1:
-                raise NotIrreducibleError(
-                    f"modulus must be monic of degree {n}, got degree {len(modulus) - 1}")
-            if not _is_irreducible(list(modulus), p):
-                raise NotIrreducibleError(
-                    f"{_render_terms(modulus, 't')} is reducible over F_{p}")
+            from . import extension    # compiled only by a p^n field
+            modulus = extension._modulus(p, n, modulus)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "modulus", modulus)
@@ -307,69 +233,15 @@ class Field:
         """``(add, sub, mul, inv)`` on canonical element indices, behind
         every :class:`FieldElem` operator and the kernels' hot loops.  In a
         prime field they are arithmetic mod p, built with the field; in an
-        extension they read the tables of :meth:`_build_tables`, built in
-        O(q) steps on the first call and then reused."""
+        extension they read the tables of ``extension._build_tables``, built
+        in O(q) steps on the first call and then reused."""
         if self._tables is None:
-            object.__setattr__(self, "_tables", self._build_tables())
+            from . import extension
+            object.__setattr__(self, "_tables", extension._build_tables(self))
         return self._tables[1]
 
     def _invert_zero(self):
         raise ZeroDivisionError(f"inverse of zero in {self}")
-
-    def _build_tables(self):
-        """``(exp, (add, sub, mul, inv))``: index ops from three tables over
-        alpha, the first element in canonical order of multiplicative order
-        q - 1 (alpha^((q-1)/r) != 1 for each prime r | q - 1): exp[e] is the
-        index of alpha^e, log inverts it (log[0] is None), and alpha^e + 1 =
-        alpha^zech[e], read off exp[e] + 1 in digit 0.  Multiply and invert
-        are one lookup; add is three, alpha^a + alpha^b = alpha^(a + zech[b-a]),
-        and subtract adds -1 = alpha^((q-1)/2), or 1 when p = 2.  An index
-        met twice while exp is filled means alpha is not primitive or x ->
-        x * alpha is not a bijection; it raises InternalInvariantError."""
-        p, n, q, Q = self.p, self.n, self.order, self.order - 1
-        modulus = list(self.modulus)
-
-        def vec_mul(u, v):
-            return _vec_mod(_vec_mul(u, v, p), modulus, p)
-
-        primes = [r for r in range(2, q) if Q % r == 0 and is_prime(r)]
-        alpha = next(a for a in (FieldElem(self, i).coeffs for i in range(p, q))
-                     if all(_power(a, Q // r, [1], vec_mul) != [1] for r in primes))
-        # times[x], the index of x * alpha, is linear in x: with d p^j the
-        # lowest nonzero digit of x, it is times[x - d p^j] plus the digits
-        # of d t^j alpha, which are few unless t^j alpha wraps past t^n.
-        times = [0] * q
-        for j in reversed(range(n)):
-            for d in range(1, p):
-                step = d * p ** j
-                digits = [(p ** k, c) for k, c in
-                          enumerate(vec_mul([0] * j + [d], alpha)) if c]
-                for y in range(0, q, p ** (j + 1)):
-                    v = times[y]
-                    for w, c in digits:
-                        u = v // w % p
-                        v += ((u + c) % p - u) * w
-                    times[y + step] = v
-        exp, log, x = [], [None] * q, 1
-        for e in range(Q):
-            if log[x] is not None:
-                raise InternalInvariantError(
-                    f"index {x} repeats at alpha^{e} in the exp table of {self}")
-            exp.append(x)
-            log[x] = e
-            x = times[x]
-        zech = [log[i - i % p + (i + 1) % p] for i in exp]
-        half = Q // 2 if p > 2 else 0
-
-        def add(a, b):
-            if not a or not b:
-                return a or b
-            z = zech[(log[b] - log[a]) % Q]
-            return 0 if z is None else exp[(log[a] + z) % Q]
-
-        return exp, (add, lambda a, b: add(a, exp[(log[b] + half) % Q]) if b else a,
-                     lambda a, b: exp[(log[a] + log[b]) % Q] if a and b else 0,
-                     lambda a: exp[-log[a] % Q] if a else self._invert_zero())
 
 
 class FieldElem:
@@ -510,26 +382,6 @@ def _power(base, e: int, one, mul=operator.mul):
 
 # ---------------------------------------------------------------------------
 # Public constructors.
-
-
-def _modulus_coeffs(modulus, p: int) -> tuple[int, ...]:
-    if isinstance(modulus, str):
-        terms = _parse_terms(modulus, "t", int)
-        deg = max(terms)
-        vec = [0] * (deg + 1)
-        for e, c in terms.items():
-            vec[e] = (vec[e] + c) % p
-        return tuple(vec)
-    coeffs = getattr(modulus, "coeffs", modulus)
-    out = []
-    for c in coeffs:
-        if isinstance(c, FieldElem):
-            if c.field.n != 1 or c.field.p != p:
-                raise FieldMismatchError("modulus coefficients must lie in the prime field")
-            out.append(c.index())
-        else:
-            out.append(int(c) % p)
-    return tuple(out)
 
 
 def parse_field(text: str) -> Field:

@@ -32,7 +32,7 @@ from expanderlab.cli import (
     cmd_subfield,
 )
 from expanderlab.explore import ExperimentRecord, negative_slack_error
-from expanderlab.field import _is_irreducible, _vec_mod, _vec_mul, _vec_trim
+from expanderlab.extension import _is_irreducible, _vec_mod, _vec_mul, _vec_trim
 
 
 def index_digits(i: int, p: int, n: int) -> list[int]:

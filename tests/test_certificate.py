@@ -7,6 +7,7 @@ import pytest
 
 from expanderlab import bound as bound_mod
 from expanderlab import certificate as certificate_mod
+from expanderlab import extension as extension_module
 from expanderlab.bound import ExpanderInstance, check_instance, theorem_bound
 from expanderlab.certificate import (
     _dual_weights,
@@ -469,18 +470,18 @@ def test_repeated_points_are_refused_before_the_field_size_invariant():
                                            ("contains duplicate elements", (1, 1, 2))])
 def test_a_point_set_fault_reads_one_way_everywhere(fault, points):
     # One check refuses an empty or repeated point set, whichever call it
-    # comes in through.  An empty C is the k = 0 product, and a hand-built
-    # instance with an empty A fails the k range first, so the last two
-    # calls see only the repeated point.
+    # comes in through.  A hand-built instance names its A or B before its k
+    # is checked, which the empty sets alone would fail.  An empty C is the
+    # k = 0 product, so lambda_coefficients sees only the repeated point.
     g, h = parse_poly("x^2", F13), parse_poly("x", F13)
-    S, B = tuple(elems(F13, *points)), tuple(elems(F13, 0, 1))
+    S, A, B = tuple(elems(F13, *points)), tuple(elems(F13, 1, 2)), tuple(elems(F13, 0, 1))
     calls = [("A", lambda: check_instance(F13, g, h, S, B)),
              ("B", lambda: solve_beta(S)),
-             ("A", lambda: solve_alpha(S, h, 2, 0))]
+             ("A", lambda: solve_alpha(S, h, 2, 0)),
+             ("A", lambda: build_certificate(ExpanderInstance(F13, g, h, S, B), B)),
+             ("B", lambda: build_certificate(ExpanderInstance(F13, g, h, A, S), ()))]
     if S:
-        calls += [("C", lambda: lambda_coefficients(S, g, h)),
-                  ("A", lambda: build_certificate(ExpanderInstance(F13, g, h, S, B),
-                                                  elems(F13, 0, 5)))]
+        calls += [("C", lambda: lambda_coefficients(S, g, h))]
     for name, call in calls:
         with pytest.raises(ValidationError) as info:
             call()
@@ -599,8 +600,9 @@ def test_certificate_builds_index_tables_once(monkeypatch, a, b):
     # On 2^16 a certificate of any size builds the tables once, on its
     # first index op, and a second certificate reuses them.
     calls = []
-    build = Field._build_tables
-    monkeypatch.setattr(Field, "_build_tables", lambda self: calls.append(self) or build(self))
+    build = extension_module._build_tables
+    monkeypatch.setattr(extension_module, "_build_tables",
+                        lambda field: calls.append(field) or build(field))
     F = parse_field("2^16")
     rng = Xoshiro256StarStar(1)
     inst = make_instance(F, "x^2", "x",

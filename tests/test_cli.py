@@ -458,6 +458,19 @@ def test_search_refuses_a_field_too_large_to_list_quickly():
     assert code == 2 and out == "" and "at most 1000000 elements" in err
 
 
+def test_search_refuses_a_root_scan_priced_by_deg_h():
+    # q*(deg h + 1) index ops before the budget gate; the cap admits every
+    # field that the order cap admits at deg h = 1.
+    start = time.perf_counter()
+    code, out, err = run_cli("search", "--field", "1009", "--g", "x^10001",
+                             "--h", "x^10000+1", "--a", "1", "--b", "1", "--mode", "random",
+                             "--sample-count", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and err == (
+        "error: the scan for the roots of h needs q*(deg h + 1) = 1009*(10000 + 1) = "
+        "10091009 index operations, more than 2000000\n")
+
+
 def test_search_summary_breaks_ties_on_element_strings():
     # The first record in output order is A={1,2} B={14}; the summary compares
     # A and B as element strings, where '10' < '2'.

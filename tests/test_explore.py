@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import explore
+from expanderlab import extension as extension_module
 from expanderlab.bound import check_instance, image, theorem_bound
 from expanderlab.errors import (
     BudgetExceededError,
@@ -800,8 +801,9 @@ def test_subfield_experiment_tests_each_proper_subfield_once(monkeypatch):
 
 def test_search_tests_proper_subfields_only(monkeypatch):
     builds = []
-    build = Field._build_tables
-    monkeypatch.setattr(Field, "_build_tables", lambda self: builds.append(self) or build(self))
+    build = extension_module._build_tables
+    monkeypatch.setattr(extension_module, "_build_tables",
+                        lambda field: builds.append(field) or build(field))
     calls = _count_frobenius_powers(monkeypatch)
     search_extremal("2^4", "x^2", "x", 1, 1)
     # m = 2 reads the tables that the value rows use; no element is tested

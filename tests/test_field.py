@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab import field as field_module
+from expanderlab import extension as extension_module
 from expanderlab.cli import main
 from expanderlab.errors import (
     FieldMismatchError,
@@ -230,8 +230,8 @@ def test_out_of_range_index_and_coefficient_count_raise():
 
 def test_a_default_modulus_is_tested_for_irreducibility_once(monkeypatch):
     tested = []
-    is_irreducible = field_module._is_irreducible
-    monkeypatch.setattr(field_module, "_is_irreducible",
+    is_irreducible = extension_module._is_irreducible
+    monkeypatch.setattr(extension_module, "_is_irreducible",
                         lambda m, p: tested.append(list(m)) or is_irreducible(m, p))
     for text in ("3^2", "2^4", "5^3", "2^16"):
         tested.clear()
@@ -245,7 +245,7 @@ def test_a_default_modulus_is_tested_for_irreducibility_once(monkeypatch):
 def test_no_irreducible_modulus_is_an_internal_error(monkeypatch, capsys):
     # Unreachable with a correct irreducibility test; main reports it as a bug
     # (exit 1), not with a traceback.
-    monkeypatch.setattr(field_module, "_is_irreducible", lambda m, p: False)
+    monkeypatch.setattr(extension_module, "_is_irreducible", lambda m, p: False)
     with pytest.raises(InternalInvariantError,
                        match="no irreducible polynomial of degree 2 over F_3"):
         parse_field("3^2")
@@ -349,8 +349,9 @@ def test_index_ops_match_elements_on_random_pairs(text):
 
 def _count_table_builds(monkeypatch):
     builds = []
-    build = Field._build_tables
-    monkeypatch.setattr(Field, "_build_tables", lambda self: builds.append(self) or build(self))
+    build = extension_module._build_tables
+    monkeypatch.setattr(extension_module, "_build_tables",
+                        lambda field: builds.append(field) or build(field))
     return builds
 
 
@@ -368,7 +369,7 @@ def test_table_build_refuses_a_repeated_exp_entry(monkeypatch):
     # t, of order 4 in F_9 = F_3[t]/(t^2+1): the exp walk meets 1 again.
     field = parse_field("3^2")
     assert field.modulus == (1, 0, 1)
-    monkeypatch.setattr(field_module, "is_prime", lambda r: False)
+    monkeypatch.setattr(extension_module, "is_prime", lambda r: False)
     with pytest.raises(InternalInvariantError, match="repeats at alpha"):
         field.index_ops()
 
@@ -420,10 +421,10 @@ def test_setup_steps_build_no_tables():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "from expanderlab.field import Field\n"
-        "def refuse(self):\n"
-        "    raise AssertionError(f'tables built for {self}')\n"
-        "Field._build_tables = refuse\n"
+        "from expanderlab import extension\n"
+        "def refuse(field):\n"
+        "    raise AssertionError(f'tables built for {field}')\n"
+        "extension._build_tables = refuse\n"
         "import expanderlab.cli\n"
         "from expanderlab import parse_field, parse_poly\n"
         "for text in ('31^2', '2^8', '3^2/t^2+1'):\n"
@@ -455,3 +456,4 @@ def test_fields_and_elements_copy_and_pickle(text, copier):
     assert [(u * v).index(), (u + v).index(), (u - v).index(), u.inverse().index()] == [
         (x * y).index(), (x + y).index(), (x - y).index(), x.inverse().index()]
     assert [w.index() for w in G.subfield(1)] == list(range(F.p))
+    assert G._tables[0] == F._tables[0]     # an extension's exp table, rebuilt
