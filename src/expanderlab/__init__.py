@@ -27,11 +27,8 @@ _EXPORTS = {
     "certificate": "Certificate RefutationReport binomial_in_field build_certificate "
                    "elementary_symmetric lambda_coefficients refute_cover "
                    "solve_alpha solve_beta verify_alpha verify_beta",
-    "errors": "BudgetExceededError EmptySetError FieldMismatchError "
-              "InadmissibleKError InternalInvariantError InvalidParametersError "
-              "NotDivisorError NotIrreducibleError NotPrimeError "
-              "NotProperDivisorError ParseError TargetDegreeTooLargeError "
-              "ValidationError ZeroPolynomialError",
+    "errors": "FieldMismatchError InternalInvariantError InvalidParametersError "
+              "ParseError ValidationError",
     "explore": "ExperimentRecord Ranked nearest_subfield_distance "
                "records_to_csv records_to_json search_extremal subfield_experiment",
     "field": "Field FieldElem canonical_sort parse_field",

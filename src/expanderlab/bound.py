@@ -29,11 +29,10 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
-    EmptySetError,
     FieldMismatchError,
     InternalInvariantError,
     InvalidParametersError,
-    NotPrimeError,
+    ParseError,
 )
 
 if TYPE_CHECKING:                # annotations only: `bound --d` loads no field layer
@@ -76,7 +75,7 @@ def _check_characteristic(characteristic) -> None:
         return
     _check_field_size(characteristic)
     if not isinstance(characteristic, int) or not is_prime(characteristic):
-        raise NotPrimeError(f"characteristic must be prime or inf, got {characteristic!r}")
+        raise InvalidParametersError(f"characteristic must be prime or inf, got {characteristic!r}")
 
 
 def _check_arguments(a: int, b: int, d: int, characteristic) -> None:
@@ -94,7 +93,7 @@ def parse_characteristic(text: str):
     try:
         p = int(s)
     except ValueError:
-        raise NotPrimeError(f"characteristic must be prime or inf, got {text!r}") from None
+        raise ParseError(f"characteristic must be prime or inf, got {text!r}") from None
     _check_characteristic(p)
     return p
 
@@ -280,7 +279,7 @@ def _distinct_points(points, name: str, nonempty=True) -> tuple[FieldElem, ...]:
 
     points = canonical_sort(points)
     if nonempty and not points:
-        raise EmptySetError(f"{name} is empty")
+        raise InvalidParametersError(f"{name} is empty")
     fields = {x.field for x in points}
     if len(fields) > 1:
         raise FieldMismatchError(f"{name} mixes elements of {', '.join(sorted(map(str, fields)))}")
@@ -308,7 +307,7 @@ def check_instance(field: Field, g: Poly, h: Poly, A, B) -> ExpanderInstance:
     for points, name in ((A, "A"), (B, "B")):
         try:
             _distinct_points(points, name)
-        except (EmptySetError, InvalidParametersError) as exc:
+        except InvalidParametersError as exc:
             violations.append(str(exc))
     try:
         check_degrees(g, h)

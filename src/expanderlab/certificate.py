@@ -50,13 +50,7 @@ from .bound import (
     lucas_nonvanishing,
     value_rows,
 )
-from .errors import (
-    FieldMismatchError,
-    InadmissibleKError,
-    InternalInvariantError,
-    InvalidParametersError,
-    TargetDegreeTooLargeError,
-)
+from .errors import FieldMismatchError, InternalInvariantError, InvalidParametersError
 from .field import Field, FieldElem, _power, canonical_sort
 from .poly import Poly
 
@@ -145,7 +139,7 @@ def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
     if D < 0:
         raise InvalidParametersError(f"target degree must be >= 0, got {D}")
     if D > len(A) - 1:
-        raise TargetDegreeTooLargeError(
+        raise InvalidParametersError(
             f"target degree {D} needs {D + 1} points but |A| = {len(A)}")
     field = h.field
     _, _, mul, inv = field.index_ops()
@@ -243,13 +237,10 @@ def _check_admissible(instance: ExpanderInstance, k: int) -> None:
     a, b, d, p = instance.a, instance.b, instance.d, instance.field.p
     k_max_range = (a - 1) // d + b - 1
     if k < b - 1 or k > k_max_range:
-        raise InadmissibleKError(
-            f"k = {k} fails the range condition [{b - 1}, {k_max_range}]",
-            reason="range")
+        raise InvalidParametersError(f"k = {k} fails the range condition [{b - 1}, {k_max_range}]")
     if not lucas_nonvanishing(k, b - 1, p):
-        raise InadmissibleKError(
-            f"k = {k} fails the Lucas condition: binom({k}, {b - 1}) vanishes "
-            f"in characteristic {p}", reason="lucas")
+        raise InvalidParametersError(f"k = {k} fails the Lucas condition: binom({k}, {b - 1}) "
+                                     f"vanishes in characteristic {p}")
 
 
 def build_certificate(instance: ExpanderInstance, C) -> Certificate:
@@ -284,13 +275,12 @@ class RefutationReport(NamedTuple):
     """Evidence that a proposed size-k cover C cannot contain the image."""
 
     certificate: Certificate
-    covers: bool
     witness_x: FieldElem
     witness_y: FieldElem
     witness_value: FieldElem
 
     def to_dict(self) -> dict:
-        return {**self.certificate.to_dict(), "covers": self.covers,
+        return {**self.certificate.to_dict(),
                 "witness_x": str(self.witness_x), "witness_y": str(self.witness_y),
                 "witness_value": str(self.witness_value)}
 
@@ -311,7 +301,6 @@ def refute_cover(instance: ExpanderInstance, C) -> RefutationReport:
     for x in instance.A:   # one row at a time, so the scan stops at the witness
         for y, v in zip(B, value_rows(instance.g, instance.h, [x.index()], B_idx)[0]):
             if v not in c_idx:
-                return RefutationReport(cert, False, x, y,
-                                        instance.field.from_index(v))
+                return RefutationReport(cert, x, y, instance.field.from_index(v))
     raise InternalInvariantError(
         "C covers the image yet the collapsing sum is nonzero")

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Two families matter to callers: ``ValidationError`` subclasses mean the
-input was bad (the CLI maps them to exit code 2), while
-``InternalInvariantError`` means the library reached a state its own
-mathematics forbids (exit code 1, always a bug).
+Two families matter to callers: ``ValidationError`` means the input was
+bad (the CLI maps it to exit code 2), while ``InternalInvariantError``
+means the library reached a state its own mathematics forbids (exit code
+1, always a bug).  The message names the fault; a subclass names only the
+kind of input, and a new one is added only for code that catches it by type.
 """
 
 
@@ -12,59 +13,15 @@ class ValidationError(ValueError):
 
 
 class ParseError(ValidationError):
-    """Malformed field, element, or polynomial text."""
-
-
-class NotPrimeError(ValidationError):
-    """Characteristic is not a prime number."""
-
-
-class NotIrreducibleError(ValidationError):
-    """Proposed extension modulus factors over the base field."""
+    """Text that does not parse as a field, element, polynomial or number."""
 
 
 class FieldMismatchError(ValidationError):
-    """Operands belong to different fields."""
-
-
-class NotDivisorError(ValidationError):
-    """Requested subfield degree does not divide the extension degree."""
-
-
-class ZeroPolynomialError(ValidationError):
-    """Operation undefined for the zero polynomial."""
+    """Values from two different fields."""
 
 
 class InvalidParametersError(ValidationError):
-    """Numeric bound parameters outside their domain."""
-
-
-class EmptySetError(ValidationError):
-    """A set that must be nonempty is empty."""
-
-
-class InadmissibleKError(ValidationError):
-    """Certificate size k fails the range or binomial condition.
-
-    ``reason`` is ``"range"`` or ``"lucas"`` so callers can name the
-    failing condition.
-    """
-
-    def __init__(self, message: str, reason: str):
-        super().__init__(message)
-        self.reason = reason
-
-
-class TargetDegreeTooLargeError(ValidationError):
-    """Moment conditions exceed what the evaluation nodes can support."""
-
-
-class BudgetExceededError(ValidationError):
-    """Exhaustive enumeration would exceed the configured pair budget."""
-
-
-class NotProperDivisorError(ValidationError):
-    """Subfield experiments need a proper subfield (m strictly divides n)."""
+    """A well-formed value outside its domain."""
 
 
 class InternalInvariantError(RuntimeError):

@@ -41,11 +41,7 @@ from typing import NamedTuple
 
 from . import bound as bound_mod
 from .bound import _sets_text, negative_slack_error
-from .errors import (
-    BudgetExceededError,
-    InvalidParametersError,
-    NotProperDivisorError,
-)
+from .errors import InvalidParametersError
 from .field import Field, parse_field
 from .poly import parse_poly
 from .rng import Xoshiro256StarStar
@@ -373,7 +369,7 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
         cost = sum(sample_count * a * b for a, b in cells)
         unit, advice = "value evaluations", "narrow the ranges or draw fewer samples"
     if cost > budget:
-        raise BudgetExceededError(
+        raise InvalidParametersError(
             f"run needs {cost} {unit} but the budget is {budget}; {advice}")
 
     # Runs come in tie-break order (a, b, A_idx, B_idx): exhaustive runs are
@@ -434,7 +430,7 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2", h: str = "x",
     if isinstance(field, str):
         field = parse_field(field)
     if not isinstance(m, int) or m < 1 or m >= field.n or field.n % m != 0:
-        raise NotProperDivisorError(
+        raise InvalidParametersError(
             f"m = {m} must properly divide the extension degree {field.n}")
     c = parse_c(c_fraction)
     if not 0 < c < 1:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 
 from .bound import is_prime
-from .errors import FieldMismatchError, InternalInvariantError, NotIrreducibleError
+from .errors import FieldMismatchError, InternalInvariantError, InvalidParametersError
 from .field import FieldElem, _parse_terms, _power, _render_terms
 
 # Raw coefficient lists over F_p (index = degree), multiplied and reduced only
@@ -88,10 +88,10 @@ def _modulus(p: int, n: int, modulus) -> tuple[int, ...]:
         return _smallest_irreducible(p, n)
     modulus = _modulus_coeffs(modulus, p)
     if len(modulus) != n + 1 or modulus[-1] != 1:
-        raise NotIrreducibleError(
+        raise InvalidParametersError(
             f"modulus must be monic of degree {n}, got degree {len(modulus) - 1}")
     if not _is_irreducible(list(modulus), p):
-        raise NotIrreducibleError(f"{_render_terms(modulus, 't')} is reducible over F_{p}")
+        raise InvalidParametersError(f"{_render_terms(modulus, 't')} is reducible over F_{p}")
     return modulus
 
 

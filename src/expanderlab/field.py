@@ -31,12 +31,7 @@ from __future__ import annotations
 import operator
 
 from .bound import _check_field_size, is_prime    # one copy of each, with the limits
-from .errors import (
-    FieldMismatchError,
-    NotDivisorError,
-    NotPrimeError,
-    ParseError,
-)
+from .errors import FieldMismatchError, InvalidParametersError, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +118,7 @@ class Field:
     def __init__(self, p: int, n: int = 1, modulus=None):
         _check_field_size(p, n)
         if not isinstance(p, int) or not is_prime(p):
-            raise NotPrimeError(f"characteristic {p!r} is not prime")
+            raise InvalidParametersError(f"characteristic {p!r} is not prime")
         if not isinstance(n, int) or n < 1:
             raise ParseError(f"extension degree must be a positive integer, got {n!r}")
         if n == 1:
@@ -220,7 +215,7 @@ class Field:
         off the exp table (Lidl & Niederreiter, *Finite Fields*, 2.1); m = n,
         the whole field, builds no table."""
         if not isinstance(m, int) or m < 1 or self.n % m != 0:
-            raise NotDivisorError(f"{m} does not divide extension degree {self.n}")
+            raise InvalidParametersError(f"{m} does not divide extension degree {self.n}")
         if m == self.n:
             return tuple(FieldElem(self, i) for i in range(self.order))
         self.index_ops()      # an extension's exp table, built on first use
@@ -370,7 +365,7 @@ def _power(base, e: int, one, mul=operator.mul):
     """base**e for an integer e >= 0, by square-and-multiply from ``one``
     with the product ``mul``."""
     if not isinstance(e, int) or e < 0:
-        raise ValueError("exponent must be a non-negative integer")
+        raise InvalidParametersError("exponent must be a non-negative integer")
     acc = one
     while e:
         if e & 1:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import FieldMismatchError, ZeroPolynomialError
+from .errors import FieldMismatchError, InvalidParametersError
 from .field import Field, FieldElem, _parse_terms, _power, _render_terms
 
 NEG_INF = float("-inf")
@@ -66,7 +66,7 @@ class Poly:
 
     def leading_coefficient(self) -> FieldElem:
         if not self._coeffs:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
+            raise InvalidParametersError("zero polynomial has no leading coefficient")
         return FieldElem(self.field, self._coeffs[-1])
 
     # -- arithmetic on coefficient indices ---------------------------------------

@@ -16,11 +16,7 @@ from expanderlab.bound import (
     parse_characteristic,
     theorem_bound,
 )
-from expanderlab.errors import (
-    FieldMismatchError,
-    InvalidParametersError,
-    NotPrimeError,
-)
+from expanderlab.errors import FieldMismatchError, InvalidParametersError, ParseError
 from expanderlab.field import Field, is_prime
 from expanderlab.poly import parse_poly
 
@@ -56,7 +52,8 @@ def test_lucas_matches_pascal_oracle():
 def test_lucas_rejects_bad_inputs():
     with pytest.raises(InvalidParametersError):
         lucas_nonvanishing(-1, 0, 5)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(InvalidParametersError,
+                       match="^characteristic must be prime or inf, got 6$"):
         lucas_nonvanishing(4, 2, 6)
 
 
@@ -64,9 +61,10 @@ def test_parse_characteristic():
     assert parse_characteristic("13") == 13
     assert parse_characteristic("inf") == INF
     assert parse_characteristic(" INF ") == INF
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(InvalidParametersError,
+                       match="^characteristic must be prime or inf, got 9$"):
         parse_characteristic("9")
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(ParseError, match="^characteristic must be prime or inf, got 'many'$"):
         parse_characteristic("many")
 
 
@@ -249,9 +247,11 @@ def test_theorem_bound_rejects_bad_inputs():
         theorem_bound(0, 1, 1, 5)
     with pytest.raises(InvalidParametersError):
         theorem_bound(3, 1, 0, 5)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(InvalidParametersError,
+                       match="^characteristic must be prime or inf, got 4$"):
         theorem_bound(3, 1, 1, 4)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(InvalidParametersError,
+                       match=r"^characteristic must be prime or inf, got 2\.5$"):
         theorem_bound(3, 2, 1, 2.5)
 
 

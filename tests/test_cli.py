@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import time
 from types import SimpleNamespace
 
@@ -984,9 +985,31 @@ def test_closed_stdout_pipe_exits_141_quietly():
     ("bound --field 13 --a 3 --b 2 --g 0 --h x",
      "error: need deg g > deg h with g non-constant and h nonzero "
      "(got g is the zero polynomial, deg h = 1)\n"),
+    # a modulus that factors, or of the wrong degree
+    ("bound --field 3^2/t^2+2 --a 3 --b 2 --d 1", "error: t^2+2 is reducible over F_3\n"),
+    ("bound --field 3^2/t^3+t+1 --a 3 --b 2 --d 1",
+     "error: modulus must be monic of degree 2, got degree 3\n"),
+    ("image --field 13 --g x^2 --h x --A '' --B 0", "error: invalid instance: A is empty\n"),
+    # k = |C| outside [b - 1, (a - 1) // d + b - 1], then binom(3, 1) = 0 in F_3
+    ("certify --field 5 --g x^2 --h x --A 1,2,3,4 --B 0,1 --k 4",
+     "error: k = 4 fails the range condition [1, 2]\n"),
+    ("certify --field 3 --g x --h 1 --A 0,1,2 --B 0,1 --C 0,1,2",
+     "error: k = 3 fails the Lucas condition: binom(3, 1) vanishes in characteristic 3\n"),
+    ("search --field 13 --g x^2 --h x --a 2-3 --b 2 --budget 10",
+     "error: run needs 22308 pairs but the budget is 10; "
+     "narrow the ranges or switch to random mode\n"),
+    ("search --field 5 --g x^2 --h x --a 2 --b 2 --mode random --sample-count 50 --budget 10",
+     "error: run needs 200 value evaluations but the budget is 10; "
+     "narrow the ranges or draw fewer samples\n"),
+    ("subfield --field 13 --m 1 --c-fraction 1/2",
+     "error: m = 1 must properly divide the extension degree 1\n"),
+    # a characteristic that does not parse, then one that is not prime
+    ("bound --field many --a 3 --b 2 --d 1",
+     "error: characteristic must be prime or inf, got 'many'\n"),
+    ("bound --field 4 --a 3 --b 2 --d 1", "error: characteristic must be prime or inf, got 4\n"),
 ])
 def test_validation_paths_exit_2(argv, message):
-    assert run_cli(*argv.split()) == (2, "", message)
+    assert run_cli(*shlex.split(argv)) == (2, "", message)
 
 
 SUBFIELD_RANDOM = ("subfield", "--field", "5^2", "--m", "1", "--c-fraction", "1/2",

@@ -17,12 +17,7 @@ from hypothesis import strategies as st
 from expanderlab import explore
 from expanderlab import extension as extension_module
 from expanderlab.bound import check_instance, image, theorem_bound
-from expanderlab.errors import (
-    BudgetExceededError,
-    InternalInvariantError,
-    InvalidParametersError,
-    NotProperDivisorError,
-)
+from expanderlab.errors import InternalInvariantError, InvalidParametersError
 from expanderlab.explore import (
     CSV_COLUMNS,
     MAX_C_EXPONENT,
@@ -441,16 +436,20 @@ def test_search_extension_field_subfield_columns():
 
 
 def test_search_budget_gate():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(InvalidParametersError,
+                       match="^run needs 1585584 pairs but the budget is 1000; "
+                             "narrow the ranges or switch to random mode$"):
         search_extremal("13", "x^2", "x", 6, 6, budget=1000)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(InvalidParametersError,
+                       match="^run needs 200 value evaluations but the budget is 10; "
+                             "narrow the ranges or draw fewer samples$"):
         search_extremal("5", "x^2", "x", 2, 2, mode="random", sample_count=50, budget=10)
 
 
 def test_search_random_budget_counts_value_evaluations():
     # Each sample evaluates up to a*b values: 5 * 2*2 + 5 * 2*3 = 50.
     config = dict(field="5", g="x^2", h="x", a=2, b=(2, 3), mode="random", sample_count=5)
-    with pytest.raises(BudgetExceededError, match="needs 50 value evaluations"):
+    with pytest.raises(InvalidParametersError, match="needs 50 value evaluations"):
         search_extremal(**config, budget=49)
     assert len(search_extremal(**config, budget=50)) == 10
 
@@ -460,7 +459,7 @@ def test_search_budget_prices_the_usable_pool():
     # B, so 13 pairs run; binom(q, a) * binom(q, b) would price 169.
     recs = search_extremal("13", "x^2", "x", 12, 1, budget=13)
     assert len(recs) == 13
-    with pytest.raises(BudgetExceededError, match="needs 13 pairs"):
+    with pytest.raises(InvalidParametersError, match="needs 13 pairs"):
         search_extremal("13", "x^2", "x", 12, 1, budget=12)
 
 
@@ -854,11 +853,12 @@ def test_subfield_random_a_is_seeded():
 
 
 def test_subfield_rejects_bad_divisors_and_fractions():
-    with pytest.raises(NotProperDivisorError):
+    proper = "^m = {} must properly divide the extension degree {}$"
+    with pytest.raises(InvalidParametersError, match=proper.format(2, 2)):
         subfield_experiment("3^2", 2, Fraction(1, 2))       # m = n is not proper
-    with pytest.raises(NotProperDivisorError):
+    with pytest.raises(InvalidParametersError, match=proper.format(4, 6)):
         subfield_experiment("2^6", 4, Fraction(1, 2))
-    with pytest.raises(NotProperDivisorError):
+    with pytest.raises(InvalidParametersError, match=proper.format(0, 2)):
         subfield_experiment("3^2", 0, Fraction(1, 2))
     for bad_c in (0, 1, Fraction(3, 2), -1):
         with pytest.raises(InvalidParametersError):

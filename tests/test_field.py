@@ -12,9 +12,7 @@ from expanderlab.cli import main
 from expanderlab.errors import (
     FieldMismatchError,
     InternalInvariantError,
-    NotDivisorError,
-    NotIrreducibleError,
-    NotPrimeError,
+    InvalidParametersError,
     ParseError,
 )
 from expanderlab.field import (
@@ -41,9 +39,9 @@ def test_is_prime_small():
 
 
 def test_prime_field_rejects_composite():
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(InvalidParametersError, match="^characteristic 6 is not prime$"):
         Field(6)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(InvalidParametersError, match="^characteristic 1 is not prime$"):
         Field(1)
 
 
@@ -73,9 +71,10 @@ def test_default_moduli_are_smallest():
 
 
 def test_explicit_modulus_validation():
-    with pytest.raises(NotIrreducibleError):
+    with pytest.raises(InvalidParametersError, match=r"^t\^2\+2 is reducible over F_3$"):
         Field(3, 2, "t^2+2")    # (t-1)(t+1) over F_3
-    with pytest.raises(NotIrreducibleError):
+    with pytest.raises(InvalidParametersError,
+                       match="^modulus must be monic of degree 2, got degree 3$"):
         Field(3, 2, "t^3+1")    # wrong degree
     F = Field(3, 2, "t^2+t+2")
     assert F.modulus == (2, 1, 1)
@@ -138,7 +137,7 @@ def test_parse_field_forms():
         parse_field("5/t^2+1")
     with pytest.raises(ParseError):
         parse_field("abc")
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(InvalidParametersError, match="^characteristic 4 is not prime$"):
         parse_field("4^2")
     for text, n in (("3^0", 0), ("2^-1", -1)):
         with pytest.raises(ParseError,
@@ -157,7 +156,7 @@ def test_subfield_f9():
     sub = F.subfield(1)
     assert [str(a) for a in sub] == ["0", "1", "2"]
     assert F.subfield(2) == F.elements()
-    with pytest.raises(NotDivisorError):
+    with pytest.raises(InvalidParametersError, match="^3 does not divide extension degree 2$"):
         F.subfield(3)
 
 

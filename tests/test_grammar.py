@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expanderlab.errors import ValidationError
+from expanderlab.errors import InvalidParametersError, ValidationError
 from expanderlab.field import parse_field
 from expanderlab.poly import Poly, parse_poly
 
@@ -39,9 +39,14 @@ def test_powers_share_one_square_and_multiply():
     x1 = Poly(F9, [1, 1])
     assert x1 ** 5 == x1 * x1 * x1 * x1 * x1 and x1 ** 0 == Poly(F9, [1])
     assert T21 ** 5 == T21 * T21 * T21 * T21 * T21 and T21 ** 0 == F9.one()
-    for value in (T21, x1):
-        with pytest.raises(ValueError):
-            value ** -1
+    # A negative or non-integer exponent is bad input, which the CLI catches
+    # as a ValidationError; it is still a ValueError.
+    assert issubclass(InvalidParametersError, ValueError)
+    for value in (T21, x1, F13.element(3), parse_poly("x+1", F13)):
+        for e in (-1, -2, 1.5):
+            with pytest.raises(InvalidParametersError,
+                               match="^exponent must be a non-negative integer$"):
+                value ** e
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,13 +2,16 @@
 
 Every name a module of the package imports is used in that module (``from
 __future__ import annotations`` is exempt), start-up loads nothing that
-pulls in ``inspect``, each subcommand loads only the layers it runs, and
-the package namespace resolves its public names lazily.
+pulls in ``inspect``, each subcommand loads only the layers it runs, the
+package namespace resolves its public names lazily, and the five error
+types are the only exceptions it defines, each of which pickles.
 """
 
 import ast
+import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -146,3 +149,35 @@ def test_unknown_name_raises_attribute_error_naming_it():
         expanderlab.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         from expanderlab import no_such_name  # noqa: F401
+
+
+# -- the error types ----------------------------------------------------------------
+
+ERRORS = {"ValidationError", "ParseError", "FieldMismatchError", "InvalidParametersError",
+          "InternalInvariantError"}
+
+
+def test_the_package_defines_five_error_types():
+    # Bad input is a ValidationError whose subclass names the kind of input;
+    # selftest's private _Mismatch never leaves run_selftest.
+    defined = set()
+    for path in MODULES:
+        module = importlib.import_module(f"expanderlab.{path.stem}")
+        defined |= {(path.stem, name) for name, obj in vars(module).items()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__}
+    assert defined == {("errors", name) for name in ERRORS} | {("selftest", "_Mismatch")}
+    assert {name for name in expanderlab.__all__ if name.endswith("Error")} == ERRORS
+
+
+def test_every_error_pickles_and_copies():
+    # A worker process hands its error back to the parent by pickling it.
+    F = expanderlab.Field(5)
+    inst = expanderlab.check_instance(F, expanderlab.parse_poly("x^2", F),
+                                      expanderlab.parse_poly("x", F), [1, 2, 3, 4], [0, 1])
+    with pytest.raises(expanderlab.InvalidParametersError) as inadmissible_k:
+        expanderlab.build_certificate(inst, [0, 1, 2, 3])
+    for error in [*(getattr(expanderlab, name)("a fault") for name in sorted(ERRORS)),
+                  inadmissible_k.value]:
+        for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+            assert type(twin) is type(error) and twin.args == error.args, error

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab.bound import value_rows
-from expanderlab.errors import FieldMismatchError, ParseError, ZeroPolynomialError
+from expanderlab.errors import FieldMismatchError, InvalidParametersError, ParseError
 from expanderlab.field import Field, FieldElem, parse_field
 from expanderlab.poly import NEG_INF, Poly, parse_poly
 
@@ -26,7 +26,8 @@ def test_zero_polynomial_degree():
     assert z.is_zero()
     assert z.degree() == NEG_INF
     assert z.degree() < 0 < Poly(F5, (0, 1)).degree()
-    with pytest.raises(ZeroPolynomialError):
+    with pytest.raises(InvalidParametersError,
+                       match="^zero polynomial has no leading coefficient$"):
         z.leading_coefficient()
 
 
