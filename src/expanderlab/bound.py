@@ -17,8 +17,8 @@ consequence min(a/d + b - 1, p), floored to an integer.
 ``characteristic`` arguments accept a prime up to ``MAX_CHARACTERISTIC``
 or ``math.inf``, the sentinel for characteristic zero, where no binomial
 with 0 <= r <= k vanishes and the p-cap never binds; the digit code runs
-it as an integer base above every k in question.  The field size limits
-and ``is_prime`` live here, so ``bound --d`` needs no field layer.
+it as an integer base above every k in question.  The field size limits,
+``is_prime`` and their one check live here: ``bound --d`` needs no field.
 """
 
 from __future__ import annotations
@@ -46,16 +46,6 @@ MAX_CHARACTERISTIC = 10**12    # field's brute-force searches stay fast under th
 MAX_EXTENSION_ORDER = 10**5
 
 
-def _check_field_size(p, n=1) -> None:
-    """Refuse p, or p^n for n > 1, above its limit; as 2^64 exceeds it, n is capped."""
-    if not (isinstance(p, int) and isinstance(n, int)):
-        return
-    if p > MAX_CHARACTERISTIC:
-        raise InvalidParametersError(f"characteristic {p} over the limit {MAX_CHARACTERISTIC}")
-    if n > 1 and p > 1 and p ** min(n, 64) > MAX_EXTENSION_ORDER:
-        raise InvalidParametersError(f"{p}^{n} elements over the limit {MAX_EXTENSION_ORDER}")
-
-
 def is_prime(p: int) -> bool:
     """Trial-division primality test; fine at the scales this library targets."""
     if p < 2:
@@ -70,12 +60,19 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _check_characteristic(characteristic) -> None:
-    if characteristic == INF:
+def _check_characteristic(p, n=None) -> None:
+    """The one check of a characteristic: a prime up to ``MAX_CHARACTERISTIC``,
+    or ``INF`` unless :class:`Field` passes its degree n, when p^n must stay
+    under ``MAX_EXTENSION_ORDER`` (n capped, as 2^64 exceeds it)."""
+    if p == INF and n is None:
         return
-    _check_field_size(characteristic)
-    if not isinstance(characteristic, int) or not is_prime(characteristic):
-        raise InvalidParametersError(f"characteristic must be prime or inf, got {characteristic!r}")
+    if isinstance(p, int):
+        if p > MAX_CHARACTERISTIC:
+            raise InvalidParametersError(f"characteristic {p} over the limit {MAX_CHARACTERISTIC}")
+        if isinstance(n, int) and n > 1 and p > 1 and p ** min(n, 64) > MAX_EXTENSION_ORDER:
+            raise InvalidParametersError(f"{p}^{n} elements over the limit {MAX_EXTENSION_ORDER}")
+    if not isinstance(p, int) or not is_prime(p):
+        raise InvalidParametersError(f"characteristic {p!r} is not prime")
 
 
 def _check_arguments(a: int, b: int, d: int, characteristic) -> None:
@@ -109,9 +106,14 @@ def lucas_nonvanishing(k: int, r: int, characteristic) -> bool:
     if k < 0 or r < 0:
         raise InvalidParametersError(f"k and r must be non-negative, got k={k}, r={r}")
     _check_characteristic(characteristic)
+    return _digits_dominate(k, r, k + 1 if characteristic == INF else characteristic)
+
+
+def _digits_dominate(k: int, r: int, p: int) -> bool:
+    """:func:`lucas_nonvanishing`'s digit test with the base p taken as given,
+    for a caller whose p is a :class:`Field`'s, checked when it was built."""
     if r > k:
         return False
-    p = k + 1 if characteristic == INF else characteristic
     while r:
         if r % p > k % p:
             return False

@@ -45,9 +45,9 @@ from typing import NamedTuple
 
 from .bound import (
     ExpanderInstance,
+    _digits_dominate,
     _distinct_points,
     check_degrees,
-    lucas_nonvanishing,
     value_rows,
 )
 from .errors import FieldMismatchError, InternalInvariantError, InvalidParametersError
@@ -146,8 +146,8 @@ def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
     support = [field.element(x).index() for x in A[:D + 1]]
     hs = [h.at_index(x) for x in support]
     if 0 in hs:
-        raise InvalidParametersError(f"h vanishes at {field.from_index(support[hs.index(0)])}, "
-                                     "alpha system is singular")
+        raise InvalidParametersError(
+            f"A contains root {field.from_index(support[hs.index(0)])} of h")
     weights = [mul(u, _power(inv(hx), b - 1, 1, mul))
                for u, hx in zip(_dual_weights(field, support), hs)] + [0] * (len(A) - D - 1)
     return dict(zip(A, map(field.from_index, weights)))
@@ -238,7 +238,7 @@ def _check_admissible(instance: ExpanderInstance, k: int) -> None:
     k_max_range = (a - 1) // d + b - 1
     if k < b - 1 or k > k_max_range:
         raise InvalidParametersError(f"k = {k} fails the range condition [{b - 1}, {k_max_range}]")
-    if not lucas_nonvanishing(k, b - 1, p):
+    if not _digits_dominate(k, b - 1, p):
         raise InvalidParametersError(f"k = {k} fails the Lucas condition: binom({k}, {b - 1}) "
                                      f"vanishes in characteristic {p}")
 

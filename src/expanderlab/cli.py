@@ -268,7 +268,7 @@ def cmd_image(opts: dict) -> int:
 def cmd_certify(opts: dict) -> int:
     import json
 
-    from .certificate import build_certificate
+    from .certificate import _check_admissible, build_certificate
     from .rng import Xoshiro256StarStar
 
     inst = _build_instance(opts)
@@ -277,9 +277,7 @@ def cmd_certify(opts: dict) -> int:
         C = _parse_elements(field, opts["C"], "--C")
     else:
         k = opts["k"] if "k" in opts else inst.bound_report().best_k
-        if not 0 <= k <= field.order:
-            raise InvalidParametersError(
-                f"cannot draw {k} distinct elements from a field of order {field.order}")
+        _check_admissible(inst, k)      # so k <= q - 1 and the draw cannot fail
         rng = Xoshiro256StarStar(opts.get("seed", 0))
         C = [field.from_index(i) for i in rng.sample_indices(field.order, k)]
     cert = build_certificate(inst, C)

@@ -47,9 +47,9 @@ from .poly import parse_poly
 from .rng import Xoshiro256StarStar
 
 DEFAULT_BUDGET = 10_000_000
-# The root scan runs before the budget gate: q*(deg h + 1) index ops, capped at
-# 2*MAX_SEARCH_ORDER, what the field-size cap allows at deg h = 1.
-MAX_SEARCH_ORDER = 10**6
+# The scan for the roots of a non-constant h runs before the budget gate:
+# q*(deg h + 1) index ops, capped here, so at deg h = 1 a field of 10**6.
+MAX_ROOT_SCAN = 2 * 10**6
 MAX_C_EXPONENT = 4300       # Fraction builds 10**|e| before any range check
 WRITE_BLOCK = 1024          # texts per write: an unbuffered stdout makes each write a syscall
 
@@ -215,14 +215,11 @@ def _size_list(v, limit: int, name: str) -> list[int]:
     """Sizes clipped to [1, limit]; an unreachable request yields an empty
     list (no valid sets of that size), not an error.  A range is clipped
     before it is built, so its upper end may be arbitrarily large."""
-    if isinstance(v, int):
-        if v < 1:
-            raise InvalidParametersError(f"{name} sizes must be >= 1")
-        lo = hi = v
-    else:
-        lo, hi = v
-        if lo < 1 or hi < lo:
-            raise InvalidParametersError(f"bad {name} range ({lo}, {hi})")
+    lo, hi = (v, v) if isinstance(v, int) else v
+    if lo < 1:
+        raise InvalidParametersError(f"{name} sizes must be >= 1")
+    if hi < lo:
+        raise InvalidParametersError(f"bad {name} range ({lo}, {hi})")
     return list(range(lo, min(hi, limit) + 1))
 
 
@@ -328,6 +325,9 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     ``seed``.  ``budget`` caps the work of the run.  Exhaustive mode counts
     pairs, the sum of binom(|pool|, a) * binom(q, b) over cells, where the
     pool is the field minus the roots of h, exactly the pairs it enumerates.
+    Those roots come from a scan of all q indices, refused over
+    ``MAX_ROOT_SCAN`` index operations; a constant h has none and needs no
+    scan, so a random search runs on any field :func:`parse_field` accepts.
     Random mode counts value evaluations, sample_count * a * b per cell,
     since each sampled pair evaluates up to a * b values.
     ``parallelism`` must be >= 1 but is otherwise unused: evaluation is
@@ -348,15 +348,12 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
             f"sample_count must be >= 1, got {sample_count}")
 
     q = field.order
-    if q > MAX_SEARCH_ORDER:
-        raise InvalidParametersError(
-            f"search needs a field of at most {MAX_SEARCH_ORDER} elements, got {q}")
     scan = q * (h.degree() + 1)
-    if scan > 2 * MAX_SEARCH_ORDER:
+    if h.degree() and scan > MAX_ROOT_SCAN:
         raise InvalidParametersError(
             f"the scan for the roots of h needs q*(deg h + 1) = {q}*({h.degree()} + 1) = "
-            f"{scan} index operations, more than {2 * MAX_SEARCH_ORDER}")
-    pool_a = tuple(i for i in range(q) if h.at_index(i))
+            f"{scan} index operations, more than {MAX_ROOT_SCAN}")
+    pool_a = tuple(i for i in range(q) if h.at_index(i)) if h.degree() else range(q)
 
     a_sizes = _size_list(a, len(pool_a), "a")
     b_sizes = _size_list(b, q, "b")

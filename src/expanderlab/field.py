@@ -13,7 +13,7 @@ modulus, the irreducibility test, the tables) lives in
 an invocation over a prime field never compiles it.  Fields in scope are
 desk-sized (``MAX_CHARACTERISTIC``, ``MAX_EXTENSION_ORDER``), so the
 primality, irreducibility, root and primitive-element searches are
-deliberately brute force; the limits and ``is_prime`` live in ``bound``.
+deliberately brute force; the limits and their one check live in ``bound``.
 
 Text formats:
   field    "5", "3^2" (default modulus), "3^2/t^2+1" (explicit modulus)
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 
-from .bound import _check_field_size, is_prime    # one copy of each, with the limits
+from .bound import _check_characteristic    # the one check, with the limits
 from .errors import FieldMismatchError, InvalidParametersError, ParseError
 
 
@@ -116,9 +116,7 @@ class Field:
     __slots__ = ("p", "n", "modulus", "_tables")
 
     def __init__(self, p: int, n: int = 1, modulus=None):
-        _check_field_size(p, n)
-        if not isinstance(p, int) or not is_prime(p):
-            raise InvalidParametersError(f"characteristic {p!r} is not prime")
+        _check_characteristic(p, n)
         if not isinstance(n, int) or n < 1:
             raise ParseError(f"extension degree must be a positive integer, got {n!r}")
         if n == 1:

@@ -391,6 +391,14 @@ def test_certificate_reads_the_range_in_closed_form(monkeypatch):
         build_certificate(inst3, elems(F3, 0, 1, 2))
 
 
+def test_certificate_refuses_k_below_the_range_by_the_range():
+    # k = b - 2: binom(2, 3) = 0 would fail Lucas too, but the range names it.
+    inst = make_instance(F13, "x^2", "x", elems(F13, *range(1, 7)), elems(F13, 0, 1, 2, 3))
+    with pytest.raises(InvalidParametersError,
+                       match=r"^k = 2 fails the range condition \[3, 5\]$"):
+        build_certificate(inst, elems(F13, 0, 1))
+
+
 def test_certificate_rejects_repeated_c():
     inst = make_instance(F13, "x^2", "x", elems(F13, 1, 2, 3, 4), elems(F13, 0, 1))
     with pytest.raises(InvalidParametersError):
@@ -565,7 +573,7 @@ def test_solve_alpha_refuses_bad_parameters():
         solve_alpha(elems(F13, 1, 2, 3), h, 0, 1)
     with pytest.raises(InvalidParametersError, match="target degree must be >= 0, got -1"):
         solve_alpha(elems(F13, 1, 2, 3), h, 2, -1)
-    with pytest.raises(InvalidParametersError, match="h vanishes at 0"):
+    with pytest.raises(InvalidParametersError, match="^A contains root 0 of h$"):
         solve_alpha(elems(F13, 2, 0, 1), h, 2, 1)
 
 

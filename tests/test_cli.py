@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from expanderlab import bound as bound_mod
 from expanderlab import certificate, cli, explore, selftest
 from expanderlab.cli import main
-from expanderlab.errors import InvalidParametersError
-from expanderlab.field import FieldElem
+from expanderlab.errors import InvalidParametersError, ValidationError
+from expanderlab.field import Field, FieldElem
+from expanderlab.poly import parse_poly
 from oracles import build_parser
 
 
@@ -234,6 +235,18 @@ def test_certify_inadmissible_lucas_exit_2():
     assert "Lucas" in err
 
 
+@pytest.mark.parametrize("choice, tested", [
+    ((), [13, 13]),                 # the field, then theorem_bound for the best k
+    (("--k", "2"), [13]), (("--C", "0,1"), [13])])
+def test_certify_tests_the_primality_of_p_once_per_layer(monkeypatch, choice, tested):
+    # Field checks p; the admissibility of k reads it from the field unchecked.
+    calls, prime = [], bound_mod.is_prime
+    monkeypatch.setattr(bound_mod, "is_prime", lambda n: calls.append(n) or prime(n))
+    code, _, _ = run_cli("certify", "--field", "13", "--g", "x^2", "--h", "x",
+                         "--A", "1,2,3", "--B", "0,1", *choice)
+    assert (code, calls) == (0, tested)
+
+
 def test_certify_c_and_k_mutually_exclusive():
     code, _, _ = run_cli("certify", "--field", "13", "--g", "x^2", "--h", "x",
                          "--A", "1,2", "--B", "0", "--C", "0", "--k", "1")
@@ -328,7 +341,7 @@ def test_search_parallelism_does_not_change_bytes():
     # All theta on a 4,096-element field: element names of up to 12 terms.
     ("subfield --field 2^12 --m 6 --c-fraction 1/2",
      "b4102a018ee0aa9f72ea1955261b43f27f0cba0e5ec56788d0dc52c184064741"),
-    # A prime field near MAX_SEARCH_ORDER: the roots of h by an index scan.
+    # A prime field near 10^6, the most the root scan's price admits at deg h = 1.
     ("search --field 999983 --g x^2 --h x --a 20 --b 20 --mode random "
      "--sample-count 200",
      "dd6f4b00a6d9be57e42a4c27ee569e7b9059b4918f2db6a857d8fbec4baba36e"),
@@ -451,17 +464,30 @@ def test_search_out_file(tmp_path):
 
 
 def test_search_refuses_a_field_too_large_to_list_quickly():
+    # A non-constant h's roots are scanned; the scan price is the one cap.
     start = time.perf_counter()
     code, out, err = run_cli("search", "--field", "999999999989", "--g", "x^2",
                              "--h", "x", "--a", "1", "--b", "1", "--mode", "random",
                              "--sample-count", "1")
     assert time.perf_counter() - start < 1
-    assert code == 2 and out == "" and "at most 1000000 elements" in err
+    assert (code, out) == (2, "") and err == (
+        "error: the scan for the roots of h needs q*(deg h + 1) = 999999999989*(1 + 1) = "
+        "1999999999978 index operations, more than 2000000\n")
+
+
+def test_random_search_with_a_constant_h_runs_on_any_prime_field():
+    # A nonzero constant h has no roots, so nothing scans the field's indices.
+    start = time.perf_counter()
+    code, out, err = run_cli("search", "--field", "999999999989", "--g", "x", "--h", "1",
+                             "--a", "3", "--b", "3", "--mode", "random", "--sample-count", "200")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err.startswith("200 records; min slack ")
+    assert out.count("\n999999999989,x,1,3,3,9,5,4,,,") == 200
 
 
 def test_search_refuses_a_root_scan_priced_by_deg_h():
-    # q*(deg h + 1) index ops before the budget gate; the cap admits every
-    # field that the order cap admits at deg h = 1.
+    # q*(deg h + 1) index ops before the budget gate; at deg h = 1 the cap
+    # admits a field of 10^6 elements.
     start = time.perf_counter()
     code, out, err = run_cli("search", "--field", "1009", "--g", "x^10001",
                              "--h", "x^10000+1", "--a", "1", "--b", "1", "--mode", "random",
@@ -968,7 +994,7 @@ def test_closed_stdout_pipe_exits_141_quietly():
     ("certify --field 13 --g x^2 --h x --A 0,1,2 --B 0,1",
      "error: invalid instance: A contains root 0 of h\n"),
     ("certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1 --k 20",
-     "error: cannot draw 20 distinct elements from a field of order 13\n"),
+     "error: k = 20 fails the range condition [1, 2]\n"),
     ("bound --field 3^0 --a 3 --b 2 --d 1",
      "error: extension degree must be a positive integer, got 0\n"),
     ("search --field 3^0 --g x^2 --h x --a 2 --b 2",
@@ -989,6 +1015,7 @@ def test_closed_stdout_pipe_exits_141_quietly():
     ("bound --field 3^2/t^2+2 --a 3 --b 2 --d 1", "error: t^2+2 is reducible over F_3\n"),
     ("bound --field 3^2/t^3+t+1 --a 3 --b 2 --d 1",
      "error: modulus must be monic of degree 2, got degree 3\n"),
+    ("bound --field 3^2/2*t^2+1 --a 3 --b 2 --d 1", "error: modulus 2*t^2+1 is not monic\n"),
     ("image --field 13 --g x^2 --h x --A '' --B 0", "error: invalid instance: A is empty\n"),
     # k = |C| outside [b - 1, (a - 1) // d + b - 1], then binom(3, 1) = 0 in F_3
     ("certify --field 5 --g x^2 --h x --A 1,2,3,4 --B 0,1 --k 4",
@@ -1006,10 +1033,57 @@ def test_closed_stdout_pipe_exits_141_quietly():
     # a characteristic that does not parse, then one that is not prime
     ("bound --field many --a 3 --b 2 --d 1",
      "error: characteristic must be prime or inf, got 'many'\n"),
-    ("bound --field 4 --a 3 --b 2 --d 1", "error: characteristic must be prime or inf, got 4\n"),
+    ("bound --field 4 --a 3 --b 2 --d 1", "error: characteristic 4 is not prime\n"),
 ])
 def test_validation_paths_exit_2(argv, message):
     assert run_cli(*shlex.split(argv)) == (2, "", message)
+
+
+def _fault_text(path) -> str:
+    """What a path says of a fault: CLI arguments exit 2 with one "error:"
+    line, and a library call raises the ValidationError the CLI prints there."""
+    if isinstance(path, str):
+        code, out, err = run_cli(*shlex.split(path))
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        return err[len("error: "):-1]
+    with pytest.raises(ValidationError) as exc:
+        path()
+    return str(exc.value)
+
+
+F13 = Field(13)
+X2, X = (parse_poly(text, F13) for text in ("x^2", "x"))
+
+
+@pytest.mark.parametrize("message, paths", [
+    ("characteristic 4 is not prime", [
+        "bound --field 4 --a 3 --b 2 --d 1", "bound --field 4^2 --a 3 --b 2 --d 1",
+        "bound --field 4 --a 3 --b 2 --g x^2 --h x", "image --field 4 --g x^2 --h x --A 1 --B 0",
+        "certify --field 4 --g x^2 --h x --A 1 --B 0", "search --field 4 --g x^2 --h x --a 1 --b 1",
+        "subfield --field 4^2 --m 1 --c-fraction 1/2", lambda: Field(4), lambda: Field(4, 2),
+        lambda: bound_mod.parse_characteristic("4"), lambda: bound_mod.theorem_bound(3, 2, 1, 4),
+        lambda: bound_mod.lucas_nonvanishing(2, 1, 4)]),
+    # a k beyond q reads like any k outside the range, not as a failed draw
+    ("k = 20 fails the range condition [1, 2]",
+     ["certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1 --k 20"]),
+    ("k = 5 fails the range condition [1, 2]",
+     ["certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1 --k 5"]),
+    ("k = 6 fails the Lucas condition: binom(6, 4) vanishes in characteristic 5",
+     ["certify --field 5 --g x --h 1 --A 0,1,2,3,4 --B 0,1,2,3,4 --k 6"]),
+    ("a sizes must be >= 1", [
+        "search --field 13 --g x^2 --h x --a 0 --b 2",
+        "search --field 13 --g x^2 --h x --a -1 --b 2",
+        "search --field 13 --g x^2 --h x --a 0-3 --b 2",
+        lambda: explore.search_extremal("13", "x^2", "x", (0, 3), 2)]),
+    # check_instance lists it after "invalid instance: ", solve_alpha raises it alone
+    ("A contains root 0 of h", [
+        "certify --field 13 --g x^2 --h x --A 0,1,2 --B 0,1",
+        lambda: bound_mod.check_instance(F13, X2, X, [0, 1, 2], [0, 1]),
+        lambda: certificate.solve_alpha([F13.element(i) for i in (0, 1, 2)], X, 2, 1)]),
+], ids=["characteristic", "k beyond q", "k in q", "Lucas", "sizes", "root of h"])
+def test_one_fault_reads_one_way(message, paths):
+    for path in paths:
+        assert _fault_text(path).removeprefix("invalid instance: ") == message, path
 
 
 SUBFIELD_RANDOM = ("subfield", "--field", "5^2", "--m", "1", "--c-fraction", "1/2",

@@ -302,6 +302,18 @@ def test_sumset_minimum_is_the_bound(field_s):
             assert counts[a, b, least] == p * p * (p - 1) // 2
 
 
+def test_random_search_with_a_constant_h_passes_a_million():
+    # h = 1 has no roots to scan, so F_1000003 runs.  f(A, B) = A + B, whose
+    # size Cauchy-Davenport bounds below by a + b - 1, the proved bound here.
+    p = 1000003
+    ranked = search_extremal(str(p), "x", "1", (2, 4), (2, 4), mode="random",
+                             sample_count=50, seed=3)
+    assert len(ranked) == 450
+    for r in ranked:
+        assert r.theorem_bound == r.a + r.b - 1
+        assert r.image_size == len({(int(x) + int(y)) % p for x in r.A for y in r.B})
+
+
 @pytest.mark.parametrize("ranked", [
     pytest.param(lambda: search_extremal("17", "x^2", "x", 2, 1),
                  id="element-string-ties"),

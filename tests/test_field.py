@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import extension as extension_module
+from expanderlab.bound import is_prime
 from expanderlab.cli import main
 from expanderlab.errors import (
     FieldMismatchError,
@@ -15,11 +16,7 @@ from expanderlab.errors import (
     InvalidParametersError,
     ParseError,
 )
-from expanderlab.field import (
-    Field,
-    is_prime,
-    parse_field,
-)
+from expanderlab.field import Field, parse_field
 from expanderlab.poly import Poly
 from oracles import (
     digits_index,
