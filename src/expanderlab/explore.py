@@ -47,9 +47,7 @@ from .poly import parse_poly
 from .rng import Xoshiro256StarStar
 
 DEFAULT_BUDGET = 10_000_000
-# The scan for the roots of a non-constant h runs before the budget gate:
-# q*(deg h + 1) index ops, capped here, so at deg h = 1 a field of 10**6.
-MAX_ROOT_SCAN = 2 * 10**6
+MAX_ROOT_SCAN = 2 * 10**6   # index ops, q*(deg h + 1), of the root scan before the budget gate
 MAX_C_EXPONENT = 4300       # Fraction builds 10**|e| before any range check
 WRITE_BLOCK = 1024          # texts per write: an unbuffered stdout makes each write a syscall
 
@@ -211,16 +209,16 @@ def summarize(records) -> str:
     return f"{len(ids)} records; min slack {slack} at a={a} b={b} {_sets_text(A, B)}"
 
 
-def _size_list(v, limit: int, name: str) -> list[int]:
+def _sizes(v, limit: int, name: str) -> range:
     """Sizes clipped to [1, limit]; an unreachable request yields an empty
-    list (no valid sets of that size), not an error.  A range is clipped
-    before it is built, so its upper end may be arbitrarily large."""
+    range (no valid sets of that size), not an error.  No list is built, so
+    a range's upper end may be arbitrarily large."""
     lo, hi = (v, v) if isinstance(v, int) else v
     if lo < 1:
         raise InvalidParametersError(f"{name} sizes must be >= 1")
     if hi < lo:
         raise InvalidParametersError(f"bad {name} range ({lo}, {hi})")
-    return list(range(lo, min(hi, limit) + 1))
+    return range(lo, min(hi, limit) + 1)
 
 
 def _subfield_index_sets(field: Field) -> list[tuple[int, frozenset]]:
@@ -325,11 +323,12 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     ``seed``.  ``budget`` caps the work of the run.  Exhaustive mode counts
     pairs, the sum of binom(|pool|, a) * binom(q, b) over cells, where the
     pool is the field minus the roots of h, exactly the pairs it enumerates.
-    Those roots come from a scan of all q indices, refused over
+    Random mode counts value evaluations, sample_count * a * b per cell, as
+    each sampled pair evaluates up to a * b values.  Neither count lists the
+    cells or computes a binomial sure to pass the budget ("more than" it).
+    The roots of h come from a scan of all q indices, refused over
     ``MAX_ROOT_SCAN`` index operations; a constant h has none and needs no
     scan, so a random search runs on any field :func:`parse_field` accepts.
-    Random mode counts value evaluations, sample_count * a * b per cell,
-    since each sampled pair evaluates up to a * b values.
     ``parallelism`` must be >= 1 but is otherwise unused: evaluation is
     single-threaded.
     """
@@ -341,40 +340,44 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     if mode not in ("exhaustive", "random"):
         raise InvalidParametersError(f"unknown mode {mode!r}")
     if parallelism < 1:
-        raise InvalidParametersError(
-            f"parallelism must be >= 1, got {parallelism}")
+        raise InvalidParametersError(f"parallelism must be >= 1, got {parallelism}")
     if mode == "random" and sample_count < 1:
-        raise InvalidParametersError(
-            f"sample_count must be >= 1, got {sample_count}")
+        raise InvalidParametersError(f"sample_count must be >= 1, got {sample_count}")
 
     q = field.order
-    scan = q * (h.degree() + 1)
-    if h.degree() and scan > MAX_ROOT_SCAN:
-        raise InvalidParametersError(
-            f"the scan for the roots of h needs q*(deg h + 1) = {q}*({h.degree()} + 1) = "
-            f"{scan} index operations, more than {MAX_ROOT_SCAN}")
-    pool_a = tuple(i for i in range(q) if h.at_index(i)) if h.degree() else range(q)
+    if h.degree():
+        scan = q * (h.degree() + 1)
+        if scan > MAX_ROOT_SCAN:
+            raise InvalidParametersError(
+                f"the scan for the roots of h needs q*(deg h + 1) = {q}*({h.degree()} + 1) = "
+                f"{scan} index operations, more than {MAX_ROOT_SCAN}")
+        pool_a = tuple(i for i in range(q) if h.at_index(i))
+    else:
+        pool_a = range(q)
+    a_sizes = _sizes(a, len(pool_a), "a")
+    b_sizes = _sizes(b, q, "b")
 
-    a_sizes = _size_list(a, len(pool_a), "a")
-    b_sizes = _size_list(b, q, "b")
-    cells = [(a, b) for a in a_sizes for b in b_sizes]
-
+    # A sum over the cells (a, b) of a product is the product of two sums.
+    # binom(n, k) >= 2**min(k, n - k): past the budget's bits, none is computed.
     if mode == "exhaustive":
-        cost = sum(math.comb(len(pool_a), a) * math.comb(q, b) for a, b in cells)
+        sizes = ((len(pool_a), a_sizes), (q, b_sizes))
+        sums = [None if any(min(k, n - k) >= budget.bit_length() for k in r)
+                else sum(math.comb(n, k) for k in r) for n, r in sizes]
         unit, advice = "pairs", "narrow the ranges or switch to random mode"
     else:
-        cost = sum(sample_count * a * b for a, b in cells)
+        sums = [sample_count] + [(r.start + r.stop - 1) * len(r) // 2 for r in (a_sizes, b_sizes)]
         unit, advice = "value evaluations", "narrow the ranges or draw fewer samples"
-    if cost > budget:
-        raise InvalidParametersError(
-            f"run needs {cost} {unit} but the budget is {budget}; {advice}")
+    cost = 0 if 0 in sums else None if None in sums else math.prod(sums)
+    if cost is None or cost > budget:
+        raise InvalidParametersError(f"run needs {f'more than {budget}' if cost is None else cost}"
+                                     f" {unit} but the budget is {budget}; {advice}")
 
     # Runs come in tie-break order (a, b, A_idx, B_idx): exhaustive runs are
     # lexicographic and read every index, random runs are a cell's sorted
     # draws, each reading its own B.  So bucketing by slack in run order ranks pairs.
     runs = []
     rng = Xoshiro256StarStar(seed)
-    for a, b in cells:
+    for a, b in itertools.product(a_sizes, b_sizes):
         if mode == "exhaustive":
             Bs = list(itertools.combinations(range(q), b))
             runs.extend((A, Bs, range(q)) for A in itertools.combinations(pool_a, a))
@@ -382,8 +385,7 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
             cell = []
             for _ in range(sample_count):
                 A_pos = rng.sample_indices(len(pool_a), a)
-                cell.append((tuple(pool_a[i] for i in A_pos),
-                             rng.sample_indices(q, b)))
+                cell.append((tuple(pool_a[i] for i in A_pos), rng.sample_indices(q, b)))
             runs.extend((A, (B,), B) for A, B in sorted(cell))
     return _measure(field, g, h, runs)
 

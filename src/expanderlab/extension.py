@@ -86,15 +86,15 @@ def _modulus(p: int, n: int, modulus) -> tuple[int, ...]:
     irreducible."""
     if modulus is None:
         return _smallest_irreducible(p, n)
-    modulus = _vec_trim(list(_modulus_coeffs(modulus, p)))     # a leading 0 mod p is no term
-    if len(modulus) != n + 1:
-        raise InvalidParametersError(f"modulus must be monic of degree {n}, got "
-            + (f"degree {len(modulus) - 1}" if modulus else "the zero polynomial"))
+    modulus = _modulus_coeffs(modulus, p)
+    if len(modulus) != n + 1 or not modulus[-1]:     # degree as written: a term 0 mod p counts
+        raise InvalidParametersError(
+            f"modulus must be monic of degree {n}, got degree {len(modulus) - 1}")
     if modulus[-1] != 1:
         raise InvalidParametersError(f"modulus {_render_terms(modulus, 't')} is not monic")
-    if not _is_irreducible(modulus, p):
+    if not _is_irreducible(list(modulus), p):
         raise InvalidParametersError(f"{_render_terms(modulus, 't')} is reducible over F_{p}")
-    return tuple(modulus)
+    return modulus
 
 
 def _modulus_coeffs(modulus, p: int) -> tuple[int, ...]:

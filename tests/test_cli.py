@@ -475,6 +475,31 @@ def test_search_refuses_a_field_too_large_to_list_quickly():
         "1999999999978 index operations, more than 2000000\n")
 
 
+@pytest.mark.parametrize("argv, line", [
+    # a binomial sure to pass the budget is refused uncomputed
+    ("--a 10000000 --b 1", "error: run needs more than 10000000 pairs but the budget is "
+     "10000000; narrow the ranges or switch to random mode\n"),
+    ("--a 1-1000000000000 --b 1", "error: run needs more than 10000000 pairs but the budget is "
+     "10000000; narrow the ranges or switch to random mode\n"),
+    # a range of sizes is summed, not listed
+    ("--a 1-1000000000000 --b 1 --mode random", "error: run needs 49999999998950000000005500 "
+     "value evaluations but the budget is 10000000; narrow the ranges or draw fewer samples\n"),
+])
+def test_search_prices_a_huge_field_without_listing_it(argv, line):
+    start = time.perf_counter()
+    code, out, err = run_cli("search", "--field", "999999999989", "--g", "x", "--h", "1",
+                             *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", line)
+
+
+def test_search_refuses_a_binomial_too_long_to_print():
+    # binom(999983, 2000) has over 4300 digits, more than str() renders of an int.
+    code, out, err = run_cli("search", "--field", "999983", "--g", "x", "--h", "1",
+                             "--a", "2000", "--b", "1")
+    assert (code, out) == (2, "") and err.startswith("error: run needs more than 10000000 pairs")
+
+
 def test_random_search_with_a_constant_h_runs_on_any_prime_field():
     # A nonzero constant h has no roots, so nothing scans the field's indices.
     start = time.perf_counter()
@@ -1016,6 +1041,9 @@ def test_closed_stdout_pipe_exits_141_quietly():
     ("bound --field 3^2/t^3+t+1 --a 3 --b 2 --d 1",
      "error: modulus must be monic of degree 2, got degree 3\n"),
     ("bound --field 3^2/2*t^2+1 --a 3 --b 2 --d 1", "error: modulus 2*t^2+1 is not monic\n"),
+    # the degree is the written one: a leading term 0 mod p still counts
+    ("bound --field 3^2/3*t^3+t^2+1 --a 3 --b 2 --d 1",
+     "error: modulus must be monic of degree 2, got degree 3\n"),
     ("image --field 13 --g x^2 --h x --A '' --B 0", "error: invalid instance: A is empty\n"),
     # k = |C| outside [b - 1, (a - 1) // d + b - 1], then binom(3, 1) = 0 in F_3
     ("certify --field 5 --g x^2 --h x --A 1,2,3,4 --B 0,1 --k 4",

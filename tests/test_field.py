@@ -73,6 +73,9 @@ def test_explicit_modulus_validation():
     with pytest.raises(InvalidParametersError,
                        match="^modulus must be monic of degree 2, got degree 3$"):
         Field(3, 2, "t^3+1")    # wrong degree
+    with pytest.raises(InvalidParametersError,
+                       match="^modulus must be monic of degree 2, got degree 3$"):
+        Field(3, 2, modulus=[1, 0, 1, 0])    # t^2+1 plus a term 0 mod 3: degree 3 as written
     F = Field(3, 2, "t^2+t+2")
     assert F.modulus == (2, 1, 1)
 
