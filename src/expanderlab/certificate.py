@@ -252,13 +252,12 @@ def build_certificate(instance: ExpanderInstance, C) -> Certificate:
     a repeated point is refused as bad input; an empty or repeated A or B is
     named before k is checked."""
     check_degrees(instance.g, instance.h)
-    A, B = _distinct_points(instance.A, "A"), _distinct_points(instance.B, "B")
+    A, beta = _distinct_points(instance.A, "A"), solve_beta(instance.B)
     field = instance.field
     C = _distinct_points((field.element(c) for c in C), "C", nonempty=False)
     k = len(C)
     _check_admissible(instance, k)
     g, h, b = instance.g, instance.h, instance.b
-    beta = solve_beta(B)
     alpha = solve_alpha(A, h, b, instance.d * (k - b + 1))
     if k > field.order - 1:
         # Unreachable: admissible k <= q-1 whenever A, B are distinct subsets of F_q.

@@ -8,13 +8,12 @@ closed the output pipe.
 
 search and subfield accept --config FILE with flat key=value lines;
 explicit flags override the file, and what neither gives takes its default
-from the signature of search_extremal or subfield_experiment.  The
-environment variable EXPANDER_LAB_BUDGET overrides the built-in search
-budget and is itself overridden by a config file or flag.  Each option's
-kind sits beside its name in COMMANDS, and every value is converted in
-usage order before any work; a bad one, like any invalid input, is one
-"error:" line naming the option.  No output contains timestamps or machine
-identifiers: the same invocation produces the same bytes.
+from the signature of search_extremal or subfield_experiment.  Each
+option's kind sits beside its name in COMMANDS, and every value is
+converted in usage order before any work; a bad one, like any invalid
+input, is one "error:" line naming the option.  No environment variable is
+read, and no output contains timestamps or machine identifiers: the same
+arguments produce the same bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .bound import (
 )
 from .errors import InternalInvariantError, InvalidParametersError, ParseError, ValidationError
 
-_ENV_BUDGET = "EXPANDER_LAB_BUDGET"
 FORMATS = ("csv", "json", "plain")    # what explore.write_records renders
 
 # Each subcommand's help line and its options in usage order, "*" marking a
@@ -64,7 +62,7 @@ _NOTES = {
     "A": "comma-separated elements", "B": "comma-separated elements", "C": "the same, for C",
     "k": "size of a random C (default: best k)", "seed": "seed of the random draws (default 0)",
     "mode": "exhaustive or random", "sample-count": "pairs per (a, b) cell in random mode",
-    "budget": f"pairs (exhaustive) or value evaluations (random); or ${_ENV_BUDGET}",
+    "budget": "pairs (exhaustive) or value evaluations (random)",
     "parallelism": ">= 1; evaluation is single-threaded", "format": ", ".join(FORMATS),
     "out": "write here, not to stdout", "config": "key=value file; flags override it",
     "m": "subfield degree, a proper divisor of n", "c-fraction": "|A| = ceil(c * p^m), 0 < c < 1",
@@ -165,16 +163,14 @@ def _given(command: str, flags: dict) -> dict:
     if "C" in opts and "k" in opts:
         raise InvalidParametersError("--C and --k cannot be given together")
     for name, _, kind in _specs(command):
-        key, source = name.replace("-", "_"), f"--{name}"
-        if key == "budget" and key not in opts and _ENV_BUDGET in os.environ:
-            opts[key], source = os.environ[_ENV_BUDGET], _ENV_BUDGET
+        key = name.replace("-", "_")
         if kind and key in opts:
             convert, expected = _KINDS[kind]
             try:
                 opts[key] = convert(opts[key])
             except ValueError as exc:
                 reason = f"expected {expected}, got {opts[key]!r}" if expected else exc
-                raise InvalidParametersError(f"{source}: {reason}") from None
+                raise InvalidParametersError(f"--{name}: {reason}") from None
     return opts
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 import itertools
 
 from .bound import is_prime
-from .errors import FieldMismatchError, InternalInvariantError, InvalidParametersError
-from .field import FieldElem, _parse_terms, _power, _render_terms
+from .errors import InternalInvariantError, InvalidParametersError
+from .field import FieldElem, _int_coeffs, _parse_terms, _power, _render_terms
 
 # Raw coefficient lists over F_p (index = degree), multiplied and reduced only
 # to test a modulus and to fill an extension's tables.
@@ -82,11 +82,15 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 def _modulus(p: int, n: int, modulus) -> tuple[int, ...]:
     """The modulus of F_{p^n}: the smallest irreducible when ``modulus`` is
-    None, else ``modulus`` read and checked to be monic, of degree n and
-    irreducible."""
+    None, else ``modulus``, its text or a list or tuple of ints read to
+    ints mod p by :func:`~expanderlab.field._int_coeffs`, checked to be
+    monic, of degree n and irreducible."""
     if modulus is None:
         return _smallest_irreducible(p, n)
-    modulus = _modulus_coeffs(modulus, p)
+    if isinstance(modulus, str):
+        terms = _parse_terms(modulus, "t", int)
+        modulus = [terms.get(e, 0) for e in range(max(terms) + 1)]
+    modulus = _int_coeffs(modulus, p)
     if len(modulus) != n + 1 or not modulus[-1]:     # degree as written: a term 0 mod p counts
         raise InvalidParametersError(
             f"modulus must be monic of degree {n}, got degree {len(modulus) - 1}")
@@ -95,26 +99,6 @@ def _modulus(p: int, n: int, modulus) -> tuple[int, ...]:
     if not _is_irreducible(list(modulus), p):
         raise InvalidParametersError(f"{_render_terms(modulus, 't')} is reducible over F_{p}")
     return modulus
-
-
-def _modulus_coeffs(modulus, p: int) -> tuple[int, ...]:
-    if isinstance(modulus, str):
-        terms = _parse_terms(modulus, "t", int)
-        deg = max(terms)
-        vec = [0] * (deg + 1)
-        for e, c in terms.items():
-            vec[e] = (vec[e] + c) % p
-        return tuple(vec)
-    coeffs = getattr(modulus, "coeffs", modulus)
-    out = []
-    for c in coeffs:
-        if isinstance(c, FieldElem):
-            if c.field.n != 1 or c.field.p != p:
-                raise FieldMismatchError("modulus coefficients must lie in the prime field")
-            out.append(c.index())
-        else:
-            out.append(int(c) % p)
-    return tuple(out)
 
 
 def _build_tables(field):

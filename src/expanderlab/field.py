@@ -106,9 +106,9 @@ class Field:
     constructors; both validate everything.  For n > 1 with ``modulus``
     omitted, the lexicographically smallest monic irreducible of degree n
     is chosen (coefficient tuples compared low-degree-first), so
-    construction is reproducible without tables.  ``modulus`` may be a
-    coefficient sequence (index = degree), a text form like "t^2+1", or a
-    polynomial over F_p.  Immutable after construction.  A prime field's
+    construction is reproducible without tables.  ``modulus`` is a text
+    form like "t^2+1" or a list or tuple of ints (index = degree), read by
+    :func:`_int_coeffs`.  Immutable after construction.  A prime field's
     index ops are built with it; an extension's modulus is read and its
     tables built by :mod:`expanderlab.extension`, loaded only for n > 1.
     """
@@ -172,15 +172,16 @@ class Field:
         return FieldElem(self, 1)
 
     def element(self, value) -> FieldElem:
-        """Build an element from an integer (constant embed), coefficient
-        sequence, or an existing element of this field."""
+        """Build an element from an int (a constant), an element of this
+        field, or its n coefficients in t, lowest first, as a list or tuple
+        of ints (:func:`_int_coeffs`); text goes through :meth:`parse_element`."""
         if isinstance(value, FieldElem):
             if value.field != self:
                 raise FieldMismatchError(f"element of {value.field} used in {self}")
             return value
         if isinstance(value, int):
             return FieldElem(self, value % self.p)
-        coeffs = [int(c) % self.p for c in value]
+        coeffs = _int_coeffs(value, self.p)
         if len(coeffs) != self.n:
             raise ParseError(f"need {self.n} coefficients, got {len(coeffs)}")
         return FieldElem(self, sum(c * self.p ** k for k, c in enumerate(coeffs)))
@@ -341,6 +342,15 @@ class FieldElem:
 
     def __repr__(self) -> str:
         return f"FieldElem({self.field}, {self})"
+
+
+def _int_coeffs(value, p: int) -> tuple[int, ...]:
+    """The one reading of a coefficient sequence, lowest degree first, as
+    :meth:`Field.element` and an extension's modulus take it: a list or
+    tuple of ints, reduced mod p.  Anything else is refused."""
+    if isinstance(value, (list, tuple)) and all(isinstance(c, int) for c in value):
+        return tuple(c % p for c in value)
+    raise ParseError(f"coefficients must be a list or tuple of ints, got {value!r}")
 
 
 def _render_terms(coeffs, var: str, text=str) -> str:

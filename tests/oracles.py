@@ -22,7 +22,6 @@ import itertools
 from expanderlab import bound as bound_mod
 from expanderlab.bound import lucas_nonvanishing
 from expanderlab.cli import (
-    _ENV_BUDGET,
     FORMATS,
     cmd_bound,
     cmd_certify,
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-count")
     p.add_argument("--budget",
                    help="work budget: pairs in exhaustive mode, value "
-                        f"evaluations in random mode (or ${_ENV_BUDGET})")
+                        "evaluations in random mode")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("subfield", parents=[sweep], argument_default=argparse.SUPPRESS,

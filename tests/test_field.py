@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import extension as extension_module
-from expanderlab.bound import is_prime
+from expanderlab.bound import check_instance, is_prime
 from expanderlab.cli import main
 from expanderlab.errors import (
     FieldMismatchError,
@@ -16,8 +16,8 @@ from expanderlab.errors import (
     InvalidParametersError,
     ParseError,
 )
-from expanderlab.field import Field, parse_field
-from expanderlab.poly import Poly
+from expanderlab.field import Field, FieldElem, parse_field
+from expanderlab.poly import Poly, parse_poly
 from oracles import (
     digits_index,
     frobenius_subfield,
@@ -88,15 +88,48 @@ def test_a_prime_field_refuses_any_modulus():
 
 
 def test_modulus_forms_agree():
-    # A coefficient sequence, a polynomial over F_p and the text form.
-    F3 = Field(3)
-    forms = [(1, 0, 1), Poly(F3, (1, 0, 1)), "t^2+1"]
-    fields = [Field(3, 2, m) for m in forms]
+    # A list, a tuple and the text form; a polynomial is not a modulus.
+    fields = [Field(3, 2, m) for m in ([1, 0, 1], (1, 0, 1), "t^2+1")]
     assert fields[0] == fields[1] == fields[2]
-    assert fields[1].modulus == (1, 0, 1)
-    for other in (Field(5), Field(3, 2)):
-        with pytest.raises(FieldMismatchError, match="prime field"):
-            Field(3, 2, Poly(other, (1, 0, 1)))
+    assert fields[0].modulus == (1, 0, 1)
+    for other in (Field(3), Field(5), Field(3, 2)):
+        poly = Poly(other, (1, 0, 1))
+        with pytest.raises(ParseError) as e:
+            Field(3, 2, poly)
+        assert str(e.value) == f"coefficients must be a list or tuple of ints, got {poly!r}"
+
+
+# Values that are no coefficient sequence: text, bytes, a float among the
+# ints, a float, a polynomial over F_3 and an element of F_81.
+NOT_INT_SEQUENCES = ["12", b"\x01\x02", [1.9, 0], 2.5, Poly(Field(3), (1, 0, 1)),
+                     Field(3, 4).element([1, 2, 0, 1])]
+
+
+@pytest.mark.parametrize("value", NOT_INT_SEQUENCES, ids=repr)
+def test_a_coefficient_sequence_is_a_list_or_tuple_of_ints(value):
+    # Each entry point that reads a coefficient sequence refuses anything
+    # else with the one message.  Text keeps its own reading as a modulus,
+    # and an element of another field is a field mismatch as an element.
+    F = Field(3, 2)
+    g, h = parse_poly("x^2", F), parse_poly("x", F)
+    entries = {
+        "element": lambda: F.element(value),
+        "modulus": lambda: Field(3, 2, modulus=value),
+        "Poly": lambda: Poly(F, [value]),
+        "check_instance A": lambda: check_instance(F, g, h, [value], [0]),
+    }
+    for entry, build in entries.items():
+        if entry == "modulus" and isinstance(value, str):
+            with pytest.raises(InvalidParametersError, match="got degree 0$"):
+                build()     # "12" is the constant 12, 0 mod 3
+        elif entry != "modulus" and isinstance(value, FieldElem):
+            with pytest.raises(FieldMismatchError, match="^element of 3\\^4/"):
+                build()
+        else:
+            with pytest.raises(ParseError) as e:
+                build()
+            assert str(e.value) == (
+                f"coefficients must be a list or tuple of ints, got {value!r}"), entry
 
 
 def test_extension_arithmetic_f9():
