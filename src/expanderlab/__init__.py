@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 # Each public name, by its home module.
 _EXPORTS = {
-    "bound": "INF BoundReport ExpanderInstance check_instance corollary_bound "
-             "image lucas_nonvanishing parse_characteristic theorem_bound",
+    "bound": "INF BoundReport corollary_bound image lucas_nonvanishing "
+             "parse_characteristic theorem_bound",
     "certificate": "Certificate RefutationReport binomial_in_field build_certificate "
                    "elementary_symmetric lambda_coefficients refute_cover "
                    "solve_alpha solve_beta verify_alpha verify_beta",
@@ -32,6 +32,7 @@ _EXPORTS = {
     "explore": "ExperimentRecord Ranked nearest_subfield_distance "
                "records_to_csv records_to_json search_extremal subfield_experiment",
     "field": "Field FieldElem canonical_sort parse_field",
+    "instance": "ExpanderInstance check_instance",
     "poly": "Poly parse_poly",
     "rng": "Xoshiro256StarStar",
 }

@@ -19,6 +19,12 @@ or ``math.inf``, the sentinel for characteristic zero, where no binomial
 with 0 <= r <= k vanishes and the p-cap never binds; the digit code runs
 it as an integer base above every k in question.  The field size limits,
 ``is_prime`` and their one check live here: ``bound --d`` needs no field.
+
+Besides the theorem, this module holds only the evaluation kernel,
+:func:`value_rows`, and :func:`image`, which reads an instance's field, g,
+h, A and B and nothing more.  Building and checking an instance is
+:mod:`expanderlab.instance`'s work, so ``bound --d`` compiles neither that
+layer nor the field layer.
 """
 
 from __future__ import annotations
@@ -28,15 +34,11 @@ import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (
-    FieldMismatchError,
-    InternalInvariantError,
-    InvalidParametersError,
-    ParseError,
-)
+from .errors import InvalidParametersError, ParseError
 
 if TYPE_CHECKING:                # annotations only: `bound --d` loads no field layer
-    from .field import Field, FieldElem
+    from .field import FieldElem
+    from .instance import ExpanderInstance
     from .poly import Poly
 
 INF = math.inf
@@ -231,99 +233,6 @@ def corollary_bound(a: int, b: int, d: int, characteristic) -> int:
     return max(1, value)
 
 
-class ExpanderInstance(NamedTuple):
-    """A (field, g, h, A, B) tuple as :func:`check_instance` returns it: A
-    and B distinct and in canonical element order.  A hand-built tuple is
-    not validated; :func:`~expanderlab.certificate.build_certificate`
-    refuses one that breaks :func:`check_degrees` or repeats a point."""
-
-    field: Field
-    g: Poly
-    h: Poly
-    A: tuple[FieldElem, ...]
-    B: tuple[FieldElem, ...]
-
-    @property
-    def a(self) -> int:
-        return len(self.A)
-
-    @property
-    def b(self) -> int:
-        return len(self.B)
-
-    @property
-    def d(self) -> int:
-        return self.g.degree()
-
-    def bound_report(self) -> BoundReport:
-        return theorem_bound(self.a, self.b, self.d, self.field.p)
-
-    def to_dict(self) -> dict:
-        return {"field": str(self.field), "g": str(self.g), "h": str(self.h),
-                "A": [str(x) for x in self.A], "B": [str(y) for y in self.B]}
-
-
-def check_degrees(g: Poly, h: Poly) -> None:
-    """Raise :class:`InvalidParametersError` unless deg g > deg h with g
-    non-constant and h nonzero, the hypotheses on the polynomials alone.
-    The one degree check: :func:`check_instance` lists its message."""
-    if h.is_zero() or g.degree() < 1 or not g.degree() > h.degree():
-        raise InvalidParametersError("need deg g > deg h with g non-constant and h nonzero (got "
-            + ", ".join(f"{n} is the zero polynomial" if f.is_zero() else f"deg {n} = {f.degree()}"
-                        for n, f in (("g", g), ("h", h))) + ")")
-
-
-def _distinct_points(points, name: str, nonempty=True) -> tuple[FieldElem, ...]:
-    """``points`` in canonical order, or the error for a set that is empty (unless
-    not ``nonempty``), mixes fields or repeats a point: the one point-set check,
-    which :func:`check_instance` lists for A and B and the certificate solvers raise."""
-    from .field import canonical_sort
-
-    points = canonical_sort(points)
-    if nonempty and not points:
-        raise InvalidParametersError(f"{name} is empty")
-    fields = {x.field for x in points}
-    if len(fields) > 1:
-        raise FieldMismatchError(f"{name} mixes elements of {', '.join(sorted(map(str, fields)))}")
-    if len(set(points)) != len(points):
-        raise InvalidParametersError(f"{name} contains duplicate elements")
-    return points
-
-
-def check_instance(field: Field, g: Poly, h: Poly, A, B) -> ExpanderInstance:
-    """The :class:`ExpanderInstance` of an (A, B) pair, or one
-    :class:`InvalidParametersError` listing every violated hypothesis: A and
-    B in :func:`_distinct_points`'s words, the degrees in :func:`check_degrees`'s
-    and the roots of h inside A.  Polynomials over the wrong field raise
-    :class:`FieldMismatchError`, a programming mistake, not a violation.
-    """
-    from .field import canonical_sort
-
-    for f_, name in ((g, "g"), (h, "h")):
-        if f_.field != field:
-            raise FieldMismatchError(f"{name} is over {f_.field}, expected {field}")
-    A = canonical_sort(field.element(x) for x in A)
-    B = canonical_sort(field.element(y) for y in B)
-
-    violations = []
-    for points, name in ((A, "A"), (B, "B")):
-        try:
-            _distinct_points(points, name)
-        except InvalidParametersError as exc:
-            violations.append(str(exc))
-    try:
-        check_degrees(g, h)
-    except InvalidParametersError as exc:
-        violations.append(str(exc))
-    if not h.is_zero():
-        for x in canonical_sort(set(A)):
-            if h(x).is_zero():
-                violations.append(f"A contains root {x} of h")
-    if violations:
-        raise InvalidParametersError("invalid instance: " + "; ".join(violations))
-    return ExpanderInstance(field, g, h, A, B)
-
-
 def value_rows(g: Poly, h: Poly, xs, ys) -> list[tuple[int, ...]]:
     """For each index x in ``xs``, the indices of g(x) + y*h(x) over the index
     sequence ``ys``.  The one evaluation kernel: :func:`image` and the drivers
@@ -342,16 +251,3 @@ def image(instance: ExpanderInstance) -> tuple[FieldElem, ...]:
     rows = value_rows(instance.g, instance.h, [x.index() for x in instance.A],
                       [y.index() for y in instance.B])
     return tuple(map(instance.field.from_index, sorted(set().union(*rows))))
-
-
-def _sets_text(A, B) -> str:
-    """'A={..} B={..}' for sequences of element strings."""
-    return f"A={{{','.join(A)}}} B={{{','.join(B)}}}"
-
-
-def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
-    """The fatal error for an image smaller than the proved bound, naming
-    the witness configuration; A and B are sequences of element strings."""
-    return InternalInvariantError(
-        f"negative slack {size - tb}: image_size {size} below bound {tb} "
-        f"for field={field_s} g={g_s} h={h_s} {_sets_text(A, B)}")

@@ -43,15 +43,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bound import (
-    ExpanderInstance,
-    _digits_dominate,
-    _distinct_points,
-    check_degrees,
-    value_rows,
-)
+from .bound import _digits_dominate, value_rows
 from .errors import FieldMismatchError, InternalInvariantError, InvalidParametersError
 from .field import Field, FieldElem, _power, canonical_sort
+from .instance import ExpanderInstance, _distinct_points, check_degrees
 from .poly import Poly
 
 

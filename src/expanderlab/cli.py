@@ -18,23 +18,17 @@ arguments produce the same bytes.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
 # Only what every subcommand needs.  Each cmd_* imports the layers it runs,
 # so an invocation compiles only those: field and poly where a field text is
-# parsed (not `bound --d` over a prime or inf), explore for search and
-# subfield, certificate and rng for certify, selftest for selftest, and json
-# where JSON is written.
-from .bound import (
-    check_degrees,
-    check_instance,
-    image,
-    negative_slack_error,
-    parse_characteristic,
-    theorem_bound,
-)
-from .errors import InternalInvariantError, InvalidParametersError, ParseError, ValidationError
+# parsed (not `bound --d` over a prime or inf), instance where g and h are
+# checked, explore for search and subfield, certificate and rng for certify,
+# selftest for selftest, and json where image, certify and sweeps write it.
+from .bound import image, parse_characteristic, theorem_bound
+from .errors import InternalInvariantError, InvalidParametersError, ValidationError
 
 FORMATS = ("csv", "json", "plain")    # what explore.write_records renders
 
@@ -72,14 +66,6 @@ _NOTES = {
 
 
 # -- shared helpers -------------------------------------------------------------
-
-
-def _parse_elements(field, text: str, option: str):
-    """Comma-separated elements; a blank argument is the empty set."""
-    items = text.split(",") if text.strip() else []
-    if not all(item.strip() for item in items):
-        raise ParseError(f"{option}: empty item in {text!r}")
-    return [field.parse_element(item) for item in items]
 
 
 def _parse_sizes(text: str):
@@ -190,8 +176,6 @@ def _emit(write, out_path: str | None) -> None:
 
 
 def cmd_bound(opts: dict) -> int:
-    import json
-
     field_text = opts["field"].strip()
     given = ("d" in opts, "g" in opts, "h" in opts)
     if given not in ((True, False, False), (False, True, True)):
@@ -208,6 +192,7 @@ def cmd_bound(opts: dict) -> int:
             raise InvalidParametersError(
                 "--g/--h need a finite field; use --d with --field inf")
         from .field import parse_field
+        from .instance import check_degrees
         from .poly import parse_poly
         field = parse_field(field_text)
         g = parse_poly(opts["g"], field)
@@ -216,29 +201,25 @@ def cmd_bound(opts: dict) -> int:
         characteristic = field.p
         d = g.degree()
     report = theorem_bound(opts["a"], opts["b"], d, characteristic)
-    # json's indented encoder is pure Python: lay out the k list, up to 10^6 ints, here.
-    ks = "[\n    " + ",\n    ".join(map(str, report.admissible_k)) + "\n  ]"
-    text = json.dumps({**report.to_dict(), "admissible_k": ""}, indent=2)
-    sys.stdout.write(text.replace('"admissible_k": ""', '"admissible_k": ' + ks, 1) + "\n")
+    # The bytes of json.dumps(report.to_dict(), indent=2), laid out here, as
+    # every value is an int, the k list (never empty), "inf" or a bool: so
+    # bound loads no json, whose indented encoder is pure Python anyway.
+    p = report.characteristic
+    values = {**report._asdict(), "characteristic": '"inf"' if p == math.inf else p,
+              "admissible_k": "[\n    " + ",\n    ".join(map(str, report.admissible_k)) + "\n  ]",
+              "fallback": str(report.fallback).lower()}
+    sys.stdout.write("{\n" + ",\n".join(f'  "{key}": {value}' for key, value in values.items())
+                     + "\n}\n")
     return 0
 
 
 # -- image ----------------------------------------------------------------------
 
 
-def _build_instance(opts: dict):
-    from .field import parse_field
-    from .poly import parse_poly
-    field = parse_field(opts["field"])
-    g = parse_poly(opts["g"], field)
-    h = parse_poly(opts["h"], field)
-    A = _parse_elements(field, opts["A"], "--A")
-    B = _parse_elements(field, opts["B"], "--B")
-    return check_instance(field, g, h, A, B)
-
-
 def cmd_image(opts: dict) -> int:
     import json
+
+    from .instance import _build_instance, negative_slack_error
 
     inst = _build_instance(opts)
     values = image(inst)
@@ -265,6 +246,7 @@ def cmd_certify(opts: dict) -> int:
     import json
 
     from .certificate import _check_admissible, build_certificate
+    from .instance import _build_instance, _parse_elements
     from .rng import Xoshiro256StarStar
 
     inst = _build_instance(opts)

@@ -40,14 +40,14 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import bound as bound_mod
-from .bound import _sets_text, negative_slack_error
 from .errors import InvalidParametersError
 from .field import Field, parse_field
+from .instance import _sets_text, check_degrees, negative_slack_error
 from .poly import parse_poly
-from .rng import Xoshiro256StarStar
 
 DEFAULT_BUDGET = 10_000_000
 MAX_ROOT_SCAN = 2 * 10**6   # index ops, q*(deg h + 1), of the root scan before the budget gate
+FREE_COLUMNS = 10**6        # column evaluations an exhaustive run may make whatever its budget
 MAX_C_EXPONENT = 4300       # Fraction builds 10**|e| before any range check
 WRITE_BLOCK = 1024          # texts per write: an unbuffered stdout makes each write a syscall
 
@@ -323,8 +323,12 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     ``seed``.  ``budget`` caps the work of the run.  Exhaustive mode counts
     pairs, the sum of binom(|pool|, a) * binom(q, b) over cells, where the
     pool is the field minus the roots of h, exactly the pairs it enumerates.
-    Random mode counts value evaluations, sample_count * a * b per cell, as
-    each sampled pair evaluates up to a * b values.  Neither count lists the
+    It then counts its column pass, where each A of a cell evaluates all q
+    columns of a values: the sum of binom(|pool|, a) * a * q over cells,
+    refused over the budget only past ``FREE_COLUMNS``, so that a budget
+    of a few pairs still runs a few pairs that read many columns.  Random
+    mode counts value evaluations, sample_count * a * b per cell, as each
+    sampled pair evaluates up to a * b values.  No count lists the
     cells or computes a binomial sure to pass the budget ("more than" it).
     The roots of h come from a scan of all q indices, refused over
     ``MAX_ROOT_SCAN`` index operations; a constant h has none and needs no
@@ -336,7 +340,7 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
         field = parse_field(field)
     g = parse_poly(g, field)
     h = parse_poly(h, field)
-    bound_mod.check_degrees(g, h)
+    check_degrees(g, h)
     if mode not in ("exhaustive", "random"):
         raise InvalidParametersError(f"unknown mode {mode!r}")
     if parallelism < 1:
@@ -371,17 +375,25 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     if cost is None or cost > budget:
         raise InvalidParametersError(f"run needs {f'more than {budget}' if cost is None else cost}"
                                      f" {unit} but the budget is {budget}; {advice}")
+    # With pairs priced, every binom(|pool|, a) is under the budget, so a's sizes are few.
+    columns = (len(b_sizes) * q * sum(k * math.comb(len(pool_a), k) for k in a_sizes)
+               if mode == "exhaustive" and cost else 0)
+    if columns > max(budget, FREE_COLUMNS):
+        raise InvalidParametersError(f"run needs {columns} column evaluations but the budget is "
+                                     f"{budget}; {advice}")
 
     # Runs come in tie-break order (a, b, A_idx, B_idx): exhaustive runs are
     # lexicographic and read every index, random runs are a cell's sorted
     # draws, each reading its own B.  So bucketing by slack in run order ranks pairs.
-    runs = []
-    rng = Xoshiro256StarStar(seed)
-    for a, b in itertools.product(a_sizes, b_sizes):
-        if mode == "exhaustive":
+    runs, cells = [], itertools.product(a_sizes, b_sizes)
+    if mode == "exhaustive":
+        for a, b in cells:
             Bs = list(itertools.combinations(range(q), b))
             runs.extend((A, Bs, range(q)) for A in itertools.combinations(pool_a, a))
-        else:
+    else:
+        from .rng import Xoshiro256StarStar     # an exhaustive search draws nothing
+        rng = Xoshiro256StarStar(seed)
+        for a, b in cells:
             cell = []
             for _ in range(sample_count):
                 A_pos = rng.sample_indices(len(pool_a), a)
@@ -439,8 +451,9 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2", h: str = "x",
         raise InvalidParametersError(f"parallelism must be >= 1, got {parallelism}")
     g_poly = parse_poly(g, field)
     h_poly = parse_poly(h, field)
-    bound_mod.check_degrees(g_poly, h_poly)
+    check_degrees(g_poly, h_poly)
 
+    from .rng import Xoshiro256StarStar
     rng = Xoshiro256StarStar(seed)
     q_m = field.p ** m
     K_idx = tuple(y.index() for y in field.subfield(m))

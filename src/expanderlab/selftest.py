@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 
 from . import bound as bound_mod
-from .bound import INF, check_instance, corollary_bound, theorem_bound
+from .bound import INF, corollary_bound, theorem_bound
 from .certificate import build_certificate, refute_cover, verify_alpha, verify_beta
 from .explore import records_to_csv, search_extremal, subfield_experiment
 from .field import Field
+from .instance import check_instance
 from .poly import parse_poly
 from .rng import Xoshiro256StarStar
 

@@ -30,8 +30,9 @@ from expanderlab.cli import (
     cmd_selftest,
     cmd_subfield,
 )
-from expanderlab.explore import ExperimentRecord, negative_slack_error
+from expanderlab.explore import ExperimentRecord
 from expanderlab.extension import _is_irreducible, _vec_mod, _vec_mul, _vec_trim
+from expanderlab.instance import negative_slack_error
 
 
 def index_digits(i: int, p: int, n: int) -> list[int]:

@@ -14,12 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from expanderlab.bound import INF, check_instance, corollary_bound, image, \
-    lucas_nonvanishing, theorem_bound
+from expanderlab.bound import INF, corollary_bound, image, lucas_nonvanishing, theorem_bound
 from expanderlab.certificate import build_certificate, solve_alpha, solve_beta, \
     verify_alpha, verify_beta
 from expanderlab.explore import records_to_csv, search_extremal, subfield_experiment
 from expanderlab.field import parse_field
+from expanderlab.instance import check_instance
 from expanderlab.poly import Poly, parse_poly
 from expanderlab.rng import Xoshiro256StarStar
 

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from expanderlab import bound as bound_mod
 from expanderlab.bound import (
     INF,
-    ExpanderInstance,
-    check_instance,
     corollary_bound,
     image,
     is_prime,
@@ -19,6 +17,7 @@ from expanderlab.bound import (
 )
 from expanderlab.errors import FieldMismatchError, InvalidParametersError, ParseError
 from expanderlab.field import Field
+from expanderlab.instance import ExpanderInstance, check_instance
 from expanderlab.poly import parse_poly
 
 from oracles import admissible_k_scan, binom_mod_pascal, hopf_stiefel, image_double_loop

@@ -8,7 +8,7 @@ import pytest
 from expanderlab import bound as bound_mod
 from expanderlab import certificate as certificate_mod
 from expanderlab import extension as extension_module
-from expanderlab.bound import ExpanderInstance, check_instance, theorem_bound
+from expanderlab.bound import theorem_bound
 from expanderlab.certificate import (
     _dual_weights,
     _pointwise_sum,
@@ -25,6 +25,7 @@ from expanderlab.certificate import (
 from expanderlab.cli import main
 from expanderlab.errors import FieldMismatchError, InvalidParametersError, ValidationError
 from expanderlab.field import Field, parse_field
+from expanderlab.instance import ExpanderInstance, check_instance
 from expanderlab.poly import Poly, parse_poly
 from expanderlab.rng import Xoshiro256StarStar
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanderlab import bound as bound_mod
-from expanderlab import certificate, cli, explore, selftest
+from expanderlab import certificate, cli, explore, instance, selftest
 from expanderlab.cli import main
 from expanderlab.errors import InvalidParametersError, ValidationError
 from expanderlab.field import Field, FieldElem
@@ -109,6 +109,25 @@ def test_bound_output_is_the_indented_json_of_the_report(argv, report):
     report = bound_mod.theorem_bound(*report)
     assert code == 0 and report.admissible_k
     assert out == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 80), st.integers(1, 4),
+       st.sampled_from(["2", "3", "7", "13", "inf", "3^2"]), st.booleans())
+@example(1_000_000, 1000, 1, "2", False)     # bound-scan's inputs
+@example(100_000, 1, 1, "2", False)          # b = 1: every k of the range
+@example(1, 9, 2, "13", False)               # a = 1: k = b - 1 alone
+@example(100, 5, 3, "inf", False)
+@example(8, 3, 2, "3^2", False)
+@example(10, 3, 2, "7", True)
+def test_bound_writes_the_bytes_of_json_dumps(a, b, d, field, polys):
+    # cmd_bound lays its report out without json: every value shape (ints,
+    # the k list, "inf" and false) must come out as json.dumps writes it.
+    p = {"inf": bound_mod.INF, "3^2": 3}.get(field) or int(field)
+    tail = (f"--g x^{d} --h 1" if polys and field != "inf" else f"--d {d}").split()
+    expected = json.dumps(bound_mod.theorem_bound(a, b, d, p).to_dict(), indent=2) + "\n"
+    assert run_cli("bound", "--field", field, "--a", str(a), "--b", str(b), *tail) == (
+        0, expected, "")
 
 
 # -- image -----------------------------------------------------------------------
@@ -498,6 +517,23 @@ def test_search_refuses_a_binomial_too_long_to_print():
     code, out, err = run_cli("search", "--field", "999983", "--g", "x", "--h", "1",
                              "--a", "2000", "--b", "1")
     assert (code, out) == (2, "") and err.startswith("error: run needs more than 10000000 pairs")
+
+
+@pytest.mark.parametrize("argv, line", [
+    # 21,945 pairs, but each A of 2 reads all 211 columns: 9,260,790 evaluations
+    ("--field 211 --a 2 --b 211 --budget 21945",
+     "error: run needs 9260790 column evaluations but the budget is 21945; "
+     "narrow the ranges or switch to random mode\n"),
+    # 507,528 pairs pass the default budget; their column pass is 1009 * 2 per A
+    ("--field 1009 --a 2 --b 1009",
+     "error: run needs 1024191504 column evaluations but the budget is 10000000; "
+     "narrow the ranges or switch to random mode\n"),
+])
+def test_search_prices_its_column_pass_before_evaluating(argv, line):
+    start = time.perf_counter()
+    code, out, err = run_cli("search", "--g", "x^2", "--h", "x", *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", line)
 
 
 def test_random_search_with_a_constant_h_runs_on_any_prime_field():
@@ -1132,7 +1168,7 @@ X2, X = (parse_poly(text, F13) for text in ("x^2", "x"))
     # check_instance lists it after "invalid instance: ", solve_alpha raises it alone
     ("A contains root 0 of h", [
         "certify --field 13 --g x^2 --h x --A 0,1,2 --B 0,1",
-        lambda: bound_mod.check_instance(F13, X2, X, [0, 1, 2], [0, 1]),
+        lambda: instance.check_instance(F13, X2, X, [0, 1, 2], [0, 1]),
         lambda: certificate.solve_alpha([F13.element(i) for i in (0, 1, 2)], X, 2, 1)]),
 ], ids=["characteristic", "k beyond q", "k in q", "Lucas", "sizes", "root of h"])
 def test_one_fault_reads_one_way(message, paths):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from expanderlab import explore
 from expanderlab import extension as extension_module
-from expanderlab.bound import check_instance, image, theorem_bound
+from expanderlab.bound import image, theorem_bound
 from expanderlab.errors import InternalInvariantError, InvalidParametersError
 from expanderlab.explore import (
     CSV_COLUMNS,
@@ -30,6 +30,7 @@ from expanderlab.explore import (
     write_records,
 )
 from expanderlab.field import Field, FieldElem, parse_field
+from expanderlab.instance import check_instance
 from expanderlab.poly import parse_poly
 from expanderlab.rng import Xoshiro256StarStar, splitmix64
 
@@ -473,6 +474,22 @@ def test_search_budget_prices_the_usable_pool():
     assert len(recs) == 13
     with pytest.raises(InvalidParametersError, match="needs 13 pairs"):
         search_extremal("13", "x^2", "x", 12, 1, budget=12)
+
+
+def test_search_budget_prices_the_column_pass(monkeypatch):
+    # |pool| = 12: binom(12, 11) A's of 11 and one of 12, each reading all 13
+    # columns once per b size, 2 * 13 * (12 * 11 + 1 * 12) = 3744 evaluations
+    # for only 13 * (13 + 78) = 1183 pairs.  Under FREE_COLUMNS no budget refuses them.
+    config = dict(field="13", g="x^2", h="x", a=(11, 12), b=(1, 2))
+    assert len(search_extremal(**config, budget=1183)) == 1183
+    monkeypatch.setattr(explore, "FREE_COLUMNS", 0)
+    with pytest.raises(InvalidParametersError,
+                       match="^run needs 3744 column evaluations but the budget is 3743; "
+                             "narrow the ranges or switch to random mode$"):
+        search_extremal(**config, budget=3743)
+    assert len(search_extremal(**config, budget=3744)) == 1183
+    with pytest.raises(InvalidParametersError, match="needs 1183 pairs"):
+        search_extremal(**config, budget=1182)
 
 
 def test_search_oversized_sizes_clamp_to_empty():

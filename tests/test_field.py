@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import extension as extension_module
-from expanderlab.bound import check_instance, is_prime
+from expanderlab.bound import is_prime
 from expanderlab.cli import main
 from expanderlab.errors import (
     FieldMismatchError,
@@ -17,6 +17,7 @@ from expanderlab.errors import (
     ParseError,
 )
 from expanderlab.field import Field, FieldElem, parse_field
+from expanderlab.instance import check_instance
 from expanderlab.poly import Poly, parse_poly
 from oracles import (
     digits_index,

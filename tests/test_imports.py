@@ -68,37 +68,41 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 # only other invocations run, which it must not load.  `bound --d` over a
 # prime or inf runs the digit code alone; a field text or --g/--h is parsed
 # by the field layer, and only a p^n or p^n/modulus text loads the extension
-# layer.  No invocation loads argparse, nor gettext and locale, which
-# argparse loads to translate its messages: the CLI reads argv from its
-# option table.
+# layer.  The instance layer loads where g and h are checked, so not for
+# `bound --d`, and no bound run loads json: its report is laid out by hand.
+# An exhaustive search draws nothing, so it loads no generator.  No
+# invocation loads argparse, nor gettext and locale, which argparse loads to
+# translate its messages: the CLI reads argv from its option table.
 _OTHER_LAYERS = {"expanderlab.explore", "expanderlab.certificate", "expanderlab.rng",
                  "expanderlab.selftest", "fractions"}
 _EXTENSION = "expanderlab.extension"
+_INSTANCE = "expanderlab.instance"
 _FIELD_LAYERS = {"expanderlab.field", "expanderlab.poly", _EXTENSION}
 _ARGPARSE = {"argparse", "gettext", "locale"}
 SUBCOMMAND_MODULES = {
     "bound": ("bound --field 2 --a 10 --b 3 --d 1",
-              {"expanderlab.bound"}, _OTHER_LAYERS | _FIELD_LAYERS),
+              {"expanderlab.bound"}, _OTHER_LAYERS | _FIELD_LAYERS | {_INSTANCE, "json"}),
     "bound-inf": ("bound --field inf --a 10 --b 3 --d 2",
-                  {"expanderlab.bound"}, _OTHER_LAYERS | _FIELD_LAYERS),
+                  {"expanderlab.bound"}, _OTHER_LAYERS | _FIELD_LAYERS | {_INSTANCE, "json"}),
     "bound-polys": ("bound --field 7 --a 10 --b 3 --g x^2 --h x",
-                    {"expanderlab.field"}, _OTHER_LAYERS | {_EXTENSION}),
+                    {"expanderlab.field", _INSTANCE}, _OTHER_LAYERS | {_EXTENSION, "json"}),
     "bound-extension": ("bound --field 3^2 --a 8 --b 3 --d 2",
                         {"expanderlab.field", _EXTENSION},
-                        _OTHER_LAYERS | {"expanderlab.poly"}),
+                        _OTHER_LAYERS | {"expanderlab.poly", _INSTANCE, "json"}),
     "certify": ("certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1",
-                {"expanderlab.certificate"},
+                {"expanderlab.certificate", _INSTANCE},
                 {"expanderlab.explore", "expanderlab.selftest", "fractions", _EXTENSION}),
     "search": ("search --field 5 --g x^2 --h x --a 1 --b 1",
-               {"expanderlab.explore"},
-               {"expanderlab.certificate", "expanderlab.selftest", "fractions", "json",
-                _EXTENSION}),
+               {"expanderlab.explore", _INSTANCE},
+               {"expanderlab.certificate", "expanderlab.rng", "expanderlab.selftest",
+                "fractions", "json", _EXTENSION}),
     "image": ("image --field 13 --g x^2 --h x --A 1,2,3 --B 0,1",
-              {"expanderlab.bound"}, _OTHER_LAYERS | {"csv", "array", _EXTENSION}),
+              {"expanderlab.bound", _INSTANCE}, _OTHER_LAYERS | {"csv", "array", _EXTENSION}),
     "subfield": ("subfield --field 3^2 --m 1 --c-fraction 1/2",
-                 {"expanderlab.explore", _EXTENSION},
+                 {"expanderlab.explore", _EXTENSION, _INSTANCE},
                  {"expanderlab.certificate", "expanderlab.selftest", "json"}),
-    "search-help": ("search --help", {"expanderlab.cli"}, _OTHER_LAYERS | _FIELD_LAYERS),
+    "search-help": ("search --help", {"expanderlab.cli"},
+                    _OTHER_LAYERS | _FIELD_LAYERS | {_INSTANCE}),
 }
 
 
