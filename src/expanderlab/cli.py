@@ -56,7 +56,7 @@ _NOTES = {
     "A": "comma-separated elements", "B": "comma-separated elements", "C": "the same, for C",
     "k": "size of a random C (default: best k)", "seed": "seed of the random draws (default 0)",
     "mode": "exhaustive or random", "sample-count": "pairs per (a, b) cell in random mode",
-    "budget": "pairs (exhaustive) or value evaluations (random)",
+    "budget": "value evaluations, a * b per pair",
     "parallelism": ">= 1; evaluation is single-threaded", "format": ", ".join(FORMATS),
     "out": "write here, not to stdout", "config": "key=value file; flags override it",
     "m": "subfield degree, a proper divisor of n", "c-fraction": "|A| = ceil(c * p^m), 0 < c < 1",

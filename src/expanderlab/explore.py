@@ -47,7 +47,6 @@ from .poly import parse_poly
 
 DEFAULT_BUDGET = 10_000_000
 MAX_ROOT_SCAN = 2 * 10**6   # index ops, q*(deg h + 1), of the root scan before the budget gate
-FREE_COLUMNS = 10**6        # column evaluations an exhaustive run may make whatever its budget
 MAX_C_EXPONENT = 4300       # Fraction builds 10**|e| before any range check
 WRITE_BLOCK = 1024          # texts per write: an unbuffered stdout makes each write a syscall
 
@@ -320,16 +319,15 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     ``a`` and ``b`` are a single size or an inclusive (lo, hi) range.
     ``mode`` is "exhaustive" or "random"; random mode draws
     ``sample_count`` pairs per (a, b) cell from the generator seeded with
-    ``seed``.  ``budget`` caps the work of the run.  Exhaustive mode counts
-    pairs, the sum of binom(|pool|, a) * binom(q, b) over cells, where the
-    pool is the field minus the roots of h, exactly the pairs it enumerates.
-    It then counts its column pass, where each A of a cell evaluates all q
-    columns of a values: the sum of binom(|pool|, a) * a * q over cells,
-    refused over the budget only past ``FREE_COLUMNS``, so that a budget
-    of a few pairs still runs a few pairs that read many columns.  Random
-    mode counts value evaluations, sample_count * a * b per cell, as each
-    sampled pair evaluates up to a * b values.  No count lists the
-    cells or computes a binomial sure to pass the budget ("more than" it).
+    ``seed``.  ``budget`` caps the work of the run in value evaluations:
+    every pair costs a * b, in both modes.  Exhaustive mode prices the sum
+    of a * b * binom(|pool|, a) * binom(q, b) over cells, where the pool is
+    the field minus the roots of h, exactly the pairs it enumerates; random
+    mode prices sample_count * a * b per cell.  As b * binom(q, b) >= q, an
+    exhaustive cell's price covers its column pass, binom(|pool|, a) * a * q
+    evaluations, and in both modes a pair's price covers its b mask ORs.
+    No price lists the cells or computes a binomial sure to pass the budget
+    ("more than" it).
     The roots of h come from a scan of all q indices, refused over
     ``MAX_ROOT_SCAN`` index operations; a constant h has none and needs no
     scan, so a random search runs on any field :func:`parse_field` accepts.
@@ -362,25 +360,19 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     b_sizes = _sizes(b, q, "b")
 
     # A sum over the cells (a, b) of a product is the product of two sums.
-    # binom(n, k) >= 2**min(k, n - k): past the budget's bits, none is computed.
+    # k * binom(n, k) >= 2**min(k, n - k): past the budget's bits, none is computed.
     if mode == "exhaustive":
         sizes = ((len(pool_a), a_sizes), (q, b_sizes))
         sums = [None if any(min(k, n - k) >= budget.bit_length() for k in r)
-                else sum(math.comb(n, k) for k in r) for n, r in sizes]
-        unit, advice = "pairs", "narrow the ranges or switch to random mode"
+                else sum(k * math.comb(n, k) for k in r) for n, r in sizes]
+        advice = "narrow the ranges or switch to random mode"
     else:
         sums = [sample_count] + [(r.start + r.stop - 1) * len(r) // 2 for r in (a_sizes, b_sizes)]
-        unit, advice = "value evaluations", "narrow the ranges or draw fewer samples"
+        advice = "narrow the ranges or draw fewer samples"
     cost = 0 if 0 in sums else None if None in sums else math.prod(sums)
     if cost is None or cost > budget:
         raise InvalidParametersError(f"run needs {f'more than {budget}' if cost is None else cost}"
-                                     f" {unit} but the budget is {budget}; {advice}")
-    # With pairs priced, every binom(|pool|, a) is under the budget, so a's sizes are few.
-    columns = (len(b_sizes) * q * sum(k * math.comb(len(pool_a), k) for k in a_sizes)
-               if mode == "exhaustive" and cost else 0)
-    if columns > max(budget, FREE_COLUMNS):
-        raise InvalidParametersError(f"run needs {columns} column evaluations but the budget is "
-                                     f"{budget}; {advice}")
+                                     f" value evaluations but the budget is {budget}; {advice}")
 
     # Runs come in tie-break order (a, b, A_idx, B_idx): exhaustive runs are
     # lexicographic and read every index, random runs are a cell's sorted

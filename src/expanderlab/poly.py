@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import FieldMismatchError, InvalidParametersError
+from .errors import FieldMismatchError, InvalidParametersError, ParseError
 from .field import Field, FieldElem, _parse_terms, _power, _render_terms
 
 NEG_INF = float("-inf")
@@ -27,6 +27,9 @@ class Poly:
     __slots__ = ("field", "_coeffs")
 
     def __init__(self, field: Field, coeffs=()):
+        """``coeffs``: a list or tuple, lowest degree first, of :meth:`Field.element` inputs."""
+        if not isinstance(coeffs, (list, tuple)):
+            raise ParseError(f"polynomial coefficients must be a list or tuple, got {coeffs!r}")
         self._store(field, [field.element(c).index() for c in coeffs])
 
     def _store(self, field: Field, coeffs: list) -> Poly:

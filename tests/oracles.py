@@ -360,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "random"))
     p.add_argument("--sample-count")
     p.add_argument("--budget",
-                   help="work budget: pairs in exhaustive mode, value "
-                        "evaluations in random mode")
+                   help="work budget in value evaluations, a * b per pair")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("subfield", parents=[sweep], argument_default=argparse.SUPPRESS,

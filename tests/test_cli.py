@@ -496,10 +496,10 @@ def test_search_refuses_a_field_too_large_to_list_quickly():
 
 @pytest.mark.parametrize("argv, line", [
     # a binomial sure to pass the budget is refused uncomputed
-    ("--a 10000000 --b 1", "error: run needs more than 10000000 pairs but the budget is "
-     "10000000; narrow the ranges or switch to random mode\n"),
-    ("--a 1-1000000000000 --b 1", "error: run needs more than 10000000 pairs but the budget is "
-     "10000000; narrow the ranges or switch to random mode\n"),
+    ("--a 10000000 --b 1", "error: run needs more than 10000000 value evaluations but the "
+     "budget is 10000000; narrow the ranges or switch to random mode\n"),
+    ("--a 1-1000000000000 --b 1", "error: run needs more than 10000000 value evaluations but "
+     "the budget is 10000000; narrow the ranges or switch to random mode\n"),
     # a range of sizes is summed, not listed
     ("--a 1-1000000000000 --b 1 --mode random", "error: run needs 49999999998950000000005500 "
      "value evaluations but the budget is 10000000; narrow the ranges or draw fewer samples\n"),
@@ -516,17 +516,19 @@ def test_search_refuses_a_binomial_too_long_to_print():
     # binom(999983, 2000) has over 4300 digits, more than str() renders of an int.
     code, out, err = run_cli("search", "--field", "999983", "--g", "x", "--h", "1",
                              "--a", "2000", "--b", "1")
-    assert (code, out) == (2, "") and err.startswith("error: run needs more than 10000000 pairs")
+    assert (code, out) == (2, "") and err.startswith(
+        "error: run needs more than 10000000 value evaluations")
 
 
 @pytest.mark.parametrize("argv, line", [
-    # 21,945 pairs, but each A of 2 reads all 211 columns: 9,260,790 evaluations
+    # 21,945 pairs, but each A of 2 reads all 211 columns: 9,260,790 evaluations,
+    # as many as the price, 2 * 211 per pair
     ("--field 211 --a 2 --b 211 --budget 21945",
-     "error: run needs 9260790 column evaluations but the budget is 21945; "
+     "error: run needs 9260790 value evaluations but the budget is 21945; "
      "narrow the ranges or switch to random mode\n"),
-    # 507,528 pairs pass the default budget; their column pass is 1009 * 2 per A
+    # 507,528 pairs would pass a price in pairs; their column pass is 1009 * 2 per A
     ("--field 1009 --a 2 --b 1009",
-     "error: run needs 1024191504 column evaluations but the budget is 10000000; "
+     "error: run needs 1024191504 value evaluations but the budget is 10000000; "
      "narrow the ranges or switch to random mode\n"),
 ])
 def test_search_prices_its_column_pass_before_evaluating(argv, line):
@@ -534,6 +536,20 @@ def test_search_prices_its_column_pass_before_evaluating(argv, line):
     code, out, err = run_cli("search", "--g", "x^2", "--h", "x", *argv.split())
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", line)
+
+
+@pytest.mark.parametrize("argv, cost", [
+    # b ORs per pair: a price in pairs admitted 160,400 pairs that OR 6.4 * 10^7
+    # columns, and over F_3001 9.0 * 10^6 pairs that OR about 2.7 * 10^10
+    ("--field 401 --a 1 --b 400", 64160000),
+    ("--field 3001 --a 1 --b 3000", 27009000000),
+])
+def test_search_prices_its_or_pass_before_evaluating(argv, cost):
+    start = time.perf_counter()
+    code, out, err = run_cli("search", "--g", "x^2", "--h", "x", *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: run needs {cost} value evaluations but the "
+                                "budget is 10000000; narrow the ranges or switch to random mode\n")
 
 
 def test_random_search_with_a_constant_h_runs_on_any_prime_field():
@@ -1113,7 +1129,7 @@ def test_closed_stdout_pipe_exits_141_quietly():
     ("certify --field 3 --g x --h 1 --A 0,1,2 --B 0,1 --C 0,1,2",
      "error: k = 3 fails the Lucas condition: binom(3, 1) vanishes in characteristic 3\n"),
     ("search --field 13 --g x^2 --h x --a 2-3 --b 2 --budget 10",
-     "error: run needs 22308 pairs but the budget is 10; "
+     "error: run needs 123552 value evaluations but the budget is 10; "
      "narrow the ranges or switch to random mode\n"),
     ("search --field 5 --g x^2 --h x --a 2 --b 2 --mode random --sample-count 50 --budget 10",
      "error: run needs 200 value evaluations but the budget is 10; "

@@ -11,9 +11,10 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from expanderlab import bound as bound_module
 from expanderlab import explore
 from expanderlab import extension as extension_module
 from expanderlab.bound import image, theorem_bound
@@ -450,7 +451,7 @@ def test_search_extension_field_subfield_columns():
 
 def test_search_budget_gate():
     with pytest.raises(InvalidParametersError,
-                       match="^run needs 1585584 pairs but the budget is 1000; "
+                       match="^run needs 57081024 value evaluations but the budget is 1000; "
                              "narrow the ranges or switch to random mode$"):
         search_extremal("13", "x^2", "x", 6, 6, budget=1000)
     with pytest.raises(InvalidParametersError,
@@ -469,27 +470,93 @@ def test_search_random_budget_counts_value_evaluations():
 
 def test_search_budget_prices_the_usable_pool():
     # h = x removes 0 from A's pool: a = 12 leaves one A and 13 choices of
-    # B, so 13 pairs run; binom(q, a) * binom(q, b) would price 169.
-    recs = search_extremal("13", "x^2", "x", 12, 1, budget=13)
+    # B, so 13 pairs of 12 * 1 values run, 156 in all; binom(q, a) in place
+    # of binom(|pool|, a) would price 2028.
+    recs = search_extremal("13", "x^2", "x", 12, 1, budget=156)
     assert len(recs) == 13
-    with pytest.raises(InvalidParametersError, match="needs 13 pairs"):
-        search_extremal("13", "x^2", "x", 12, 1, budget=12)
+    with pytest.raises(InvalidParametersError, match="needs 156 value evaluations"):
+        search_extremal("13", "x^2", "x", 12, 1, budget=155)
 
 
 def test_search_budget_prices_the_column_pass(monkeypatch):
     # |pool| = 12: binom(12, 11) A's of 11 and one of 12, each reading all 13
-    # columns once per b size, 2 * 13 * (12 * 11 + 1 * 12) = 3744 evaluations
-    # for only 13 * (13 + 78) = 1183 pairs.  Under FREE_COLUMNS no budget refuses them.
+    # columns once per b size, 2 * 13 * (12 * 11 + 1 * 12) = 3744 column
+    # evaluations for 13 * (13 + 78) = 1183 pairs.  Their price, a * b per
+    # pair, is (11 * 12 + 12 * 1) * (1 * 13 + 2 * 78) = 24336, which covers them.
+    columns, measure = [], explore._measure
+    monkeypatch.setattr(explore, "_measure", lambda field, g, h, runs: columns.extend(
+        len(A_idx) * len(cols) for A_idx, _, cols in runs) or measure(field, g, h, runs))
     config = dict(field="13", g="x^2", h="x", a=(11, 12), b=(1, 2))
-    assert len(search_extremal(**config, budget=1183)) == 1183
-    monkeypatch.setattr(explore, "FREE_COLUMNS", 0)
+    assert len(search_extremal(**config, budget=24336)) == 1183
+    assert sum(columns) == 3744 <= 24336
     with pytest.raises(InvalidParametersError,
-                       match="^run needs 3744 column evaluations but the budget is 3743; "
+                       match="^run needs 24336 value evaluations but the budget is 24335; "
                              "narrow the ranges or switch to random mode$"):
-        search_extremal(**config, budget=3743)
-    assert len(search_extremal(**config, budget=3744)) == 1183
-    with pytest.raises(InvalidParametersError, match="needs 1183 pairs"):
-        search_extremal(**config, budget=1182)
+        search_extremal(**config, budget=24335)
+
+
+# Fields of 5 to 16 elements, and sizes from the small and the large end of
+# each binomial, where an exhaustive price stays small.  A draw whose price
+# passes PRICE_CAP is not run.
+PRICE_FIELDS = {"5": 5, "7": 7, "11": 11, "13": 13, "2^3": 8, "2^4": 16, "3^2": 9}
+PRICE_CAP = 20_000
+
+
+@st.composite
+def _priced_search(draw):
+    field = draw(st.sampled_from(sorted(PRICE_FIELDS)))
+    q = PRICE_FIELDS[field]
+    size = st.one_of(st.integers(1, 3), st.integers(q - 2, q + 1))
+
+    def sizes():
+        lo = draw(size)
+        return lo, lo + draw(st.integers(0, 1))
+
+    return dict(field=field, g=draw(st.sampled_from(["x^2", "x^3+x"])),
+                h=draw(st.sampled_from(["x", "1", "x+1"])), a=sizes(), b=sizes(),
+                mode=draw(st.sampled_from(["exhaustive", "random"])),
+                sample_count=draw(st.integers(1, 4)), seed=draw(st.integers(0, 3)))
+
+
+def test_search_price_is_the_sum_of_a_times_b_over_its_pairs(monkeypatch):
+    # A run is admitted at budget P, the sum of a * b over the pairs it
+    # returns, and refused at P - 1.  P bounds the work the kernel is handed:
+    # the column-mask steps, |A| * |cols| per run, the mask ORs, |B| per
+    # pair, and the values that value_rows evaluates.
+    work = collections.Counter()
+    measure, value_rows = explore._measure, bound_module.value_rows
+
+    def counted_measure(field, g, h, runs, by_slack=True):
+        for A_idx, Bs, cols in runs:
+            work["columns"] += len(A_idx) * len(cols)
+            work["ors"] += sum(map(len, Bs))
+        return measure(field, g, h, runs, by_slack)
+
+    def counted_value_rows(g, h, xs, ys):
+        work["values"] += len(xs) * len(ys)
+        return value_rows(g, h, xs, ys)
+
+    monkeypatch.setattr(explore, "_measure", counted_measure)
+    monkeypatch.setattr(bound_module, "value_rows", counted_value_rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_priced_search())
+    def run(call):
+        work.clear()
+        try:
+            ranked = search_extremal(**call, budget=PRICE_CAP)
+        except InvalidParametersError:
+            assume(False)
+        pairs = collections.Counter(ranked.ids)
+        price = sum(ranked.rows[i][3] * ranked.rows[i][4] * n for i, n in pairs.items())
+        assert max(work["columns"], work["ors"], work["values"]) <= price, (work, price)
+        assert len(search_extremal(**call, budget=price)) == len(ranked)
+        with pytest.raises(InvalidParametersError,
+                           match=f"^run needs {price} value evaluations but the budget is "
+                                 f"{price - 1}; "):
+            search_extremal(**call, budget=price - 1)
+
+    run()
 
 
 def test_search_oversized_sizes_clamp_to_empty():

@@ -81,8 +81,8 @@ def setups(draw, fields, over_prime_field=False, monomials=False):
     nonzero = st.integers(1, top - 1)
 
     def poly(degree):
-        return Poly(field, map(field.from_index, [
-            *draw(st.lists(elem, min_size=degree, max_size=degree)), draw(nonzero)]))
+        return Poly(field, [*map(field.from_index, [
+            *draw(st.lists(elem, min_size=degree, max_size=degree)), draw(nonzero)])])
 
     d = draw(st.integers(1, 3))
     g, h = poly(d), poly(draw(st.integers(0, d - 1)))

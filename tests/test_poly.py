@@ -21,6 +21,17 @@ def test_normalization_strips_trailing_zeros():
     assert f.coeffs == (F5.element(1), F5.element(2))
 
 
+@pytest.mark.parametrize("coeffs", [{5: 1}, b"\x01\x02", range(3), iter([1, 2]),
+                                    map(int, "12"), "12"],
+                         ids=["dict", "bytes", "range", "iterator", "map", "str"])
+def test_coefficients_are_a_list_or_tuple(coeffs):
+    # Any other iterable was read as the coefficients: a dict's keys, bytes'
+    # ints, a range's ints.  Now each is refused by name, as Field.element does.
+    with pytest.raises(ParseError) as e:
+        Poly(F5, coeffs)
+    assert str(e.value) == f"polynomial coefficients must be a list or tuple, got {coeffs!r}"
+
+
 def test_zero_polynomial_degree():
     z = Poly(F5)
     assert z.is_zero()
