@@ -34,7 +34,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidParametersError, ParseError
+from .errors import InvalidParametersError, ParseError, _count
 
 if TYPE_CHECKING:                # annotations only: `bound --d` loads no field layer
     from .field import FieldElem
@@ -79,8 +79,8 @@ def _check_characteristic(p, n=None) -> None:
 
 def _check_arguments(a: int, b: int, d: int, characteristic) -> None:
     """The arguments :func:`theorem_bound` and :func:`corollary_bound` share."""
-    if a < 1 or b < 1 or d < 1:
-        raise InvalidParametersError(f"need a, b, d >= 1, got a={a}, b={b}, d={d}")
+    for name, value in zip("abd", (a, b, d)):
+        _count(value, name, 1)
     _check_characteristic(characteristic)
 
 
@@ -103,10 +103,9 @@ def lucas_nonvanishing(k: int, r: int, characteristic) -> bool:
     For prime p this is the digit test: every base-p digit of r must be at
     most the corresponding digit of k.  The infinite sentinel runs as base
     k + 1, where k and r are single digits, so the test is r <= k: the
-    binomial is an ordinary positive integer.
+    binomial is an ordinary integer, never 0.
     """
-    if k < 0 or r < 0:
-        raise InvalidParametersError(f"k and r must be non-negative, got k={k}, r={r}")
+    k, r = _count(k, "k"), _count(r, "r")
     _check_characteristic(characteristic)
     return _digits_dominate(k, r, k + 1 if characteristic == INF else characteristic)
 

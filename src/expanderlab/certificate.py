@@ -44,7 +44,7 @@ import math
 from typing import NamedTuple
 
 from .bound import _digits_dominate, value_rows
-from .errors import FieldMismatchError, InternalInvariantError, InvalidParametersError
+from .errors import FieldMismatchError, InternalInvariantError, InvalidParametersError, _count
 from .field import Field, FieldElem, _power, canonical_sort
 from .instance import ExpanderInstance, _distinct_points, check_degrees
 from .poly import Poly
@@ -128,11 +128,7 @@ def solve_alpha(A, h: Poly, b: int, target_degree: int) -> dict:
     points, D <= |A| - 1 and h nonvanishing on A.
     """
     A = _distinct_points(A, "A")
-    D = target_degree
-    if b < 1:
-        raise InvalidParametersError(f"need b >= 1, got {b}")
-    if D < 0:
-        raise InvalidParametersError(f"target degree must be >= 0, got {D}")
+    b, D = _count(b, "b", 1), _count(target_degree, "target_degree")
     if D > len(A) - 1:
         raise InvalidParametersError(
             f"target degree {D} needs {D + 1} points but |A| = {len(A)}")

@@ -20,7 +20,8 @@ drivers return its :class:`Ranked`: per pair a row id into the distinct CSV
 rows and its run position, in output order, so every format and the summary
 render from row ids and a record is built only where one is indexed.
 Evaluation is single-threaded, as a thread pool gained nothing under the
-interpreter lock: ``parallelism`` is validated (>= 1) and otherwise unused.
+interpreter lock: ``parallelism`` is a count >= 1 and otherwise unused.
+Each count, the sizes included, is read by :func:`expanderlab.errors._count`.
 
 A pair with negative slack would disprove the bound; the harness treats
 it as a fatal internal error, before any output, and names the witness.
@@ -40,7 +41,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import bound as bound_mod
-from .errors import InvalidParametersError
+from .errors import InvalidParametersError, ParseError, _count
 from .field import Field, parse_field
 from .instance import _sets_text, check_degrees, negative_slack_error
 from .poly import parse_poly
@@ -209,15 +210,13 @@ def summarize(records) -> str:
 
 
 def _sizes(v, limit: int, name: str) -> range:
-    """Sizes clipped to [1, limit]; an unreachable request yields an empty
-    range (no valid sets of that size), not an error.  No list is built, so
-    a range's upper end may be arbitrarily large."""
-    lo, hi = (v, v) if isinstance(v, int) else v
-    if lo < 1:
-        raise InvalidParametersError(f"{name} sizes must be >= 1")
-    if hi < lo:
-        raise InvalidParametersError(f"bad {name} range ({lo}, {hi})")
-    return range(lo, min(hi, limit) + 1)
+    """Sizes clipped to [1, limit] from a count v >= 1 or a tuple (lo, hi) of
+    counts, lo >= 1 and hi >= lo; an unreachable request yields an empty range
+    (no valid sets of that size), not an error.  No list is built, so a
+    range's upper end may be arbitrarily large."""
+    lo, hi = v if isinstance(v, tuple) and len(v) == 2 else (v, v)
+    lo = _count(lo, name, 1)
+    return range(lo, min(_count(hi, name, lo), limit) + 1)
 
 
 def _subfield_index_sets(field: Field) -> list[tuple[int, frozenset]]:
@@ -331,20 +330,17 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     The roots of h come from a scan of all q indices, refused over
     ``MAX_ROOT_SCAN`` index operations; a constant h has none and needs no
     scan, so a random search runs on any field :func:`parse_field` accepts.
-    ``parallelism`` must be >= 1 but is otherwise unused: evaluation is
-    single-threaded.
+    ``parallelism`` is a count >= 1, otherwise unused: evaluation is serial.
     """
-    if isinstance(field, str):
-        field = parse_field(field)
+    field = field if isinstance(field, Field) else parse_field(field)
     g = parse_poly(g, field)
     h = parse_poly(h, field)
     check_degrees(g, h)
     if mode not in ("exhaustive", "random"):
         raise InvalidParametersError(f"unknown mode {mode!r}")
-    if parallelism < 1:
-        raise InvalidParametersError(f"parallelism must be >= 1, got {parallelism}")
-    if mode == "random" and sample_count < 1:
-        raise InvalidParametersError(f"sample_count must be >= 1, got {sample_count}")
+    _count(parallelism, "parallelism", 1)
+    _count(sample_count, "sample_count", 1)
+    _count(budget, "budget")
 
     q = field.order
     if h.degree():
@@ -427,20 +423,20 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2", h: str = "x",
     baseline B = K; the rest sweep theta over the complement of K in
     canonical order, or over a seeded sample of ``theta_count`` of them.
     Thresholds appear only on the theta records; the baseline has nothing
-    to exceed.  ``parallelism`` must be >= 1 but is otherwise unused:
-    evaluation is single-threaded.
+    to exceed.  ``random_a`` is a bool; ``parallelism`` is a count >= 1,
+    otherwise unused: evaluation is single-threaded.
     """
-    if isinstance(field, str):
-        field = parse_field(field)
-    if not isinstance(m, int) or m < 1 or m >= field.n or field.n % m != 0:
+    field = field if isinstance(field, Field) else parse_field(field)
+    if _count(m, "m", 1) >= field.n or field.n % m:
         raise InvalidParametersError(
             f"m = {m} must properly divide the extension degree {field.n}")
     c = parse_c(c_fraction)
     if not 0 < c < 1:
         # c_fraction as given: a huge c may have too many digits to print
         raise InvalidParametersError(f"c must satisfy 0 < c < 1, got {c_fraction}")
-    if parallelism < 1:
-        raise InvalidParametersError(f"parallelism must be >= 1, got {parallelism}")
+    _count(parallelism, "parallelism", 1)
+    if not isinstance(random_a, bool):
+        raise ParseError(f"random_a must be True or False, got {random_a!r}")
     g_poly = parse_poly(g, field)
     h_poly = parse_poly(h, field)
     check_degrees(g_poly, h_poly)
@@ -453,15 +449,13 @@ def subfield_experiment(field, m: int, c_fraction, g: str = "x^2", h: str = "x",
     if not pool:
         raise InvalidParametersError("no usable subfield elements for A")
     a = min(math.ceil(c * q_m), len(pool))
-    if random_a:
-        A = tuple(pool[i] for i in rng.sample_indices(len(pool), a))
-    else:
-        A = tuple(pool[:a])
+    picks = rng.sample_indices(len(pool), a) if random_a else range(a)
+    A = tuple(pool[i] for i in picks)
 
     K_set = set(K_idx)
     thetas = [i for i in range(field.order) if i not in K_set]
     if theta_count is not None:
-        if not 1 <= theta_count <= len(thetas):
+        if _count(theta_count, "theta_count", 1) > len(thetas):
             raise InvalidParametersError(
                 f"theta_count = {theta_count} outside [1, {len(thetas)}]")
         picks = rng.sample_indices(len(thetas), theta_count)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import operator
 
 from .bound import _check_characteristic    # the one check, with the limits
-from .errors import FieldMismatchError, InvalidParametersError, ParseError
+from .errors import FieldMismatchError, InvalidParametersError, ParseError, _count
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,8 @@ def _parse_terms(text: str, var: str, coeff) -> dict:
     coefficient}; ``coeff`` reads the text of c, "1" when it is omitted.
     A ValueError from ``coeff`` is reported as a bad term, while a
     ParseError passes through."""
+    if not isinstance(text, str):
+        raise ParseError(f"expression must be a str, got {text!r}")
     s = text.replace("−", "-").replace(" ", "")
     if not s:
         raise ParseError("empty expression")
@@ -117,9 +119,7 @@ class Field:
 
     def __init__(self, p: int, n: int = 1, modulus=None):
         _check_characteristic(p, n)
-        if not isinstance(n, int) or n < 1:
-            raise ParseError(f"extension degree must be a positive integer, got {n!r}")
-        if n == 1:
+        if _count(n, "extension degree", 1) == 1:
             if modulus is not None:
                 raise ParseError(f"modulus {modulus!r} given for the prime field F_{p}")
         else:   # a given modulus is read only once p is known to be a valid prime
@@ -189,7 +189,7 @@ class Field:
     def from_index(self, i: int) -> FieldElem:
         """Element number i in the canonical enumeration (base-p digits,
         coeffs[0] least significant)."""
-        if not 0 <= i < self.order:
+        if _count(i, "index") >= self.order:
             raise ParseError(f"index {i} out of range for {self}")
         return FieldElem(self, i)
 
@@ -213,7 +213,7 @@ class Field:
         call.  For m < n it is 0 and the powers of alpha^((q-1)/(p^m-1)), read
         off the exp table (Lidl & Niederreiter, *Finite Fields*, 2.1); m = n,
         the whole field, builds no table."""
-        if not isinstance(m, int) or m < 1 or self.n % m != 0:
+        if self.n % _count(m, "m", 1):
             raise InvalidParametersError(f"{m} does not divide extension degree {self.n}")
         if m == self.n:
             return tuple(FieldElem(self, i) for i in range(self.order))
@@ -372,9 +372,7 @@ def _render_terms(coeffs, var: str, text=str) -> str:
 def _power(base, e: int, one, mul=operator.mul):
     """base**e for an integer e >= 0, by square-and-multiply from ``one``
     with the product ``mul``."""
-    if not isinstance(e, int) or e < 0:
-        raise InvalidParametersError("exponent must be a non-negative integer")
-    acc = one
+    acc, e = one, _count(e, "exponent")
     while e:
         if e & 1:
             acc = mul(acc, base)
@@ -389,6 +387,8 @@ def _power(base, e: int, one, mul=operator.mul):
 
 def parse_field(text: str) -> Field:
     """Parse "p", "p^n", or "p^n/modulus" (e.g. "3^2/t^2+1")."""
+    if not isinstance(text, str):
+        raise ParseError(f"field must be a str, got {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty field description")

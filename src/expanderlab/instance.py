@@ -88,6 +88,8 @@ def check_instance(field: Field, g: Poly, h: Poly, A, B) -> ExpanderInstance:
     :class:`FieldMismatchError`, a programming mistake, not a violation.
     """
     for f_, name in ((g, "g"), (h, "h")):
+        if not isinstance(f_, Poly):
+            raise ParseError(f"{name} must be a Poly, got {f_!r}")
         if f_.field != field:
             raise FieldMismatchError(f"{name} is over {f_.field}, expected {field}")
     A = canonical_sort(field.element(x) for x in A)

@@ -22,7 +22,7 @@ used anywhere in sampling paths.
 
 from __future__ import annotations
 
-from .errors import InvalidParametersError
+from .errors import InvalidParametersError, _count
 
 _MASK = (1 << 64) - 1
 
@@ -46,9 +46,7 @@ class Xoshiro256StarStar:
     __slots__ = ("_s",)
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or seed < 0:
-            raise InvalidParametersError(f"seed must be a non-negative integer, got {seed!r}")
-        state = seed & _MASK
+        state = _count(seed, "seed") & _MASK
         words = []
         for _ in range(4):
             state, out = splitmix64(state)
@@ -71,9 +69,7 @@ class Xoshiro256StarStar:
     def bounded(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection below the largest multiple
         of n, which removes modulo bias."""
-        if n < 1:
-            raise InvalidParametersError(f"bound must be positive, got {n}")
-        threshold = ((1 << 64) // n) * n
+        threshold = ((1 << 64) // _count(n, "n", 1)) * n
         while True:
             v = self.next_u64()
             if v < threshold:
@@ -85,7 +81,7 @@ class Xoshiro256StarStar:
         The first ``count`` steps of a Fisher-Yates shuffle, with the swap
         array held sparsely, so the cost is O(count) regardless of m.
         """
-        if not 0 <= count <= m:
+        if _count(count, "count") > _count(m, "m"):
             raise InvalidParametersError(f"cannot draw {count} of {m} indices")
         swap: dict[int, int] = {}
         out = []

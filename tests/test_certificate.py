@@ -570,9 +570,10 @@ def test_refute_cover_finds_witness():
 
 def test_solve_alpha_refuses_bad_parameters():
     h = parse_poly("x", F13)
-    with pytest.raises(InvalidParametersError, match="need b >= 1, got 0"):
+    with pytest.raises(InvalidParametersError, match="^b must be an integer >= 1, got 0$"):
         solve_alpha(elems(F13, 1, 2, 3), h, 0, 1)
-    with pytest.raises(InvalidParametersError, match="target degree must be >= 0, got -1"):
+    with pytest.raises(InvalidParametersError,
+                       match="^target_degree must be an integer >= 0, got -1$"):
         solve_alpha(elems(F13, 1, 2, 3), h, 2, -1)
     with pytest.raises(InvalidParametersError, match="^A contains root 0 of h$"):
         solve_alpha(elems(F13, 2, 0, 1), h, 2, 1)

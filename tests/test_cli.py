@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import inspect
 import io
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 from expanderlab import bound as bound_mod
 from expanderlab import certificate, cli, explore, instance, selftest
 from expanderlab.cli import main
-from expanderlab.errors import InvalidParametersError, ValidationError
-from expanderlab.field import Field, FieldElem
+from expanderlab.errors import InvalidParametersError, ParseError, ValidationError
+from expanderlab.field import Field, FieldElem, parse_field
 from expanderlab.poly import parse_poly
+from expanderlab.rng import Xoshiro256StarStar
 from oracles import build_parser
 
 
@@ -1088,9 +1090,9 @@ def test_closed_stdout_pipe_exits_141_quietly():
     ("bound --field 3^2/t^1000001+1 --a 3 --b 2 --d 1",
      "error: exponent 1000001 in 't^1000001+1' exceeds 1000000\n"),
     ("search --field 5 --g x^2 --h x --a 2 --b 2 --mode random --sample-count 0",
-     "error: sample_count must be >= 1, got 0\n"),
+     "error: sample_count must be an integer >= 1, got 0\n"),
     ("subfield --field 3^2 --m 1 --c-fraction 1/2 --parallelism 0",
-     "error: parallelism must be >= 1, got 0\n"),
+     "error: parallelism must be an integer >= 1, got 0\n"),
     # h = x^3 - x vanishes on all of F_3
     ("subfield --field 3^2 --m 1 --c-fraction 1/2 --g x^4 --h x^3-x",
      "error: no usable subfield elements for A\n"),
@@ -1099,9 +1101,9 @@ def test_closed_stdout_pipe_exits_141_quietly():
     ("certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1 --k 20",
      "error: k = 20 fails the range condition [1, 2]\n"),
     ("bound --field 3^0 --a 3 --b 2 --d 1",
-     "error: extension degree must be a positive integer, got 0\n"),
+     "error: extension degree must be an integer >= 1, got 0\n"),
     ("search --field 3^0 --g x^2 --h x --a 2 --b 2",
-     "error: extension degree must be a positive integer, got 0\n"),
+     "error: extension degree must be an integer >= 1, got 0\n"),
     # a modulus is refused for a prime field, after the prime check
     ("bound --field 13/t+1 --a 3 --b 2 --d 1",
      "error: modulus 't+1' given for the prime field F_13\n"),
@@ -1176,20 +1178,116 @@ X2, X = (parse_poly(text, F13) for text in ("x^2", "x"))
      ["certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1 --k 5"]),
     ("k = 6 fails the Lucas condition: binom(6, 4) vanishes in characteristic 5",
      ["certify --field 5 --g x --h 1 --A 0,1,2,3,4 --B 0,1,2,3,4 --k 6"]),
-    ("a sizes must be >= 1", [
+    ("a must be an integer >= 1, got 0", [
         "search --field 13 --g x^2 --h x --a 0 --b 2",
-        "search --field 13 --g x^2 --h x --a -1 --b 2",
         "search --field 13 --g x^2 --h x --a 0-3 --b 2",
         lambda: explore.search_extremal("13", "x^2", "x", (0, 3), 2)]),
+    # every count below its floor, as (path, name, floor, value)
+    ("{} must be an integer >= {}, got {}", [
+        ("search --field 13 --g x^2 --h x --a 2 --b 2 --mode random --sample-count 0",
+         "sample_count", 1, 0),
+        ("search --field 13 --g x^2 --h x --a 2 --b 2 --sample-count 0", "sample_count", 1, 0),
+        ("search --field 13 --g x^2 --h x --a 2 --b 2 --parallelism 0", "parallelism", 1, 0),
+        ("subfield --field 3^2 --m 1 --c-fraction 1/2 --parallelism 0", "parallelism", 1, 0),
+        ("search --field 13 --g x^2 --h x --a 2 --b 2 --mode random --seed -1", "seed", 0, -1),
+        ("subfield --field 3^2 --m 1 --c-fraction 1/2 --seed -1", "seed", 0, -1),
+        ("certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1 --seed -1", "seed", 0, -1),
+        ("search --field 13 --g x^2 --h x --a -1 --b 2", "a", 1, -1),
+        ("search --field 13 --g x^2 --h x --a 3-2 --b 2", "a", 3, 2),
+        ("bound --field 13 --a 0 --b 2 --d 1", "a", 1, 0),
+        ("bound --field 13 --a 3 --b 2 --d 0", "d", 1, 0),
+        ("search --field 13 --g x^2 --h x --a 2 --b 2 --budget -1", "budget", 0, -1),
+        ("subfield --field 3^2 --m 0 --c-fraction 1/2", "m", 1, 0),
+        ("subfield --field 3^2 --m 1 --c-fraction 1/2 --theta-count 0", "theta_count", 1, 0)]),
     # check_instance lists it after "invalid instance: ", solve_alpha raises it alone
     ("A contains root 0 of h", [
         "certify --field 13 --g x^2 --h x --A 0,1,2 --B 0,1",
         lambda: instance.check_instance(F13, X2, X, [0, 1, 2], [0, 1]),
         lambda: certificate.solve_alpha([F13.element(i) for i in (0, 1, 2)], X, 2, 1)]),
-], ids=["characteristic", "k beyond q", "k in q", "Lucas", "sizes", "root of h"])
+], ids=["characteristic", "k beyond q", "k in q", "Lucas", "sizes", "count", "root of h"])
 def test_one_fault_reads_one_way(message, paths):
     for path in paths:
-        assert _fault_text(path).removeprefix("invalid instance: ") == message, path
+        path, *fill = path if isinstance(path, tuple) else (path,)
+        assert _fault_text(path).removeprefix("invalid instance: ") == message.format(*fill), path
+
+
+# Each count argument of the library: (call, its name in the message, its
+# floor, a function that passes it the count v).  F_13's A = {1, 2, 3}.
+A123 = [F13.element(i) for i in (1, 2, 3)]
+COUNTS = [
+    ("element ** e", "exponent", 0, lambda v: F13.element(3) ** v),
+    ("poly ** e", "exponent", 0, lambda v: X ** v),
+    ("Field(3, n)", "extension degree", 1, lambda v: Field(3, v)),
+    ("from_index", "index", 0, lambda v: F13.from_index(v)),
+    ("subfield(m)", "m", 1, lambda v: Field(3, 2).subfield(v)),
+    ("theorem_bound a", "a", 1, lambda v: bound_mod.theorem_bound(v, 2, 1, 7)),
+    ("theorem_bound b", "b", 1, lambda v: bound_mod.theorem_bound(3, v, 1, 7)),
+    ("theorem_bound d", "d", 1, lambda v: bound_mod.theorem_bound(3, 2, v, 7)),
+    ("corollary_bound a", "a", 1, lambda v: bound_mod.corollary_bound(v, 2, 1, 7)),
+    ("lucas k", "k", 0, lambda v: bound_mod.lucas_nonvanishing(v, 0, 5)),
+    ("lucas r", "r", 0, lambda v: bound_mod.lucas_nonvanishing(4, v, 5)),
+    ("rng seed", "seed", 0, Xoshiro256StarStar),
+    ("bounded", "n", 1, lambda v: Xoshiro256StarStar(0).bounded(v)),
+    ("sample_indices m", "m", 0, lambda v: Xoshiro256StarStar(0).sample_indices(v, 0)),
+    ("sample_indices count", "count", 0, lambda v: Xoshiro256StarStar(0).sample_indices(5, v)),
+    ("search a", "a", 1, lambda v: explore.search_extremal("13", "x^2", "x", v, 2)),
+    ("search a lo", "a", 1, lambda v: explore.search_extremal("13", "x^2", "x", (v, 3), 2)),
+    ("search b hi", "b", 2, lambda v: explore.search_extremal("13", "x^2", "x", 2, (2, v))),
+    ("search parallelism", "parallelism", 1,
+     lambda v: explore.search_extremal("13", "x^2", "x", 2, 2, parallelism=v)),
+    ("search sample_count", "sample_count", 1,
+     lambda v: explore.search_extremal("13", "x^2", "x", 2, 2, sample_count=v)),
+    ("search budget", "budget", 0,
+     lambda v: explore.search_extremal("13", "x^2", "x", 2, 2, budget=v)),
+    ("subfield m", "m", 1, lambda v: explore.subfield_experiment("3^2", v, "1/2")),
+    ("subfield theta_count", "theta_count", 1,
+     lambda v: explore.subfield_experiment("3^2", 1, "1/2", theta_count=v)),
+    ("subfield parallelism", "parallelism", 1,
+     lambda v: explore.subfield_experiment("3^2", 1, "1/2", parallelism=v)),
+    ("solve_alpha b", "b", 1, lambda v: certificate.solve_alpha(A123, X, v, 1)),
+    ("solve_alpha target_degree", "target_degree", 0,
+     lambda v: certificate.solve_alpha(A123, X, 2, v)),
+]
+# (call, the error, its message): a bool, a float and a text for every count,
+# one below its floor, then a text, a polynomial or a flag of the wrong type.
+WRONG_KIND = [
+    (f"{label} {value!r}", functools.partial(call, value), error,
+     f"{name} must be an integer >= {least}, got {value!r}")
+    for label, name, least, call in COUNTS
+    for value, error in ((True, ParseError), (2.5, ParseError), ("2", ParseError),
+                         (least - 1, InvalidParametersError))
+] + [
+    ("search a (2,)", lambda: explore.search_extremal("7", "x^2", "x", (2,), 2), ParseError,
+     "a must be an integer >= 1, got (2,)"),
+    ("parse_field 7", lambda: parse_field(7), ParseError, "field must be a str, got 7"),
+    ("parse_element 3", lambda: Field(7).parse_element(3), ParseError,
+     "expression must be a str, got 3"),
+    ("parse_poly Poly", lambda: parse_poly(X, F13), ParseError,
+     f"expression must be a str, got {X!r}"),
+    ("search g Poly", lambda: explore.search_extremal("7", X, "x", 2, 2), ParseError,
+     f"expression must be a str, got {X!r}"),
+    ("search field 7", lambda: explore.search_extremal(7, "x^2", "x", 2, 2), ParseError,
+     "field must be a str, got 7"),
+    ("check_instance g text", lambda: instance.check_instance(F13, "x^2", "x", [1], [1]),
+     ParseError, "g must be a Poly, got 'x^2'"),
+    ("check_instance h text", lambda: instance.check_instance(F13, X2, "x", [1], [1]),
+     ParseError, "h must be a Poly, got 'x'"),
+    ("random_a 'no'", lambda: explore.subfield_experiment("3^2", 1, "1/2", random_a="no"),
+     ParseError, "random_a must be True or False, got 'no'"),
+    ("random_a 1", lambda: explore.subfield_experiment("3^2", 1, "1/2", random_a=1),
+     ParseError, "random_a must be True or False, got 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in WRONG_KIND],
+                         ids=[row[0] for row in WRONG_KIND])
+def test_a_count_text_or_flag_of_the_wrong_kind_reads_one_way(call, error, message):
+    # A library call with a bad count, text or flag raises one ValidationError
+    # subclass with one wording; none leaks a TypeError or AttributeError or
+    # runs on a coerced value.
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 SUBFIELD_RANDOM = ("subfield", "--field", "5^2", "--m", "1", "--c-fraction", "1/2",

@@ -174,8 +174,8 @@ def test_parse_field_forms():
     with pytest.raises(InvalidParametersError, match="^characteristic 4 is not prime$"):
         parse_field("4^2")
     for text, n in (("3^0", 0), ("2^-1", -1)):
-        with pytest.raises(ParseError,
-                           match=f"^extension degree must be a positive integer, got {n}$"):
+        with pytest.raises(InvalidParametersError,
+                           match=f"^extension degree must be an integer >= 1, got {n}$"):
             parse_field(text)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expanderlab.errors import InvalidParametersError, ValidationError
+from expanderlab.errors import InvalidParametersError, ParseError, ValidationError
 from expanderlab.field import parse_field
 from expanderlab.poly import Poly, parse_poly
 
@@ -41,11 +41,11 @@ def test_powers_share_one_square_and_multiply():
     assert T21 ** 5 == T21 * T21 * T21 * T21 * T21 and T21 ** 0 == F9.one()
     # A negative or non-integer exponent is bad input, which the CLI catches
     # as a ValidationError; it is still a ValueError.
-    assert issubclass(InvalidParametersError, ValueError)
+    assert issubclass(ValidationError, ValueError)
     for value in (T21, x1, F13.element(3), parse_poly("x+1", F13)):
-        for e in (-1, -2, 1.5):
-            with pytest.raises(InvalidParametersError,
-                               match="^exponent must be a non-negative integer$"):
+        for e, error in ((-1, InvalidParametersError), (-2, InvalidParametersError),
+                         (1.5, ParseError)):
+            with pytest.raises(error, match=f"^exponent must be an integer >= 0, got {e}$"):
                 value ** e
 
 
