@@ -34,7 +34,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidParametersError, ParseError, _count
+from .errors import InvalidParametersError, _count
 
 if TYPE_CHECKING:                # annotations only: `bound --d` loads no field layer
     from .field import FieldElem
@@ -85,16 +85,18 @@ def _check_arguments(a: int, b: int, d: int, characteristic) -> None:
 
 
 def parse_characteristic(text: str):
-    """Parse "13" or "inf"."""
-    s = text.strip().lower()
-    if s == "inf":
+    """The characteristic of a field text: ``INF`` for "inf", a prime of
+    decimal digits read here, so ``bound --d`` loads no field layer, and for
+    any other value that of :func:`~expanderlab.field.parse_field`'s field,
+    whose checks and words "p^n", "p^n/modulus" and a bad text meet."""
+    s = text.strip() if isinstance(text, str) else ""
+    if s.lower() == "inf":
         return INF
-    try:
-        p = int(s)
-    except ValueError:
-        raise ParseError(f"characteristic must be prime or inf, got {text!r}") from None
-    _check_characteristic(p)
-    return p
+    if s.isdecimal():
+        _check_characteristic(int(s))
+        return int(s)
+    from .field import parse_field
+    return parse_field(text).p
 
 
 def lucas_nonvanishing(k: int, r: int, characteristic) -> bool:

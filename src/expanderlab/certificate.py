@@ -52,6 +52,7 @@ from .poly import Poly
 
 def binomial_in_field(field: Field, k: int, r: int) -> FieldElem:
     """binom(k, r) as an exact integer reduced into the field."""
+    k, r = _count(k, "k", None), _count(r, "r", None)
     if r < 0 or r > k:
         return field.zero()
     return field.element(math.comb(k, r) % field.p)
@@ -154,7 +155,7 @@ def _moments_match(weights: dict, points, scale, top: int) -> bool:
 
 def verify_beta(beta: dict, B, b: int) -> bool:
     """Replay the beta moment conditions over B by direct summation."""
-    B = canonical_sort(B)
+    B, b = canonical_sort(B), _count(b, "b", None)
     if not B or b < 1 or len(B) != b or any(y not in beta for y in B):
         return False
     return _moments_match(beta, B, lambda y: 1, b - 1)
@@ -162,10 +163,11 @@ def verify_beta(beta: dict, B, b: int) -> bool:
 
 def verify_alpha(alpha: dict, A, h: Poly, b: int, target_degree: int) -> bool:
     """Replay the alpha moment conditions over A by direct summation."""
-    A = canonical_sort(A)
-    if not A or b < 1 or target_degree < 0 or any(x not in alpha for x in A):
+    A, b = canonical_sort(A), _count(b, "b", None)
+    D = _count(target_degree, "target_degree", None)
+    if not A or b < 1 or D < 0 or any(x not in alpha for x in A):
         return False
-    return _moments_match(alpha, A, lambda x: h(x) ** (b - 1), target_degree)
+    return _moments_match(alpha, A, lambda x: h(x) ** (b - 1), D)
 
 
 def _pointwise_sum(g: Poly, h: Poly, alpha: dict, beta: dict, C) -> FieldElem:

@@ -176,30 +176,16 @@ def _emit(write, out_path: str | None) -> None:
 
 
 def cmd_bound(opts: dict) -> int:
-    field_text = opts["field"].strip()
     given = ("d" in opts, "g" in opts, "h" in opts)
     if given not in ((True, False, False), (False, True, True)):
         raise InvalidParametersError("provide either --d or both --g and --h")
     if "d" in opts:
-        if "^" in field_text or "/" in field_text:
-            from .field import parse_field
-            characteristic = parse_field(field_text).p
-        else:
-            characteristic = parse_characteristic(field_text)
-        d = opts["d"]
+        characteristic, d = parse_characteristic(opts["field"]), opts["d"]
     else:
-        if field_text.lower() == "inf":
-            raise InvalidParametersError(
-                "--g/--h need a finite field; use --d with --field inf")
-        from .field import parse_field
-        from .instance import check_degrees
-        from .poly import parse_poly
-        field = parse_field(field_text)
-        g = parse_poly(opts["g"], field)
-        h = parse_poly(opts["h"], field)
+        from .instance import _read_polys, check_degrees
+        field, g, h = _read_polys(opts)
         check_degrees(g, h)
-        characteristic = field.p
-        d = g.degree()
+        characteristic, d = field.p, g.degree()
     report = theorem_bound(opts["a"], opts["b"], d, characteristic)
     # The bytes of json.dumps(report.to_dict(), indent=2), laid out here, as
     # every value is an int, the k list (never empty), "inf" or a bool: so

@@ -5,7 +5,7 @@ bad (the CLI maps it to exit code 2), while ``InternalInvariantError``
 means the library reached a state its own mathematics forbids (exit code
 1, always a bug).  The message names the fault; a subclass names only the
 kind of input, and a new one is added only for code that catches it by type.
-Every integer argument with a floor is read by :func:`_count`, one wording.
+Every integer argument is read by :func:`_count`, one wording.
 """
 
 
@@ -29,12 +29,13 @@ class InternalInvariantError(RuntimeError):
     """A mathematically impossible state was observed; indicates a bug."""
 
 
-def _count(value, name: str, least: int = 0) -> int:
+def _count(value, name: str, least: int | None = 0) -> int:
     """The one reading of a count: ``value`` if it is an int, not a bool, of
-    at least ``least``; else a ParseError (not an int) or InvalidParametersError
-    (an int below ``least``), worded "NAME must be an integer >= LEAST, got VALUE"."""
+    at least ``least`` (any int if None); else a ParseError (not an int) or
+    InvalidParametersError (an int below ``least``), worded "NAME must be an
+    integer >= LEAST, got VALUE", or "NAME must be an integer, got VALUE"."""
     is_int = isinstance(value, int) and not isinstance(value, bool)
-    if is_int and value >= least:
+    if is_int and (least is None or value >= least):
         return value
     raise (InvalidParametersError if is_int else ParseError)(
-        f"{name} must be an integer >= {least}, got {value!r}")
+        f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")

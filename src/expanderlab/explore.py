@@ -330,7 +330,8 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     The roots of h come from a scan of all q indices, refused over
     ``MAX_ROOT_SCAN`` index operations; a constant h has none and needs no
     scan, so a random search runs on any field :func:`parse_field` accepts.
-    ``parallelism`` is a count >= 1, otherwise unused: evaluation is serial.
+    ``seed`` is a count >= 0 in both modes, though exhaustive mode draws
+    nothing; ``parallelism`` is a count >= 1, otherwise unused: evaluation is serial.
     """
     field = field if isinstance(field, Field) else parse_field(field)
     g = parse_poly(g, field)
@@ -340,6 +341,7 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
         raise InvalidParametersError(f"unknown mode {mode!r}")
     _count(parallelism, "parallelism", 1)
     _count(sample_count, "sample_count", 1)
+    _count(seed, "seed")
     _count(budget, "budget")
 
     q = field.order

@@ -390,8 +390,8 @@ def parse_field(text: str) -> Field:
     if not isinstance(text, str):
         raise ParseError(f"field must be a str, got {text!r}")
     s = text.replace(" ", "")
-    if not s:
-        raise ParseError("empty field description")
+    if s.lower() == "inf":
+        raise ParseError("inf is a characteristic, not a field: only bound --d takes it")
     head, slash, mod_text = s.partition("/")
     try:
         if "^" in head:
@@ -405,5 +405,9 @@ def parse_field(text: str) -> Field:
 
 
 def canonical_sort(elems) -> tuple[FieldElem, ...]:
-    """Sort elements by their canonical enumeration index."""
-    return tuple(sorted(elems, key=lambda e: e.index()))
+    """Sort points by their canonical enumeration index, refusing a non-FieldElem."""
+    points = tuple(elems)
+    for e in points:
+        if not isinstance(e, FieldElem):
+            raise ParseError(f"a point must be a FieldElem, got {e!r}")
+    return tuple(sorted(points, key=FieldElem.index))

@@ -4,8 +4,9 @@
 listing every hypothesis the (A, B) pair breaks: :func:`check_degrees` on
 the polynomials, :func:`_distinct_points` on each point set and the roots
 of h inside A.  The certificate solvers and the search drivers call those
-checks on their own.  :func:`_build_instance` reads an instance from the
-command line's texts, and :func:`negative_slack_error` is the one fatal
+checks on their own.  :func:`_read_polys` reads the command line's field,
+g and h texts, for ``bound --g/--h`` and :func:`_build_instance`, which
+reads an instance, and :func:`negative_slack_error` is the one fatal
 error for an image below the proved bound.
 
 The theorem, the evaluation kernel and :func:`~expanderlab.bound.image`
@@ -122,11 +123,15 @@ def _parse_elements(field: Field, text: str, option: str) -> list[FieldElem]:
     return [field.parse_element(item) for item in items]
 
 
+def _read_polys(opts: dict) -> tuple[Field, Poly, Poly]:
+    """The field, g and h of the command line's texts, read in that order."""
+    field = parse_field(opts["field"])
+    return field, parse_poly(opts["g"], field), parse_poly(opts["h"], field)
+
+
 def _build_instance(opts: dict) -> ExpanderInstance:
     """The checked instance of the command line's field, g, h, A and B texts."""
-    field = parse_field(opts["field"])
-    g = parse_poly(opts["g"], field)
-    h = parse_poly(opts["h"], field)
+    field, g, h = _read_polys(opts)
     A = _parse_elements(field, opts["A"], "--A")
     B = _parse_elements(field, opts["B"], "--B")
     return check_instance(field, g, h, A, B)

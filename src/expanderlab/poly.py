@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import FieldMismatchError, InvalidParametersError, ParseError
+from .errors import FieldMismatchError, InvalidParametersError, ParseError, _count
 from .field import Field, FieldElem, _parse_terms, _power, _render_terms
 
 NEG_INF = float("-inf")
@@ -65,6 +65,7 @@ class Poly:
         return not self._coeffs
 
     def coefficient(self, exp: int) -> FieldElem:
+        exp = _count(exp, "exponent", None)
         return FieldElem(self.field, self._coeffs[exp] if 0 <= exp < len(self._coeffs) else 0)
 
     def leading_coefficient(self) -> FieldElem:

@@ -62,8 +62,12 @@ def test_parse_characteristic():
     assert parse_characteristic(" INF ") == INF
     with pytest.raises(InvalidParametersError, match="^characteristic 9 is not prime$"):
         parse_characteristic("9")
-    with pytest.raises(ParseError, match="^characteristic must be prime or inf, got 'many'$"):
+    assert parse_characteristic("3^2/t^2+1") == 3
+    with pytest.raises(ParseError, match="^bad field description 'many'$"):
         parse_characteristic("many")
+    # '²'.isdigit() holds, but int('²') fails: it is no decimal text
+    with pytest.raises(ParseError, match="^bad field description '²'$"):
+        parse_characteristic("²")
 
 
 def test_theorem_bound_examples():

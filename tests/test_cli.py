@@ -59,6 +59,12 @@ def test_bound_infinite_characteristic():
     assert report["characteristic"] == "inf" and report["bound"] == 38
 
 
+def test_bound_d_reads_the_field_text_as_every_subcommand_does():
+    # parse_field ignores spaces, so "1 3" is F_13 on bound --d as on --g/--h.
+    assert run_cli("bound", "--field", "1 3", "--a", "3", "--b", "2", "--d", "1") == run_cli(
+        "bound", "--field", "13", "--a", "3", "--b", "2", "--d", "1")
+
+
 def test_bound_composite_field_exits_2():
     code, _, err = run_cli("bound", "--field", "4", "--a", "2", "--b", "2",
                            "--d", "1")
@@ -1139,8 +1145,7 @@ def test_closed_stdout_pipe_exits_141_quietly():
     ("subfield --field 13 --m 1 --c-fraction 1/2",
      "error: m = 1 must properly divide the extension degree 1\n"),
     # a characteristic that does not parse, then one that is not prime
-    ("bound --field many --a 3 --b 2 --d 1",
-     "error: characteristic must be prime or inf, got 'many'\n"),
+    ("bound --field many --a 3 --b 2 --d 1", "error: bad field description 'many'\n"),
     ("bound --field 4 --a 3 --b 2 --d 1", "error: characteristic 4 is not prime\n"),
 ])
 def test_validation_paths_exit_2(argv, message):
@@ -1161,6 +1166,12 @@ def _fault_text(path) -> str:
 
 F13 = Field(13)
 X2, X = (parse_poly(text, F13) for text in ("x^2", "x"))
+# Every path that reads a --field text, "{}" in its place; only the first
+# takes inf, as a characteristic.
+FIELD_PATHS = [
+    "bound --field {} --a 3 --b 2 --d 1", "bound --field {} --a 3 --b 2 --g x^2 --h x",
+    "image --field {} --g x^2 --h x --A 1 --B 0", "certify --field {} --g x^2 --h x --A 1 --B 0",
+    "search --field {} --g x^2 --h x --a 1 --b 1", "subfield --field {} --m 1 --c-fraction 1/2"]
 
 
 @pytest.mark.parametrize("message, paths", [
@@ -1190,6 +1201,7 @@ X2, X = (parse_poly(text, F13) for text in ("x^2", "x"))
         ("search --field 13 --g x^2 --h x --a 2 --b 2 --parallelism 0", "parallelism", 1, 0),
         ("subfield --field 3^2 --m 1 --c-fraction 1/2 --parallelism 0", "parallelism", 1, 0),
         ("search --field 13 --g x^2 --h x --a 2 --b 2 --mode random --seed -1", "seed", 0, -1),
+        ("search --field 13 --g x^2 --h x --a 2 --b 2 --seed -1", "seed", 0, -1),
         ("subfield --field 3^2 --m 1 --c-fraction 1/2 --seed -1", "seed", 0, -1),
         ("certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1 --seed -1", "seed", 0, -1),
         ("search --field 13 --g x^2 --h x --a -1 --b 2", "a", 1, -1),
@@ -1204,7 +1216,14 @@ X2, X = (parse_poly(text, F13) for text in ("x^2", "x"))
         "certify --field 13 --g x^2 --h x --A 0,1,2 --B 0,1",
         lambda: instance.check_instance(F13, X2, X, [0, 1, 2], [0, 1]),
         lambda: certificate.solve_alpha([F13.element(i) for i in (0, 1, 2)], X, 2, 1)]),
-], ids=["characteristic", "k beyond q", "k in q", "Lucas", "sizes", "count", "root of h"])
+    # a field text that does not parse reads in parse_field's words everywhere
+    *[(f"bad field description {text!r}", [path.format(shlex.quote(text)) for path in FIELD_PATHS]
+       + [functools.partial(bound_mod.parse_characteristic, text),
+          functools.partial(parse_field, text)]) for text in ("x", "")],
+    ("inf is a characteristic, not a field: only bound --d takes it",
+     [path.format("inf") for path in FIELD_PATHS[1:]] + [lambda: parse_field("inf")]),
+], ids=["characteristic", "k beyond q", "k in q", "Lucas", "sizes", "count", "root of h",
+        "field text x", "empty field text", "inf as a field"])
 def test_one_fault_reads_one_way(message, paths):
     for path in paths:
         path, *fill = path if isinstance(path, tuple) else (path,)
@@ -1212,8 +1231,10 @@ def test_one_fault_reads_one_way(message, paths):
 
 
 # Each count argument of the library: (call, its name in the message, its
-# floor, a function that passes it the count v).  F_13's A = {1, 2, 3}.
-A123 = [F13.element(i) for i in (1, 2, 3)]
+# floor or None, a function that passes it the count v).  F_13's A = {1, 2, 3},
+# B = {0, 1}, and valid weights on them.
+A123, B01 = [F13.element(i) for i in (1, 2, 3)], [F13.element(i) for i in (0, 1)]
+ALPHA, BETA = certificate.solve_alpha(A123, X, 2, 1), certificate.solve_beta(B01)
 COUNTS = [
     ("element ** e", "exponent", 0, lambda v: F13.element(3) ** v),
     ("poly ** e", "exponent", 0, lambda v: X ** v),
@@ -1247,15 +1268,24 @@ COUNTS = [
     ("solve_alpha b", "b", 1, lambda v: certificate.solve_alpha(A123, X, v, 1)),
     ("solve_alpha target_degree", "target_degree", 0,
      lambda v: certificate.solve_alpha(A123, X, 2, v)),
+    ("search seed", "seed", 0, lambda v: explore.search_extremal("13", "x^2", "x", 2, 2, seed=v)),
+    ("coefficient", "exponent", None, lambda v: X2.coefficient(v)),
+    ("binomial_in_field k", "k", None, lambda v: certificate.binomial_in_field(F13, v, 1)),
+    ("binomial_in_field r", "r", None, lambda v: certificate.binomial_in_field(F13, 2, v)),
+    ("verify_beta b", "b", None, lambda v: certificate.verify_beta(BETA, B01, v)),
+    ("verify_alpha b", "b", None, lambda v: certificate.verify_alpha(ALPHA, A123, X, v, 1)),
+    ("verify_alpha target_degree", "target_degree", None,
+     lambda v: certificate.verify_alpha(ALPHA, A123, X, 2, v)),
 ]
 # (call, the error, its message): a bool, a float and a text for every count,
-# one below its floor, then a text, a polynomial or a flag of the wrong type.
+# one below its floor if it has one, then a text, a polynomial, a flag or a
+# point of the wrong type.
 WRONG_KIND = [
     (f"{label} {value!r}", functools.partial(call, value), error,
-     f"{name} must be an integer >= {least}, got {value!r}")
+     f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
     for label, name, least, call in COUNTS
-    for value, error in ((True, ParseError), (2.5, ParseError), ("2", ParseError),
-                         (least - 1, InvalidParametersError))
+    for value, error in [(True, ParseError), (2.5, ParseError), ("2", ParseError)]
+    + ([] if least is None else [(least - 1, InvalidParametersError)])
 ] + [
     ("search a (2,)", lambda: explore.search_extremal("7", "x^2", "x", (2,), 2), ParseError,
      "a must be an integer >= 1, got (2,)"),
@@ -1276,6 +1306,12 @@ WRONG_KIND = [
      ParseError, "random_a must be True or False, got 'no'"),
     ("random_a 1", lambda: explore.subfield_experiment("3^2", 1, "1/2", random_a=1),
      ParseError, "random_a must be True or False, got 1"),
+    ("solve_beta ints", lambda: certificate.solve_beta([1, 2, 3]), ParseError,
+     "a point must be a FieldElem, got 1"),
+    ("solve_alpha ints", lambda: certificate.solve_alpha([1, 2, 3], X, 1, 1), ParseError,
+     "a point must be a FieldElem, got 1"),
+    ("verify_beta ints", lambda: certificate.verify_beta({}, [1, 2], 2), ParseError,
+     "a point must be a FieldElem, got 1"),
 ]
 
 
