@@ -22,19 +22,20 @@ __version__ = "0.1.0"
 
 # Each public name, by its home module.
 _EXPORTS = {
-    "bound": "INF BoundReport corollary_bound image lucas_nonvanishing "
-             "parse_characteristic theorem_bound",
+    "bound": "INF BoundReport corollary_bound lucas_nonvanishing parse_characteristic "
+             "theorem_bound",
     "certificate": "Certificate RefutationReport binomial_in_field build_certificate "
                    "elementary_symmetric lambda_coefficients refute_cover "
                    "solve_alpha solve_beta verify_alpha verify_beta",
     "errors": "FieldMismatchError InternalInvariantError InvalidParametersError "
               "ParseError ValidationError",
     "explore": "ExperimentRecord Ranked nearest_subfield_distance "
-               "records_to_csv records_to_json search_extremal subfield_experiment",
+               "records_to_csv records_to_json search_extremal",
     "field": "Field FieldElem canonical_sort parse_field",
-    "instance": "ExpanderInstance check_instance",
+    "instance": "ExpanderInstance check_instance image",
     "poly": "Poly parse_poly",
     "rng": "Xoshiro256StarStar",
+    "subfield": "subfield_experiment",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

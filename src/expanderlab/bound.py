@@ -20,11 +20,11 @@ with 0 <= r <= k vanishes and the p-cap never binds; the digit code runs
 it as an integer base above every k in question.  The field size limits,
 ``is_prime`` and their one check live here: ``bound --d`` needs no field.
 
-Besides the theorem, this module holds only the evaluation kernel,
-:func:`value_rows`, and :func:`image`, which reads an instance's field, g,
-h, A and B and nothing more.  Building and checking an instance is
-:mod:`expanderlab.instance`'s work, so ``bound --d`` compiles neither that
-layer nor the field layer.
+This module holds the theorem and nothing else.  Evaluating g(x) + y*h(x),
+:func:`~expanderlab.instance.value_rows` and
+:func:`~expanderlab.instance.image`, is :mod:`expanderlab.instance`'s work
+with building and checking an instance, so ``bound --d`` compiles neither
+that layer nor the field layer.
 """
 
 from __future__ import annotations
@@ -32,14 +32,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvalidParametersError, _count
-
-if TYPE_CHECKING:                # annotations only: `bound --d` loads no field layer
-    from .field import FieldElem
-    from .instance import ExpanderInstance
-    from .poly import Poly
 
 INF = math.inf
 
@@ -233,22 +228,3 @@ def corollary_bound(a: int, b: int, d: int, characteristic) -> int:
         value = characteristic
     return max(1, value)
 
-
-def value_rows(g: Poly, h: Poly, xs, ys) -> list[tuple[int, ...]]:
-    """For each index x in ``xs``, the indices of g(x) + y*h(x) over the index
-    sequence ``ys``.  The one evaluation kernel: :func:`image` and the drivers
-    build these rows once and measure image sizes from them.  Per x, g(x) and
-    h(x) are :meth:`Poly.at_index`; each value is two index ops."""
-    add, _, mul, _ = g.field.index_ops()
-    rows = []
-    for x in xs:
-        gx, hx = g.at_index(x), h.at_index(x)
-        rows.append(tuple(add(gx, mul(y, hx)) for y in ys))
-    return rows
-
-
-def image(instance: ExpanderInstance) -> tuple[FieldElem, ...]:
-    """The exact set {g(x) + y*h(x) : x in A, y in B}, in canonical order."""
-    rows = value_rows(instance.g, instance.h, [x.index() for x in instance.A],
-                      [y.index() for y in instance.B])
-    return tuple(map(instance.field.from_index, sorted(set().union(*rows))))

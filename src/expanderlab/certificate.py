@@ -35,18 +35,20 @@ carries: the instance, C, alpha, beta and both sides, enough to replay the
 moment conditions and the pointwise sum with field arithmetic alone.  The
 lambda table and e depend on C only; a checker recomputes them from C.
 :func:`refute_cover` turns the identity into an explicit counterexample
-to a proposed cover.
+to a proposed cover.  :func:`cmd_certify` is the ``certify`` subcommand.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
-from .bound import _digits_dominate, value_rows
+from .bound import _digits_dominate
 from .errors import FieldMismatchError, InternalInvariantError, InvalidParametersError, _count
 from .field import Field, FieldElem, _power, canonical_sort
-from .instance import ExpanderInstance, _distinct_points, check_degrees
+from .instance import (ExpanderInstance, _build_instance, _distinct_points, _parse_elements,
+                       check_degrees, value_rows)
 from .poly import Poly
 
 
@@ -296,3 +298,34 @@ def refute_cover(instance: ExpanderInstance, C) -> RefutationReport:
                 return RefutationReport(cert, x, y, instance.field.from_index(v))
     raise InternalInvariantError(
         "C covers the image yet the collapsing sum is nonzero")
+
+
+def cmd_certify(opts: dict) -> int:
+    """The ``certify`` subcommand: the certificate as JSON, then PASS or FAIL
+    to stderr.  Without --C, C is k points drawn from the generator seeded
+    with --seed."""
+    import json
+
+    from .cli import _emit
+
+    inst = _build_instance(opts)
+    field = inst.field
+    if "C" in opts:
+        C = _parse_elements(field, opts["C"], "--C")
+    else:
+        from .rng import Xoshiro256StarStar
+
+        k = opts["k"] if "k" in opts else inst.bound_report().best_k
+        _check_admissible(inst, k)      # so k <= q - 1 and the draw cannot fail
+        rng = Xoshiro256StarStar(opts.get("seed", 0))
+        C = [field.from_index(i) for i in rng.sample_indices(field.order, k)]
+    cert = build_certificate(inst, C)
+    _emit(lambda out: out.write(json.dumps(cert.to_dict(), indent=2) + "\n"),
+          opts.get("out"))
+    if cert.identity_holds:
+        print(f"PASS: predicted matches pointwise sum ({cert.predicted})",
+              file=sys.stderr)
+        return 0
+    print(f"FAIL: predicted {cert.predicted} but pointwise sum {cert.pointwise}",
+          file=sys.stderr)
+    return 1

@@ -14,40 +14,44 @@ converted in usage order before any work; a bad one, like any invalid
 input, is one "error:" line naming the option.  No environment variable is
 read, and no output contains timestamps or machine identifiers: the same
 arguments produce the same bytes.
+
+This module holds the option table, the reading of argv, the help pages,
+:func:`_emit` and ``cmd_bound``.  Every other ``cmd_<command>`` lives in
+the module that COMMANDS names, the one its subcommand loads for its work,
+so an invocation compiles no other subcommand's handler.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 
-# Only what every subcommand needs.  Each cmd_* imports the layers it runs,
-# so an invocation compiles only those: field and poly where a field text is
-# parsed (not `bound --d` over a prime or inf), instance where g and h are
-# checked, explore for search and subfield, certificate and rng for certify,
-# selftest for selftest, and json where image, certify and sweeps write it.
-from .bound import image, parse_characteristic, theorem_bound
+# Only what every subcommand needs; each handler's module imports the layers it runs.
+from .bound import INF, parse_characteristic, theorem_bound
 from .errors import InternalInvariantError, InvalidParametersError, ValidationError
 
 FORMATS = ("csv", "json", "plain")    # what explore.write_records renders
 
-# Each subcommand's help line and its options in usage order, "*" marking a
+# Each subcommand's help line, its options in usage order, "*" marking a
 # required one and ":KIND" what the value is converted to (see _KINDS; text
-# without one), a bool one given as a bare flag.  With _ for -, the names key
-# the dict a cmd_* takes, and are the config keys of search and subfield.
+# without one), a bool one given as a bare flag, and the module that holds
+# its cmd_<command>.  With _ for -, the names key the dict a cmd_* takes, and
+# are the config keys of search and subfield.
 _INSTANCE = "field* g* h* A* B*"
 _SWEEP = "seed:int parallelism:int format out config"
 COMMANDS = {
-    "bound": ("compute the lower bound for sizes (a, b)", "field* a*:int b*:int d:int g h"),
-    "image": ("evaluate the exact image of one instance", _INSTANCE),
+    "bound": ("compute the lower bound for sizes (a, b)", "field* a*:int b*:int d:int g h",
+              "cli"),
+    "image": ("evaluate the exact image of one instance", _INSTANCE, "instance"),
     "certify": ("build and replay a certificate for one instance",
-                _INSTANCE + " C k:int seed:int out"),
+                _INSTANCE + " C k:int seed:int out", "certificate"),
     "search": ("sweep (A, B) pairs and rank them by slack",
-               "field* g* h* a*:sizes b*:sizes mode sample-count:int budget:int " + _SWEEP),
+               "field* g* h* a*:sizes b*:sizes mode sample-count:int budget:int " + _SWEEP,
+               "explore"),
     "subfield": ("measure image growth over a subfield plus one point",
-                 "field* m*:int c-fraction*:c g h theta-count:int random-a:bool " + _SWEEP),
-    "selftest": ("run the embedded check suite", ""),
+                 "field* m*:int c-fraction*:c g h theta-count:int random-a:bool " + _SWEEP,
+                 "explore"),
+    "selftest": ("run the embedded check suite", "", "selftest"),
 }
 # Help notes, shared by every subcommand that takes the option.
 _NOTES = {
@@ -86,7 +90,7 @@ def _parse_bool(value) -> bool:
 
 
 def _check_c(text: str) -> str:
-    from .explore import parse_c
+    from .subfield import parse_c
     parse_c(text)       # only checked: the library reads c from its text
     return text
 
@@ -95,25 +99,6 @@ def _check_c(text: str) -> str:
 # one should have been; parse_c's own error says what is wrong with a c.
 _KINDS = {"int": (int, "an integer"), "sizes": (_parse_sizes, "an integer or LO-HI range"),
           "bool": (_parse_bool, "a boolean"), "c": (_check_c, "")}
-
-
-def _read_config(path: str) -> dict:
-    """Flat key=value file; blank lines and # comments are skipped."""
-    out = {}
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise InvalidParametersError(
-                        f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                out[key.strip().replace("-", "_")] = value.strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidParametersError(f"cannot read config {path}: {exc}") from None
-    return out
 
 
 def _specs(command: str) -> list:
@@ -134,6 +119,7 @@ def _given(command: str, flags: dict) -> dict:
     refused, the last as "--NAME: reason"."""
     options, opts = _options(command), {}
     if "config" in flags:
+        from .explore import _read_config
         for key, value in _read_config(flags["config"]).items():
             if key.replace("_", "-") not in options or key == "config":
                 raise InvalidParametersError(f"unknown config key {key!r}")
@@ -191,108 +177,12 @@ def cmd_bound(opts: dict) -> int:
     # every value is an int, the k list (never empty), "inf" or a bool: so
     # bound loads no json, whose indented encoder is pure Python anyway.
     p = report.characteristic
-    values = {**report._asdict(), "characteristic": '"inf"' if p == math.inf else p,
+    values = {**report._asdict(), "characteristic": '"inf"' if p == INF else p,
               "admissible_k": "[\n    " + ",\n    ".join(map(str, report.admissible_k)) + "\n  ]",
               "fallback": str(report.fallback).lower()}
     sys.stdout.write("{\n" + ",\n".join(f'  "{key}": {value}' for key, value in values.items())
                      + "\n}\n")
     return 0
-
-
-# -- image ----------------------------------------------------------------------
-
-
-def cmd_image(opts: dict) -> int:
-    import json
-
-    from .instance import _build_instance, negative_slack_error
-
-    inst = _build_instance(opts)
-    values = image(inst)
-    report = inst.bound_report()
-    payload = {
-        **inst.to_dict(),
-        "image": [str(v) for v in values],
-        "image_size": len(values),
-        "theorem_bound": report.bound,
-        "slack": len(values) - report.bound,
-    }
-    if payload["slack"] < 0:
-        raise negative_slack_error(payload["field"], payload["g"], payload["h"],
-                                   payload["A"], payload["B"], len(values),
-                                   report.bound)
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    return 0
-
-
-# -- certify ----------------------------------------------------------------------
-
-
-def cmd_certify(opts: dict) -> int:
-    import json
-
-    from .certificate import _check_admissible, build_certificate
-    from .instance import _build_instance, _parse_elements
-    from .rng import Xoshiro256StarStar
-
-    inst = _build_instance(opts)
-    field = inst.field
-    if "C" in opts:
-        C = _parse_elements(field, opts["C"], "--C")
-    else:
-        k = opts["k"] if "k" in opts else inst.bound_report().best_k
-        _check_admissible(inst, k)      # so k <= q - 1 and the draw cannot fail
-        rng = Xoshiro256StarStar(opts.get("seed", 0))
-        C = [field.from_index(i) for i in rng.sample_indices(field.order, k)]
-    cert = build_certificate(inst, C)
-    _emit(lambda out: out.write(json.dumps(cert.to_dict(), indent=2) + "\n"),
-          opts.get("out"))
-    if cert.identity_holds:
-        print(f"PASS: predicted matches pointwise sum ({cert.predicted})",
-              file=sys.stderr)
-        return 0
-    print(f"FAIL: predicted {cert.predicted} but pointwise sum {cert.pointwise}",
-          file=sys.stderr)
-    return 1
-
-
-# -- search and subfield ----------------------------------------------------------
-
-
-def _sweep(driver, opts: dict) -> int:
-    """Run a sweep ``driver`` on ``opts``: its records to stdout or --out,
-    then the summary to stderr."""
-    from .explore import summarize, write_records
-
-    fmt, out_path = opts.pop("format", "csv"), opts.pop("out", None)
-    records = driver(**opts)
-    _emit(lambda out: write_records(records, fmt, out), out_path)
-    print(summarize(records), file=sys.stderr)
-    return 0
-
-
-def cmd_search(opts: dict) -> int:
-    from .explore import search_extremal
-    return _sweep(search_extremal, opts)
-
-
-def cmd_subfield(opts: dict) -> int:
-    from .explore import subfield_experiment
-    return _sweep(subfield_experiment, opts)
-
-
-# -- selftest ----------------------------------------------------------------------
-
-
-def cmd_selftest(opts: dict) -> int:
-    from .selftest import run_selftest
-
-    results = run_selftest()
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
-    passed = sum(1 for _, ok, _ in results if ok)
-    print(f"{passed}/{len(results)} checks passed")
-    return 0 if passed == len(results) else 1
 
 
 # -- argv ----------------------------------------------------------------------
@@ -342,7 +232,7 @@ def _help(command: str | None) -> str:
     """The help page of ``command``, or of the program for None."""
     if command is None:
         head, rows = "COMMAND [--OPTION VALUE ...]\n\ncommands:", [
-            (name, text) for name, (text, _) in COMMANDS.items()]
+            (name, text) for name, (text, *_) in COMMANDS.items()]
     else:
         head = f"{command} [--OPTION VALUE ...]\n\n{COMMANDS[command][0]}\n\noptions:"
         rows = [(f"--{name}" + " VALUE" * (kind != "bool"), "required; " * need + _NOTES[name])
@@ -355,8 +245,13 @@ def main(argv=None) -> int:
         command, flags = parse_args(sys.argv[1:] if argv is None else list(argv))
         if flags is None:
             sys.stdout.write(_help(command))
-        # cmd_* is looked up per call, so a wrapper set on the module is the one run.
-        code = 0 if flags is None else globals()[f"cmd_{command}"](_given(command, flags))
+            code = 0
+        else:
+            opts, name = _given(command, flags), f"cmd_{command}"
+            # Looked up per call, so a wrapper set on its module is the one run;
+            # __import__, unlike importlib, shows under -X importtime.
+            module = __import__(f"{__package__}.{COMMANDS[command][2]}", fromlist=[name])
+            code = getattr(module, name)(opts)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -5,7 +5,8 @@ bad (the CLI maps it to exit code 2), while ``InternalInvariantError``
 means the library reached a state its own mathematics forbids (exit code
 1, always a bug).  The message names the fault; a subclass names only the
 kind of input, and a new one is added only for code that catches it by type.
-Every integer argument is read by :func:`_count`, one wording.
+Every integer argument is read by :func:`_count`, one wording, and a seed
+by :func:`_seed`, which also caps it.
 """
 
 
@@ -39,3 +40,12 @@ def _count(value, name: str, least: int | None = 0) -> int:
         return value
     raise (InvalidParametersError if is_int else ParseError)(
         f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+
+
+def _seed(value) -> int:
+    """The one reading of a seed: a count below 2^64, the width of the
+    generator's state, so no two seeds draw alike; a larger int raises
+    InvalidParametersError "seed must be below 2^64, got VALUE"."""
+    if _count(value, "seed") >> 64:
+        raise InvalidParametersError(f"seed must be below 2^64, got {value!r}")
+    return value

@@ -1,17 +1,10 @@
-"""Brute-force experiments: extremal searches and subfield sharpness runs.
+"""Brute-force experiments: extremal searches and the one measuring kernel.
 
 :func:`search_extremal` enumerates or samples pairs (A, B), measures the
 exact image size against the proved bound, and ranks the pairs by slack
-ascending so near-extremal configurations surface first.
-
-:func:`subfield_experiment` probes how far the bound is from sharp when B
-is a subfield K plus one point theta outside it.  With g, h over K and A in
-K minus 0 and the roots of h, f(A, K) = K, and each theta record's image is
-p^m + N(A), N(A) the number of distinct (g(x), h(x)) over A.  Theta records
-carry floor((1 + c/2) p^m - 1), the "proved" growth threshold, and
-floor((1 + c) p^m - 1), the conjectured one; neither is raised on, and the
-tests assert the proved one only for g = x^2, h = x on F_9 and F_25.
-Every record carries the distance from B to the nearest subfield.
+ascending so near-extremal configurations surface first.  The subfield
+sharpness runs live in :mod:`expanderlab.subfield`, which hands its one
+run to the same kernel, so a search compiles none of that driver.
 
 Both drivers hand one measuring kernel runs (A, Bs, cols) of element indices,
 Bs a list of B's or a random draw's (B,), cols the y a run reads; no step
@@ -22,9 +15,15 @@ render from row ids and a record is built only where one is indexed.
 Evaluation is single-threaded, as a thread pool gained nothing under the
 interpreter lock: ``parallelism`` is a count >= 1 and otherwise unused.
 Each count, the sizes included, is read by :func:`expanderlab.errors._count`.
+Every record carries the distance from B to the nearest subfield.
 
 A pair with negative slack would disprove the bound; the harness treats
 it as a fatal internal error, before any output, and names the witness.
+
+:func:`cmd_search` and :func:`cmd_subfield` are the ``search`` and
+``subfield`` subcommands: each runs its driver, writes the records to
+stdout or ``--out`` and the :func:`summarize` line to stderr.
+:func:`_read_config` reads the ``--config`` file that only they take.
 """
 
 from __future__ import annotations
@@ -36,19 +35,20 @@ import io
 import itertools
 import math
 import operator
+import sys
 from array import array
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import bound as bound_mod
-from .errors import InvalidParametersError, ParseError, _count
+from . import instance as instance_mod
+from .errors import InvalidParametersError, _count, _seed
 from .field import Field, parse_field
 from .instance import _sets_text, check_degrees, negative_slack_error
 from .poly import parse_poly
 
 DEFAULT_BUDGET = 10_000_000
 MAX_ROOT_SCAN = 2 * 10**6   # index ops, q*(deg h + 1), of the root scan before the budget gate
-MAX_C_EXPONENT = 4300       # Fraction builds 10**|e| before any range check
 WRITE_BLOCK = 1024          # texts per write: an unbuffered stdout makes each write a syscall
 
 
@@ -85,7 +85,8 @@ CSV_COLUMNS = ExperimentRecord._fields[:12]
 
 
 class Ranked(SimpleNamespace):
-    """What :func:`search_extremal` and :func:`subfield_experiment` return: a
+    """What :func:`search_extremal` and
+    :func:`~expanderlab.subfield.subfield_experiment` return: a
     read-only sequence of :class:`ExperimentRecord`, one per measured pair,
     in output order.  Indexing builds the record, and a slice the list of its
     records; compare or concatenate results as ``list(ranked)``.
@@ -266,7 +267,7 @@ def _measure(field: Field, g, h, runs, by_slack: bool = True) -> Ranked:
             values.setdefault(i, {}).update(blank)
     for i, row in values.items():
         cols = tuple(row)
-        row.update(zip(cols, bound_mod.value_rows(g, h, [i], cols)[0]))
+        row.update(zip(cols, instance_mod.value_rows(g, h, [i], cols)[0]))
 
     rows, table_of, bucket_of, buckets, cell = [], {}, [], {}, None
     starts = array("I", itertools.accumulate([len(Bs) for _, Bs, _ in runs], initial=0))
@@ -330,7 +331,7 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     The roots of h come from a scan of all q indices, refused over
     ``MAX_ROOT_SCAN`` index operations; a constant h has none and needs no
     scan, so a random search runs on any field :func:`parse_field` accepts.
-    ``seed`` is a count >= 0 in both modes, though exhaustive mode draws
+    ``seed`` is a count below 2^64 in both modes, though exhaustive mode draws
     nothing; ``parallelism`` is a count >= 1, otherwise unused: evaluation is serial.
     """
     field = field if isinstance(field, Field) else parse_field(field)
@@ -341,7 +342,7 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
         raise InvalidParametersError(f"unknown mode {mode!r}")
     _count(parallelism, "parallelism", 1)
     _count(sample_count, "sample_count", 1)
-    _count(seed, "seed")
+    _seed(seed)
     _count(budget, "budget")
 
     q = field.order
@@ -392,80 +393,44 @@ def search_extremal(field, g: str, h: str, a, b, mode: str = "exhaustive",
     return _measure(field, g, h, runs)
 
 
-def parse_c(value):
-    """``c`` as an exact ``fractions.Fraction`` of a number or of text such
-    as "1/2" or "5e-1"; text whose decimal exponent exceeds
-    ``MAX_C_EXPONENT`` in magnitude is refused before ``Fraction`` expands
-    it.  What ``Fraction`` cannot read (a zero denominator, an infinity, a
-    NaN, text that is no number) raises :class:`InvalidParametersError`
-    naming c as given."""
-    _, e, exponent = (value.lower() if isinstance(value, str) else "").rpartition("e")
+
+def _read_config(path: str) -> dict:
+    """Flat key=value file; blank lines and # comments are skipped."""
+    out = {}
     try:
-        huge = bool(e) and abs(int(exponent)) > MAX_C_EXPONENT
-    except ValueError:
-        huge = False    # not an exponent; Fraction judges the text
-    if huge:
-        raise InvalidParametersError(
-            f"c = {value!r} has a decimal exponent beyond ±{MAX_C_EXPONENT}")
-    from fractions import Fraction    # only subfield reads c: keep it off start-up
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
-        raise InvalidParametersError(f"c = {value!r} is not a finite number") from None
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise InvalidParametersError(
+                        f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, value = line.split("=", 1)
+                out[key.strip().replace("-", "_")] = value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParametersError(f"cannot read config {path}: {exc}") from None
+    return out
 
 
-def subfield_experiment(field, m: int, c_fraction, g: str = "x^2", h: str = "x",
-                        theta_count: int | None = None, seed: int = 0,
-                        random_a: bool = False, parallelism: int = 1) -> Ranked:
-    """Image growth when B is the order-p^m subfield K plus one point.
+def _sweep(driver, opts: dict) -> int:
+    """Run a sweep ``driver`` on ``opts``: its records to stdout or --out,
+    then the summary to stderr."""
+    from .cli import _emit
 
-    A is ceil(c * p^m) elements of K minus {0} and the roots of h, clipped
-    to what exists: the first ones in canonical order by default, or a
-    seeded random subset with ``random_a``.  The first record is the
-    baseline B = K; the rest sweep theta over the complement of K in
-    canonical order, or over a seeded sample of ``theta_count`` of them.
-    Thresholds appear only on the theta records; the baseline has nothing
-    to exceed.  ``random_a`` is a bool; ``parallelism`` is a count >= 1,
-    otherwise unused: evaluation is single-threaded.
-    """
-    field = field if isinstance(field, Field) else parse_field(field)
-    if _count(m, "m", 1) >= field.n or field.n % m:
-        raise InvalidParametersError(
-            f"m = {m} must properly divide the extension degree {field.n}")
-    c = parse_c(c_fraction)
-    if not 0 < c < 1:
-        # c_fraction as given: a huge c may have too many digits to print
-        raise InvalidParametersError(f"c must satisfy 0 < c < 1, got {c_fraction}")
-    _count(parallelism, "parallelism", 1)
-    if not isinstance(random_a, bool):
-        raise ParseError(f"random_a must be True or False, got {random_a!r}")
-    g_poly = parse_poly(g, field)
-    h_poly = parse_poly(h, field)
-    check_degrees(g_poly, h_poly)
+    fmt, out_path = opts.pop("format", "csv"), opts.pop("out", None)
+    records = driver(**opts)
+    _emit(lambda out: write_records(records, fmt, out), out_path)
+    print(summarize(records), file=sys.stderr)
+    return 0
 
-    from .rng import Xoshiro256StarStar
-    rng = Xoshiro256StarStar(seed)
-    q_m = field.p ** m
-    K_idx = tuple(y.index() for y in field.subfield(m))
-    pool = [i for i in K_idx if i and h_poly.at_index(i)]
-    if not pool:
-        raise InvalidParametersError("no usable subfield elements for A")
-    a = min(math.ceil(c * q_m), len(pool))
-    picks = rng.sample_indices(len(pool), a) if random_a else range(a)
-    A = tuple(pool[i] for i in picks)
 
-    K_set = set(K_idx)
-    thetas = [i for i in range(field.order) if i not in K_set]
-    if theta_count is not None:
-        if _count(theta_count, "theta_count", 1) > len(thetas):
-            raise InvalidParametersError(
-                f"theta_count = {theta_count} outside [1, {len(thetas)}]")
-        picks = rng.sample_indices(len(thetas), theta_count)
-        thetas = [thetas[i] for i in picks]
+def cmd_search(opts: dict) -> int:
+    """The ``search`` subcommand."""
+    return _sweep(search_extremal, opts)
 
-    Bs = [K_idx] + [tuple(sorted(K_idx + (theta,))) for theta in thetas]
-    ranked = _measure(field, g_poly, h_poly, [(A, Bs, K_idx + tuple(thetas))], by_slack=False)
-    # Row 0 is the baseline's, the first pair's, and no other: theta's B has p^m + 1.
-    thresholds = (math.floor((1 + c / 2) * q_m - 1), math.floor((1 + c) * q_m - 1))
-    ranked.rows[1:] = [row[:8] + thresholds + row[10:] for row in ranked.rows[1:]]
-    return ranked
+
+def cmd_subfield(opts: dict) -> int:
+    """The ``subfield`` subcommand."""
+    from .subfield import subfield_experiment
+    return _sweep(subfield_experiment, opts)

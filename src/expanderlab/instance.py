@@ -9,13 +9,16 @@ g and h texts, for ``bound --g/--h`` and :func:`_build_instance`, which
 reads an instance, and :func:`negative_slack_error` is the one fatal
 error for an image below the proved bound.
 
-The theorem, the evaluation kernel and :func:`~expanderlab.bound.image`
-live in :mod:`expanderlab.bound`, which imports this module nowhere, so
-``bound --d`` compiles neither this layer nor the field layer it needs.
+:func:`value_rows` is the one evaluation kernel, which :func:`image`, the
+certificate and the search drivers read f off, and :func:`cmd_image` is
+the ``image`` subcommand.  The theorem lives in :mod:`expanderlab.bound`,
+which imports this module nowhere, so ``bound --d`` compiles neither this
+layer nor the field layer it needs.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from . import bound as bound_mod
@@ -148,3 +151,45 @@ def negative_slack_error(field_s, g_s, h_s, A, B, size, tb):
     return InternalInvariantError(
         f"negative slack {size - tb}: image_size {size} below bound {tb} "
         f"for field={field_s} g={g_s} h={h_s} {_sets_text(A, B)}")
+
+
+def value_rows(g: Poly, h: Poly, xs, ys) -> list[tuple[int, ...]]:
+    """For each index x in ``xs``, the indices of g(x) + y*h(x) over the index
+    sequence ``ys``.  The one evaluation kernel: :func:`image` and the drivers
+    build these rows once and measure image sizes from them.  Per x, g(x) and
+    h(x) are :meth:`Poly.at_index`; each value is two index ops."""
+    add, _, mul, _ = g.field.index_ops()
+    rows = []
+    for x in xs:
+        gx, hx = g.at_index(x), h.at_index(x)
+        rows.append(tuple(add(gx, mul(y, hx)) for y in ys))
+    return rows
+
+
+def image(instance: ExpanderInstance) -> tuple[FieldElem, ...]:
+    """The exact set {g(x) + y*h(x) : x in A, y in B}, in canonical order."""
+    rows = value_rows(instance.g, instance.h, [x.index() for x in instance.A],
+                      [y.index() for y in instance.B])
+    return tuple(map(instance.field.from_index, sorted(set().union(*rows))))
+
+
+def cmd_image(opts: dict) -> int:
+    """The ``image`` subcommand: the instance, its image and its slack as JSON."""
+    import json
+
+    inst = _build_instance(opts)
+    values = image(inst)
+    report = inst.bound_report()
+    payload = {
+        **inst.to_dict(),
+        "image": [str(v) for v in values],
+        "image_size": len(values),
+        "theorem_bound": report.bound,
+        "slack": len(values) - report.bound,
+    }
+    if payload["slack"] < 0:
+        raise negative_slack_error(payload["field"], payload["g"], payload["h"],
+                                   payload["A"], payload["B"], len(values),
+                                   report.bound)
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    return 0

@@ -1,8 +1,8 @@
 """Deterministic 64-bit pseudorandom generator for reproducible sampling.
 
 Implements xoshiro256** seeded through splitmix64, so a run is pinned down
-by a single integer seed and can be replayed in any language with the same
-two well-known generators:
+by a single integer seed, 0 <= seed < 2^64, and can be replayed in any
+language with the same two well-known generators:
 
   splitmix64:   state += 0x9E3779B97F4A7C15
                 z = state
@@ -22,7 +22,7 @@ used anywhere in sampling paths.
 
 from __future__ import annotations
 
-from .errors import InvalidParametersError, _count
+from .errors import InvalidParametersError, _count, _seed
 
 _MASK = (1 << 64) - 1
 
@@ -46,7 +46,7 @@ class Xoshiro256StarStar:
     __slots__ = ("_s",)
 
     def __init__(self, seed: int):
-        state = _count(seed, "seed") & _MASK
+        state = _seed(seed)
         words = []
         for _ in range(4):
             state, out = splitmix64(state)

@@ -6,7 +6,7 @@ first equation that does not hold, which it names with the values it was
 checked at; :func:`run_selftest` turns each outcome into a
 (name, ok, detail) row.  Everything is deterministic: fixed seeds, fixed
 fields, no clock and no environment reads, so one failing line always
-reproduces.
+reproduces.  :func:`cmd_selftest` is the ``selftest`` subcommand.
 """
 
 from __future__ import annotations
@@ -14,13 +14,15 @@ from __future__ import annotations
 import itertools
 
 from . import bound as bound_mod
+from . import instance as instance_mod
 from .bound import INF, corollary_bound, theorem_bound
 from .certificate import build_certificate, refute_cover, verify_alpha, verify_beta
-from .explore import records_to_csv, search_extremal, subfield_experiment
+from .explore import records_to_csv, search_extremal
 from .field import Field
 from .instance import check_instance
 from .poly import parse_poly
 from .rng import Xoshiro256StarStar
+from .subfield import subfield_experiment
 
 
 class _Mismatch(Exception):
@@ -118,7 +120,7 @@ def _check_soundness_sweep():
             for B in itertools.combinations(range(5), b):
                 inst = check_instance(F, g, h, A, B)
                 bound = inst.bound_report().bound
-                _expect(len(bound_mod.image(inst)) >= bound,
+                _expect(len(instance_mod.image(inst)) >= bound,
                         "|f(A, B)| >= {} at A = {}, B = {}", bound, A, B)
                 checked += 1
     return f"{checked} exhaustive instances over F_5"
@@ -171,3 +173,13 @@ def run_selftest() -> list[tuple[str, bool, str]]:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append((name, ok, detail))
     return results
+
+
+def cmd_selftest(opts: dict) -> int:
+    """The ``selftest`` subcommand: one PASS or FAIL line per check, then the tally."""
+    results = run_selftest()
+    for name, ok, detail in results:
+        print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
+    passed = sum(1 for _, ok, _ in results if ok)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1

@@ -20,19 +20,14 @@ import functools
 import itertools
 
 from expanderlab import bound as bound_mod
+from expanderlab import instance as instance_mod
 from expanderlab.bound import lucas_nonvanishing
-from expanderlab.cli import (
-    FORMATS,
-    cmd_bound,
-    cmd_certify,
-    cmd_image,
-    cmd_search,
-    cmd_selftest,
-    cmd_subfield,
-)
-from expanderlab.explore import ExperimentRecord
+from expanderlab.certificate import cmd_certify
+from expanderlab.cli import FORMATS, cmd_bound
+from expanderlab.explore import ExperimentRecord, cmd_search, cmd_subfield
 from expanderlab.extension import _is_irreducible, _vec_mod, _vec_mul, _vec_trim
-from expanderlab.instance import negative_slack_error
+from expanderlab.instance import cmd_image, negative_slack_error
+from expanderlab.selftest import cmd_selftest
 
 
 def index_digits(i: int, p: int, n: int) -> list[int]:
@@ -285,7 +280,7 @@ def measure_int_sets(field, g, h, tasks):
             rows.setdefault(i, {}).update(cols)
     for i, row in rows.items():
         cols = list(row)
-        row.update(zip(cols, bound_mod.value_rows(g, h, [i], cols)[0]))
+        row.update(zip(cols, instance_mod.value_rows(g, h, [i], cols)[0]))
     sizes = [len({rows[i][j] for i in A_idx for j in B_idx})
              for A_idx, B_idx in tasks]
 

@@ -9,7 +9,6 @@ from expanderlab import bound as bound_mod
 from expanderlab.bound import (
     INF,
     corollary_bound,
-    image,
     is_prime,
     lucas_nonvanishing,
     parse_characteristic,
@@ -17,7 +16,7 @@ from expanderlab.bound import (
 )
 from expanderlab.errors import FieldMismatchError, InvalidParametersError, ParseError
 from expanderlab.field import Field
-from expanderlab.instance import ExpanderInstance, check_instance
+from expanderlab.instance import ExpanderInstance, check_instance, image
 from expanderlab.poly import parse_poly
 
 from oracles import admissible_k_scan, binom_mod_pascal, hopf_stiefel, image_double_loop

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from expanderlab import bound as bound_mod
 from expanderlab import certificate, cli, explore, instance, selftest
+from expanderlab import subfield as subfield_mod
 from expanderlab.cli import main
 from expanderlab.errors import InvalidParametersError, ParseError, ValidationError
 from expanderlab.field import Field, FieldElem, parse_field
@@ -401,14 +402,15 @@ def test_stdout_bytes_are_pinned(argv, sha256):
                  id="subfield-sweep"),
 ])
 def test_cli_runs_the_public_drivers(monkeypatch, argv, driver, sha256):
-    # The benchmark's tracer finds the explore layer by these module names,
-    # so search and subfield must run through them, once per invocation.
-    calls = dict.fromkeys(["search_extremal", "subfield_experiment"], 0)
-    for name in calls:
-        def counting(*args, _name=name, _run=getattr(explore, name), **kwargs):
+    # The benchmark's tracer finds the drivers by these names, so search and
+    # subfield must run through them, once per invocation.
+    homes = {"search_extremal": explore, "subfield_experiment": subfield_mod}
+    calls = dict.fromkeys(homes, 0)
+    for name, home in homes.items():
+        def counting(*args, _name=name, _run=getattr(home, name), **kwargs):
             calls[_name] += 1
             return _run(*args, **kwargs)
-        monkeypatch.setattr(explore, name, counting)
+        monkeypatch.setattr(home, name, counting)
     code, out, _ = run_cli(*argv.split())
     assert code == 0 and calls == {**dict.fromkeys(calls, 0), driver: 1}
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -834,8 +836,8 @@ def test_subfield_random_a_flag():
 
 
 def test_every_bool_option_is_a_flag(monkeypatch):
-    text, spec = cli.COMMANDS["image"]
-    monkeypatch.setitem(cli.COMMANDS, "image", (text, spec + " dry-run:bool"))
+    text, spec, home = cli.COMMANDS["image"]
+    monkeypatch.setitem(cli.COMMANDS, "image", (text, spec + " dry-run:bool", home))
     monkeypatch.setitem(cli._NOTES, "dry-run", "evaluate nothing")
     assert cli.parse_args(["image", "--dry-run", "--field", "5"]) == (
         "image", {"dry_run": True, "field": "5"})
@@ -863,7 +865,7 @@ CONFIG_BASES = {"search": {"field": "5", "g": "x^2", "h": "x", "a": "1-2", "b": 
                 "subfield": {"field": "3^2", "m": "1", "c_fraction": "1/2"}}
 # The config keys: each command's are its driver's keywords and the output keys.
 SEARCH_KEYS = tuple(inspect.signature(explore.search_extremal).parameters) + ("format", "out")
-SUBFIELD_KEYS = tuple(inspect.signature(explore.subfield_experiment).parameters) + (
+SUBFIELD_KEYS = tuple(inspect.signature(subfield_mod.subfield_experiment).parameters) + (
     "format", "out")
 CONFIG_KEYS = sorted(set(SEARCH_KEYS) | set(SUBFIELD_KEYS))
 CONFIG_FIELDS = st.one_of(
@@ -944,16 +946,16 @@ SELFTEST_BREAKS = [
     ("refutation-witness", selftest, "refute_cover",
      lambda inst, C: certificate.refute_cover(inst, C)._replace(witness_value=inst.field.zero()),
      "g(2) + 1 * h(2) = 0"),
-    ("soundness-sweep", bound_mod, "image", lambda inst: (),
+    ("soundness-sweep", instance, "image", lambda inst: (),
      "|f(A, B)| >= 1 at A = (1,), B = (0,)"),
     ("search-determinism", selftest, "search_extremal",
      lambda parallelism, **cfg: list(explore.search_extremal(**cfg))[parallelism - 1:],
      "CSV at parallelism 1 = CSV at parallelism 2"),
     ("subfield-baseline", selftest, "subfield_experiment",
-     lambda *args: [r._replace(image_size=2) for r in explore.subfield_experiment(*args)],
+     lambda *args: [r._replace(image_size=2) for r in subfield_mod.subfield_experiment(*args)],
      "(image_size, slack, subfield_distance) = (3, 0, 0) at B = K"),
     # A check that crashes reports the exception, not an equation.
-    ("soundness-sweep", bound_mod, "image", lambda inst: 1 / 0,
+    ("soundness-sweep", instance, "image", lambda inst: 1 / 0,
      "raised ZeroDivisionError: division by zero"),
 ]
 
@@ -1152,6 +1154,23 @@ def test_validation_paths_exit_2(argv, message):
     assert run_cli(*shlex.split(argv)) == (2, "", message)
 
 
+# Every path that reads --seed: random and exhaustive search, subfield and
+# certify drawing C.
+SEED_PATHS = ["search --field 13 --g x^2 --h x --a 2 --b 2 --mode random",
+              "search --field 13 --g x^2 --h x --a 2 --b 2",
+              "subfield --field 3^2 --m 1 --c-fraction 1/2",
+              "certify --field 13 --g x^2 --h x --A 1,2,3,4,5 --B 0,1"]
+
+
+@pytest.mark.parametrize("path", SEED_PATHS)
+def test_the_largest_seed_runs_and_draws_apart_from_zero(path):
+    # 2^64 - 1 is the last seed the generator's state holds, and its draws
+    # are its own; at 2^64, refused above, the state would wrap to seed 0.
+    top, zero = (run_cli(*shlex.split(path), "--seed", str(seed)) for seed in (2**64 - 1, 0))
+    assert top[0] == zero[0] == 0
+    assert (top != zero) == ("random" in path or "certify" in path)
+
+
 def _fault_text(path) -> str:
     """What a path says of a fault: CLI arguments exit 2 with one "error:"
     line, and a library call raises the ValidationError the CLI prints there."""
@@ -1211,6 +1230,12 @@ FIELD_PATHS = [
         ("search --field 13 --g x^2 --h x --a 2 --b 2 --budget -1", "budget", 0, -1),
         ("subfield --field 3^2 --m 0 --c-fraction 1/2", "m", 1, 0),
         ("subfield --field 3^2 --m 1 --c-fraction 1/2 --theta-count 0", "theta_count", 1, 0)]),
+    # a seed past the generator's 64-bit state, which would alias a smaller one
+    (f"seed must be below 2^64, got {2**64}", [
+        *[path + f" --seed {2**64}" for path in SEED_PATHS],
+        lambda: Xoshiro256StarStar(2**64),
+        lambda: explore.search_extremal("13", "x^2", "x", 2, 2, seed=2**64),
+        lambda: subfield_mod.subfield_experiment("3^2", 1, "1/2", seed=2**64)]),
     # check_instance lists it after "invalid instance: ", solve_alpha raises it alone
     ("A contains root 0 of h", [
         "certify --field 13 --g x^2 --h x --A 0,1,2 --B 0,1",
@@ -1222,8 +1247,8 @@ FIELD_PATHS = [
           functools.partial(parse_field, text)]) for text in ("x", "")],
     ("inf is a characteristic, not a field: only bound --d takes it",
      [path.format("inf") for path in FIELD_PATHS[1:]] + [lambda: parse_field("inf")]),
-], ids=["characteristic", "k beyond q", "k in q", "Lucas", "sizes", "count", "root of h",
-        "field text x", "empty field text", "inf as a field"])
+], ids=["characteristic", "k beyond q", "k in q", "Lucas", "sizes", "count", "seed cap",
+        "root of h", "field text x", "empty field text", "inf as a field"])
 def test_one_fault_reads_one_way(message, paths):
     for path in paths:
         path, *fill = path if isinstance(path, tuple) else (path,)
@@ -1260,11 +1285,11 @@ COUNTS = [
      lambda v: explore.search_extremal("13", "x^2", "x", 2, 2, sample_count=v)),
     ("search budget", "budget", 0,
      lambda v: explore.search_extremal("13", "x^2", "x", 2, 2, budget=v)),
-    ("subfield m", "m", 1, lambda v: explore.subfield_experiment("3^2", v, "1/2")),
+    ("subfield m", "m", 1, lambda v: subfield_mod.subfield_experiment("3^2", v, "1/2")),
     ("subfield theta_count", "theta_count", 1,
-     lambda v: explore.subfield_experiment("3^2", 1, "1/2", theta_count=v)),
+     lambda v: subfield_mod.subfield_experiment("3^2", 1, "1/2", theta_count=v)),
     ("subfield parallelism", "parallelism", 1,
-     lambda v: explore.subfield_experiment("3^2", 1, "1/2", parallelism=v)),
+     lambda v: subfield_mod.subfield_experiment("3^2", 1, "1/2", parallelism=v)),
     ("solve_alpha b", "b", 1, lambda v: certificate.solve_alpha(A123, X, v, 1)),
     ("solve_alpha target_degree", "target_degree", 0,
      lambda v: certificate.solve_alpha(A123, X, 2, v)),
@@ -1302,9 +1327,9 @@ WRONG_KIND = [
      ParseError, "g must be a Poly, got 'x^2'"),
     ("check_instance h text", lambda: instance.check_instance(F13, X2, "x", [1], [1]),
      ParseError, "h must be a Poly, got 'x'"),
-    ("random_a 'no'", lambda: explore.subfield_experiment("3^2", 1, "1/2", random_a="no"),
+    ("random_a 'no'", lambda: subfield_mod.subfield_experiment("3^2", 1, "1/2", random_a="no"),
      ParseError, "random_a must be True or False, got 'no'"),
-    ("random_a 1", lambda: explore.subfield_experiment("3^2", 1, "1/2", random_a=1),
+    ("random_a 1", lambda: subfield_mod.subfield_experiment("3^2", 1, "1/2", random_a=1),
      ParseError, "random_a must be True or False, got 1"),
     ("solve_beta ints", lambda: certificate.solve_beta([1, 2, 3]), ParseError,
      "a point must be a FieldElem, got 1"),
@@ -1413,7 +1438,7 @@ def test_config_keys_are_the_flag_destinations(command, keys):
     assert dests - {"config"} == set(keys)
     # Kinds agree with the driver: where it gives a default, the default has
     # the option's type, and sizes and c, which it reads itself, have none.
-    driver = {"search": explore.search_extremal, "subfield": explore.subfield_experiment}
+    driver = {"search": explore.search_extremal, "subfield": subfield_mod.subfield_experiment}
     params = inspect.signature(driver[command]).parameters
     empty = inspect.Parameter.empty
     for name, _, kind in cli._specs(command):
@@ -1440,6 +1465,18 @@ def test_main_runs_the_cmd_function_the_module_holds(monkeypatch):
     argv = ["bound", "--fi=2", "--a", "3", "--b", "1", "--d", "1", "--d", "2"]
     assert run_cli(*argv) == (0, "", "")
     assert seen == [{"field": "2", "a": 3, "b": 1, "d": 2}]
+    # Every other handler lives in the module its subcommand runs, and is
+    # looked up there per call as well.
+    homes = {"image": instance, "certify": certificate, "search": explore,
+             "subfield": explore, "selftest": selftest}
+    assert {command: spec[2] for command, spec in cli.COMMANDS.items()} == {
+        "bound": "cli", **{command: home.__name__.rpartition(".")[2]
+                           for command, home in homes.items()}}
+    for command, home in homes.items():
+        monkeypatch.setattr(home, f"cmd_{command}", lambda opts, c=command: seen.append(c) or 0)
+        required = [f"--{name}=1" for name, need, _ in cli._specs(command) if need]
+        assert run_cli(command, *required) == (0, "", ""), command
+    assert seen[1:] == list(homes)
 
 
 def test_a_value_may_begin_with_one_dash():

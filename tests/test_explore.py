@@ -14,26 +14,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expanderlab import bound as bound_module
 from expanderlab import explore
 from expanderlab import extension as extension_module
-from expanderlab.bound import image, theorem_bound
+from expanderlab import instance as instance_module
+from expanderlab.bound import theorem_bound
 from expanderlab.errors import InternalInvariantError, InvalidParametersError
 from expanderlab.explore import (
     CSV_COLUMNS,
-    MAX_C_EXPONENT,
     ExperimentRecord,
     nearest_subfield_distance,
     records_to_csv,
     records_to_json,
     search_extremal,
-    subfield_experiment,
     write_records,
 )
 from expanderlab.field import Field, FieldElem, parse_field
-from expanderlab.instance import check_instance
+from expanderlab.instance import check_instance, image
 from expanderlab.poly import parse_poly
 from expanderlab.rng import Xoshiro256StarStar, splitmix64
+from expanderlab.subfield import MAX_C_EXPONENT, subfield_experiment
 
 from oracles import (
     frobenius_subfield,
@@ -524,7 +523,7 @@ def test_search_price_is_the_sum_of_a_times_b_over_its_pairs(monkeypatch):
     # the column-mask steps, |A| * |cols| per run, the mask ORs, |B| per
     # pair, and the values that value_rows evaluates.
     work = collections.Counter()
-    measure, value_rows = explore._measure, bound_module.value_rows
+    measure, value_rows = explore._measure, instance_module.value_rows
 
     def counted_measure(field, g, h, runs, by_slack=True):
         for A_idx, Bs, cols in runs:
@@ -537,7 +536,7 @@ def test_search_price_is_the_sum_of_a_times_b_over_its_pairs(monkeypatch):
         return value_rows(g, h, xs, ys)
 
     monkeypatch.setattr(explore, "_measure", counted_measure)
-    monkeypatch.setattr(bound_module, "value_rows", counted_value_rows)
+    monkeypatch.setattr(instance_module, "value_rows", counted_value_rows)
 
     @settings(max_examples=150, deadline=None)
     @given(_priced_search())
@@ -642,14 +641,14 @@ def test_value_rows_match_double_loop_oracle(field_s, g_s, h_s):
 
 def test_search_evaluates_only_the_pairs_it_samples(monkeypatch):
     evaluated = []
-    kernel = explore.bound_mod.value_rows
+    kernel = instance_module.value_rows
 
     def counting(g, h, xs, ys):
         evaluated.append(len(xs) * len(ys))
         assert sum(evaluated) <= limit  # before an oversized table is built
         return kernel(g, h, xs, ys)
 
-    monkeypatch.setattr(explore.bound_mod, "value_rows", counting)
+    monkeypatch.setattr(instance_module, "value_rows", counting)
     # Exhaustive: one row per x of the pool (h = x drops 0) over F_13.
     limit = 12 * 13
     search_extremal("13", "x^2", "x", (2, 3), 2)
@@ -685,13 +684,13 @@ def test_drivers_never_list_the_field(monkeypatch):
 
 def test_subfield_evaluates_each_value_once(monkeypatch):
     evaluated = []
-    kernel = explore.bound_mod.value_rows
+    kernel = instance_module.value_rows
 
     def counting(g, h, xs, ys):
         evaluated.append(len(xs) * len(ys))
         return kernel(g, h, xs, ys)
 
-    monkeypatch.setattr(explore.bound_mod, "value_rows", counting)
+    monkeypatch.setattr(instance_module, "value_rows", counting)
     # |A| x (|K| + number of thetas): one value per (x, y), base and sweep.
     for field_s, m, theta_count, thetas in (("5^2", 1, None, 20),
                                             ("2^4", 2, 5, 5), ("3^4", 2, 7, 7)):

@@ -2,8 +2,8 @@
 
 Every name a module of the package imports is used in that module (``from
 __future__ import annotations`` is exempt), start-up loads nothing that
-pulls in ``inspect``, each subcommand loads only the layers it runs, the
-package namespace resolves its public names lazily, and the five error
+pulls in ``inspect``, each subcommand loads only the layers it runs and
+compiles no more package source than its ceiling, the package namespace resolves its public names lazily, and the five error
 types are the only exceptions it defines, each of which pickles.
 """
 
@@ -70,11 +70,13 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 # by the field layer, and only a p^n or p^n/modulus text loads the extension
 # layer.  The instance layer loads where g and h are checked, so not for
 # `bound --d`, and no bound run loads json: its report is laid out by hand.
-# An exhaustive search draws nothing, so it loads no generator.  No
+# An exhaustive search draws nothing, so it loads no generator, and only
+# subfield loads the subfield driver.  No
 # invocation loads argparse, nor gettext and locale, which argparse loads to
 # translate its messages: the CLI reads argv from its option table.
+_SUBFIELD = "expanderlab.subfield"
 _OTHER_LAYERS = {"expanderlab.explore", "expanderlab.certificate", "expanderlab.rng",
-                 "expanderlab.selftest", "fractions"}
+                 "expanderlab.selftest", _SUBFIELD, "fractions"}
 _EXTENSION = "expanderlab.extension"
 _INSTANCE = "expanderlab.instance"
 _FIELD_LAYERS = {"expanderlab.field", "expanderlab.poly", _EXTENSION}
@@ -91,33 +93,60 @@ SUBCOMMAND_MODULES = {
                         _OTHER_LAYERS | {"expanderlab.poly", _INSTANCE, "json"}),
     "certify": ("certify --field 13 --g x^2 --h x --A 1,2,3 --B 0,1",
                 {"expanderlab.certificate", _INSTANCE},
-                {"expanderlab.explore", "expanderlab.selftest", "fractions", _EXTENSION}),
+                {"expanderlab.explore", "expanderlab.selftest", _SUBFIELD, "fractions",
+                 _EXTENSION}),
     "search": ("search --field 5 --g x^2 --h x --a 1 --b 1",
                {"expanderlab.explore", _INSTANCE},
                {"expanderlab.certificate", "expanderlab.rng", "expanderlab.selftest",
-                "fractions", "json", _EXTENSION}),
+                _SUBFIELD, "fractions", "json", _EXTENSION}),
     "image": ("image --field 13 --g x^2 --h x --A 1,2,3 --B 0,1",
               {"expanderlab.bound", _INSTANCE}, _OTHER_LAYERS | {"csv", "array", _EXTENSION}),
     "subfield": ("subfield --field 3^2 --m 1 --c-fraction 1/2",
-                 {"expanderlab.explore", _EXTENSION, _INSTANCE},
+                 {"expanderlab.explore", _SUBFIELD, _EXTENSION, _INSTANCE},
                  {"expanderlab.certificate", "expanderlab.selftest", "json"}),
     "search-help": ("search --help", {"expanderlab.cli"},
                     _OTHER_LAYERS | _FIELD_LAYERS | {_INSTANCE}),
 }
 
 
-@pytest.mark.parametrize("name", SUBCOMMAND_MODULES)
-def test_subcommand_loads_only_the_layers_it_runs(name):
-    # -X importtime lists each module as its import ends, inner ones first;
-    # running -m expanderlab loads the package, which imports no module of
-    # its own, so what follows its line is what the subcommand loaded.
-    argv, runs, absent = SUBCOMMAND_MODULES[name]
+def _loaded(argv: str) -> set:
+    """What ``python -m expanderlab ARGV`` loads, read from -X importtime,
+    which lists each module as its import ends, inner ones first; running
+    -m expanderlab loads the package, which imports no module of its own,
+    so what follows its line is what the subcommand loaded."""
     stderr = _run("-X", "importtime", "-m", "expanderlab", *argv.split()).stderr
     names = [line.rpartition("|")[2].strip() for line in stderr.splitlines()
              if line.startswith("import time:")]
-    loaded = set(names[names.index("expanderlab"):])
+    return set(names[names.index("expanderlab"):])
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_MODULES)
+def test_subcommand_loads_only_the_layers_it_runs(name):
+    argv, runs, absent = SUBCOMMAND_MODULES[name]
+    loaded = _loaded(argv)
     assert sorted(runs - loaded) == []
     assert sorted(loaded & (absent | _ARGPARSE)) == []
+
+
+# The bytes of package source each run of SUBCOMMAND_MODULES may compile, as
+# an interpreter that writes no bytecode compiles every module it loads: the
+# total once each handler lives in the module its subcommand runs, rounded up
+# to 500 B, so a handler or kernel that moves back into cli or bound fails.
+SOURCE_CEILINGS = {"bound": 27_000, "bound-inf": 27_000, "bound-polys": 58_000,
+                   "bound-extension": 49_500, "certify": 75_000, "search": 78_000,
+                   "image": 58_000, "subfield": 92_000, "search-help": 27_000}
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_MODULES)
+def test_subcommand_compiles_at_most_its_ceiling_of_source(name):
+    # -m runs __main__ without importing it, so it is added by hand.
+    package = Path(expanderlab.__file__).parent
+    files = {"__main__"} | {module.partition(".")[2] or "__init__"
+                            for module in _loaded(SUBCOMMAND_MODULES[name][0])
+                            if module.partition(".")[0] == "expanderlab"}
+    if name == "bound":
+        assert files == {"__init__", "__main__", "cli", "errors", "bound"}
+    assert sum((package / f"{file}.py").stat().st_size for file in files) <= SOURCE_CEILINGS[name]
 
 
 def test_package_import_loads_no_module_of_its_own():

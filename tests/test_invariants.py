@@ -34,11 +34,10 @@ import collections
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expanderlab.bound import image
 from expanderlab.certificate import binomial_in_field, build_certificate
 from expanderlab.explore import search_extremal
 from expanderlab.field import canonical_sort, parse_field
-from expanderlab.instance import ExpanderInstance, check_instance
+from expanderlab.instance import ExpanderInstance, check_instance, image
 from expanderlab.poly import Poly
 
 FIELDS = {text: parse_field(text) for text in ("13", "3^2", "2^4", "999983", "2^16")}

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab.bound import value_rows
 from expanderlab.errors import FieldMismatchError, InvalidParametersError, ParseError
 from expanderlab.field import Field, FieldElem, parse_field
+from expanderlab.instance import value_rows
 from expanderlab.poly import NEG_INF, Poly, parse_poly
 
 F5 = Field(5)
